@@ -308,17 +308,16 @@ def check_connection_scale(record, data):
         lateness = require(record, reap, "reap_lateness_ms", NUM)
         if lateness is not None and lateness > 2000:
             fail(record, f"idle reap ran {lateness:.0f} ms past the deadline (> 2000)")
-    wheel = require(record, data, "timer_wheel", dict)
-    if wheel is not None:
-        if wheel.get("fired") != wheel.get("entries"):
-            fail(record, f"wheel fired {wheel.get('fired')} of {wheel.get('entries')} timers")
-        # O(1) per-op bounds at bench scale (~tens of ns measured; the gates
-        # absorb CI-runner noise, a heap would blow through them as N grows).
-        for key, bound in (("arm_ns", 5000), ("rearm_ns", 2000), ("cancel_ns", 2000),
-                           ("advance_ns_per_tick", 1000000)):
-            value = require(record, wheel, key, NUM)
+    timers = require(record, data, "timers", dict)
+    if timers is not None:
+        if timers.get("pending_after_cancel") != 0:
+            fail(record, f"{timers.get('pending_after_cancel')} of {timers.get('entries')} "
+                         "timers still pending after cancelling all")
+        # Per-op bounds at bench scale; the gates absorb CI-runner noise.
+        for key, bound in (("arm_ns", 5000), ("cancel_ns", 2000)):
+            value = require(record, timers, key, NUM)
             if value is not None and value > bound:
-                fail(record, f"timer_wheel.{key} = {value:.0f} ns exceeds {bound}")
+                fail(record, f"timers.{key} = {value:.0f} ns exceeds {bound}")
     open_loop = require(record, data, "open_loop", dict)
     if open_loop is not None:
         if open_loop.get("responses_ok") != open_loop.get("requests"):

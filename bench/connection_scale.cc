@@ -15,17 +15,15 @@
 //      POST /idletimeout, a batch of idle connections must be reaped at
 //      deadline + epsilon. Reports the reap lateness (how far past the
 //      deadline the last connection closed).
-//   3. Timer-wheel microcost: arm/rearm/cancel/advance per-op cost of the
-//      hashed wheel at bench scale, against a binary-heap baseline with
-//      lazy-cancel tombstones (what EventLoop used for every timer before
-//      the wheel).
+//   3. Timer microcost: per-op arm and cancel cost of the event loop's
+//      timers with N live, through EventLoop::ScheduleAfterMs/CancelTimer.
 //   4. Open-loop tail: Poisson arrivals at a fixed offered rate (the
 //      coordinated-omission-safe mode of the load generator); reports p95
 //      batch latency and schedule start-lag at that rate.
 //
 // Output: tables plus (--json) a machine-readable record;
 // bench/check_bench_json.py enforces the invariants (sustained >= target,
-// zero leaked connections, bytes/conn ceiling, wheel per-op bounds, clean
+// zero leaked connections, bytes/conn ceiling, timer per-op bounds, clean
 // open-loop run). Exit code is non-zero when a phase fails.
 //
 // File descriptors: N connections cost 2N+slack fds in this one process
@@ -45,14 +43,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <queue>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/net/event_loop.h"
 #include "src/net/socket.h"
-#include "src/net/timer_wheel.h"
 #include "src/proto/cluster.h"
 #include "src/proto/load_generator.h"
 #include "src/trace/synthetic.h"
@@ -221,15 +218,11 @@ struct SweepPoint {
   int64_t leaked_conns = 0;
 };
 
-struct WheelCosts {
+struct TimerCosts {
   size_t entries = 0;
-  uint64_t fired = 0;
   double arm_ns = 0.0;
-  double rearm_ns = 0.0;
   double cancel_ns = 0.0;
-  double advance_ns_per_tick = 0.0;
-  double heap_push_ns = 0.0;
-  double heap_rearm_ns = 0.0;
+  size_t pending_after_cancel = 0;
 };
 
 double NsPerOp(const std::chrono::steady_clock::time_point& start, size_t ops) {
@@ -240,77 +233,26 @@ double NsPerOp(const std::chrono::steady_clock::time_point& start, size_t ops) {
                         static_cast<double>(ops);
 }
 
-// Per-op costs of the hashed wheel at `entries` live timers, plus the
-// pre-wheel baseline: a binary heap where cancel/rearm leaves a tombstone
-// that is paid for at pop time (EventLoop's old strategy for every timer).
-WheelCosts MeasureWheel(size_t entries) {
-  WheelCosts costs;
+// Per-op arm and cancel cost of EventLoop's timers with `entries` live,
+// through the public API on a loop that never runs (calls before Run() are
+// legal on the owner thread). The deadlines spread over 4 s past the default
+// 30 s idle deadline, like idle timers armed across a connect storm.
+TimerCosts MeasureTimers(size_t entries) {
+  TimerCosts costs;
   costs.entries = entries;
-  TimerWheel wheel;
-  const int64_t base_ms = 1;
-  const int64_t horizon = wheel.horizon_ms();
-
+  EventLoop loop;
+  std::vector<EventLoop::TimerId> ids(entries);
   auto start = std::chrono::steady_clock::now();
   for (size_t i = 0; i < entries; ++i) {
-    wheel.Arm(static_cast<uint64_t>(i + 1),
-              base_ms + static_cast<int64_t>(i) % (horizon / 2), []() {});
+    ids[i] = loop.ScheduleAfterMs(30000 + static_cast<int64_t>(i % 4096), []() {});
   }
   costs.arm_ns = NsPerOp(start, entries);
-
-  // The hot path at scale: every byte of client activity rearms that
-  // connection's deadline.
   start = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < entries; ++i) {
-    wheel.Rearm(static_cast<uint64_t>(i + 1),
-                base_ms + horizon / 2 + static_cast<int64_t>(i) % (horizon / 4));
-  }
-  costs.rearm_ns = NsPerOp(start, entries);
-
-  uint64_t ticks = 0;
-  start = std::chrono::steady_clock::now();
-  for (int64_t now = base_ms; wheel.size() > 0; now += wheel.tick_ms()) {
-    wheel.Advance(now, [](const std::function<void()>& fn) { fn(); });
-    ++ticks;
-  }
-  const auto advance_elapsed = std::chrono::steady_clock::now() - start;
-  costs.advance_ns_per_tick =
-      ticks == 0 ? 0.0
-                 : static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                           advance_elapsed)
-                                           .count()) /
-                       static_cast<double>(ticks);
-  costs.fired = wheel.total_fired();
-
-  for (size_t i = 0; i < entries; ++i) {
-    wheel.Arm(static_cast<uint64_t>(i + 1),
-              base_ms + static_cast<int64_t>(i) % (horizon / 2), []() {});
-  }
-  start = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < entries; ++i) {
-    wheel.Cancel(static_cast<uint64_t>(i + 1));
+  for (const EventLoop::TimerId id : ids) {
+    loop.CancelTimer(id);
   }
   costs.cancel_ns = NsPerOp(start, entries);
-
-  // Heap baseline. Rearm = push the new deadline and leave the old entry as
-  // a tombstone; the drain pops 2x entries and discards half. The measured
-  // rearm cost charges both halves to the rearm, as EventLoop did.
-  using HeapEntry = std::pair<int64_t, uint64_t>;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<HeapEntry>> heap;
-  start = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < entries; ++i) {
-    heap.emplace(base_ms + static_cast<int64_t>(i) % (horizon / 2),
-                 static_cast<uint64_t>(i + 1));
-  }
-  costs.heap_push_ns = NsPerOp(start, entries);
-  start = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < entries; ++i) {
-    heap.emplace(base_ms + horizon / 2 + static_cast<int64_t>(i) % (horizon / 4),
-                 static_cast<uint64_t>(i + 1));
-  }
-  while (!heap.empty()) {
-    heap.pop();
-  }
-  costs.heap_rearm_ns = NsPerOp(start, entries);
+  costs.pending_after_cancel = loop.pending_timers();
   return costs;
 }
 
@@ -328,7 +270,7 @@ int Main(int argc, char** argv) {
   flags.AddInt("conns", &conns, "largest sweep point (concurrent idle connections)");
   flags.AddInt("reap-conns", &reap_conns, "connections for the idle-reap phase");
   flags.AddInt("reap-timeout-ms", &reap_timeout_ms,
-               "keep-alive deadline for the idle-reap phase (wheel-resident: < ~4s)");
+               "keep-alive deadline for the idle-reap phase");
   flags.AddInt("open-loop-sessions", &open_loop_sessions, "sessions for the open-loop phase");
   flags.AddDouble("open-loop-rps", &open_loop_rps, "offered session rate for the open-loop phase");
   flags.AddInt("threads", &threads, "client connect workers");
@@ -487,15 +429,13 @@ int Main(int argc, char** argv) {
                 reap_n, reap_lateness_ms, static_cast<long long>(reap_timeout_ms));
   }
 
-  // --- Phase 3: timer-wheel microcost. ---
-  const WheelCosts wheel = MeasureWheel(static_cast<size_t>(conns));
-  std::printf("\ntimer wheel @ %zu entries: arm %.0f ns, rearm %.0f ns, cancel %.0f ns, "
-              "advance %.0f ns/tick (heap baseline: push %.0f ns, rearm+drain %.0f ns)\n",
-              wheel.entries, wheel.arm_ns, wheel.rearm_ns, wheel.cancel_ns,
-              wheel.advance_ns_per_tick, wheel.heap_push_ns, wheel.heap_rearm_ns);
-  if (wheel.fired != wheel.entries) {
-    std::fprintf(stderr, "FAIL: wheel fired %llu of %zu armed timers\n",
-                 static_cast<unsigned long long>(wheel.fired), wheel.entries);
+  // --- Phase 3: timer microcost. ---
+  const TimerCosts timers = MeasureTimers(static_cast<size_t>(conns));
+  std::printf("\ntimers @ %zu live: arm %.0f ns, cancel %.0f ns, %zu pending after cancel\n",
+              timers.entries, timers.arm_ns, timers.cancel_ns, timers.pending_after_cancel);
+  if (timers.pending_after_cancel != 0) {
+    std::fprintf(stderr, "FAIL: %zu of %zu timers still pending after cancelling all\n",
+                 timers.pending_after_cancel, timers.entries);
     ++failures;
   }
 
@@ -545,12 +485,9 @@ int Main(int argc, char** argv) {
     out << "],\"idle_reap\":{\"conns\":" << reap_n << ",\"idle_closes\":" << reap_closes
         << ",\"reap_lateness_ms\":" << reap_lateness_ms
         << ",\"ok\":" << (reap_ok && reap_drained ? "true" : "false") << "}";
-    out << ",\"timer_wheel\":{\"entries\":" << wheel.entries << ",\"fired\":" << wheel.fired
-        << ",\"arm_ns\":" << wheel.arm_ns << ",\"rearm_ns\":" << wheel.rearm_ns
-        << ",\"cancel_ns\":" << wheel.cancel_ns
-        << ",\"advance_ns_per_tick\":" << wheel.advance_ns_per_tick
-        << ",\"heap_push_ns\":" << wheel.heap_push_ns
-        << ",\"heap_rearm_ns\":" << wheel.heap_rearm_ns << "}";
+    out << ",\"timers\":{\"entries\":" << timers.entries << ",\"arm_ns\":" << timers.arm_ns
+        << ",\"cancel_ns\":" << timers.cancel_ns
+        << ",\"pending_after_cancel\":" << timers.pending_after_cancel << "}";
     out << ",\"open_loop\":{\"offered_rps\":" << open_loop.offered_rps
         << ",\"throughput_rps\":" << open_loop.throughput_rps
         << ",\"requests\":" << open_loop.requests

@@ -5,15 +5,12 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <queue>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "src/core/dispatcher.h"
 #include "src/http/request_parser.h"
 #include "src/net/event_loop.h"
-#include "src/net/timer_wheel.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/resources.h"
 #include "src/util/rng.h"
@@ -248,75 +245,6 @@ void BM_EventLoopSelfPost(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 BENCHMARK(BM_EventLoopSelfPost);
-
-// The connection keep-alive hot path at scale: rearm one deadline among N
-// live timers. The wheel unlinks and relinks two intrusive list nodes —
-// flat across N — where the old heap strategy (push the new deadline, leave
-// a tombstone to discard at pop) grows with log N and doubles the heap's
-// occupancy under churn. Run both at 1k and 100k live timers to see the
-// divergence the O(1) claim is about.
-void BM_TimerWheelRearm(benchmark::State& state) {
-  const size_t live = static_cast<size_t>(state.range(0));
-  TimerWheel wheel;
-  const int64_t horizon = wheel.horizon_ms();
-  for (size_t i = 0; i < live; ++i) {
-    wheel.Arm(i + 1, 1 + static_cast<int64_t>(i) % (horizon - 2), []() {});
-  }
-  uint64_t id = 1;
-  int64_t deadline = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(wheel.Rearm(id, 1 + deadline % (horizon - 2)));
-    id = id % live + 1;
-    deadline += 13;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TimerWheelRearm)->Arg(1000)->Arg(100000);
-
-void BM_TimerHeapRearmBaseline(benchmark::State& state) {
-  const size_t live = static_cast<size_t>(state.range(0));
-  using Entry = std::pair<int64_t, uint64_t>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-  for (size_t i = 0; i < live; ++i) {
-    heap.emplace(1 + static_cast<int64_t>(i) % 4093, i + 1);
-  }
-  uint64_t id = 1;
-  int64_t deadline = 1;
-  for (auto _ : state) {
-    // Lazy-cancel rearm: push the new deadline now, pay the tombstone pop
-    // later. Charge both halves here, holding occupancy near `live`.
-    heap.emplace(1 + deadline % 4093, id);
-    heap.pop();
-    id = id % live + 1;
-    deadline += 13;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TimerHeapRearmBaseline)->Arg(1000)->Arg(100000);
-
-// One tick of wheel advance with N live timers spread across the horizon:
-// slot bookkeeping plus the ~N/512 deadline fires that tick owns. This is
-// the steady-state cost the event loop pays every 8 ms at scale. The wheel
-// is refilled (untimed) whenever a rotation drains it.
-void BM_TimerWheelAdvanceTick(benchmark::State& state) {
-  const size_t live = static_cast<size_t>(state.range(0));
-  TimerWheel wheel;
-  const int64_t horizon = wheel.horizon_ms();
-  int64_t now = 0;
-  for (auto _ : state) {
-    if (wheel.empty()) {
-      state.PauseTiming();
-      for (size_t i = 0; i < live; ++i) {
-        wheel.Arm(i + 1, now + 1 + static_cast<int64_t>(i) % (horizon - 2), []() {});
-      }
-      state.ResumeTiming();
-    }
-    now += wheel.tick_ms();
-    wheel.Advance(now, [](const std::function<void()>& fn) { fn(); });
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TimerWheelAdvanceTick)->Arg(1000)->Arg(100000);
 
 void BM_ZipfSample(benchmark::State& state) {
   Rng rng(1);

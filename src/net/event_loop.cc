@@ -28,17 +28,13 @@ EventLoop::EventLoop() {
 
 EventLoop::~EventLoop() = default;
 
-int64_t EventLoop::NowMs() {
+int64_t EventLoop::NowNs() {
   timespec ts{};
   ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1000000;
+  return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
 }
 
-int64_t EventLoop::NowUs() {
-  timespec ts{};
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<int64_t>(ts.tv_sec) * 1000000 + ts.tv_nsec / 1000;
-}
+int64_t EventLoop::NowUs() { return NowNs() / 1000; }
 
 void EventLoop::EnableProfiling(MetricsRegistry* metrics, const std::string& label) {
   LARD_CHECK(metrics != nullptr);
@@ -108,23 +104,14 @@ void EventLoop::Unregister(int fd) {
 EventLoop::TimerId EventLoop::ScheduleAfterMs(int64_t delay_ms, std::function<void()> fn) {
   AssertInLoopThread();
   const TimerId id = next_timer_id_++;
-  if (delay_ms < wheel_.horizon_ms()) {
-    // Short-deadline timers (idle deadlines, heartbeats, housekeeping) live
-    // on the hashed wheel: O(1) arm/cancel/rearm, no tombstones.
-    wheel_.Arm(id, NowMs() + delay_ms, std::move(fn));
-    return id;
-  }
   timer_fns_[id] = std::move(fn);
-  timers_.push_back(Timer{NowMs() + delay_ms, id});
+  timers_.push_back(Timer{NowNs() + delay_ms * 1000000, id});
   std::push_heap(timers_.begin(), timers_.end(), std::greater<Timer>());
   return id;
 }
 
 void EventLoop::CancelTimer(TimerId id) {
   AssertInLoopThread();
-  if (wheel_.Cancel(id)) {
-    return;
-  }
   if (timer_fns_.erase(id) == 0) {
     return;  // unknown or already fired
   }
@@ -134,11 +121,6 @@ void EventLoop::CancelTimer(TimerId id) {
   if (heap_cancelled_ >= 16 && heap_cancelled_ * 2 > timers_.size()) {
     PurgeCancelledTimers();
   }
-}
-
-bool EventLoop::RearmTimerMs(TimerId id, int64_t delay_ms) {
-  AssertInLoopThread();
-  return delay_ms < wheel_.horizon_ms() && wheel_.Rearm(id, NowMs() + delay_ms);
 }
 
 void EventLoop::PurgeCancelledTimers() {
@@ -214,22 +196,18 @@ int EventLoop::NextTimeoutMs() {
       --heap_cancelled_;
     }
   }
-  const int64_t now = NowMs();
   int64_t delta = 100;  // wake periodically so Stop() is prompt even without timers
   if (!timers_.empty()) {
-    delta = std::min<int64_t>(delta, timers_.front().deadline_ms - now);
-  }
-  const int64_t wheel_next = wheel_.MsUntilNext(now);
-  if (wheel_next >= 0) {
-    delta = std::min(delta, wheel_next);
+    // Round up: a wait that ends before the deadline would fire nothing.
+    const int64_t until_ns = timers_.front().deadline_ns - NowNs();
+    delta = std::min<int64_t>(delta, (until_ns + 999999) / 1000000);
   }
   return static_cast<int>(std::max<int64_t>(delta, 0));
 }
 
 void EventLoop::FireDueTimers() {
-  const int64_t now = NowMs();
-  wheel_.Advance(now, [this](std::function<void()>& fn) { RunTimed(fn); });
-  while (!timers_.empty() && timers_.front().deadline_ms <= now) {
+  const int64_t now = NowNs();
+  while (!timers_.empty() && timers_.front().deadline_ns <= now) {
     const Timer timer = timers_.front();
     std::pop_heap(timers_.begin(), timers_.end(), std::greater<Timer>());
     timers_.pop_back();
@@ -250,7 +228,7 @@ void EventLoop::Run() {
   loop_thread_.store(std::this_thread::get_id(), std::memory_order_release);
   running_.store(true);
   epoll_event events[64];
-  while (running_.load()) {
+  while (!stop_requested_.load()) {
     const int n = ::epoll_wait(epoll_fd_.get(), events, 64, NextTimeoutMs());
     if (n < 0) {
       if (errno == EINTR) {
@@ -284,11 +262,13 @@ void EventLoop::Run() {
       tick_us_->Observe(static_cast<double>(NowUs() - tick_start));
     }
   }
+  running_.store(false);
   // Final drain so no posted task is silently dropped at shutdown.
   DrainTasks();
 }
 
 void EventLoop::Stop() {
+  stop_requested_.store(true);
   running_.store(false);
   Wakeup();
 }

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/net/fd.h"
-#include "src/net/timer_wheel.h"
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
 
@@ -44,18 +43,13 @@ class EventLoop {
   void Modify(int fd, uint32_t events);
   void Unregister(int fd);
 
-  // Runs `fn` once, `delay_ms` from now, on the loop thread. Short delays
-  // (under the timer wheel's horizon, ~4s) live on a hashed timer wheel with
-  // O(1) arm/cancel/rearm; longer one-shots go to the priority queue.
+  // Runs `fn` once on the loop thread, never before `delay_ms` has passed
+  // and usually within a millisecond after it. Timers armed with equal
+  // delays fire in arming order.
   TimerId ScheduleAfterMs(int64_t delay_ms, std::function<void()> fn);
   void CancelTimer(TimerId id);
-  // Pushes a live wheel timer's deadline out to `delay_ms` from now, keeping
-  // its callback: the per-connection idle-deadline fast path (no allocation,
-  // no new id). Returns false when `id` is not a live wheel timer — already
-  // fired, cancelled, or heap-resident — and the caller should schedule anew.
-  bool RearmTimerMs(TimerId id, int64_t delay_ms);
-  // Live timers across both backends (wheel + queue, tombstones excluded).
-  size_t pending_timers() const { return wheel_.size() + timer_fns_.size(); }
+  // Live timers (cancelled tombstones excluded).
+  size_t pending_timers() const { return timer_fns_.size(); }
   // Heap entries including cancelled tombstones — tests assert the purge
   // keeps this O(live) under cancel churn.
   size_t timer_heap_size() const { return timers_.size(); }
@@ -76,7 +70,7 @@ class EventLoop {
   // Runs until Stop(). Must be called from exactly one thread, which becomes
   // the loop thread.
   void Run();
-  // Signals the loop to exit (thread-safe).
+  // Signals the loop to exit (thread-safe), also when called before Run().
   void Stop();
 
   // Thread-safe: RunOnLoop-style helpers call this from arbitrary threads
@@ -100,14 +94,14 @@ class EventLoop {
 
  private:
   struct Timer {
-    int64_t deadline_ms = 0;
+    int64_t deadline_ns = 0;  // ns, so arming never rounds a deadline down
     TimerId id = 0;
     bool operator>(const Timer& other) const {
-      return deadline_ms != other.deadline_ms ? deadline_ms > other.deadline_ms : id > other.id;
+      return deadline_ns != other.deadline_ns ? deadline_ns > other.deadline_ns : id > other.id;
     }
   };
 
-  static int64_t NowMs();
+  static int64_t NowNs();
   static int64_t NowUs();
   void Wakeup();
   void DrainTasks();
@@ -125,6 +119,10 @@ class EventLoop {
   UniqueFd epoll_fd_;
   UniqueFd wakeup_fd_;  // eventfd
   std::atomic<bool> running_{false};
+  // Set by Stop() and never cleared, so a Stop() that lands before the loop
+  // thread reaches Run() still ends it (running_ alone would be overwritten
+  // by Run()'s entry store).
+  std::atomic<bool> stop_requested_{false};
   std::atomic<std::thread::id> loop_thread_{};
 
   // fd -> callback; shared_ptr so a handler staying alive through dispatch is
@@ -155,18 +153,16 @@ class EventLoop {
   MetricHistogram* wakeup_delay_us_ = nullptr;
   MetricGauge* pending_tasks_ = nullptr;
 
-  // Loop-confined (no mutex by design): handlers_, wheel_, timers_,
-  // timer_fns_ and next_timer_id_ are only touched from the loop thread —
+  // Loop-confined (no mutex by design): handlers_, timers_, timer_fns_ and
+  // next_timer_id_ are only touched from the loop thread —
   // AssertInLoopThread() guards the mutating entry points at runtime and
   // tools/lint/concurrency_lint.py checks the callers statically.
   //
-  // Two timer backends share the TimerId space: the hashed wheel owns every
-  // short-deadline timer (id + callback live inside it); timers_/timer_fns_
-  // is a min-heap (std::*_heap over a vector) for deadlines past the wheel's
-  // horizon. A cancelled heap timer leaves a tombstone in timers_ until
+  // Timers: timers_ is a min-heap (std::*_heap over a vector) of deadlines
+  // and timer_fns_ maps each live id to its callback. A cancelled timer
+  // leaves a tombstone in timers_ until it reaches the top or
   // PurgeCancelledTimers sweeps it; heap_cancelled_ counts the live
   // tombstones so the sweep triggers on the dead fraction.
-  TimerWheel wheel_;
   std::vector<Timer> timers_;
   std::unordered_map<TimerId, std::function<void()>> timer_fns_;
   size_t heap_cancelled_ = 0;

@@ -70,7 +70,7 @@ struct ClusterConfig {
   int64_t idle_close_ms = 15000;
   // Front-end keep-alive deadline: a shard-owned client connection (accepted
   // but not yet handed off, or relayed) with no bytes in either direction for
-  // this long is reaped by its shard's timer wheel. Runtime-tunable via
+  // this long is reaped by its shard loop's idle timer. Runtime-tunable via
   // POST /idletimeout; <= 0 disables. The back-end companion for adopted
   // connections is idle_close_ms above.
   int64_t idle_timeout_ms = 30000;

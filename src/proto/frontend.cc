@@ -1508,17 +1508,9 @@ void FrontEnd::ArmIdleTimer(FeConn* conn) {
 
 void FrontEnd::TouchIdleTimer(FeConn* conn) {
   conn->last_activity_ms = NowMs();
-  const int64_t timeout = idle_timeout_ms();
-  if (timeout <= 0) {
-    return;  // a still-armed timer no-ops at its deadline
+  if (conn->idle_timer == 0) {
+    ArmIdleTimer(conn);  // the reaper was off at the last arm or deadline
   }
-  if (conn->idle_timer != 0) {
-    // O(1) when the timer is wheel-resident; a heap-resident deadline keeps
-    // its slot and OnIdleDeadline re-checks last_activity_ms instead.
-    (void)conn->shard->loop->RearmTimerMs(conn->idle_timer, timeout);
-    return;
-  }
-  ArmIdleTimer(conn);  // reaper was off (or the timer already fired)
 }
 
 void FrontEnd::OnIdleDeadline(LoopShard* shard, ConnId id) {
@@ -1539,8 +1531,8 @@ void FrontEnd::OnIdleDeadline(LoopShard* shard, ConnId id) {
   const int64_t idle_for = NowMs() - conn->last_activity_ms;
   const int64_t remaining = conn->serving ? timeout : timeout - idle_for;
   if (remaining > 0) {
-    // Activity since the arm (a heap-resident timer skips the O(1) rearm),
-    // or a relayed response still in flight: push the deadline out.
+    // Activity since the arm, or a relayed response still in flight: push
+    // the deadline out.
     conn->idle_timer = shard->loop->ScheduleAfterMs(
         remaining, alive_.Guard([this, shard, id]() { OnIdleDeadline(shard, id); }));
     return;

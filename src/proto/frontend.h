@@ -115,10 +115,10 @@ struct FrontEndConfig {
   // Keep-alive bound for front-end-owned client connections: a connection
   // with no bytes in or out for this long is closed and its shard state
   // reaped (the P-HTTP idle reaper; the paper's back-ends use the companion
-  // BackendConfig::idle_close_ms for adopted connections). The deadline is a
-  // per-connection timer-wheel entry rearmed on every read/write, so the
-  // cost is O(1) per event at any connection count. Runtime-tunable via
-  // POST /idletimeout. <= 0 disables.
+  // BackendConfig::idle_close_ms for adopted connections). A read or write
+  // only stores a timestamp; the connection's one timer re-checks it when it
+  // fires, so a live connection costs one timer operation per deadline
+  // period. Runtime-tunable via POST /idletimeout. <= 0 disables.
   int64_t idle_timeout_ms = 30000;
   // Crash-transparent request replay: the front-end retains a dup of every
   // handed-off client socket plus a bounded journal of unacknowledged
@@ -304,10 +304,9 @@ class FrontEnd {
     std::unique_ptr<Connection> conn;
     RequestParser parser;
     std::string raw_bytes;  // everything received (shipped on handoff)
-    // Idle-deadline wheel timer on the owning loop (0 = none armed):
-    // rearmed on every byte in/out, fired = reap the connection. Deadlines
-    // past the wheel horizon fall back to a lazy check: the timer fires,
-    // compares last_activity_ms, and re-arms for the remainder.
+    // Idle-deadline timer on the owning loop (0 = none armed). Bytes in/out
+    // only store last_activity_ms; when the timer fires it compares that and
+    // re-arms for the remainder, or reaps the connection.
     EventLoop::TimerId idle_timer = 0;
     int64_t last_activity_ms = 0;
     // Relaying mode queue of parsed-but-unserved requests (see above).
@@ -377,8 +376,8 @@ class FrontEnd {
 
   // Arms (or re-arms after a config change) `conn`'s idle timer.
   void ArmIdleTimer(FeConn* conn);
-  // Bytes moved in either direction: push the deadline out. The wheel rearm
-  // is O(1); a dead/fired timer id falls back to a fresh arm.
+  // Bytes moved in either direction: store the activity time, and arm a
+  // timer only when none is armed.
   void TouchIdleTimer(FeConn* conn);
   // The deadline fired with no intervening activity: close + reap.
   void OnIdleDeadline(LoopShard* shard, ConnId id);

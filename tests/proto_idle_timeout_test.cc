@@ -1,5 +1,5 @@
 // End-to-end keep-alive deadline tests on the real prototype cluster: the
-// front-end's timer-wheel-backed idle reaper, activity rearms, the back-end
+// front-end's idle reaper, activity pushing the deadline out, the back-end
 // idle sweep's kConnClosed notification, and the POST /idletimeout runtime
 // knob. Real sockets throughout — an assertion that a connection "was
 // reaped" means this process observed the FIN.
