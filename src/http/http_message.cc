@@ -63,6 +63,12 @@ std::string HttpRequest::Serialize() const {
 }
 
 std::string HttpResponse::Serialize() const {
+  std::string out = SerializeHead(body.size());
+  out += body;
+  return out;
+}
+
+std::string HttpResponse::SerializeHead(uint64_t body_size) const {
   std::string out = HttpVersionString(version);
   out += " " + std::to_string(status) + " " + reason + "\r\n";
   bool have_length = false;
@@ -73,10 +79,9 @@ std::string HttpResponse::Serialize() const {
     }
   }
   if (!have_length) {
-    out += "Content-Length: " + std::to_string(body.size()) + "\r\n";
+    out += "Content-Length: " + std::to_string(body_size) + "\r\n";
   }
   out += "\r\n";
-  out += body;
   return out;
 }
 

@@ -61,6 +61,10 @@ struct HttpResponse {
 
   // Serializes status line + headers + body. Adds Content-Length when absent.
   std::string Serialize() const;
+  // The head alone (status line, headers, blank line) for a body of
+  // `body_size` bytes sent separately; Serialize() is SerializeHead + body.
+  // Adds Content-Length: body_size when absent.
+  std::string SerializeHead(uint64_t body_size) const;
 };
 
 // Canonical reason phrase for a status code ("OK", "Not Found", ...).

@@ -2,8 +2,10 @@
 
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 
 #include "src/util/logging.h"
@@ -73,56 +75,99 @@ void Connection::HandleReadable() {
   }
 }
 
-void Connection::Write(std::string_view data) {
-  LARD_CHECK(open_);
-  // Fast path: nothing buffered, try a direct send.
-  size_t sent = 0;
-  if (write_buffer_.size() == write_offset_) {
-    while (sent < data.size()) {
-      const ssize_t n = ::send(fd_.get(), data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-      if (n > 0) {
-        sent += static_cast<size_t>(n);
-        bytes_flushed_ += static_cast<uint64_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        break;
-      }
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      FailAndClose();
-      return;
-    }
+std::string_view Connection::TakeSkip(std::string_view data) {
+  const size_t skip = static_cast<size_t>(std::min<uint64_t>(skip_next_, data.size()));
+  skip_next_ -= skip;
+  return data.substr(skip);
+}
+
+bool Connection::JoinOwnedTail(std::string_view data) {
+  if (data.size() > kJoinBytes || out_.empty() || !out_.back().borrowed.empty() ||
+      out_.back().owned.size() >= kTailBytes) {
+    return false;
   }
-  if (sent < data.size()) {
-    write_buffer_.append(data.data() + sent, data.size() - sent);
+  out_.back().owned.append(data);
+  out_bytes_ += data.size();
+  return true;
+}
+
+void Connection::Queue(std::string data) {
+  LARD_CHECK(open_);
+  data.erase(0, data.size() - TakeSkip(data).size());
+  if (data.empty() || JoinOwnedTail(data)) {
+    return;
+  }
+  out_bytes_ += data.size();
+  out_.push_back(Segment{std::move(data), {}});
+}
+
+void Connection::QueueBorrowed(std::string_view data) {
+  LARD_CHECK(open_);
+  data = TakeSkip(data);
+  if (data.empty() || JoinOwnedTail(data)) {
+    return;
+  }
+  out_bytes_ += data.size();
+  out_.push_back(Segment{{}, data});
+}
+
+void Connection::Flush() {
+  if (!open_ || (interest_ & EPOLLOUT) != 0) {
+    return;  // waiting for EPOLLOUT: HandleWritable sends in queue order
+  }
+  if (SendQueued()) {
     UpdateInterest();
   }
 }
 
-void Connection::HandleWritable() {
-  const uint64_t flushed_before = bytes_flushed_;
-  while (write_offset_ < write_buffer_.size()) {
-    const ssize_t n = ::send(fd_.get(), write_buffer_.data() + write_offset_,
-                             write_buffer_.size() - write_offset_, MSG_NOSIGNAL);
+bool Connection::SendQueued() {
+  while (!out_.empty()) {
+    iovec iov[kMaxIov];
+    size_t count = 0;
+    size_t offset = out_offset_;
+    for (auto it = out_.begin(); it != out_.end() && count < kMaxIov; ++it, ++count) {
+      const std::string_view bytes = it->bytes();
+      iov[count].iov_base = const_cast<char*>(bytes.data() + offset);
+      iov[count].iov_len = bytes.size() - offset;
+      offset = 0;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd_.get(), &msg, MSG_NOSIGNAL);
     if (n > 0) {
-      write_offset_ += static_cast<size_t>(n);
       bytes_flushed_ += static_cast<uint64_t>(n);
+      out_bytes_ -= static_cast<size_t>(n);
+      for (size_t sent = static_cast<size_t>(n); sent > 0;) {
+        const size_t left = out_.front().bytes().size() - out_offset_;
+        if (sent < left) {
+          out_offset_ += sent;
+          break;
+        }
+        sent -= left;
+        out_.pop_front();
+        out_offset_ = 0;
+      }
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      break;
+      return true;
     }
     if (n < 0 && errno == EINTR) {
       continue;
     }
     FailAndClose();
+    return false;
+  }
+  return true;
+}
+
+void Connection::HandleWritable() {
+  const uint64_t flushed_before = bytes_flushed_;
+  if (!SendQueued()) {
     return;
   }
-  if (write_offset_ == write_buffer_.size()) {
-    write_buffer_.clear();
-    write_offset_ = 0;
+  if (out_.empty()) {
     if (close_after_flush_) {
       Close();
       return;
@@ -143,8 +188,7 @@ void Connection::UpdateInterest() {
   if (!open_) {
     return;
   }
-  const uint32_t want =
-      EPOLLIN | (write_buffer_.size() > write_offset_ ? EPOLLOUT : 0u);
+  const uint32_t want = EPOLLIN | (out_.empty() ? 0u : EPOLLOUT);
   if (want != interest_) {
     interest_ = want;
     loop_->Modify(fd_.get(), interest_);
@@ -155,7 +199,7 @@ void Connection::CloseAfterFlush() {
   if (!open_) {
     return;
   }
-  if (write_buffer_.size() == write_offset_) {
+  if (out_.empty()) {
     Close();
     return;
   }
@@ -169,6 +213,7 @@ void Connection::Close() {
   open_ = false;
   loop_->Unregister(fd_.get());
   fd_.Reset();
+  ClearQueue();
 }
 
 void Connection::FailAndClose() {
@@ -178,9 +223,17 @@ void Connection::FailAndClose() {
   open_ = false;
   loop_->Unregister(fd_.get());
   fd_.Reset();
+  ClearQueue();
   if (on_close_) {
     on_close_();
   }
+}
+
+void Connection::ClearQueue() {
+  out_.clear();
+  out_offset_ = 0;
+  out_bytes_ = 0;
+  skip_next_ = 0;
 }
 
 Connection::Detached Connection::Detach() {

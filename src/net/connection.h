@@ -6,12 +6,19 @@
 // handoff transfers (connection endpoint + buffered client data, e.g. further
 // pipelined requests that arrived glued to the first one).
 //
+// Output is a queue of segments: owned strings, or borrowed views of storage
+// that outlives the connection (the content store's static fill slab). It is
+// sent with gather writes (sendmsg over up to kMaxIov segments), so a
+// response goes out as its small head plus views of the body, never copied
+// into one buffer.
+//
 // All methods must be called on the loop thread.
 #ifndef SRC_NET_CONNECTION_H_
 #define SRC_NET_CONNECTION_H_
 
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <string>
 #include <string_view>
 
@@ -63,11 +70,36 @@ class Connection {
   // Registers with the loop. Call after the callbacks are set.
   void Start();
 
-  // Queues bytes for transmission (immediate write attempt, remainder
-  // buffered until EPOLLOUT).
-  void Write(std::string_view data);
+  // Queues bytes without sending them; Flush() sends. A moved-in string is
+  // never copied, except that a small one joins an owned tail segment.
+  void Queue(std::string data);
+  // Queues a view of bytes the caller guarantees outlive this Connection
+  // (static storage): they are sent from where they are, never copied. A
+  // small view is copied into an owned tail instead (an iovec per tiny run
+  // costs more than the copy).
+  void QueueBorrowed(std::string_view data);
+  // Drops the next `n` bytes queued (by either call) instead of sending
+  // them: the prefix of a re-generated response that already reached the
+  // client. Dropped bytes never count towards bytes_flushed().
+  void SkipNext(uint64_t n) { skip_next_ += n; }
+  // Sends as much of the queue as the socket takes now; the rest goes on
+  // EPOLLOUT. A no-op while already waiting for EPOLLOUT. Unlike the EPOLLOUT
+  // path it never fires on_write_drained/on_write_progress: the caller is
+  // on the stack and reads bytes_flushed() itself.
+  void Flush();
 
-  // Closes once the write buffer drains (used for HTTP/1.0-style responses).
+  // Queue + Flush.
+  void Write(std::string_view data) {
+    Queue(std::string(data));
+    Flush();
+  }
+  void Write(std::string&& data) {
+    Queue(std::move(data));
+    Flush();
+  }
+  void Write(const char* data) { Write(std::string_view(data)); }
+
+  // Closes once the write queue drains (used for HTTP/1.0-style responses).
   void CloseAfterFlush();
 
   // Immediate teardown; on_close is NOT invoked (caller-initiated).
@@ -78,7 +110,7 @@ class Connection {
     std::string unconsumed_input;
   };
   // Unregisters and surrenders the socket. Only legal while open and with an
-  // empty write buffer. `unconsumed_input` is whatever the *caller's* parser
+  // empty write queue. `unconsumed_input` is whatever the *caller's* parser
   // returned to us via PushBack plus anything unread — see PushBack().
   Detached Detach();
 
@@ -89,7 +121,7 @@ class Connection {
 
   bool open() const { return open_; }
   int fd() const { return fd_.get(); }
-  size_t pending_write_bytes() const { return write_buffer_.size() - write_offset_; }
+  size_t pending_write_bytes() const { return out_bytes_; }
   // Cumulative bytes actually handed to the kernel socket (not merely
   // buffered). The crash-replay journal acks response progress against this:
   // bytes the kernel accepted survive this process's death, buffered bytes
@@ -100,6 +132,15 @@ class Connection {
   void HandleEvents(uint32_t events);
   void HandleReadable();
   void HandleWritable();
+  // Gather-writes queued segments until the socket would block. Returns
+  // false when the connection failed (and is closed).
+  bool SendQueued();
+  // Trims the skip budget off the front of `data`; returns the bytes kept.
+  std::string_view TakeSkip(std::string_view data);
+  // Appends `data` to the owned tail when it is small and the tail has
+  // room; returns false when it needs a segment of its own.
+  bool JoinOwnedTail(std::string_view data);
+  void ClearQueue();
   void UpdateInterest();
   void FailAndClose();
 
@@ -113,8 +154,24 @@ class Connection {
   std::function<void()> on_write_drained_;
   std::function<void()> on_write_progress_;
 
-  std::string write_buffer_;
-  size_t write_offset_ = 0;
+  // One queued piece of output: owned bytes, or (when `borrowed` is
+  // non-empty) a view of storage that outlives the connection.
+  struct Segment {
+    std::string owned;
+    std::string_view borrowed;
+    std::string_view bytes() const { return borrowed.empty() ? std::string_view(owned) : borrowed; }
+  };
+  static constexpr size_t kMaxIov = 64;
+  // Segments at most this long join an owned tail of less than kTailBytes.
+  static constexpr size_t kJoinBytes = 1024;
+  static constexpr size_t kTailBytes = 64 * 1024;
+
+  // A list, not a deque: an idle connection's empty queue allocates
+  // nothing, and that matters at a front end holding many idle connections.
+  std::list<Segment> out_;
+  size_t out_offset_ = 0;  // bytes of out_.front() already sent
+  size_t out_bytes_ = 0;   // queued bytes not yet sent
+  uint64_t skip_next_ = 0;
   uint64_t bytes_flushed_ = 0;
   std::string pushback_;
   uint32_t interest_ = 0;

@@ -15,6 +15,15 @@
 namespace lard {
 namespace {
 constexpr int64_t kHousekeepingPeriodMs = 100;
+
+// Queues a response (its head, its body's owned prefix, then the body's fill
+// views of the static slab) and sends what the socket takes now.
+void SendResponse(Connection* conn, std::string head, BodyParts body) {
+  conn->Queue(std::move(head));
+  conn->Queue(std::move(body.prefix));
+  body.ForEachFillView([conn](std::string_view view) { conn->QueueBorrowed(view); });
+  conn->Flush();
+}
 }  // namespace
 
 BackendServer::BackendServer(const BackendConfig& config, EventLoop* loop,
@@ -525,7 +534,7 @@ void BackendServer::OnClientData(ClientConn* conn, std::string_view data) {
   if (parse_state == RequestParser::State::kError) {
     HttpRequest bad;
     bad.version = HttpVersion::kHttp10;
-    WriteResponse(conn, bad, 400, "bad request\n");
+    WriteResponse(conn, bad, 400, BodyParts::Owned("bad request\n"));
     return;
   }
   if (requests.empty()) {
@@ -595,25 +604,39 @@ void BackendServer::MaybeConsult(ClientConn* conn) {
 }
 
 void BackendServer::ProcessNext(ClientConn* conn) {
+  // A loop, not recursion: a request served synchronously (a cache hit) ends
+  // in FinishRequest, which calls back here, and a frame per pipelined
+  // request overflows the stack on a deep pipeline.
+  if (conn->dispatching) {
+    return;  // the loop further up this stack goes on
+  }
+  conn->dispatching = true;
+  while (StartNextRequest(conn)) {
+  }
+  conn->dispatching = false;
+}
+
+bool BackendServer::StartNextRequest(ClientConn* conn) {
   if (conn->serving || conn->closed || conn->migrating) {
-    return;
+    return false;
   }
   if (conn->requests.empty() || conn->directives.empty()) {
     // Report idle first so the dispatcher releases the batch load before any
     // drain giveback reassigns the connection.
     ReportIdleIfQuiescent(conn);
     MaybeDrainHandback(conn);
-    return;
+    return false;
   }
 
   if (conn->directives.front().action == DirectiveAction::kMigrate) {
     // Wait for any in-flight consult so the front-end's reply stream for
     // this connection is drained before the state moves.
     if (conn->consult_outstanding) {
-      return;
+      return false;
     }
+    // Either migrating now (the next look stops) or demoted to a local serve.
     StartHandback(conn);
-    return;
+    return true;
   }
 
   HttpRequest request = std::move(conn->requests.front());
@@ -634,9 +657,10 @@ void BackendServer::ProcessNext(ClientConn* conn) {
     LARD_CHECK(untagged == request.path)
         << "directive/request mismatch: " << untagged << " vs " << request.path;
     ServeLateral(conn, request, peer, untagged);
-    return;
+  } else {
+    ServeLocal(conn, request, directive);
   }
-  ServeLocal(conn, request, directive);
+  return true;
 }
 
 void BackendServer::StartHandback(ClientConn* conn) {
@@ -645,7 +669,6 @@ void BackendServer::StartHandback(ClientConn* conn) {
       !conn->conn->open()) {
     // Degenerate migration (bad target or dying socket): serve locally.
     conn->directives.front().action = DirectiveAction::kLocal;
-    ProcessNext(conn);
     return;
   }
   conn->migrating = true;
@@ -751,7 +774,7 @@ void BackendServer::ServeLocal(ClientConn* conn, const HttpRequest& request,
   const TargetId target = store_->Resolve(request.path);
   if (target == kInvalidTarget) {
     counters_.not_found.fetch_add(1, std::memory_order_relaxed);
-    WriteResponse(conn, request, 404, "not found\n");
+    WriteResponse(conn, request, 404, BodyParts::Owned("not found\n"));
     return;
   }
   const uint64_t size = store_->SizeOf(target);
@@ -761,7 +784,7 @@ void BackendServer::ServeLocal(ClientConn* conn, const HttpRequest& request,
       metric_hits_->Increment();
     }
     conn->serve_cache = 'h';
-    WriteResponse(conn, request, 200, store_->BodyFor(target));
+    WriteResponse(conn, request, 200, store_->PartsFor(target));
     return;
   }
   counters_.local_misses.fetch_add(1, std::memory_order_relaxed);
@@ -789,7 +812,7 @@ void BackendServer::ServeLocal(ClientConn* conn, const HttpRequest& request,
     if (cache_after_miss) {
       cache_.Insert(target, store_->SizeOf(target));
     }
-    WriteResponse(conn, request, 200, store_->BodyFor(target));
+    WriteResponse(conn, request, 200, store_->PartsFor(target));
   });
 }
 
@@ -817,8 +840,9 @@ void BackendServer::ServeLateral(ClientConn* conn, const HttpRequest& request, N
     }
     if (status == 200) {
       // Relay without caching locally (NFS-client-caching-disabled semantics:
-      // replication stays under LARD's control).
-      WriteResponse(conn, request, 200, std::move(body));
+      // replication stays under LARD's control). The body is moved into the
+      // connection's queue, not copied.
+      WriteResponse(conn, request, 200, BodyParts::Owned(std::move(body)));
       return;
     }
     if (status == 0) {
@@ -831,12 +855,12 @@ void BackendServer::ServeLateral(ClientConn* conn, const HttpRequest& request, N
       ServeLocal(conn, request, fallback);
       return;
     }
-    WriteResponse(conn, request, status, std::move(body));
+    WriteResponse(conn, request, status, BodyParts::Owned(std::move(body)));
   });
 }
 
 void BackendServer::WriteResponse(ClientConn* conn, const HttpRequest& request, int status,
-                                  std::string body) {
+                                  BodyParts body) {
   if (conn->closed || conn->conn == nullptr || !conn->conn->open()) {
     // Client vanished mid-service; just advance the pipeline.
     FinishRequest(conn);
@@ -857,32 +881,34 @@ void BackendServer::WriteResponse(ClientConn* conn, const HttpRequest& request, 
   if (!keep_alive) {
     response.headers.Add("Connection", "close");
   }
-  response.body = std::move(body);
   counters_.requests_served.fetch_add(1, std::memory_order_relaxed);
   if (metric_requests_ != nullptr) {
     metric_requests_->Increment();
   }
-  counters_.bytes_to_clients.fetch_add(response.body.size(), std::memory_order_relaxed);
-  std::string serialized = response.Serialize();
+  counters_.bytes_to_clients.fetch_add(body.size(), std::memory_order_relaxed);
+  std::string head = response.SerializeHead(body.size());
+  uint64_t wire_bytes = head.size() + body.size();
   if (conn->splice_pending) {
     conn->splice_pending = false;
-    if (conn->splice_remaining >= serialized.size()) {
+    if (conn->splice_remaining >= wire_bytes) {
       // The recorded delivered-prefix exceeds the regenerated response: the
       // streams cannot be reconciled (content changed?). Closing is the only
       // honest option — never emit overlapping or short bytes.
       LARD_LOG(ERROR) << "backend " << config_.node_id << ": replay splice offset "
                       << conn->splice_remaining << " >= regenerated response size "
-                      << serialized.size() << " on connection " << conn->id << ", closing";
+                      << wire_bytes << " on connection " << conn->id << ", closing";
       CloseClient(conn, /*notify_frontend=*/true);
       return;
     }
     if (conn->splice_remaining > 0) {
-      serialized.erase(0, static_cast<size_t>(conn->splice_remaining));
+      // The skip spans head, prefix and slab views alike.
+      conn->conn->SkipNext(conn->splice_remaining);
+      wire_bytes -= conn->splice_remaining;
       counters_.spliced_responses.fetch_add(1, std::memory_order_relaxed);
     }
     conn->splice_remaining = 0;
   }
-  conn->conn->Write(serialized);
+  SendResponse(conn->conn.get(), std::move(head), std::move(body));
   conn->last_activity_ms = NowMs();
   if (conn->timed && conn->serve_start_us > 0) {
     const int64_t now_us = TraceNowUs();
@@ -895,8 +921,8 @@ void BackendServer::WriteResponse(ClientConn* conn, const HttpRequest& request, 
                  config_.node_id, conn->serve_start_us, total_us, "status=%d cache=%c %s",
                  status, conn->serve_cache, request.path.c_str());
       RecordSpan(tracer_, trace_ring_, conn->id, conn->trace_seq++, SpanKind::kFlush,
-                 config_.node_id, now_us, 0, "bytes=%zu pending=%zu", serialized.size(),
-                 conn->conn->pending_write_bytes());
+                 config_.node_id, now_us, 0, "bytes=%llu pending=%zu",
+                 static_cast<unsigned long long>(wire_bytes), conn->conn->pending_write_bytes());
     }
     if (tracer_ != nullptr && tracer_->slow_threshold_us() > 0 &&
         total_us >= tracer_->slow_threshold_us()) {
@@ -917,16 +943,18 @@ void BackendServer::WriteResponse(ClientConn* conn, const HttpRequest& request, 
   }
   if (conn->replay_protected) {
     // Journal bookkeeping: where (in flushed-byte space) this response ends.
-    conn->enqueued_total += serialized.size();
+    conn->enqueued_total += wire_bytes;
     conn->response_ends.push_back(conn->enqueued_total);
   }
 
   if (!keep_alive) {
-    if (conn->replay_protected && conn->conn->pending_write_bytes() > 0) {
-      // Keep the journal armed until the kernel holds the whole final
-      // response: kConnClosed makes the front-end drop its retained dup, and
-      // a crash between that drop and the flush would lose the response
-      // un-replayably. Close (and notify) once the buffer drains.
+    if (conn->conn->pending_write_bytes() > 0) {
+      // Close (and notify) once the kernel holds the whole final response.
+      // CloseClient's posted erase destroys the socket, so closing now
+      // would truncate a response larger than the socket buffer. It also
+      // keeps a journal armed: kConnClosed makes the front-end drop its
+      // retained dup, and a crash between that drop and the flush would
+      // lose the response un-replayably.
       conn->conn->set_on_write_drained([this, id = conn->id]() {
         auto it = conns_.find(id);
         if (it == conns_.end()) {
@@ -1095,15 +1123,26 @@ void BackendServer::ProcessNextLateral(uint64_t lateral_id) {
     return;
   }
   LateralConn* conn = it->second.get();
-  if (conn->serving || conn->pending.empty()) {
+  // A loop, not recursion, for the same reason as ProcessNext. A destroyed
+  // connection stays allocated until a posted task frees it, and its
+  // responder then leaves `serving` set, which ends the loop.
+  if (conn->dispatching) {
     return;
   }
-  const HttpRequest request = std::move(conn->pending.front());
-  conn->pending.pop_front();
-  conn->serving = true;
+  conn->dispatching = true;
+  while (!conn->serving && !conn->pending.empty()) {
+    const HttpRequest request = std::move(conn->pending.front());
+    conn->pending.pop_front();
+    conn->serving = true;
+    ServeLateralRequest(lateral_id, request);
+  }
+  conn->dispatching = false;
+}
+
+void BackendServer::ServeLateralRequest(uint64_t lateral_id, const HttpRequest& request) {
   counters_.lateral_in.fetch_add(1, std::memory_order_relaxed);
 
-  auto respond = [this, lateral_id](int status, std::string body) {
+  auto respond = [this, lateral_id](int status, BodyParts body) {
     auto it = lateral_conns_.find(lateral_id);
     if (it == lateral_conns_.end()) {
       return;
@@ -1114,8 +1153,8 @@ void BackendServer::ProcessNextLateral(uint64_t lateral_id) {
       response.version = HttpVersion::kHttp11;
       response.status = status;
       response.reason = ReasonPhrase(status);
-      response.body = std::move(body);
-      conn->conn->Write(response.Serialize());
+      std::string head = response.SerializeHead(body.size());
+      SendResponse(conn->conn.get(), std::move(head), std::move(body));
     }
     conn->serving = false;
     ProcessNextLateral(lateral_id);
@@ -1123,7 +1162,7 @@ void BackendServer::ProcessNextLateral(uint64_t lateral_id) {
 
   const TargetId target = store_->Resolve(request.path);
   if (target == kInvalidTarget) {
-    respond(404, "not found\n");
+    respond(404, BodyParts::Owned("not found\n"));
     return;
   }
   if (cache_.Touch(target)) {
@@ -1131,7 +1170,7 @@ void BackendServer::ProcessNextLateral(uint64_t lateral_id) {
     if (metric_hits_ != nullptr) {
       metric_hits_->Increment();
     }
-    respond(200, store_->BodyFor(target));
+    respond(200, store_->PartsFor(target));
     return;
   }
   counters_.local_misses.fetch_add(1, std::memory_order_relaxed);
@@ -1142,7 +1181,7 @@ void BackendServer::ProcessNextLateral(uint64_t lateral_id) {
     // This node is the caching node for laterally requested targets: misses
     // populate the cache.
     cache_.Insert(target, store_->SizeOf(target));
-    respond(200, store_->BodyFor(target));
+    respond(200, store_->PartsFor(target));
   });
 }
 

@@ -191,6 +191,7 @@ class BackendServer {
     std::vector<std::string> consult_inflight;
     bool consult_outstanding = false;
     bool serving = false;       // a response is being produced (serial per conn)
+    bool dispatching = false;   // ProcessNext's loop is on the stack
     bool migrating = false;     // hand-back in progress: no consults, no serves
     bool idle_reported = true;  // kIdle sent and nothing new since
     int64_t last_activity_ms = 0;
@@ -212,6 +213,7 @@ class BackendServer {
     // disk miss, so lateral service is serial per connection.
     std::deque<HttpRequest> pending;
     bool serving = false;
+    bool dispatching = false;  // ProcessNextLateral's loop is on the stack
   };
 
   // Control sessions (one per front-end).
@@ -233,7 +235,11 @@ class BackendServer {
   void OnClientData(ClientConn* conn, std::string_view data);
   void OnClientClosed(ClientConn* conn);
   void MaybeConsult(ClientConn* conn);
+  // Serves the ready part of the connection's batch, in a loop.
   void ProcessNext(ClientConn* conn);
+  // Starts the next ready request (or a handback). Returns false when
+  // nothing more can start now.
+  bool StartNextRequest(ClientConn* conn);
   // Multiple handoff: flush outstanding responses, then detach the client
   // socket and hand it back to the front-end for migration (Section 7.2's
   // sketched design — "the handoff protocol at the backend can hand back the
@@ -249,7 +255,9 @@ class BackendServer {
   void ServeLocal(ClientConn* conn, const HttpRequest& request, const RequestDirective& directive);
   void ServeLateral(ClientConn* conn, const HttpRequest& request, NodeId peer,
                     const std::string& path);
-  void WriteResponse(ClientConn* conn, const HttpRequest& request, int status, std::string body);
+  // Sends head + body with one gather write where the socket allows: the
+  // body's fill views are borrowed from the static slab, never copied.
+  void WriteResponse(ClientConn* conn, const HttpRequest& request, int status, BodyParts body);
   // Replay-protected conns: compare flushed bytes against response
   // boundaries and report fresh progress to the owning front-end's journal.
   void MaybeSendReplayAck(ClientConn* conn);
@@ -260,7 +268,9 @@ class BackendServer {
   // Lateral service.
   void OnLateralAccept(uint32_t events);
   void OnLateralData(uint64_t lateral_id, std::string_view data);
+  // Serves the connection's pending peer requests in order, in a loop.
   void ProcessNextLateral(uint64_t lateral_id);
+  void ServeLateralRequest(uint64_t lateral_id, const HttpRequest& request);
   void DestroyLateralConn(uint64_t lateral_id);
 
   void Housekeeping();

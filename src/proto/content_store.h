@@ -3,15 +3,60 @@
 // generated on demand from the target's path and size — no gigabytes on disk,
 // yet every byte is reproducible, so the load generator can verify responses
 // end-to-end.
+//
+// The serve path never builds a body: a body is its short owned prefix plus
+// views of one static, read-only slab of the fill pattern (BodyParts), which
+// a Connection sends without copying.
 #ifndef SRC_PROTO_CONTENT_STORE_H_
 #define SRC_PROTO_CONTENT_STORE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "src/trace/trace.h"
 
 namespace lard {
+
+// A body as the serve path sends it: owned leading bytes, then `fill_bytes`
+// of the fill pattern read as views of static storage. A document's prefix is
+// "<path>#<size>#"; a body that is not a document (error text, a relayed
+// lateral body) is all prefix.
+struct BodyParts {
+  // Largest single view of the fill slab.
+  static constexpr size_t kMaxView = 64 * 1024;
+
+  std::string prefix;
+  // kMaxView bytes of the slab at this body's rotation. Every fill run
+  // starts here: the pattern's period (64) divides kMaxView.
+  std::string_view fill;
+  uint64_t fill_bytes = 0;
+
+  // A body that is all owned bytes.
+  static BodyParts Owned(std::string bytes) {
+    BodyParts parts;
+    parts.prefix = std::move(bytes);
+    return parts;
+  }
+
+  uint64_t size() const { return prefix.size() + fill_bytes; }
+
+  // Calls fn(std::string_view) for each fill view in order, each at most
+  // kMaxView bytes. The views point at static storage.
+  template <typename Fn>
+  void ForEachFillView(Fn&& fn) const {
+    for (uint64_t left = fill_bytes; left > 0;) {
+      const size_t n = static_cast<size_t>(std::min<uint64_t>(left, kMaxView));
+      fn(fill.substr(0, n));
+      left -= n;
+    }
+  }
+
+  // The body as one string (prefix + every fill view).
+  std::string Materialize() const;
+};
 
 class ContentStore {
  public:
@@ -22,10 +67,14 @@ class ContentStore {
   // byte pattern, exactly Get(target).size_bytes long (a header longer than
   // the document is truncated).
   std::string BodyFor(TargetId target) const;
+  // The same bytes as BodyFor, as prefix + slab views (nothing built).
+  BodyParts PartsFor(TargetId target) const;
 
   // The body a client should expect for a path of the given size — used for
   // end-to-end verification without a catalog round-trip.
   static std::string ExpectedBody(const std::string& path, uint64_t size_bytes);
+  // The one definition of a body's bytes; ExpectedBody materializes it.
+  static BodyParts ExpectedParts(const std::string& path, uint64_t size_bytes);
 
   // Resolves a path to a target id; kInvalidTarget when absent (-> 404).
   TargetId Resolve(const std::string& path) const { return catalog_->Find(path); }

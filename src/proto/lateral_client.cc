@@ -37,7 +37,7 @@ void LateralClient::Fetch(const std::string& path, FetchCallback callback) {
   ++fetches_issued_;
   pending_.push_back(std::move(callback));
   std::string request = "GET " + path + " HTTP/1.1\r\nHost: lateral\r\n\r\n";
-  conn_->Write(request);
+  conn_->Write(std::move(request));
   if (timeout_ms_ > 0) {
     // Deadline for this fetch: responses are FIFO, so it has been answered
     // iff the completed count passed its issue number by then. A silent peer

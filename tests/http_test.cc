@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/http/http_message.h"
 #include "src/http/request_parser.h"
 #include "src/http/response_parser.h"
@@ -55,6 +58,31 @@ TEST(HttpResponseTest, SerializeKeepsExplicitContentLength) {
   const std::string wire = response.Serialize();
   // Exactly one Content-Length.
   EXPECT_EQ(wire.find("Content-Length"), wire.rfind("Content-Length"));
+}
+
+TEST(HttpResponseTest, SerializeHeadPlusBodyIsSerialize) {
+  std::vector<HttpResponse> cases(4);
+  cases[0].version = HttpVersion::kHttp10;
+  cases[0].status = 404;
+  cases[0].reason = ReasonPhrase(404);
+  cases[0].body = "not found\n";
+  cases[1].headers.Add("Server", "lard-be2");
+  cases[1].headers.Add("Content-Type", "application/octet-stream");
+  cases[1].headers.Add("Connection", "close");
+  cases[1].body = std::string(3000, 'x');
+  cases[2].headers.Add("Content-Length", "0");  // explicit length wins
+  // cases[3]: empty body, no headers.
+  for (const HttpResponse& response : cases) {
+    const std::string head = response.SerializeHead(response.body.size());
+    EXPECT_EQ(head + response.body, response.Serialize());
+    ASSERT_GE(head.size(), 4u);
+    EXPECT_EQ(head.substr(head.size() - 4), "\r\n\r\n");
+    EXPECT_EQ(head.find("Content-Length"), head.rfind("Content-Length"));
+  }
+  // The head carries the length it is given, not the (unset) body's.
+  HttpResponse bodiless;
+  EXPECT_NE(bodiless.SerializeHead(1048583).find("Content-Length: 1048583\r\n"),
+            std::string::npos);
 }
 
 // --- RequestParser ---

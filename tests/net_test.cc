@@ -2,11 +2,16 @@
 #include <gtest/gtest.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <future>
+#include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/net/connection.h"
 #include "src/net/event_loop.h"
@@ -174,6 +179,171 @@ TEST_F(LoopFixture, ConnectionDetachShipsUnconsumedBytes) {
   ASSERT_EQ(n, 4);
   EXPECT_EQ(std::string(buf, 4), "more");
   OnLoop([&]() { conn.reset(); });
+}
+
+// Borrowed segments must outlive the connection: static storage.
+std::string_view StaticBytes() {
+  static const std::string bytes = []() {
+    std::string out;
+    for (int i = 0; i < 8192; ++i) {
+      out.push_back(static_cast<char>('a' + i % 26));
+    }
+    return out;
+  }();
+  return bytes;
+}
+
+void SetSmallSendBuffer(int fd) {
+  const int size = 4096;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &size, sizeof(size)), 0);
+}
+
+void SetRecvTimeout(int fd) {
+  timeval tv{};
+  tv.tv_sec = 10;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)), 0);
+}
+
+TEST_F(LoopFixture, ConnectionSegmentQueueSendsMixedSegmentsInOrder) {
+  auto pair = UnixPair();
+  ASSERT_TRUE(pair.ok());
+  ASSERT_TRUE(SetNonBlocking(pair.value().first.get(), true).ok());
+  SetSmallSendBuffer(pair.value().first.get());
+  UniqueFd outside = std::move(pair.value().second);
+  SetRecvTimeout(outside.get());
+
+  // 150 segments (more than the 64-iovec cap): owned strings and borrowed
+  // views above the join size, each its own iovec, and small owned ones.
+  // Skips land inside an owned segment, across a whole segment into the
+  // next, and inside a borrowed view. `expected` models the wire; `ends`
+  // holds each segment's end in flushed-byte space.
+  std::unique_ptr<Connection> conn;
+  std::string expected;
+  std::set<uint64_t> ends;
+  std::vector<uint64_t> flush_points;
+  int drained = 0;
+  int progress = 0;
+  OnLoop([&]() {
+    conn = std::make_unique<Connection>(&loop_, std::move(pair.value().first));
+    conn->set_on_write_progress([&]() {
+      ++progress;
+      flush_points.push_back(conn->bytes_flushed());
+    });
+    conn->Start();
+    uint64_t skip = 0;
+    for (int i = 0; i < 150; ++i) {
+      const uint64_t extra = i == 0 ? 10 : i == 60 ? 1560 + 5 : i == 100 ? 1700 : 0;
+      conn->SkipNext(extra);
+      skip += extra;
+      std::string bytes;
+      if (i == 75) {
+        // Larger than the send buffer: several sends start and end inside it.
+        std::string owned;
+        for (int j = 0; j < 64 * 1024; ++j) {
+          owned.push_back(static_cast<char>('0' + j % 10));
+        }
+        bytes = owned;
+        conn->Queue(std::move(owned));
+      } else if (i % 3 == 0) {
+        std::string owned(static_cast<size_t>(1500 + i), static_cast<char>('A' + i % 26));
+        bytes = owned;
+        conn->Queue(std::move(owned));
+      } else if (i % 3 == 1) {
+        const std::string_view view = StaticBytes().substr(static_cast<size_t>(i), 2000 + i);
+        bytes = std::string(view);
+        conn->QueueBorrowed(view);
+      } else {
+        std::string small = "<" + std::to_string(i) + ">";
+        bytes = small;
+        conn->Queue(std::move(small));
+      }
+      const size_t dropped = static_cast<size_t>(std::min<uint64_t>(skip, bytes.size()));
+      skip -= dropped;
+      expected += bytes.substr(dropped);
+      ends.insert(expected.size());
+    }
+    EXPECT_EQ(conn->pending_write_bytes(), expected.size());
+    EXPECT_EQ(conn->bytes_flushed(), 0u);
+    conn->Flush();
+    flush_points.push_back(conn->bytes_flushed());
+    EXPECT_GT(conn->bytes_flushed(), 0u);
+    EXPECT_GT(conn->pending_write_bytes(), 0u) << "the small send buffer takes only part";
+    EXPECT_EQ(conn->bytes_flushed() + conn->pending_write_bytes(), expected.size());
+    EXPECT_EQ(progress, 0) << "Flush on the caller's stack fires no callback";
+    conn->set_on_write_drained([&]() { ++drained; });
+  });
+
+  std::string received;
+  char buf[1000];
+  while (received.size() < expected.size()) {
+    const ssize_t n = ::recv(outside.get(), buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0) << "after " << received.size() << " of " << expected.size() << " bytes";
+    received.append(buf, static_cast<size_t>(n));
+    OnLoop([&]() {
+      EXPECT_EQ(conn->bytes_flushed() + conn->pending_write_bytes(), expected.size());
+      EXPECT_GE(conn->bytes_flushed(), received.size());
+    });
+  }
+  EXPECT_EQ(received, expected);
+  OnLoop([&]() {
+    EXPECT_EQ(conn->pending_write_bytes(), 0u);
+    EXPECT_EQ(conn->bytes_flushed(), expected.size());
+    EXPECT_EQ(drained, 1);
+    EXPECT_GT(progress, 0);
+    // Some partial send stopped inside a segment, so the next gather write
+    // started mid-segment.
+    EXPECT_TRUE(std::any_of(flush_points.begin(), flush_points.end(),
+                            [&](uint64_t point) { return ends.count(point) == 0; }));
+    // Later writes still queue behind nothing and go straight out.
+    conn->Write(std::string("tail"));
+    conn.reset();
+  });
+  ASSERT_EQ(::recv(outside.get(), buf, sizeof(buf), 0), 4);
+  EXPECT_EQ(std::string(buf, 4), "tail");
+}
+
+TEST_F(LoopFixture, ConnectionCloseAfterFlushSendsQueuedBorrowedBytes) {
+  auto pair = UnixPair();
+  ASSERT_TRUE(pair.ok());
+  ASSERT_TRUE(SetNonBlocking(pair.value().first.get(), true).ok());
+  SetSmallSendBuffer(pair.value().first.get());
+  UniqueFd outside = std::move(pair.value().second);
+  SetRecvTimeout(outside.get());
+
+  std::unique_ptr<Connection> conn;
+  std::string expected;
+  bool on_close_fired = false;
+  OnLoop([&]() {
+    conn = std::make_unique<Connection>(&loop_, std::move(pair.value().first));
+    conn->set_on_close([&]() { on_close_fired = true; });
+    conn->Start();
+    conn->Write("HTTP/1.0 200 OK\r\n\r\n");
+    expected = "HTTP/1.0 200 OK\r\n\r\n";
+    for (int i = 0; i < 100; ++i) {
+      const std::string_view view = StaticBytes().substr(static_cast<size_t>(i), 1500);
+      conn->QueueBorrowed(view);
+      expected += view;
+    }
+    conn->Flush();
+    EXPECT_GT(conn->pending_write_bytes(), 0u);
+    conn->CloseAfterFlush();
+    EXPECT_TRUE(conn->open()) << "borrowed segments still queued";
+  });
+
+  std::string received;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::recv(outside.get(), buf, sizeof(buf), 0)) > 0) {
+    received.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(n, 0) << "EOF after the queue drained";
+  EXPECT_EQ(received, expected);
+  OnLoop([&]() {
+    EXPECT_FALSE(conn->open());
+    EXPECT_EQ(conn->pending_write_bytes(), 0u);
+    EXPECT_FALSE(on_close_fired) << "a requested close is not a failure";
+    conn.reset();
+  });
 }
 
 TEST_F(LoopFixture, FramedChannelRoundTrip) {

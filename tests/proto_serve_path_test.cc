@@ -1,0 +1,417 @@
+// The back end's zero-copy serve path, end to end: every byte a client
+// receives (head, body prefix and the body's slab views) through a cache
+// hit, a disk miss, a lateral relay and a spliced replay adoption, plus deep
+// pipelines that must neither overflow the stack nor amplify memory.
+//
+// The benchmark client and the load generator check only a body's prefix, so
+// these full-byte comparisons are what guards the rest of the body.
+#include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <functional>
+#include <future>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "src/http/tagging.h"
+#include "src/net/event_loop.h"
+#include "src/net/framed_channel.h"
+#include "src/net/socket.h"
+#include "src/proto/backend_server.h"
+#include "src/proto/cluster.h"
+#include "src/proto/content_store.h"
+#include "src/proto/control_protocol.h"
+#include "src/util/logging.h"
+
+namespace lard {
+namespace {
+
+void SetRecvTimeout(int fd, int seconds) {
+  timeval tv{};
+  tv.tv_sec = seconds;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)), 0);
+}
+
+// Everything until EOF (or the receive timeout).
+std::string ReadToEof(int fd) {
+  std::string out;
+  char buf[64 * 1024];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    out.append(buf, static_cast<size_t>(n));
+  }
+  return out;
+}
+
+// The exact wire form of a back end's 200 response, written out literally.
+std::string ExpectedWire(NodeId server, const std::string& path, uint64_t size, bool close) {
+  return "HTTP/1.1 200 OK\r\nServer: lard-be" + std::to_string(server) +
+         "\r\nContent-Type: application/octet-stream\r\n" +
+         (close ? "Connection: close\r\n" : "") + "Content-Length: " + std::to_string(size) +
+         "\r\n\r\n" + ContentStore::ExpectedBody(path, size);
+}
+
+std::string Get(const std::string& path, bool close) {
+  return "GET " + path + " HTTP/1.1\r\nHost: x\r\n" + (close ? "Connection: close\r\n" : "") +
+         "\r\n";
+}
+
+// Two back ends on one event loop, driven through their control sessions:
+// the test plays the front end, so which node serves what is fixed.
+class BackendPairTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kBigSize = (uint64_t{1} << 20) + 7;  // 17 slab views
+  static constexpr uint64_t kSmallSize = 700;                   // joins the head
+
+  void SetUp() override {
+    catalog_.Intern(kBig, kBigSize);
+    catalog_.Intern(kSmall, kSmallSize);
+    store_ = std::make_unique<ContentStore>(&catalog_);
+    thread_ = std::thread([this]() { loop_.Run(); });
+    OnLoop([this]() {
+      std::vector<uint16_t> ports;
+      for (int node = 0; node < 2; ++node) {
+        BackendConfig config;
+        config.node_id = node;
+        config.num_nodes = 2;
+        config.disk_time_scale = 0.01;
+        auto pair = UnixPair();
+        LARD_CHECK(pair.ok());
+        LARD_CHECK_OK(SetNonBlocking(pair.value().second.get(), true));
+        nodes_.push_back(std::make_unique<BackendServer>(config, &loop_, store_.get()));
+        nodes_.back()->Start(std::move(pair.value().first));
+        // The front end's side of the session: reports are ignored.
+        fes_.push_back(std::make_unique<FramedChannel>(&loop_, std::move(pair.value().second)));
+        fes_.back()->set_on_message([](uint8_t, std::string, UniqueFd) {});
+        fes_.back()->Start();
+        ports.push_back(nodes_.back()->lateral_port());
+      }
+      for (auto& node : nodes_) {
+        node->ConnectPeers(ports);
+      }
+    });
+  }
+
+  void TearDown() override {
+    OnLoop([this]() {
+      nodes_.clear();
+      fes_.clear();
+    });
+    loop_.Stop();
+    thread_.join();
+  }
+
+  void OnLoop(std::function<void()> fn) {
+    std::promise<void> done;
+    loop_.Post([&]() {
+      fn();
+      done.set_value();
+    });
+    done.get_future().wait();
+  }
+
+  // Hands a fresh client connection to `node` as the front end would (type
+  // kHandoff or kReplay with `payload`) and returns the client's end.
+  UniqueFd HandTo(NodeId node, ControlMsg type, const std::string& payload) {
+    auto pair = UnixPair();
+    LARD_CHECK(pair.ok());
+    UniqueFd client = std::move(pair.value().second);
+    SetRecvTimeout(client.get(), 10);
+    OnLoop([&]() {
+      fes_[static_cast<size_t>(node)]->SendWithFd(static_cast<uint8_t>(type), payload,
+                                                   std::move(pair.value().first));
+    });
+    return client;
+  }
+
+  UniqueFd Handoff(NodeId node, std::vector<RequestDirective> directives,
+                   const std::string& requests) {
+    HandoffMsg msg;
+    msg.conn_id = next_conn_id_++;
+    msg.autonomous = true;
+    msg.directives = std::move(directives);
+    msg.unparsed_input = requests;
+    return HandTo(node, ControlMsg::kHandoff, EncodeHandoff(msg));
+  }
+
+  const BackendCounters& counters(NodeId node) const {
+    return nodes_[static_cast<size_t>(node)]->counters();
+  }
+
+  const std::string kBig = "/docs/big.bin";
+  const std::string kSmall = "/docs/small.html";
+  TargetCatalog catalog_;
+  std::unique_ptr<ContentStore> store_;
+  EventLoop loop_;
+  std::thread thread_;
+  std::vector<std::unique_ptr<BackendServer>> nodes_;
+  std::vector<std::unique_ptr<FramedChannel>> fes_;
+  ConnId next_conn_id_ = 1;
+};
+
+TEST_F(BackendPairTest, DiskMissAndCacheHitSendEveryByte) {
+  UniqueFd client =
+      Handoff(0, {}, Get(kBig, false) + Get(kBig, false) + Get(kSmall, false) + Get(kSmall, true));
+  const std::string wire = ReadToEof(client.get());
+  const std::string expected =
+      ExpectedWire(0, kBig, kBigSize, false) + ExpectedWire(0, kBig, kBigSize, false) +
+      ExpectedWire(0, kSmall, kSmallSize, false) + ExpectedWire(0, kSmall, kSmallSize, true);
+  ASSERT_EQ(wire.size(), expected.size());
+  EXPECT_TRUE(wire == expected) << "first difference at byte "
+                                << std::mismatch(wire.begin(), wire.end(), expected.begin())
+                                           .first -
+                                       wire.begin();
+  EXPECT_EQ(counters(0).local_misses.load(), 2u);
+  EXPECT_EQ(counters(0).local_hits.load(), 2u);
+  EXPECT_EQ(counters(0).bytes_to_clients.load(), 2 * kBigSize + 2 * kSmallSize);
+}
+
+TEST_F(BackendPairTest, LateralRelaySendsEveryByte) {
+  // Node 0 relays both requests from node 1: the first is a miss at node 1,
+  // the second a hit, both sent by node 1 as slab views.
+  std::vector<RequestDirective> directives(2);
+  for (RequestDirective& directive : directives) {
+    directive.action = DirectiveAction::kLateral;
+    directive.path = TagPathForNode(kBig, 1);
+  }
+  UniqueFd client = Handoff(0, directives, Get(kBig, false) + Get(kBig, true));
+  const std::string wire = ReadToEof(client.get());
+  const std::string expected =
+      ExpectedWire(0, kBig, kBigSize, false) + ExpectedWire(0, kBig, kBigSize, true);
+  ASSERT_EQ(wire.size(), expected.size());
+  EXPECT_TRUE(wire == expected);
+  EXPECT_EQ(counters(0).lateral_out.load(), 2u);
+  EXPECT_EQ(counters(1).lateral_in.load(), 2u);
+  EXPECT_EQ(counters(1).local_hits.load(), 1u);
+  EXPECT_EQ(counters(0).local_hits.load() + counters(0).local_misses.load(), 0u);
+}
+
+TEST_F(BackendPairTest, SplicedReplayResumesAtAnyOffset) {
+  // Node 1 adopts a connection node 0 was serving when it died, with the
+  // first `offset` bytes of the response already delivered. A spliced
+  // response carries the dead node's Server token; an unspliced one is node
+  // 1's own.
+  const std::string full = ExpectedWire(0, kBig, kBigSize, true);
+  const std::string own = ExpectedWire(1, kBig, kBigSize, true);
+  const size_t head = full.size() - kBigSize;
+  const size_t prefix = ContentStore::ExpectedParts(kBig, kBigSize).prefix.size();
+  const size_t offsets[] = {
+      0,                     // nothing delivered: no splice
+      1,                     // inside the head
+      head - 1,              // last head byte
+      head,                  // head/body boundary
+      head + prefix,         // body prefix / first slab view boundary
+      head + prefix + 70000, // inside the second slab view
+      full.size() - 1,       // all but the last byte
+  };
+  uint64_t spliced = 0;
+  for (const size_t offset : offsets) {
+    ReplayMsg msg;
+    msg.conn_id = next_conn_id_++;
+    msg.origin_node = 0;
+    msg.splice_offset = offset;
+    msg.autonomous = true;
+    msg.directives.resize(1);
+    msg.directives[0].path = kBig;
+    msg.replay_input = Get(kBig, true);
+    UniqueFd client = HandTo(1, ControlMsg::kReplay, EncodeReplay(msg));
+    const std::string wire = ReadToEof(client.get());
+    const std::string expected = offset == 0 ? own : full.substr(offset);
+    EXPECT_EQ(wire.size(), expected.size()) << "offset " << offset;
+    EXPECT_TRUE(wire == expected) << "offset " << offset;
+    spliced += offset > 0 ? 1 : 0;
+  }
+  EXPECT_EQ(counters(1).spliced_responses.load(), spliced);
+
+  // An offset past the regenerated response cannot be reconciled: the
+  // connection closes without a byte.
+  ReplayMsg msg;
+  msg.conn_id = next_conn_id_++;
+  msg.origin_node = 0;
+  msg.splice_offset = full.size();
+  msg.autonomous = true;
+  msg.directives.resize(1);
+  msg.directives[0].path = kBig;
+  msg.replay_input = Get(kBig, true);
+  UniqueFd client = HandTo(1, ControlMsg::kReplay, EncodeReplay(msg));
+  EXPECT_EQ(ReadToEof(client.get()), "");
+}
+
+// ---------------------------------------------------------------------------
+// Deep pipelines through the whole cluster
+// ---------------------------------------------------------------------------
+
+// Reads responses off a blocking socket one at a time, keeping at most one
+// read's worth of bytes: head through the blank line, then the body compared
+// against the expected bytes as they arrive.
+class ResponseStream {
+ public:
+  explicit ResponseStream(int fd) : fd_(fd) {}
+
+  // True when the next response is a 200 whose body is exactly `body`.
+  bool Next200(std::string_view body) {
+    size_t end;
+    while ((end = buffer_.find("\r\n\r\n", pos_)) == std::string::npos) {
+      if (!Fill()) {
+        return false;
+      }
+    }
+    const std::string head = buffer_.substr(pos_, end + 4 - pos_);
+    pos_ = end + 4;
+    if (head.rfind("HTTP/1.1 200 OK\r\n", 0) != 0 ||
+        head.find("Content-Length: " + std::to_string(body.size()) + "\r\n") ==
+            std::string::npos) {
+      return false;
+    }
+    for (size_t matched = 0; matched < body.size();) {
+      if (pos_ == buffer_.size() && !Fill()) {
+        return false;
+      }
+      const size_t n = std::min(body.size() - matched, buffer_.size() - pos_);
+      if (buffer_.compare(pos_, n, body.data() + matched, n) != 0) {
+        return false;
+      }
+      pos_ += n;
+      matched += n;
+    }
+    return true;
+  }
+
+  bool AtEof() { return pos_ == buffer_.size() && !Fill(); }
+
+ private:
+  bool Fill() {
+    buffer_.erase(0, pos_);
+    pos_ = 0;
+    char buf[64 * 1024];
+    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    if (n <= 0) {
+      return false;
+    }
+    buffer_.append(buf, static_cast<size_t>(n));
+    return true;
+  }
+
+  int fd_;
+  std::string buffer_;
+  size_t pos_ = 0;
+};
+
+// Sends `requests` in one call from a second thread while the caller reads.
+std::thread SendAll(int fd, std::string requests) {
+  return std::thread([fd, requests = std::move(requests)]() {
+    size_t sent = 0;
+    while (sent < requests.size()) {
+      const ssize_t n = ::send(fd, requests.data() + sent, requests.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) {
+        return;
+      }
+      sent += static_cast<size_t>(n);
+    }
+  });
+}
+
+// Peak resident set of this process (VmHWM), in kB.
+uint64_t PeakRssKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::stoull(line.substr(6));
+    }
+  }
+  return 0;
+}
+
+ClusterConfig PipelineCluster() {
+  ClusterConfig config;
+  config.num_nodes = 2;
+  config.policy = Policy::kExtendedLard;
+  config.mechanism = Mechanism::kBackEndForwarding;
+  config.backend_cache_bytes = 64ull * 1024 * 1024;
+  config.disk_time_scale = 0.01;
+  return config;
+}
+
+TEST(ProtoServePathTest, HundredThousandPipelinedRequestsComplete) {
+  // ~3 MB of requests in one send, almost all served synchronously as cache
+  // hits: serving must not take a stack frame per request (the default
+  // 8 MB stack overflows near this depth).
+  constexpr int kRequests = 100000;
+  TargetCatalog catalog;
+  const std::string path = "/d64";
+  catalog.Intern(path, 64);
+  Cluster cluster(PipelineCluster(), &catalog);
+  ASSERT_TRUE(cluster.Start().ok());
+  auto fd = ConnectTcp(cluster.port());
+  ASSERT_TRUE(fd.ok());
+  SetRecvTimeout(fd.value().get(), 60);
+
+  std::string requests;
+  for (int i = 0; i < kRequests; ++i) {
+    requests += Get(path, i + 1 == kRequests);
+  }
+  std::thread sender = SendAll(fd.value().get(), std::move(requests));
+  const std::string body = ContentStore::ExpectedBody(path, 64);
+  ResponseStream stream(fd.value().get());
+  int ok = 0;
+  while (ok < kRequests && stream.Next200(body)) {
+    ++ok;
+  }
+  sender.join();
+  EXPECT_EQ(ok, kRequests);
+  EXPECT_TRUE(stream.AtEof()) << "the last request asked for Connection: close";
+  EXPECT_EQ(cluster.Snapshot().requests_served, static_cast<uint64_t>(kRequests));
+  cluster.Stop();
+}
+
+TEST(ProtoServePathTest, PipelinedMegabyteBodiesKeepMemoryFlat) {
+  // 500 pipelined GETs for a 1 MB document (an ~18 KB request). The queued
+  // responses hold views of the static slab, not 500 MB of bodies, and the
+  // back end keeps its heartbeats while it serves them.
+  constexpr int kRequests = 500;
+  constexpr uint64_t kSize = uint64_t{1} << 20;
+  TargetCatalog catalog;
+  const std::string path = "/mega.bin";
+  catalog.Intern(path, kSize);
+  Cluster cluster(PipelineCluster(), &catalog);
+  ASSERT_TRUE(cluster.Start().ok());
+  auto fd = ConnectTcp(cluster.port());
+  ASSERT_TRUE(fd.ok());
+  SetRecvTimeout(fd.value().get(), 60);
+
+  const std::string body = ContentStore::ExpectedBody(path, kSize);
+  const uint64_t peak_before_kb = PeakRssKb();
+  std::string requests;
+  for (int i = 0; i < kRequests; ++i) {
+    requests += Get(path, i + 1 == kRequests);
+  }
+  std::thread sender = SendAll(fd.value().get(), std::move(requests));
+  ResponseStream stream(fd.value().get());
+  int ok = 0;
+  while (ok < kRequests && stream.Next200(body)) {
+    ++ok;
+  }
+  sender.join();
+  const uint64_t peak_after_kb = PeakRssKb();
+
+  EXPECT_EQ(ok, kRequests) << "every byte of every response arrives";
+  EXPECT_TRUE(stream.AtEof());
+  const ClusterSnapshot snapshot = cluster.Snapshot();
+  EXPECT_EQ(snapshot.auto_removals, 0u) << "the serving node must keep its heartbeats";
+  EXPECT_EQ(snapshot.bytes_to_clients, kRequests * kSize);
+  EXPECT_LT(peak_after_kb - peak_before_kb, 64u * 1024) << "VmHWM grew by "
+                                                       << (peak_after_kb - peak_before_kb)
+                                                       << " kB";
+  cluster.Stop();
+}
+
+}  // namespace
+}  // namespace lard

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "src/proto/content_store.h"
 #include "src/proto/control_protocol.h"
 #include "src/proto/wire.h"
@@ -416,6 +419,108 @@ TEST(ContentStoreTest, TinyBodyTruncatesHeader) {
 
 TEST(ContentStoreTest, ZeroSizeBody) {
   EXPECT_TRUE(ContentStore::ExpectedBody("/x", 0).empty());
+}
+
+// The body definition written out byte by byte, independent of the slab:
+// after the "<path>#<size>#" prefix, byte i is kFill[(i + rot) % 64] with
+// rot = FNV-1a(path) % 64.
+constexpr char kReferenceFill[] =
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789+/";
+
+uint64_t ReferenceRotation(const std::string& path) {
+  uint64_t h = 1469598103934665603ull;
+  for (const char c : path) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ull;
+  }
+  return h % 64;
+}
+
+std::string ReferenceBody(const std::string& path, uint64_t size) {
+  std::string body = path + "#" + std::to_string(size) + "#";
+  if (body.size() > size) {
+    body.resize(size);
+  }
+  const uint64_t rot = ReferenceRotation(path);
+  for (size_t i = body.size(); i < size; ++i) {
+    body.push_back(kReferenceFill[(i + rot) % 64]);
+  }
+  return body;
+}
+
+// What the serve path puts on the wire: the prefix, then each slab view.
+std::string JoinParts(const BodyParts& parts) {
+  std::string out = parts.prefix;
+  parts.ForEachFillView([&out](std::string_view view) {
+    EXPECT_FALSE(view.empty());
+    EXPECT_LE(view.size(), BodyParts::kMaxView);
+    out.append(view);
+  });
+  return out;
+}
+
+TEST(ContentStoreTest, SlabViewsMatchTheReferenceAtEverySize) {
+  const std::string path = "/page7/index.html";
+  // The size whose body is exactly its own "<path>#<size>#" prefix.
+  uint64_t exact = 0;
+  for (uint64_t size = 1; size < 100; ++size) {
+    if ((path + "#" + std::to_string(size) + "#").size() == size) {
+      exact = size;
+    }
+  }
+  ASSERT_GT(exact, 0u);
+  const uint64_t k64 = BodyParts::kMaxView;
+  for (const uint64_t size : {uint64_t{0}, uint64_t{1}, exact - 7, exact, exact + 1, k64 - 1, k64,
+                              k64 + 1, (uint64_t{1} << 20) + 7}) {
+    const std::string reference = ReferenceBody(path, size);
+    const BodyParts parts = ContentStore::ExpectedParts(path, size);
+    EXPECT_EQ(parts.size(), size);
+    EXPECT_EQ(JoinParts(parts), reference) << "size " << size;
+    EXPECT_EQ(ContentStore::ExpectedBody(path, size), reference) << "size " << size;
+  }
+}
+
+TEST(ContentStoreTest, AllSixtyFourRotationsMatchTheReference) {
+  std::set<uint64_t> rotations;
+  for (int i = 0; rotations.size() < 64 && i < 100000; ++i) {
+    const std::string path = "/doc" + std::to_string(i);
+    if (!rotations.insert(ReferenceRotation(path)).second) {
+      continue;
+    }
+    for (const uint64_t size : {uint64_t{200}, uint64_t{BodyParts::kMaxView} + 33}) {
+      EXPECT_EQ(JoinParts(ContentStore::ExpectedParts(path, size)), ReferenceBody(path, size))
+          << path << " size " << size;
+    }
+  }
+  EXPECT_EQ(rotations.size(), 64u);
+}
+
+TEST(ContentStoreTest, EveryBodyBorrowsTheSameStaticSlab) {
+  TargetCatalog catalog;
+  const TargetId a = catalog.Intern("/a.html", 300000);
+  const TargetId b = catalog.Intern("/some/other/document.bin", 5000);
+  ContentStore store(&catalog);
+  const BodyParts parts_a = store.PartsFor(a);
+  const BodyParts parts_b = store.PartsFor(b);
+  EXPECT_EQ(JoinParts(parts_a), store.BodyFor(a));
+  EXPECT_EQ(JoinParts(parts_b), store.BodyFor(b));
+  // Both views start within one pattern period of each other: one shared
+  // slab, nothing built per body.
+  const auto distance = parts_a.fill.data() > parts_b.fill.data()
+                            ? parts_a.fill.data() - parts_b.fill.data()
+                            : parts_b.fill.data() - parts_a.fill.data();
+  EXPECT_LT(distance, 64);
+  // Every fill view of a body is the same bytes: the period divides kMaxView.
+  std::set<const char*> starts;
+  parts_a.ForEachFillView([&starts](std::string_view view) { starts.insert(view.data()); });
+  EXPECT_EQ(starts.size(), 1u);
+}
+
+TEST(ContentStoreTest, OwnedBodyIsAllPrefix) {
+  const BodyParts parts = BodyParts::Owned("not found\n");
+  EXPECT_EQ(parts.size(), 10u);
+  EXPECT_EQ(JoinParts(parts), "not found\n");
+  EXPECT_EQ(parts.Materialize(), "not found\n");
 }
 
 TEST(ContentStoreTest, ResolveFindsAndMisses) {
