@@ -258,7 +258,7 @@ def check_telemetry_overhead(record, data):
     # The watchdog acceptance: zero false transitions on a steady cacheable
     # load, detection of induced back-end saturation within 5 sampling
     # intervals, and the health view must carry mirrored back-end telemetry
-    # (proof the kTelemetry shipping path worked end to end).
+    # (proof the rows in the back-ends' kNodeStatus frames reached the FE).
     if watchdog.get("steady_transitions", 1) != 0:
         fail(record, "watchdog flapped during steady state")
     if watchdog.get("steady_status") != "ok":

@@ -132,7 +132,6 @@ int Main(int argc, char** argv) {
   cluster_config.mechanism = Mechanism::kBackEndForwarding;
   cluster_config.backend_cache_bytes = 4ull * 1024 * 1024;
   cluster_config.disk_time_scale = 0.02;
-  cluster_config.heartbeat_interval_ms = 100;
   cluster_config.heartbeat_timeout_ms = 2000;
   cluster_config.retire_grace_ms = 2000;
   Cluster cluster(cluster_config, &trace.catalog());

@@ -90,7 +90,6 @@ StormResult RunStorm(const Trace& trace, int64_t nodes, int64_t clients, int64_t
   config.mechanism = Mechanism::kBackEndForwarding;
   config.backend_cache_bytes = 4ull * 1024 * 1024;
   config.disk_time_scale = 0.05;
-  config.heartbeat_interval_ms = 50;
   config.heartbeat_timeout_ms = heartbeat_timeout_ms;
   config.retire_grace_ms = 1000;
   config.replay_enabled = replay;

@@ -2,9 +2,10 @@
 //
 // 1. Overhead: the same load-generator workload against fresh clusters with
 //    telemetry off (telemetry_interval_ms = 0: no stores, no per-request
-//    latency histogram, no kTelemetry traffic) and on, reporting best-of-N
-//    throughput per mode. The CI gate (check_bench_json.py) enforces the
-//    acceptance bound: telemetry-on throughput >= 0.98x telemetry-off.
+//    latency histogram, no telemetry rows in the back-ends' status frames)
+//    and on, reporting best-of-N throughput per mode. The CI gate
+//    (check_bench_json.py) enforces the acceptance bound: telemetry-on
+//    throughput >= 0.98x telemetry-off.
 //
 // 2. Watchdog detection latency: one cluster with a fast sampling interval
 //    and a single p99-latency rule runs a cache-friendly steady workload

@@ -7,9 +7,12 @@
 //   2. POST /nodes/1/drain      — node 1 finishes its persistent connections
 //   3. POST /nodes/2/kill       — node 2 goes silent (simulated crash);
 //                                 the front-end auto-removes it when its
-//                                 heartbeats stop
+//                                 status frames stop
 //   4. POST /nodes/add          — a fresh node joins and takes load
 //   5. GET  /nodes, /metrics    — final membership + metrics
+//
+// Exits non-zero when no status frame arrived or the killed node was never
+// auto-removed, so a smoke run checks the liveness path end to end.
 //
 //   ./build/examples/admin_demo
 //   ./build/examples/admin_demo --nodes 6 --sessions 3000
@@ -95,7 +98,6 @@ int main(int argc, char** argv) {
   config.disk_time_scale = disk_scale;
   config.listen_port = static_cast<uint16_t>(listen_port);
   config.admin_port = static_cast<uint16_t>(admin_port);
-  config.heartbeat_interval_ms = 100;
   config.heartbeat_timeout_ms = 600;
 
   lard::Cluster cluster(config, &trace.catalog());
@@ -126,7 +128,7 @@ int main(int argc, char** argv) {
   PrintSection("POST /nodes/1/drain", AdminHttp(admin, "POST", "/nodes/1/drain"));
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
-  PrintSection("POST /nodes/2/kill (crash; heartbeats stop)",
+  PrintSection("POST /nodes/2/kill (crash; status frames stop)",
                AdminHttp(admin, "POST", "/nodes/2/kill"));
   // Wait past the heartbeat timeout so the front-end detects + auto-removes.
   std::this_thread::sleep_for(std::chrono::milliseconds(1200));
@@ -159,5 +161,13 @@ int main(int argc, char** argv) {
   }
   table.Print("per-node distribution");
   cluster.Stop();
+  // The walkthrough doubles as a liveness check: back-end status frames must
+  // have arrived, and the killed node must have been detected and removed.
+  if (snapshot.heartbeats == 0 || snapshot.auto_removals == 0) {
+    std::fprintf(stderr, "FAIL: %s\n",
+                 snapshot.heartbeats == 0 ? "no back-end status frame arrived"
+                                          : "the killed node was never auto-removed");
+    return 1;
+  }
   return 0;
 }

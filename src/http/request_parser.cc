@@ -47,17 +47,17 @@ std::string_view Trim(std::string_view s) {
 
 }  // namespace
 
-size_t RequestParser::ParseOne(HttpRequest* request) {
+size_t RequestParser::ParseOne(std::string_view input, HttpRequest* request) {
   // Find the end of the header section.
-  const size_t header_end = buffer_.find("\r\n\r\n");
-  if (header_end == std::string::npos) {
-    return buffer_.size() > kMaxHeaderBytes ? kParseError : 0;
+  const size_t header_end = input.find("\r\n\r\n");
+  if (header_end == std::string_view::npos) {
+    return input.size() > kMaxHeaderBytes ? kParseError : 0;
   }
   if (header_end > kMaxHeaderBytes) {
     return kParseError;
   }
 
-  const std::string_view head(buffer_.data(), header_end);
+  const std::string_view head = input.substr(0, header_end);
   const size_t line_end = head.find("\r\n");
   const std::string_view request_line =
       line_end == std::string_view::npos ? head : head.substr(0, line_end);
@@ -94,10 +94,10 @@ size_t RequestParser::ParseOne(HttpRequest* request) {
     body_bytes = static_cast<size_t>(v);
   }
   const size_t total = header_end + 4 + body_bytes;
-  if (buffer_.size() < total) {
+  if (input.size() < total) {
     return 0;
   }
-  request->body = buffer_.substr(header_end + 4, body_bytes);
+  request->body = std::string(input.substr(header_end + 4, body_bytes));
   return total;
 }
 
@@ -106,19 +106,24 @@ RequestParser::State RequestParser::Feed(std::string_view data, std::vector<Http
     return State::kError;
   }
   buffer_.append(data.data(), data.size());
+  // Parse at an advancing offset and erase the consumed prefix once, so a
+  // read holding many pipelined requests costs linear time.
+  size_t offset = 0;
   while (true) {
     HttpRequest request;
-    const size_t consumed = ParseOne(&request);
+    const size_t consumed = ParseOne(std::string_view(buffer_).substr(offset), &request);
     if (consumed == kParseError) {
       error_ = true;
-      return State::kError;
+      break;
     }
     if (consumed == 0) {
-      return State::kNeedMore;
+      break;
     }
-    buffer_.erase(0, consumed);
+    offset += consumed;
     out->push_back(std::move(request));
   }
+  buffer_.erase(0, offset);
+  return error_ ? State::kError : State::kNeedMore;
 }
 
 }  // namespace lard

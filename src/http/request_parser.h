@@ -39,10 +39,10 @@ class RequestParser {
   static constexpr size_t kMaxHeaderBytes = 64 * 1024;
 
  private:
-  // Tries to parse one complete request from buffer_[0..]; on success fills
-  // *request and returns the number of bytes consumed; returns 0 when more
-  // data is needed; returns SIZE_MAX on malformed input.
-  size_t ParseOne(HttpRequest* request);
+  // Tries to parse one complete request from the front of `input`; on
+  // success fills *request and returns the number of bytes consumed;
+  // returns 0 when more data is needed; returns SIZE_MAX on malformed input.
+  static size_t ParseOne(std::string_view input, HttpRequest* request);
 
   std::string buffer_;
   bool error_ = false;

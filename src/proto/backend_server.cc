@@ -79,16 +79,6 @@ void BackendServer::Start(UniqueFd control_fd) {
       metric_request_us_ = config_.metrics->Histogram(
           MetricsRegistry::WithNode("lard_backend_request_us", config_.node_id));
     }
-    TimeSeriesConfig series_config;
-    series_config.interval_ms = static_cast<int>(config_.telemetry_interval_ms);
-    telemetry_ = std::make_unique<TimeSeriesStore>(series_config);
-    // Series order here is the wire order of every kTelemetry row.
-    telemetry_names_ = {"request_rate", "hit_ratio", "latency_p50_us", "latency_p95_us",
-                        "latency_p99_us", "disk_queue", "open_conns", "lateral_rate",
-                        "wakeup_p99_us"};
-    for (const std::string& name : telemetry_names_) {
-      telemetry_->AddSeries(name);
-    }
     loop_->ScheduleAfterMs(config_.telemetry_interval_ms,
                            alive_.Guard([this]() { TelemetryTick(); }));
   }
@@ -102,10 +92,10 @@ void BackendServer::Start(UniqueFd control_fd) {
   loop_->Register(lateral_listener_.get(), EPOLLIN,
                   [this](uint32_t events) { OnLateralAccept(events); });
 
-  // Housekeeping: disk-queue reports to the dispatcher + idle-connection
-  // sweep, every 100 ms (the paper conveys disk queue lengths over the
-  // control sessions). Guarded: the timer must die with the server, not the
-  // loop.
+  // Housekeeping: a node-status frame to every front-end (liveness and the
+  // disk queue length the paper conveys over the control sessions) + the
+  // idle-connection sweep, every 100 ms. Guarded: the timer must die with
+  // the server, not the loop.
   loop_->ScheduleAfterMs(kHousekeepingPeriodMs, alive_.Guard([this]() { Housekeeping(); }));
 }
 
@@ -168,18 +158,7 @@ void BackendServer::OnFrontEndLost(int fe) {
 }
 
 void BackendServer::Housekeeping() {
-  bool any_fe = false;
-  for (size_t fe = 0; fe < controls_.size(); ++fe) {
-    FramedChannel* channel = FeChannel(static_cast<int>(fe));
-    if (channel != nullptr) {
-      channel->Send(static_cast<uint8_t>(ControlMsg::kDiskReport),
-                    EncodeU32(static_cast<uint32_t>(disk_->queue_length())));
-      any_fe = true;
-    }
-  }
-  if (any_fe) {
-    MaybeSendHeartbeat();
-  }
+  SendStatus({});
   // Safety-net journal-progress sweep. Every flush path acks eagerly
   // (WriteResponse's fast path, the EPOLLOUT progress hook, the deferred
   // final-response drain), so this normally observes nothing new — it exists
@@ -197,27 +176,24 @@ void BackendServer::Housekeeping() {
   loop_->ScheduleAfterMs(kHousekeepingPeriodMs, alive_.Guard([this]() { Housekeeping(); }));
 }
 
-void BackendServer::MaybeSendHeartbeat() {
-  if (config_.heartbeat_interval_ms <= 0) {
-    return;
-  }
-  const int64_t now = NowMs();
-  if (last_heartbeat_ms_ != 0 && now - last_heartbeat_ms_ < config_.heartbeat_interval_ms) {
-    return;
-  }
-  last_heartbeat_ms_ = now;
-  HeartbeatMsg heartbeat;
-  heartbeat.seq = ++heartbeat_seq_;
-  heartbeat.disk_queue_len = static_cast<uint32_t>(disk_->queue_length());
-  heartbeat.active_conns = static_cast<uint32_t>(conns_.size());
-  // Every front-end runs its own health tracker; all of them hear the beat.
+void BackendServer::SendStatus(std::vector<StatusSample> samples) {
+  NodeStatusMsg status;
+  status.seq = ++status_seq_;
+  status.t_ms = NowMs();
+  status.disk_queue_len = static_cast<uint32_t>(disk_->queue_length());
+  status.open_conns = static_cast<uint32_t>(conns_.size());
+  status.samples = std::move(samples);
+  const std::string payload = EncodeNodeStatus(status);
+  // Every front-end runs its own health tracker; all of them hear it.
+  bool sent = false;
   for (size_t fe = 0; fe < controls_.size(); ++fe) {
     FramedChannel* channel = FeChannel(static_cast<int>(fe));
     if (channel != nullptr) {
-      channel->Send(static_cast<uint8_t>(ControlMsg::kHeartbeat), EncodeHeartbeat(heartbeat));
+      channel->Send(static_cast<uint8_t>(ControlMsg::kNodeStatus), payload);
+      sent = true;
     }
   }
-  if (metric_heartbeats_ != nullptr) {
+  if (sent && metric_heartbeats_ != nullptr) {
     metric_heartbeats_->Increment();
   }
 }
@@ -229,29 +205,26 @@ void BackendServer::TelemetryTick() {
                                 : static_cast<double>(now - telemetry_last_ms_) / 1000.0;
   telemetry_last_ms_ = now;
 
-  telemetry_scratch_.clear();
-  const double request_rate =
-      rate_requests_.Sample(counters_.requests_served.load(std::memory_order_relaxed), dt_seconds);
-  telemetry_scratch_.emplace_back(0, request_rate);
-  const double hit_rate =
-      rate_hits_.Sample(counters_.local_hits.load(std::memory_order_relaxed), dt_seconds);
-  const double miss_rate =
-      rate_misses_.Sample(counters_.local_misses.load(std::memory_order_relaxed), dt_seconds);
+  const auto rate = [dt_seconds](CounterRateSampler& sampler,
+                                  const std::atomic<uint64_t>& counter) {
+    return sampler.Sample(counter.load(std::memory_order_relaxed), dt_seconds);
+  };
+  std::vector<StatusSample> row;
+  row.push_back({"request_rate", rate(rate_requests_, counters_.requests_served)});
+  const double hit_rate = rate(rate_hits_, counters_.local_hits);
+  const double miss_rate = rate(rate_misses_, counters_.local_misses);
   if (hit_rate + miss_rate > 0.0) {
-    telemetry_scratch_.emplace_back(1, hit_rate / (hit_rate + miss_rate));
+    row.push_back({"hit_ratio", hit_rate / (hit_rate + miss_rate)});
   }
   if (metric_request_us_ != nullptr) {
     const HistogramWindowSampler::Window window = latency_window_.Sample(*metric_request_us_);
     if (window.count > 0) {
-      telemetry_scratch_.emplace_back(2, window.p50);
-      telemetry_scratch_.emplace_back(3, window.p95);
-      telemetry_scratch_.emplace_back(4, window.p99);
+      row.push_back({"latency_p50_us", window.p50});
+      row.push_back({"latency_p95_us", window.p95});
+      row.push_back({"latency_p99_us", window.p99});
     }
   }
-  telemetry_scratch_.emplace_back(5, static_cast<double>(disk_->queue_length()));
-  telemetry_scratch_.emplace_back(6, static_cast<double>(conns_.size()));
-  telemetry_scratch_.emplace_back(
-      7, rate_lateral_.Sample(counters_.lateral_out.load(std::memory_order_relaxed), dt_seconds));
+  row.push_back({"lateral_rate", rate(rate_lateral_, counters_.lateral_out)});
   if (config_.metrics != nullptr) {
     // The loop publishes its health histograms when profiling is on; the
     // find-or-create lookup is harmless (empty window -> no sample) when not.
@@ -259,27 +232,12 @@ void BackendServer::TelemetryTick() {
         "lard_loop_wakeup_delay_us{loop=\"be" + std::to_string(config_.node_id) + "\"}");
     const HistogramWindowSampler::Window window = wakeup_window_.Sample(*wakeup);
     if (window.count > 0) {
-      telemetry_scratch_.emplace_back(8, window.p99);
+      row.push_back({"wakeup_p99_us", window.p99});
     }
   }
-  telemetry_->Append(now, telemetry_scratch_);
-
-  // Ship the row to every attached front-end: absolute state, so a dropped
-  // frame only leaves the mirror stale until the next tick.
-  TelemetryMsg msg;
-  msg.seq = ++telemetry_seq_;
-  msg.t_ms = now;
-  msg.samples.reserve(telemetry_scratch_.size());
-  for (const auto& [idx, value] : telemetry_scratch_) {
-    msg.samples.push_back(TelemetrySample{telemetry_names_[static_cast<size_t>(idx)], value});
-  }
-  const std::string payload = EncodeTelemetry(msg);
-  for (size_t fe = 0; fe < controls_.size(); ++fe) {
-    FramedChannel* channel = FeChannel(static_cast<int>(fe));
-    if (channel != nullptr) {
-      channel->Send(static_cast<uint8_t>(ControlMsg::kTelemetry), payload);
-    }
-  }
+  // The frame's fixed fields carry disk_queue and open_conns; a dropped
+  // frame only leaves the front-end's mirror stale until the next tick.
+  SendStatus(std::move(row));
 
   loop_->ScheduleAfterMs(config_.telemetry_interval_ms,
                          alive_.Guard([this]() { TelemetryTick(); }));
@@ -1051,7 +1009,20 @@ void BackendServer::SweepIdleConnections() {
   const int64_t now = NowMs();
   std::vector<ClientConn*> idle;
   for (auto& [id, conn] : conns_) {
-    if (!conn->closed && !conn->serving && conn->requests.empty() &&
+    if (conn->closed) {
+      continue;
+    }
+    // Write progress counts as activity. A queued response that made no
+    // progress for the whole interval is reaped even mid-serve: its client
+    // stopped reading, and a Connection: close response would otherwise
+    // wait forever for the drain that closes it.
+    const uint64_t flushed = conn->conn->bytes_flushed();
+    if (flushed != conn->flushed_at_sweep) {
+      conn->flushed_at_sweep = flushed;
+      conn->last_activity_ms = now;
+    }
+    const bool write_stalled = conn->conn->pending_write_bytes() > 0;
+    if ((write_stalled || (!conn->serving && conn->requests.empty())) &&
         now - conn->last_activity_ms >= config_.idle_close_ms) {
       idle.push_back(conn.get());
     }

@@ -10,8 +10,8 @@
 //     its client connection (back-end request forwarding),
 //   * serves lateral fetches for its peers from its own cache/disk,
 //   * reports its disk queue length to the front-end (piggybacked on
-//     consults and on a periodic timer), which is the extended-LARD policy's
-//     only back-end feedback.
+//     consults and in its periodic node-status frame), which is the
+//     extended-LARD policy's only back-end feedback.
 //
 // The cache is an LruCache over target ids; a miss passes through the
 // DiskGate (simulated disk, DESIGN.md §2). Lateral fetches never populate the
@@ -39,7 +39,6 @@
 #include "src/net/event_loop.h"
 #include "src/net/framed_channel.h"
 #include "src/obs/samplers.h"
-#include "src/obs/time_series.h"
 #include "src/proto/content_store.h"
 #include "src/proto/control_protocol.h"
 #include "src/proto/disk_gate.h"
@@ -59,9 +58,6 @@ struct BackendConfig {
   // Close a client connection after this much inactivity (the paper's
   // "configurable interval, typically 15 seconds"). <= 0 disables.
   int64_t idle_close_ms = 15000;
-  // Liveness heartbeats to the front-end's health tracker. <= 0 disables
-  // (the front-end then relies on control-session EOF alone).
-  int64_t heartbeat_interval_ms = 500;
   // Per-fetch deadline on lateral (peer) fetches: a killed peer's listener
   // keeps accepting silently until its process dies, and an unbounded wait
   // would wedge the client connection being served. <= 0 disables.
@@ -69,11 +65,11 @@ struct BackendConfig {
   // Optional shared registry; per-node counters are published under
   // lard_backend_*{node="k"}. Must be thread-safe (MetricsRegistry is).
   MetricsRegistry* metrics = nullptr;
-  // Telemetry sampling period: each tick appends one row of windowed values
-  // (request rate, hit ratio, latency quantiles, disk queue, loop health) to
-  // this node's TimeSeriesStore and ships it to every attached front-end
-  // (kTelemetry). <= 0 disables telemetry entirely (no store, no per-request
-  // latency timing).
+  // Telemetry sampling period: each tick samples one row of windowed values
+  // (request rate, hit ratio, latency quantiles, lateral rate, loop health)
+  // and ships it to every attached front-end inside a node-status frame.
+  // <= 0 disables telemetry entirely (no rows, no per-request latency
+  // timing); the status frames flow regardless.
   int64_t telemetry_interval_ms = 0;
   // Optional request tracer: adopt/serve/disk/lateral/flush spans go into
   // the "be<node_id>" ring. The sampling verdict depends only on the conn
@@ -114,8 +110,8 @@ class BackendServer {
   // Loop thread. Attaches (or replaces) the control session of front-end
   // `fe_id` — the replicated-FE tier's join path. Every client connection
   // remembers which front-end handed it off, and its consults, idle/close
-  // notifications and handbacks travel that front-end's session; heartbeats
-  // and disk reports broadcast to every attached front-end. When a session
+  // notifications and handbacks travel that front-end's session; node-status
+  // frames broadcast to every attached front-end. When a session
   // dies (FE leave/crash), that front-end's connections degrade to
   // autonomous local service instead of wedging on unanswerable consults.
   void AttachFrontEnd(int fe_id, UniqueFd control_fd);
@@ -135,9 +131,6 @@ class BackendServer {
   const BackendCounters& counters() const { return counters_; }
   int disk_queue_length() const { return disk_ == nullptr ? 0 : disk_->queue_length(); }
   bool draining() const { return draining_; }
-  // This node's telemetry time series (null when telemetry is disabled).
-  // The store is internally synchronized: cross-thread reads are safe.
-  const TimeSeriesStore* telemetry() const { return telemetry_.get(); }
 
  private:
   struct ClientConn {
@@ -195,6 +188,7 @@ class BackendServer {
     bool migrating = false;     // hand-back in progress: no consults, no serves
     bool idle_reported = true;  // kIdle sent and nothing new since
     int64_t last_activity_ms = 0;
+    uint64_t flushed_at_sweep = 0;  // bytes_flushed() seen by the last idle sweep
     // Tracing (verdicts cached at adoption). `traced` = spans recorded;
     // `timed` = per-request timestamps taken (traced, or the slow-request
     // log is armed — which must see every request, not just sampled ones).
@@ -275,9 +269,11 @@ class BackendServer {
 
   void Housekeeping();
   void SweepIdleConnections();
-  void MaybeSendHeartbeat();
+  // Broadcasts one node-status frame (carrying `samples`, possibly none) to
+  // every attached front-end.
+  void SendStatus(std::vector<StatusSample> samples);
   // One telemetry sampling tick (loop thread, self-rescheduling guarded
-  // timer): appends a row to telemetry_ and ships it to every front-end.
+  // timer): samples a row and ships it in a status frame.
   void TelemetryTick();
   int64_t NowMs() const;
 
@@ -322,23 +318,17 @@ class BackendServer {
   MetricCounter* metric_heartbeats_ = nullptr;
   MetricGauge* metric_open_conns_ = nullptr;
   MetricCounter* metric_idle_closes_ = nullptr;
-  uint64_t heartbeat_seq_ = 0;
-  int64_t last_heartbeat_ms_ = 0;
+  uint64_t status_seq_ = 0;
 
-  // Telemetry (telemetry_interval_ms > 0): the node's series store, the
-  // window samplers feeding it, and the shipping state. All loop-confined
-  // except telemetry_ itself (internally synchronized for admin reads).
-  std::unique_ptr<TimeSeriesStore> telemetry_;
+  // Telemetry (telemetry_interval_ms > 0): the window samplers feeding the
+  // rows, loop-confined.
   MetricHistogram* metric_request_us_ = nullptr;  // always-on request latency
-  std::vector<std::string> telemetry_names_;      // series index -> name
-  std::vector<std::pair<int, double>> telemetry_scratch_;
   CounterRateSampler rate_requests_;
   CounterRateSampler rate_hits_;
   CounterRateSampler rate_misses_;
   CounterRateSampler rate_lateral_;
   HistogramWindowSampler latency_window_;
   HistogramWindowSampler wakeup_window_;
-  uint64_t telemetry_seq_ = 0;
   int64_t telemetry_last_ms_ = 0;
 };
 

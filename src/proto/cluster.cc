@@ -253,7 +253,6 @@ Status Cluster::StartBackend(NodeId node_id, std::vector<UniqueFd>* fe_ends) {
   backend_config.disk_time_scale = config_.disk_time_scale;
   backend_config.idle_close_ms = config_.idle_close_ms;
   backend_config.lateral_timeout_ms = config_.lateral_timeout_ms;
-  backend_config.heartbeat_interval_ms = config_.heartbeat_interval_ms;
   backend_config.telemetry_interval_ms = config_.telemetry_interval_ms;
   backend_config.metrics = &metrics_;
   backend_config.tracer = tracer_.get();

@@ -80,8 +80,9 @@ struct ClusterConfig {
   // Control plane.
   bool enable_admin = true;
   uint16_t admin_port = 0;  // 0 = ephemeral (see admin_port() after Start)
-  int64_t heartbeat_interval_ms = 200;
-  int64_t heartbeat_timeout_ms = 1500;  // <= 0 disables liveness detection
+  // Back-ends send a status frame every 100 ms; one silent this long is
+  // declared dead. <= 0 disables liveness detection.
+  int64_t heartbeat_timeout_ms = 1500;
   // Graceful removal: how long a live admin-removed node gets to give its
   // connections back before the hard removal. <= 0 removes immediately.
   int64_t retire_grace_ms = 1000;
@@ -103,10 +104,11 @@ struct ClusterConfig {
   // tick duration, callback runtime, wakeup-to-run latency, queue depth).
   bool profile_loops = true;
   // Telemetry pipeline (src/obs/): every component samples rates, window
-  // quantiles and gauges into a fixed-size TimeSeriesStore at this period;
-  // back-ends ship each tick to the front-ends (kTelemetry), and the FE SLO
-  // watchdog evaluates its rules at the same cadence. <= 0 disables the
-  // pipeline (GET /timeseries and /cluster/health go empty).
+  // quantiles and gauges at this period into a fixed-size TimeSeriesStore
+  // (back-ends ship each row in a status frame to the front-ends, which
+  // mirror it), and the FE SLO watchdog evaluates its rules at the same
+  // cadence. <= 0 disables the pipeline (GET /timeseries and
+  // /cluster/health go empty).
   int64_t telemetry_interval_ms = 1000;
   // Front-end watchdog rules; empty = the built-in defaults (back-end p99
   // latency, replay storms, giveups, loop wakeup delay, load skew).

@@ -42,10 +42,12 @@ bool DecodeDirectives(WireReader* reader, std::vector<RequestDirective>* directi
 
 }  // namespace
 
-std::string EncodeTelemetry(const TelemetryMsg& msg) {
+std::string EncodeNodeStatus(const NodeStatusMsg& msg) {
   WireWriter writer;
   writer.U64(msg.seq);
   writer.U64(static_cast<uint64_t>(msg.t_ms));
+  writer.U32(msg.disk_queue_len);
+  writer.U32(msg.open_conns);
   writer.U32(static_cast<uint32_t>(msg.samples.size()));
   for (const auto& sample : msg.samples) {
     writer.Str(sample.name);
@@ -54,10 +56,12 @@ std::string EncodeTelemetry(const TelemetryMsg& msg) {
   return writer.Take();
 }
 
-bool DecodeTelemetry(std::string_view payload, TelemetryMsg* msg) {
+bool DecodeNodeStatus(std::string_view payload, NodeStatusMsg* msg) {
   WireReader reader(payload);
   msg->seq = reader.U64();
   msg->t_ms = static_cast<int64_t>(reader.U64());
+  msg->disk_queue_len = reader.U32();
+  msg->open_conns = reader.U32();
   const uint32_t count = reader.U32();
   // Each sample costs at least its name length prefix (u32) + value (f64).
   constexpr size_t kMinSampleBytes = 12;
@@ -67,27 +71,11 @@ bool DecodeTelemetry(std::string_view payload, TelemetryMsg* msg) {
   msg->samples.clear();
   msg->samples.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    TelemetrySample sample;
+    StatusSample sample;
     sample.name = reader.Str();
     sample.value = reader.F64();
     msg->samples.push_back(std::move(sample));
   }
-  return reader.Complete();
-}
-
-std::string EncodeHeartbeat(const HeartbeatMsg& msg) {
-  WireWriter writer;
-  writer.U64(msg.seq);
-  writer.U32(msg.disk_queue_len);
-  writer.U32(msg.active_conns);
-  return writer.Take();
-}
-
-bool DecodeHeartbeat(std::string_view payload, HeartbeatMsg* msg) {
-  WireReader reader(payload);
-  msg->seq = reader.U64();
-  msg->disk_queue_len = reader.U32();
-  msg->active_conns = reader.U32();
   return reader.Complete();
 }
 

@@ -2,7 +2,9 @@
 // (Section 7.1): the user-space analogue of the paper's handoff-protocol
 // control connection. Carries connection handoffs (with the client socket fd
 // attached — our TCP handoff), dispatcher consults and tagged-request
-// replies, idle/close notifications, and disk-queue-length reports.
+// replies, idle/close notifications, and each back-end's periodic node
+// status: liveness, disk queue length, open connections and telemetry rows,
+// all in one frame.
 #ifndef SRC_PROTO_CONTROL_PROTOCOL_H_
 #define SRC_PROTO_CONTROL_PROTOCOL_H_
 
@@ -28,8 +30,13 @@ enum class ControlMsg : uint8_t {
   kIdle = 4,
   // BE -> FE. Payload: u64 conn_id. Client connection closed.
   kConnClosed = 5,
-  // BE -> FE. Payload: u32 queue length. Periodic disk report.
-  kDiskReport = 6,
+  // BE -> FE. Payload: NodeStatusMsg. The node's periodic status, broadcast
+  // to every attached front-end: its arrival is the liveness signal (a node
+  // silent past the front-end's heartbeat timeout is declared dead and
+  // auto-removed), its fixed fields are the disk-queue feedback and the
+  // open-connection count, and on telemetry ticks it carries that tick's
+  // sample row for the front-end's mirror of the node's time series.
+  kNodeStatus = 6,
   // BE -> FE. fd attached: the client socket, being handed *back*. Payload:
   // HandbackMsg. Two flavours share the message:
   //   * target_node >= 0 — migration to that node (TCP multiple handoff,
@@ -38,10 +45,6 @@ enum class ControlMsg : uint8_t {
   //     retiring node: the FE asks the dispatcher to *reassign* the
   //     connection and re-handoffs it to the chosen node.
   kHandback = 7,
-  // BE -> FE. Payload: HeartbeatMsg. Periodic liveness + load report; the
-  // front-end's health tracker declares a node dead (and auto-removes it
-  // from the dispatcher) after a configurable number of missed intervals.
-  kHeartbeat = 8,
   // FE -> BE. Payload: u32 flags (reserved, send 0). The node is draining or
   // retiring: give every persistent connection back to the front-end (a
   // kHandback with target_node == kInvalidNode) as soon as it is quiescent
@@ -76,11 +79,6 @@ enum class ControlMsg : uint8_t {
   // would leave the request's consumed prefix unrecoverable: the surviving
   // node would see only the torn suffix from the socket and 400 the client.
   kJournalTail = 14,
-  // BE -> FE. Payload: TelemetryMsg — one periodic telemetry sample row for
-  // the cluster time-series store. Mesh-style absolute state (each row
-  // carries full current values, not deltas since the last row), so a lost
-  // or reordered frame only costs staleness, never drift.
-  kTelemetry = 15,
 };
 
 // One request directive inside kHandoff / kAssignments.
@@ -150,16 +148,6 @@ struct HandbackMsg {
   std::string replay_input;
 };
 
-// Periodic liveness report. Sequence numbers are monotonic per control
-// session so the front-end can spot silent restarts; the load fields ride
-// along so healthy heartbeats double as feedback (disk queue like
-// kDiskReport, plus the node's open client-connection count for /nodes).
-struct HeartbeatMsg {
-  uint64_t seq = 0;
-  uint32_t disk_queue_len = 0;
-  uint32_t active_conns = 0;
-};
-
 // Crash replay (kReplay): everything the adopting node needs to continue a
 // connection whose handling node died without handing it back. The fd rides
 // on the frame (a dup the front-end retained at handoff time).
@@ -209,27 +197,28 @@ struct JournalTailMsg {
   std::string buffered;
 };
 
-// Telemetry sample row (kTelemetry): one sampling tick of a back-end's
-// time-series store, shipped to every attached front-end. Values are
-// already windowed (rates per second, window quantiles) so the front-end
-// mirrors them verbatim; `seq` is monotonic per control session (staleness /
-// restart detection) and `t_ms` is the producer's sample timestamp.
-struct TelemetrySample {
+// Node status (kNodeStatus). `seq` is monotonic per back-end so the
+// front-end can spot silent restarts; `t_ms` is the producer's clock. Every
+// value is absolute state, not a delta since the last frame, so a lost or
+// reordered frame only costs staleness, never drift. `samples` is empty
+// except on telemetry ticks, when it holds that tick's windowed values
+// (rates per second, window quantiles) for the front-end to mirror
+// verbatim, stamped t_ms.
+struct StatusSample {
   std::string name;
   double value = 0.0;
 };
 
-struct TelemetryMsg {
+struct NodeStatusMsg {
   uint64_t seq = 0;
   int64_t t_ms = 0;
-  std::vector<TelemetrySample> samples;
+  uint32_t disk_queue_len = 0;
+  uint32_t open_conns = 0;
+  std::vector<StatusSample> samples;
 };
 
-std::string EncodeTelemetry(const TelemetryMsg& msg);
-bool DecodeTelemetry(std::string_view payload, TelemetryMsg* msg);
-
-std::string EncodeHeartbeat(const HeartbeatMsg& msg);
-bool DecodeHeartbeat(std::string_view payload, HeartbeatMsg* msg);
+std::string EncodeNodeStatus(const NodeStatusMsg& msg);
+bool DecodeNodeStatus(std::string_view payload, NodeStatusMsg* msg);
 
 std::string EncodeHandoff(const HandoffMsg& msg);
 bool DecodeHandoff(std::string_view payload, HandoffMsg* msg);

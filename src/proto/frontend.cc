@@ -87,8 +87,8 @@ std::vector<SloRule> DefaultSloRules() {
 }  // namespace
 
 // Last-reported disk queue length per back-end — the dispatcher's
-// BackendStatsProvider view (updated from kDiskReport messages, heartbeats
-// and consult piggybacks; all under state_mutex_). Grows as nodes join.
+// BackendStatsProvider view (updated from kNodeStatus frames and consult
+// piggybacks; all under state_mutex_). Grows as nodes join.
 class FrontEnd::DiskTable final : public BackendStatsProvider {
  public:
   explicit DiskTable(int num_nodes) : queue_lengths_(static_cast<size_t>(num_nodes), 0) {}
@@ -1678,48 +1678,38 @@ void FrontEnd::OnControlMessage(NodeId node, uint8_t type, std::string payload, 
       }
       return;
     }
-    case ControlMsg::kDiskReport: {
-      uint32_t queue_length = 0;
-      if (DecodeU32(payload, &queue_length)) {
-        disk_table_->Update(node, static_cast<int>(queue_length));
-      }
-      return;
-    }
-    case ControlMsg::kHeartbeat: {
-      HeartbeatMsg msg;
-      if (!DecodeHeartbeat(payload, &msg)) {
-        LARD_LOG(ERROR) << "front-end: bad heartbeat from node " << node;
+    case ControlMsg::kNodeStatus: {
+      NodeStatusMsg msg;
+      if (!DecodeNodeStatus(payload, &msg)) {
+        LARD_LOG(ERROR) << "front-end: bad node status from node " << node;
         return;
       }
       if (msg.seq < link.heartbeat_seq) {
-        LARD_LOG(WARNING) << "front-end: node " << node << " heartbeat sequence went backwards ("
+        LARD_LOG(WARNING) << "front-end: node " << node << " status sequence went backwards ("
                           << link.heartbeat_seq << " -> " << msg.seq << "), node restarted?";
       }
       link.heartbeat_seq = msg.seq;
       link.heartbeat_seen = true;
-      link.reported_conns = msg.active_conns;
+      link.reported_conns = msg.open_conns;
       disk_table_->Update(node, static_cast<int>(msg.disk_queue_len));
       counters_.heartbeats.fetch_add(1, std::memory_order_relaxed);
       if (metric_heartbeats_ != nullptr) {
         metric_heartbeats_->Increment();
       }
-      return;
-    }
-    case ControlMsg::kTelemetry: {
-      TelemetryMsg msg;
-      if (!DecodeTelemetry(payload, &msg)) {
-        LARD_LOG(ERROR) << "front-end: bad telemetry from node " << node;
+      if (msg.samples.empty()) {
         return;
       }
-      // Each row is the producer's absolute state for one tick (a lost frame
-      // only costs staleness), stamped with the *producer's* clock so the
-      // mirrored series stays coherent with the back-end's own timeline.
+      // A telemetry row: mirror it plus the fixed fields, stamped with the
+      // *producer's* clock so the mirrored series stays coherent with the
+      // back-end's own timeline.
       TimeSeriesStore* store = NodeTelemetry(node);
       std::vector<std::pair<int, double>> values;
-      values.reserve(msg.samples.size());
-      for (const TelemetrySample& sample : msg.samples) {
+      values.reserve(msg.samples.size() + 2);
+      for (const StatusSample& sample : msg.samples) {
         values.emplace_back(store->AddSeries(sample.name), sample.value);
       }
+      values.emplace_back(store->AddSeries("disk_queue"), msg.disk_queue_len);
+      values.emplace_back(store->AddSeries("open_conns"), msg.open_conns);
       store->Append(msg.t_ms, values);
       return;
     }

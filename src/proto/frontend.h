@@ -18,7 +18,7 @@
 //     relays the response bytes itself.
 //
 // The front-end is also the cluster's control plane anchor: it tracks
-// back-end liveness via kHeartbeat messages on the control sessions, declares
+// back-end liveness via kNodeStatus frames on the control sessions, declares
 // a silent node dead after `heartbeat_timeout_ms` and auto-removes it from
 // the dispatcher (the kill-a-back-end scenario), and exposes the membership
 // operations the admin API drives — AddNode, DrainNode, RemoveNode,
@@ -104,8 +104,8 @@ struct FrontEndConfig {
   uint16_t listen_port = 0;  // 0 = pick a free port
   // Relay-mode back-end fetch deadline (see BackendConfig::lateral_timeout_ms).
   int64_t lateral_timeout_ms = 2000;
-  // A back-end silent (no heartbeat, no disk report) for this long is
-  // declared dead and auto-removed. <= 0 disables liveness tracking (the
+  // A back-end that sends no control frame for this long (status frames
+  // come every 100 ms) is declared dead and auto-removed. <= 0 disables liveness tracking (the
   // control-session-EOF path still removes crashed nodes).
   int64_t heartbeat_timeout_ms = 2000;
   // Graceful removal: a live node being admin-removed first drains and gives
@@ -138,7 +138,7 @@ struct FrontEndConfig {
   // Telemetry sampling period for this front-end's TimeSeriesStore (conn/
   // handoff/replay rates, loop health, process gauges) and the SLO watchdog
   // evaluation cadence. <= 0 disables the telemetry pipeline on this FE
-  // (back-end kTelemetry rows are still mirrored if they arrive).
+  // (back-end telemetry rows are still mirrored if they arrive).
   int64_t telemetry_interval_ms = 0;
   // Watchdog rules evaluated every telemetry tick. Empty = a built-in
   // default set (back-end p99 latency, giveup/replay rates, loop wakeup
@@ -350,8 +350,8 @@ class FrontEnd {
   // removal so ids stay stable). Loop-0 confined.
   struct NodeLink {
     std::unique_ptr<FramedChannel> control;
-    int64_t last_heartbeat_ms = 0;   // also bumped by disk reports/consults
-    bool heartbeat_seen = false;     // a real kHeartbeat arrived (age is valid)
+    int64_t last_heartbeat_ms = 0;   // bumped by every control frame
+    bool heartbeat_seen = false;     // a kNodeStatus frame arrived (age is valid)
     uint64_t heartbeat_seq = 0;
     uint32_t reported_conns = 0;
     // Non-zero once this node's *detected* failure (heartbeat loss or
@@ -536,7 +536,7 @@ class FrontEnd {
   std::string mesh_json_ LARD_GUARDED_BY(mesh_json_mutex_);
 
   // Telemetry: this replica's own store + one mirror store per back-end
-  // (fed by kTelemetry rows on loop 0, read by the admin thread). The store
+  // (fed by kNodeStatus rows on loop 0, read by the admin thread). The store
   // objects are internally synchronized; the mirror map itself needs the
   // mutex because loop 0 inserts while admin readers iterate.
   std::unique_ptr<TimeSeriesStore> telemetry_;

@@ -34,7 +34,6 @@ ClusterConfig BaseConfig(int nodes) {
   config.mechanism = Mechanism::kBackEndForwarding;
   config.backend_cache_bytes = 2ull * 1024 * 1024;
   config.disk_time_scale = 0.02;
-  config.heartbeat_interval_ms = 50;
   config.heartbeat_timeout_ms = 400;
   return config;
 }

@@ -144,6 +144,55 @@ TEST(RequestParserTest, BodyWithContentLength) {
   EXPECT_EQ(requests[1].path, "/next");
 }
 
+// Everything a parse produced, as one comparable string.
+std::string Describe(const std::vector<HttpRequest>& requests, const RequestParser& parser) {
+  std::string out;
+  for (const HttpRequest& request : requests) {
+    out += request.method + " " + request.path + " " +
+           (request.version == HttpVersion::kHttp10 ? "1.0" : "1.1") + "\n";
+    for (const auto& [name, value] : request.headers.entries()) {
+      out += "  " + name + "=" + value + "\n";
+    }
+    out += "  body[" + request.body + "]\n";
+  }
+  return out + "buffered[" + parser.buffered() + "]";
+}
+
+TEST(RequestParserTest, SplitAtEveryByteMatchesWholeBufferParse) {
+  // Several GETs, a POST whose body looks like a request line, more GETs,
+  // and a partial trailing request left in the buffer.
+  const std::string stream =
+      "GET /a HTTP/1.1\r\nHost: h\r\n\r\n"
+      "GET /b HTTP/1.0\r\n\r\n"
+      "POST /form HTTP/1.1\r\nContent-Length: 20\r\nX-Pad:  v \r\n\r\n"
+      "GET /fake HTTP/1.1\r\n"
+      "GET /c HTTP/1.1\r\nConnection: close\r\n\r\n"
+      "GET /d HTTP/1.1\r\n\r\n"
+      "GET /partial HTTP/1.1\r\nHo";
+  RequestParser whole;
+  std::vector<HttpRequest> expected_requests;
+  ASSERT_EQ(whole.Feed(stream, &expected_requests), RequestParser::State::kNeedMore);
+  ASSERT_EQ(expected_requests.size(), 5u);
+  EXPECT_EQ(expected_requests[2].body, "GET /fake HTTP/1.1\r\n");
+  const std::string expected = Describe(expected_requests, whole);
+
+  for (size_t split = 0; split <= stream.size(); ++split) {
+    RequestParser parser;
+    std::vector<HttpRequest> requests;
+    ASSERT_EQ(parser.Feed(std::string_view(stream).substr(0, split), &requests),
+              RequestParser::State::kNeedMore);
+    ASSERT_EQ(parser.Feed(std::string_view(stream).substr(split), &requests),
+              RequestParser::State::kNeedMore);
+    EXPECT_EQ(Describe(requests, parser), expected) << "split at " << split;
+  }
+  RequestParser bytewise;
+  std::vector<HttpRequest> requests;
+  for (const char c : stream) {
+    ASSERT_EQ(bytewise.Feed(std::string_view(&c, 1), &requests), RequestParser::State::kNeedMore);
+  }
+  EXPECT_EQ(Describe(requests, bytewise), expected);
+}
+
 TEST(RequestParserTest, HeaderWhitespaceTrimmed) {
   RequestParser parser;
   std::vector<HttpRequest> requests;

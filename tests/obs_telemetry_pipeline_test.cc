@@ -1,6 +1,6 @@
-// The telemetry pipeline end to end: the kTelemetry wire codec, the
-// simulator's deterministic virtual-time series, and the prototype cluster's
-// admin surface (/timeseries, /cluster/health, /slowlog, /trace filtering).
+// The telemetry pipeline end to end: the simulator's deterministic
+// virtual-time series, and the prototype cluster's admin surface
+// (/timeseries, /cluster/health, /slowlog, /trace filtering, /nodes).
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
@@ -10,7 +10,6 @@
 
 #include "src/net/socket.h"
 #include "src/proto/cluster.h"
-#include "src/proto/control_protocol.h"
 #include "src/proto/load_generator.h"
 #include "src/sim/cluster_sim.h"
 #include "src/trace/synthetic.h"
@@ -18,63 +17,6 @@
 
 namespace lard {
 namespace {
-
-// --- wire codec ---
-
-TEST(TelemetryCodecTest, RoundTripPreservesEveryField) {
-  TelemetryMsg msg;
-  msg.seq = 0x1122334455667788ull;
-  msg.t_ms = 1234567890123ll;
-  msg.samples.push_back({"request_rate", 1234.5});
-  msg.samples.push_back({"hit_ratio", 0.875});
-  msg.samples.push_back({"latency_p99_us", -0.0});
-  msg.samples.push_back({"", 3.5e300});  // empty name and extreme magnitude
-
-  TelemetryMsg decoded;
-  ASSERT_TRUE(DecodeTelemetry(EncodeTelemetry(msg), &decoded));
-  EXPECT_EQ(decoded.seq, msg.seq);
-  EXPECT_EQ(decoded.t_ms, msg.t_ms);
-  ASSERT_EQ(decoded.samples.size(), msg.samples.size());
-  for (size_t i = 0; i < msg.samples.size(); ++i) {
-    EXPECT_EQ(decoded.samples[i].name, msg.samples[i].name) << i;
-    EXPECT_DOUBLE_EQ(decoded.samples[i].value, msg.samples[i].value) << i;
-  }
-}
-
-TEST(TelemetryCodecTest, EmptySampleRowRoundTrips) {
-  TelemetryMsg msg;
-  msg.seq = 7;
-  msg.t_ms = 42;
-  TelemetryMsg decoded;
-  ASSERT_TRUE(DecodeTelemetry(EncodeTelemetry(msg), &decoded));
-  EXPECT_EQ(decoded.seq, 7u);
-  EXPECT_EQ(decoded.t_ms, 42);
-  EXPECT_TRUE(decoded.samples.empty());
-}
-
-TEST(TelemetryCodecTest, TruncatedFramesAreRejectedNotCrashed) {
-  TelemetryMsg msg;
-  msg.seq = 99;
-  msg.t_ms = 1000;
-  msg.samples.push_back({"request_rate", 10.0});
-  msg.samples.push_back({"disk_queue", 2.0});
-  const std::string encoded = EncodeTelemetry(msg);
-  for (size_t len = 0; len < encoded.size(); ++len) {
-    TelemetryMsg decoded;
-    EXPECT_FALSE(DecodeTelemetry(std::string_view(encoded).substr(0, len), &decoded))
-        << "prefix of length " << len << " decoded";
-  }
-}
-
-TEST(TelemetryCodecTest, GarbageFramesAreRejected) {
-  TelemetryMsg decoded;
-  EXPECT_FALSE(DecodeTelemetry("not a telemetry frame at all", &decoded));
-  // A frame whose sample count claims more rows than the payload could hold
-  // must be rejected by the bound check, not allocated.
-  std::string bomb(16, '\0');  // seq + t_ms
-  bomb += std::string("\xff\xff\xff\xff", 4);  // sample count
-  EXPECT_FALSE(DecodeTelemetry(bomb, &decoded));
-}
 
 // --- simulator twin ---
 
@@ -167,6 +109,13 @@ std::string AdminHttp(uint16_t port, const std::string& method, const std::strin
   return status_line.substr(space + 1, 3) + " " + reply.substr(header_end + 4);
 }
 
+// The first node's heartbeat_seq in a GET /nodes reply; -1 when absent.
+int64_t FirstHeartbeatSeq(const std::string& nodes) {
+  const std::string key = "\"heartbeat_seq\":";
+  const size_t at = nodes.find(key);
+  return at == std::string::npos ? -1 : std::stoll(nodes.substr(at + key.size()));
+}
+
 TEST(ClusterTelemetryTest, AdminSurfaceServesSeriesHealthSlowlogAndTraces) {
   const Trace trace = TestTrace();
   ClusterConfig config;
@@ -197,6 +146,12 @@ TEST(ClusterTelemetryTest, AdminSurfaceServesSeriesHealthSlowlogAndTraces) {
   EXPECT_NE(series.find("conn_rate"), std::string::npos);
   EXPECT_NE(series.find("\"be0\""), std::string::npos) << series;
   EXPECT_NE(series.find("request_rate"), std::string::npos);
+  // The status frame's fixed fields join each mirrored row.
+  const std::string be0 = AdminHttp(admin, "GET", "/timeseries?component=be0");
+  EXPECT_EQ(be0.substr(0, 3), "200") << be0;
+  EXPECT_NE(be0.find("\"disk_queue\""), std::string::npos) << be0;
+  EXPECT_NE(be0.find("\"open_conns\""), std::string::npos) << be0;
+  EXPECT_NE(be0.find("\"lateral_rate\""), std::string::npos) << be0;
 
   // Component + metric filters restrict the output.
   const std::string filtered =
@@ -251,6 +206,15 @@ TEST(ClusterTelemetryTest, DisabledTelemetryKeepsEndpointsHonest) {
   const std::string health = AdminHttp(admin, "GET", "/cluster/health");
   EXPECT_EQ(health.substr(0, 3), "200") << health;
   EXPECT_NE(health.find("\"status\":\"ok\""), std::string::npos) << health;
+
+  // Status frames flow without telemetry: liveness advances, no rows mirror.
+  const int64_t first = FirstHeartbeatSeq(AdminHttp(admin, "GET", "/nodes"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  const std::string nodes = AdminHttp(admin, "GET", "/nodes");
+  EXPECT_EQ(nodes.substr(0, 3), "200") << nodes;
+  EXPECT_GE(first, 0) << nodes;
+  EXPECT_GT(FirstHeartbeatSeq(nodes), first) << nodes;
+  EXPECT_EQ(AdminHttp(admin, "GET", "/timeseries").find("\"be0\""), std::string::npos);
 
   cluster.Stop();
 }

@@ -38,7 +38,6 @@ ClusterConfig SmallConfig() {
   config.mechanism = Mechanism::kBackEndForwarding;
   config.backend_cache_bytes = 1ull * 1024 * 1024;
   config.disk_time_scale = 0.02;
-  config.heartbeat_interval_ms = 50;
   config.heartbeat_timeout_ms = 2000;
   config.retire_grace_ms = 2000;
   return config;

@@ -181,6 +181,35 @@ TEST(ProtoIdleTimeoutTest, BackEndSweepClosesAdoptedConnAndNotifiesFrontEnd) {
   cluster.Stop();
 }
 
+TEST(ProtoIdleTimeoutTest, BackEndReapsClosingConnWhoseClientStopsReading) {
+  // A Connection: close response far larger than the loopback socket
+  // buffers, to a client that never reads: the response can never drain, so
+  // the back-end's sweep must reap the stalled write and send kConnClosed.
+  TargetCatalog catalog;
+  const std::string path = "/big.bin";
+  catalog.Intern(path, 32ull * 1024 * 1024);
+  Cluster cluster(BaseConfig(Mechanism::kBackEndForwarding, 0, 300), &catalog);
+  ASSERT_TRUE(cluster.Start().ok());
+
+  auto fd = ConnectTcp(cluster.port());
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(SendAll(fd.value().get(),
+                      "GET " + path + " HTTP/1.1\r\nHost: cluster\r\nConnection: close\r\n\r\n"));
+  int64_t deadline = NowMs() + 5000;
+  while (cluster.frontend(0).open_conns_handed_off() != 1 && NowMs() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(cluster.frontend(0).open_conns_handed_off(), 1);
+  // The dispatcher drains once the sweep reaps the stalled response.
+  deadline = NowMs() + 5000;
+  while (cluster.frontend(0).open_conns_handed_off() != 0 && NowMs() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(cluster.frontend(0).open_conns_handed_off(), 0)
+      << "closing connection with a non-reading client lingers";
+  cluster.Stop();
+}
+
 TEST(ProtoIdleTimeoutTest, RuntimeKnobAppliesAtNextArm) {
   const Trace trace = TestTrace();
   // Reaping disabled at startup.

@@ -36,7 +36,6 @@ ClusterConfig MeshConfig(int nodes, int frontends) {
   config.mechanism = Mechanism::kBackEndForwarding;
   config.backend_cache_bytes = 2ull * 1024 * 1024;
   config.disk_time_scale = 0.02;
-  config.heartbeat_interval_ms = 50;
   config.heartbeat_timeout_ms = 2000;
   config.retire_grace_ms = 2000;
   return config;

@@ -40,7 +40,6 @@ ClusterConfig MultiLoopConfig(int nodes, int fe_loops, int frontends = 1) {
   config.mechanism = Mechanism::kBackEndForwarding;
   config.backend_cache_bytes = 2ull * 1024 * 1024;
   config.disk_time_scale = 0.02;
-  config.heartbeat_interval_ms = 50;
   config.heartbeat_timeout_ms = 2000;
   config.retire_grace_ms = 2000;
   return config;

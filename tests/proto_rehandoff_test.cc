@@ -41,7 +41,6 @@ ClusterConfig BaseConfig(int nodes, Policy policy = Policy::kExtendedLard,
   config.mechanism = mechanism;
   config.backend_cache_bytes = 2ull * 1024 * 1024;
   config.disk_time_scale = 0.02;
-  config.heartbeat_interval_ms = 50;
   config.heartbeat_timeout_ms = 2000;
   config.retire_grace_ms = 1500;
   return config;

@@ -331,7 +331,6 @@ ClusterConfig CrashConfig(int nodes) {
   // Cold targets cost ~8ms each: a kill right after a pipelined batch lands
   // reliably catches requests in flight.
   config.disk_time_scale = 0.3;
-  config.heartbeat_interval_ms = 50;
   config.heartbeat_timeout_ms = 400;
   config.retire_grace_ms = 1500;
   return config;

@@ -225,16 +225,74 @@ TEST(ControlProtocolTest, DecodeRejectsTruncation) {
   EXPECT_FALSE(DecodeU64("abc", &v));
 }
 
-TEST(ControlProtocolTest, HeartbeatRoundTrips) {
-  HeartbeatMsg msg;
-  msg.seq = 0x123456789abcull;
-  msg.disk_queue_len = 17;
-  msg.active_conns = 42;
-  HeartbeatMsg decoded;
-  ASSERT_TRUE(DecodeHeartbeat(EncodeHeartbeat(msg), &decoded));
+// --- Node status (kNodeStatus): liveness, load feedback, telemetry row ---
+
+TEST(NodeStatusCodecTest, RoundTripPreservesEveryField) {
+  NodeStatusMsg msg;
+  msg.seq = 0x1122334455667788ull;
+  msg.t_ms = 1234567890123ll;
+  msg.disk_queue_len = 0xffffffffu;
+  msg.open_conns = 42;
+  msg.samples.push_back({"request_rate", 1234.5});
+  msg.samples.push_back({"hit_ratio", 0.875});
+  msg.samples.push_back({"latency_p99_us", -0.0});
+  msg.samples.push_back({"", 3.5e300});  // empty name and extreme magnitude
+
+  NodeStatusMsg decoded;
+  ASSERT_TRUE(DecodeNodeStatus(EncodeNodeStatus(msg), &decoded));
   EXPECT_EQ(decoded.seq, msg.seq);
-  EXPECT_EQ(decoded.disk_queue_len, 17u);
-  EXPECT_EQ(decoded.active_conns, 42u);
+  EXPECT_EQ(decoded.t_ms, msg.t_ms);
+  EXPECT_EQ(decoded.disk_queue_len, msg.disk_queue_len);
+  EXPECT_EQ(decoded.open_conns, msg.open_conns);
+  ASSERT_EQ(decoded.samples.size(), msg.samples.size());
+  for (size_t i = 0; i < msg.samples.size(); ++i) {
+    EXPECT_EQ(decoded.samples[i].name, msg.samples[i].name) << i;
+    EXPECT_DOUBLE_EQ(decoded.samples[i].value, msg.samples[i].value) << i;
+  }
+}
+
+TEST(NodeStatusCodecTest, EmptySampleRowRoundTrips) {
+  // The 100 ms liveness frame: fixed fields only.
+  NodeStatusMsg msg;
+  msg.seq = 7;
+  msg.t_ms = 42;
+  msg.disk_queue_len = 3;
+  msg.open_conns = 5;
+  NodeStatusMsg decoded;
+  decoded.samples.push_back({"stale", 1.0});  // decode must clear it
+  ASSERT_TRUE(DecodeNodeStatus(EncodeNodeStatus(msg), &decoded));
+  EXPECT_EQ(decoded.seq, 7u);
+  EXPECT_EQ(decoded.t_ms, 42);
+  EXPECT_EQ(decoded.disk_queue_len, 3u);
+  EXPECT_EQ(decoded.open_conns, 5u);
+  EXPECT_TRUE(decoded.samples.empty());
+}
+
+TEST(NodeStatusCodecTest, EveryStrictPrefixIsRejected) {
+  NodeStatusMsg msg;
+  msg.seq = 99;
+  msg.t_ms = 1000;
+  msg.disk_queue_len = 2;
+  msg.open_conns = 4;
+  msg.samples.push_back({"request_rate", 10.0});
+  msg.samples.push_back({"lateral_rate", 2.0});
+  const std::string encoded = EncodeNodeStatus(msg);
+  for (size_t len = 0; len < encoded.size(); ++len) {
+    NodeStatusMsg decoded;
+    EXPECT_FALSE(DecodeNodeStatus(std::string_view(encoded).substr(0, len), &decoded))
+        << "prefix of length " << len << " decoded";
+  }
+}
+
+TEST(NodeStatusCodecTest, GarbageAndSampleCountBombAreRejected) {
+  NodeStatusMsg decoded;
+  EXPECT_FALSE(DecodeNodeStatus("not a node status frame at all", &decoded));
+  // A frame whose sample count claims more rows than the payload could hold
+  // must be rejected by the bound check, not allocated.
+  std::string bomb(24, '\0');  // seq + t_ms + disk queue + open conns
+  bomb += std::string("\xff\xff\xff\xff", 4);  // sample count
+  EXPECT_FALSE(DecodeNodeStatus(bomb, &decoded));
+  EXPECT_TRUE(decoded.samples.empty());
 }
 
 // --- Decoder robustness: truncations and garbage against every decoder ---
@@ -264,11 +322,13 @@ std::vector<std::string> ValidEncodings() {
   assignments.conn_id = 10;
   assignments.directives = {directive};
 
-  HeartbeatMsg heartbeat;
-  heartbeat.seq = 11;
+  NodeStatusMsg status;
+  status.seq = 11;
+  status.disk_queue_len = 2;
+  status.samples = {{"request_rate", 5.0}};
 
   return {EncodeHandoff(handoff), EncodeHandback(handback),   EncodeConsult(consult),
-          EncodeAssignments(assignments), EncodeHeartbeat(heartbeat), EncodeU64(12),
+          EncodeAssignments(assignments), EncodeNodeStatus(status), EncodeU64(12),
           EncodeU32(13)};
 }
 
@@ -283,8 +343,8 @@ void DecodeWithAll(std::string_view payload) {
   (void)DecodeConsult(payload, &consult);
   AssignmentsMsg assignments;
   (void)DecodeAssignments(payload, &assignments);
-  HeartbeatMsg heartbeat;
-  (void)DecodeHeartbeat(payload, &heartbeat);
+  NodeStatusMsg status;
+  (void)DecodeNodeStatus(payload, &status);
   uint64_t v64;
   (void)DecodeU64(payload, &v64);
   uint32_t v32;
@@ -386,8 +446,8 @@ TEST(ControlProtocolRobustnessTest, TrailingJunkIsRejected) {
   EXPECT_FALSE(DecodeConsult(encodings[2] + "!", &consult));
   AssignmentsMsg assignments;
   EXPECT_FALSE(DecodeAssignments(encodings[3] + "!", &assignments));
-  HeartbeatMsg heartbeat;
-  EXPECT_FALSE(DecodeHeartbeat(encodings[4] + "!", &heartbeat));
+  NodeStatusMsg status;
+  EXPECT_FALSE(DecodeNodeStatus(encodings[4] + "!", &status));
   uint64_t v64;
   EXPECT_FALSE(DecodeU64(encodings[5] + "!", &v64));
   uint32_t v32;
