@@ -120,8 +120,21 @@ void Connection::Flush() {
   }
 }
 
-bool Connection::SendQueued() {
-  while (!out_.empty()) {
+void Connection::Write(std::string_view data) {
+  LARD_CHECK(open_);
+  data = TakeSkip(data);
+  if (!SendQueued(&data)) {
+    return;
+  }
+  if (!data.empty() && !JoinOwnedTail(data)) {
+    out_bytes_ += data.size();
+    out_.push_back(Segment{std::string(data), {}});
+  }
+  UpdateInterest();
+}
+
+bool Connection::SendQueued(std::string_view* extra) {
+  while (!out_.empty() || (extra != nullptr && !extra->empty())) {
     iovec iov[kMaxIov];
     size_t count = 0;
     size_t offset = out_offset_;
@@ -131,22 +144,32 @@ bool Connection::SendQueued() {
       iov[count].iov_len = bytes.size() - offset;
       offset = 0;
     }
+    // The extra view rides along once every queued segment is in the list.
+    if (count == out_.size() && count < kMaxIov && extra != nullptr && !extra->empty()) {
+      iov[count].iov_base = const_cast<char*>(extra->data());
+      iov[count].iov_len = extra->size();
+      ++count;
+    }
     msghdr msg{};
     msg.msg_iov = iov;
     msg.msg_iovlen = count;
     const ssize_t n = ::sendmsg(fd_.get(), &msg, MSG_NOSIGNAL);
     if (n > 0) {
       bytes_flushed_ += static_cast<uint64_t>(n);
-      out_bytes_ -= static_cast<size_t>(n);
-      for (size_t sent = static_cast<size_t>(n); sent > 0;) {
-        const size_t left = out_.front().bytes().size() - out_offset_;
-        if (sent < left) {
-          out_offset_ += sent;
-          break;
+      size_t sent = static_cast<size_t>(n);
+      while (sent > 0 && !out_.empty()) {
+        const size_t segment = out_.front().bytes().size();
+        const size_t take = std::min(sent, segment - out_offset_);
+        sent -= take;
+        out_bytes_ -= take;
+        out_offset_ += take;
+        if (out_offset_ == segment) {
+          out_.pop_front();
+          out_offset_ = 0;
         }
-        sent -= left;
-        out_.pop_front();
-        out_offset_ = 0;
+      }
+      if (sent > 0) {
+        extra->remove_prefix(sent);
       }
       continue;
     }

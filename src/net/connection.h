@@ -88,11 +88,13 @@ class Connection {
   // on the stack and reads bytes_flushed() itself.
   void Flush();
 
+  // Sends `data` after whatever is queued, in one gather write, and copies
+  // only what the socket refuses into an owned segment. The view need not
+  // outlive the call. Honours the SkipNext budget; like Flush() it never
+  // fires on_write_drained/on_write_progress, and unlike Flush() it tries
+  // the socket even while waiting for EPOLLOUT, since a refusal costs a copy.
+  void Write(std::string_view data);
   // Queue + Flush.
-  void Write(std::string_view data) {
-    Queue(std::string(data));
-    Flush();
-  }
   void Write(std::string&& data) {
     Queue(std::move(data));
     Flush();
@@ -132,9 +134,10 @@ class Connection {
   void HandleEvents(uint32_t events);
   void HandleReadable();
   void HandleWritable();
-  // Gather-writes queued segments until the socket would block. Returns
-  // false when the connection failed (and is closed).
-  bool SendQueued();
+  // Gather-writes queued segments, then `*extra` (advanced past what was
+  // sent), until the socket would block. Returns false when the connection
+  // failed (and is closed).
+  bool SendQueued(std::string_view* extra = nullptr);
   // Trims the skip budget off the front of `data`; returns the bytes kept.
   std::string_view TakeSkip(std::string_view data);
   // Appends `data` to the owned tail when it is small and the tail has

@@ -16,13 +16,15 @@ namespace lard {
 namespace {
 constexpr int64_t kHousekeepingPeriodMs = 100;
 
-// Queues a response (its head, its body's owned prefix, then the body's fill
-// views of the static slab) and sends what the socket takes now.
-void SendResponse(Connection* conn, std::string head, BodyParts body) {
-  conn->Queue(std::move(head));
+// Whether the client connection stays open after this response.
+bool KeepsAlive(const HttpRequest& request, int status) {
+  return status != 400 && request.KeepAlive();
+}
+
+// Queues a body: its owned prefix, then its fill views of the static slab.
+void QueueBody(Connection* conn, BodyParts body) {
   conn->Queue(std::move(body.prefix));
   body.ForEachFillView([conn](std::string_view view) { conn->QueueBorrowed(view); });
-  conn->Flush();
 }
 }  // namespace
 
@@ -782,47 +784,106 @@ void BackendServer::ServeLateral(ClientConn* conn, const HttpRequest& request, N
   }
   LateralClient* client = peers_[static_cast<size_t>(peer)].get();
   LARD_CHECK(client != nullptr) << "no lateral client for node " << peer;
-  const ConnId id = conn->id;
   conn->serve_cache = 'l';
-  const int64_t lateral_start_us = conn->traced ? TraceNowUs() : 0;
-  client->Fetch(path, [this, id, peer, request, lateral_start_us](int status, std::string body) {
-    auto it = conns_.find(id);
-    if (it == conns_.end()) {
+  conn->relaying = true;
+  auto relay = std::make_shared<Relay>();
+  relay->conn_id = conn->id;
+  relay->peer = peer;
+  relay->request = request;
+  relay->start_us = conn->traced ? TraceNowUs() : 0;
+  // Cut-through: the head is queued when the peer's head arrives, and each
+  // run of body bytes goes to the client as it is read, so only what the
+  // client socket refuses is ever held. Nothing is cached locally
+  // (NFS-client-caching-disabled semantics: replication stays under LARD's
+  // control).
+  LateralClient::FetchHandler handler;
+  handler.on_head = [this, relay](int status, uint64_t length) {
+    relay->status = status;
+    relay->length = length;
+    relay->head_seen = true;
+    auto it = conns_.find(relay->conn_id);
+    if (it != conns_.end() && !it->second->closed) {
+      relay->wire_bytes = BeginResponse(it->second.get(), relay->request, status, length);
+    }
+  };
+  handler.on_body = [this, relay](std::string_view bytes) {
+    relay->relayed += bytes.size();
+    auto it = conns_.find(relay->conn_id);
+    if (!relay->wire_bytes || it == conns_.end() || it->second->closed) {
       return;
     }
     ClientConn* conn = it->second.get();
-    if (conn->traced) {
-      RecordSpan(tracer_, trace_ring_, id, conn->trace_seq++, SpanKind::kLateral,
-                 config_.node_id, lateral_start_us, TraceNowUs() - lateral_start_us,
-                 "peer=%d status=%d%s", peer, status, status == 0 ? " fallback=local" : "");
-    }
-    if (status == 200) {
-      // Relay without caching locally (NFS-client-caching-disabled semantics:
-      // replication stays under LARD's control). The body is moved into the
-      // connection's queue, not copied.
-      WriteResponse(conn, request, 200, BodyParts::Owned(std::move(body)));
-      return;
-    }
-    if (status == 0) {
-      // Peer unreachable: degrade to a local serve so the client still gets
-      // its document (the paper's NFS path would block instead).
-      LARD_LOG(WARNING) << "backend " << config_.node_id
-                        << ": lateral fetch failed, serving locally: " << request.path;
-      RequestDirective fallback;
-      fallback.path = request.path;
-      ServeLocal(conn, request, fallback);
-      return;
-    }
-    WriteResponse(conn, request, status, BodyParts::Owned(std::move(body)));
-  });
+    conn->conn->Write(bytes);
+    MaybeSendReplayAck(conn);
+  };
+  handler.on_end = [this, relay](bool ok) { EndRelay(*relay, ok); };
+  client->Fetch(path, std::move(handler));
 }
 
-void BackendServer::WriteResponse(ClientConn* conn, const HttpRequest& request, int status,
-                                  BodyParts body) {
+void BackendServer::EndRelay(const Relay& relay, bool ok) {
+  auto it = conns_.find(relay.conn_id);
+  if (it == conns_.end() || it->second->closed) {
+    return;
+  }
+  ClientConn* conn = it->second.get();
+  conn->relaying = false;
+  const HttpRequest& request = relay.request;
+  // A relay cut short mid-body is finished from the local store when the
+  // local document is the one being relayed (a 200 of the same length: the
+  // bytes are deterministic), so the client still gets every byte.
+  TargetId target = kInvalidTarget;
+  if (!ok && relay.head_seen && relay.status == 200) {
+    target = store_->Resolve(request.path);
+  }
+  const bool finish_locally = target != kInvalidTarget && store_->SizeOf(target) == relay.length;
+  if (conn->traced) {
+    RecordSpan(tracer_, trace_ring_, conn->id, conn->trace_seq++, SpanKind::kLateral,
+               config_.node_id, relay.start_us, TraceNowUs() - relay.start_us,
+               "peer=%d status=%d%s", relay.peer, relay.status,
+               ok ? "" : (!relay.head_seen || finish_locally ? " fallback=local" : " cut"));
+  }
+  if (!relay.head_seen) {
+    // Peer unreachable: degrade to a local serve so the client still gets
+    // its document (the paper's NFS path would block instead).
+    LARD_LOG(WARNING) << "backend " << config_.node_id
+                      << ": lateral fetch failed, serving locally: " << request.path;
+    RequestDirective fallback;
+    fallback.path = request.path;
+    ServeLocal(conn, request, fallback);
+    return;
+  }
+  if (!relay.wire_bytes) {
+    return;  // the client was gone at the head: the request is finished
+  }
+  if (ok) {
+    EndResponse(conn, request, relay.status, *relay.wire_bytes);
+    return;
+  }
+  if (finish_locally) {
+    LARD_LOG(WARNING) << "backend " << config_.node_id << ": lateral relay cut after "
+                      << relay.relayed << " of " << relay.length
+                      << " body bytes, finishing locally: " << request.path;
+    // The head and the relayed bytes are already queued or sent: skip that
+    // much of the local body.
+    conn->conn->SkipNext(relay.relayed);
+    QueueBody(conn->conn.get(), store_->PartsFor(target));
+    EndResponse(conn, request, relay.status, *relay.wire_bytes);
+    return;
+  }
+  // Nothing local can finish these bytes: a short response followed by the
+  // next one would desynchronize the client, so close it.
+  LARD_LOG(ERROR) << "backend " << config_.node_id << ": lateral relay of " << request.path
+                  << " cut after " << relay.relayed << " of " << relay.length
+                  << " body bytes, closing the client";
+  CloseClient(conn, /*notify_frontend=*/true);
+}
+
+std::optional<uint64_t> BackendServer::BeginResponse(ClientConn* conn, const HttpRequest& request,
+                                                     int status, uint64_t body_size) {
   if (conn->closed || conn->conn == nullptr || !conn->conn->open()) {
     // Client vanished mid-service; just advance the pipeline.
     FinishRequest(conn);
-    return;
+    return std::nullopt;
   }
   HttpResponse response;
   response.version = request.version;
@@ -835,17 +896,16 @@ void BackendServer::WriteResponse(ClientConn* conn, const HttpRequest& request, 
                                                                   : config_.node_id;
   response.headers.Add("Server", "lard-be" + std::to_string(identity));
   response.headers.Add("Content-Type", "application/octet-stream");
-  const bool keep_alive = status != 400 && request.KeepAlive();
-  if (!keep_alive) {
+  if (!KeepsAlive(request, status)) {
     response.headers.Add("Connection", "close");
   }
   counters_.requests_served.fetch_add(1, std::memory_order_relaxed);
   if (metric_requests_ != nullptr) {
     metric_requests_->Increment();
   }
-  counters_.bytes_to_clients.fetch_add(body.size(), std::memory_order_relaxed);
-  std::string head = response.SerializeHead(body.size());
-  uint64_t wire_bytes = head.size() + body.size();
+  counters_.bytes_to_clients.fetch_add(body_size, std::memory_order_relaxed);
+  std::string head = response.SerializeHead(body_size);
+  uint64_t wire_bytes = head.size() + body_size;
   if (conn->splice_pending) {
     conn->splice_pending = false;
     if (conn->splice_remaining >= wire_bytes) {
@@ -856,17 +916,28 @@ void BackendServer::WriteResponse(ClientConn* conn, const HttpRequest& request, 
                       << conn->splice_remaining << " >= regenerated response size "
                       << wire_bytes << " on connection " << conn->id << ", closing";
       CloseClient(conn, /*notify_frontend=*/true);
-      return;
+      return std::nullopt;
     }
     if (conn->splice_remaining > 0) {
-      // The skip spans head, prefix and slab views alike.
+      // The skip spans the head and the body, however the body is queued.
       conn->conn->SkipNext(conn->splice_remaining);
       wire_bytes -= conn->splice_remaining;
       counters_.spliced_responses.fetch_add(1, std::memory_order_relaxed);
     }
     conn->splice_remaining = 0;
   }
-  SendResponse(conn->conn.get(), std::move(head), std::move(body));
+  conn->conn->Queue(std::move(head));
+  if (conn->replay_protected) {
+    // Journal bookkeeping: where (in flushed-byte space) this response ends.
+    conn->enqueued_total += wire_bytes;
+    conn->response_ends.push_back(conn->enqueued_total);
+  }
+  return wire_bytes;
+}
+
+void BackendServer::EndResponse(ClientConn* conn, const HttpRequest& request, int status,
+                                uint64_t wire_bytes) {
+  conn->conn->Flush();
   conn->last_activity_ms = NowMs();
   if (conn->timed && conn->serve_start_us > 0) {
     const int64_t now_us = TraceNowUs();
@@ -899,13 +970,8 @@ void BackendServer::WriteResponse(ClientConn* conn, const HttpRequest& request, 
     }
     conn->serve_start_us = 0;
   }
-  if (conn->replay_protected) {
-    // Journal bookkeeping: where (in flushed-byte space) this response ends.
-    conn->enqueued_total += wire_bytes;
-    conn->response_ends.push_back(conn->enqueued_total);
-  }
 
-  if (!keep_alive) {
+  if (!KeepsAlive(request, status)) {
     if (conn->conn->pending_write_bytes() > 0) {
       // Close (and notify) once the kernel holds the whole final response.
       // CloseClient's posted erase destroys the socket, so closing now
@@ -933,6 +999,16 @@ void BackendServer::WriteResponse(ClientConn* conn, const HttpRequest& request, 
   }
   MaybeSendReplayAck(conn);
   FinishRequest(conn);
+}
+
+void BackendServer::WriteResponse(ClientConn* conn, const HttpRequest& request, int status,
+                                  BodyParts body) {
+  const std::optional<uint64_t> wire_bytes = BeginResponse(conn, request, status, body.size());
+  if (!wire_bytes) {
+    return;
+  }
+  QueueBody(conn->conn.get(), std::move(body));
+  EndResponse(conn, request, status, *wire_bytes);
 }
 
 void BackendServer::MaybeSendReplayAck(ClientConn* conn) {
@@ -1021,7 +1097,9 @@ void BackendServer::SweepIdleConnections() {
       conn->flushed_at_sweep = flushed;
       conn->last_activity_ms = now;
     }
-    const bool write_stalled = conn->conn->pending_write_bytes() > 0;
+    // A relay waiting on its peer is bounded by the lateral deadline, not
+    // by this sweep: its queued head is not a stalled write.
+    const bool write_stalled = conn->conn->pending_write_bytes() > 0 && !conn->relaying;
     if ((write_stalled || (!conn->serving && conn->requests.empty())) &&
         now - conn->last_activity_ms >= config_.idle_close_ms) {
       idle.push_back(conn.get());
@@ -1124,8 +1202,9 @@ void BackendServer::ServeLateralRequest(uint64_t lateral_id, const HttpRequest& 
       response.version = HttpVersion::kHttp11;
       response.status = status;
       response.reason = ReasonPhrase(status);
-      std::string head = response.SerializeHead(body.size());
-      SendResponse(conn->conn.get(), std::move(head), std::move(body));
+      conn->conn->Queue(response.SerializeHead(body.size()));
+      QueueBody(conn->conn.get(), std::move(body));
+      conn->conn->Flush();
     }
     conn->serving = false;
     ProcessNextLateral(lateral_id);

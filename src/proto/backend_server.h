@@ -28,6 +28,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -184,6 +185,7 @@ class BackendServer {
     std::vector<std::string> consult_inflight;
     bool consult_outstanding = false;
     bool serving = false;       // a response is being produced (serial per conn)
+    bool relaying = false;      // that response is a lateral fetch still in flight
     bool dispatching = false;   // ProcessNext's loop is on the stack
     bool migrating = false;     // hand-back in progress: no consults, no serves
     bool idle_reported = true;  // kIdle sent and nothing new since
@@ -247,10 +249,41 @@ class BackendServer {
   // dispatcher reassigns it to a surviving node (reverse handoff).
   void MaybeDrainHandback(ClientConn* conn);
   void ServeLocal(ClientConn* conn, const HttpRequest& request, const RequestDirective& directive);
+  // One relayed response's progress, shared by its fetch's callbacks.
+  struct Relay {
+    ConnId conn_id = 0;
+    NodeId peer = kInvalidNode;
+    HttpRequest request;
+    int64_t start_us = 0;
+    bool head_seen = false;
+    int status = 0;
+    uint64_t length = 0;   // the peer's Content-Length
+    uint64_t relayed = 0;  // body bytes received from the peer
+    // Set once BeginResponse queued the head; unset when the client was gone.
+    std::optional<uint64_t> wire_bytes;
+  };
+  // Relays `path` from `peer` cut-through: head, then each run of body
+  // bytes as the peer's bytes are read.
   void ServeLateral(ClientConn* conn, const HttpRequest& request, NodeId peer,
                     const std::string& path);
-  // Sends head + body with one gather write where the socket allows: the
-  // body's fill views are borrowed from the static slab, never copied.
+  // The fetch ended (ok) or failed: end the response, fall back to a local
+  // serve (no head yet), finish a cut body locally, or close the client.
+  void EndRelay(const Relay& relay, bool ok);
+  // Starts a response of `body_size` bytes: queues its head (unsent) and
+  // does the per-response bookkeeping — counters, the replay splice skip,
+  // the journal's response end. Returns the bytes it puts on the wire, or
+  // nothing when the client is gone (the request is finished) or the splice
+  // cannot be reconciled (the client is closed).
+  std::optional<uint64_t> BeginResponse(ClientConn* conn, const HttpRequest& request, int status,
+                                        uint64_t body_size);
+  // Ends a begun response once its whole body is queued or sent: flushes,
+  // records the spans, acks journal progress, then closes (Connection:
+  // close) or finishes the request.
+  void EndResponse(ClientConn* conn, const HttpRequest& request, int status,
+                   uint64_t wire_bytes);
+  // A local response: BeginResponse, the body's owned prefix and slab views
+  // (borrowed, never copied), EndResponse — one gather write where the
+  // socket allows.
   void WriteResponse(ClientConn* conn, const HttpRequest& request, int status, BodyParts body);
   // Replay-protected conns: compare flushed bytes against response
   // boundaries and report fresh progress to the owning front-end's journal.

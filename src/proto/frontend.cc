@@ -1437,38 +1437,74 @@ void FrontEnd::ProcessNextRelay(LoopShard* shard, ConnId id) {
   LARD_CHECK(static_cast<size_t>(node) < shard->relays.size() &&
              shard->relays[static_cast<size_t>(node)] != nullptr)
       << "no relay route to node " << node;
-  shard->relays[static_cast<size_t>(node)]->Fetch(
-      request.path, [this, shard, id, request](int status, std::string body) {
-        if (!shard->loop->IsInLoopThread()) {
-          pinning_violations_.fetch_add(1, std::memory_order_relaxed);
-        }
-        auto it = shard->conns.find(id);
-        if (it == shard->conns.end()) {
-          return;
-        }
-        FeConn* conn = it->second.get();
-        if (conn->closed || !conn->conn->open()) {
-          return;
-        }
-        HttpResponse response;
-        response.version = request.version;
-        response.status = status == 0 ? 503 : status;
-        response.reason = ReasonPhrase(response.status);
-        response.body = std::move(body);
-        const bool keep_alive = request.KeepAlive();
-        if (!keep_alive) {
-          response.headers.Add("Connection", "close");
-        }
-        conn->conn->Write(response.Serialize());
-        conn->serving = false;
-        TouchIdleTimer(conn);  // bytes out: the keep-alive window restarts
-        if (!keep_alive) {
-          conn->conn->CloseAfterFlush();
-          DestroyConn(conn);
-          return;
-        }
-        ProcessNextRelay(shard, id);
-      });
+  // Cut-through, as on the back end: the head is queued when the back end's
+  // head arrives and each run of body bytes is passed on as it is read.
+  struct RelayState {
+    HttpRequest request;
+    bool head_seen = false;
+  };
+  auto relay = std::make_shared<RelayState>();
+  relay->request = std::move(request);
+  // The client connection this relay serves, or null once it went away.
+  const auto find = [this, shard, id]() -> FeConn* {
+    if (!shard->loop->IsInLoopThread()) {
+      pinning_violations_.fetch_add(1, std::memory_order_relaxed);
+    }
+    auto it = shard->conns.find(id);
+    if (it == shard->conns.end() || it->second->closed || !it->second->conn->open()) {
+      return nullptr;
+    }
+    return it->second.get();
+  };
+  // The head this front end sends for a back end's status and length.
+  const auto head = [relay](int status, uint64_t length) {
+    HttpResponse response;
+    response.version = relay->request.version;
+    response.status = status;
+    response.reason = ReasonPhrase(status);
+    if (!relay->request.KeepAlive()) {
+      response.headers.Add("Connection", "close");
+    }
+    return response.SerializeHead(length);
+  };
+  LateralClient::FetchHandler handler;
+  handler.on_head = [relay, find, head](int status, uint64_t length) {
+    relay->head_seen = true;
+    if (FeConn* conn = find()) {
+      conn->conn->Queue(head(status, length));
+    }
+  };
+  handler.on_body = [find](std::string_view bytes) {
+    if (FeConn* conn = find()) {
+      conn->conn->Write(bytes);
+    }
+  };
+  handler.on_end = [this, shard, id, relay, find, head](bool ok) {
+    FeConn* conn = find();
+    if (conn == nullptr) {
+      return;
+    }
+    if (!ok && relay->head_seen) {
+      // Cut mid-body: a short response followed by the next one would
+      // desynchronize the client, so close it instead.
+      conn->conn->Close();
+      DestroyConn(conn);
+      return;
+    }
+    if (!ok) {
+      conn->conn->Queue(head(503, 0));  // the back end never answered
+    }
+    conn->conn->Flush();
+    conn->serving = false;
+    TouchIdleTimer(conn);  // bytes out: the keep-alive window restarts
+    if (!relay->request.KeepAlive()) {
+      conn->conn->CloseAfterFlush();
+      DestroyConn(conn);
+      return;
+    }
+    ProcessNextRelay(shard, id);
+  };
+  shard->relays[static_cast<size_t>(node)]->Fetch(relay->request.path, std::move(handler));
 }
 
 void FrontEnd::OnClientClosed(FeConn* conn) { DestroyConn(conn); }
@@ -1544,8 +1580,10 @@ void FrontEnd::OnIdleDeadline(LoopShard* shard, ConnId id) {
   RecordSpan(tracer_, shard->trace_ring, id, 8, SpanKind::kClose,
              static_cast<int32_t>(config_.fe_id), TraceNowUs(), 0, "idle after=%lldms",
              static_cast<long long>(idle_for));
-  conn->conn->CloseAfterFlush();
+  // Reap first, so the connection is accounted closed before its client
+  // can see the EOF (the FeConn itself is erased on a posted task).
   DestroyConn(conn);
+  conn->conn->CloseAfterFlush();
 }
 
 void FrontEnd::RunOnLoop0(std::function<void()> fn) {

@@ -13,6 +13,7 @@ bool LateralClient::EnsureConnected() {
     return true;
   }
   conn_.reset();
+  parser_.reset();
   auto fd = ConnectTcp(peer_port_);
   if (!fd.ok()) {
     LARD_LOG(ERROR) << "lateral connect to :" << peer_port_ << " failed: "
@@ -22,27 +23,28 @@ bool LateralClient::EnsureConnected() {
   LARD_CHECK_OK(SetNonBlocking(fd.value().get(), true));
   LARD_CHECK_OK(SetTcpNoDelay(fd.value().get()));
   conn_ = std::make_unique<Connection>(loop_, std::move(fd.value()));
-  parser_ = ResponseParser();
+  parser_ = std::make_unique<ResponseParser>();
   conn_->set_on_data([this](std::string_view data) { OnData(data); });
   conn_->set_on_close([this]() { OnClose(); });
   conn_->Start();
   return true;
 }
 
-void LateralClient::Fetch(const std::string& path, FetchCallback callback) {
+void LateralClient::Fetch(const std::string& path, FetchHandler handler) {
   if (!EnsureConnected()) {
-    callback(0, "");
+    handler.on_end(false);
     return;
   }
   ++fetches_issued_;
-  pending_.push_back(std::move(callback));
+  pending_.push_back(std::move(handler));
   std::string request = "GET " + path + " HTTP/1.1\r\nHost: lateral\r\n\r\n";
   conn_->Write(std::move(request));
   if (timeout_ms_ > 0) {
-    // Deadline for this fetch: responses are FIFO, so it has been answered
-    // iff the completed count passed its issue number by then. A silent peer
-    // (killed node whose listener still accepts) fails the pipeline instead
-    // of wedging it — and the client connection being served with it.
+    // Deadline for this fetch: responses are FIFO, so it has ended iff the
+    // completed count passed its issue number by then. A silent peer (killed
+    // node whose listener still accepts, or one that stalls mid-body) fails
+    // the pipeline instead of wedging it — and the client connection being
+    // served with it.
     loop_->ScheduleAfterMs(timeout_ms_, alive_.Guard([this, expected = fetches_issued_]() {
                              if (fetches_completed_ >= expected) {
                                return;
@@ -61,35 +63,64 @@ void LateralClient::Fetch(const std::string& path, FetchCallback callback) {
 }
 
 void LateralClient::OnData(std::string_view data) {
-  std::vector<HttpResponse> responses;
-  if (parser_.Feed(data, &responses) == ResponseParser::State::kError) {
+  // OnClose defers the pair's destruction, so `parser` outlives this call
+  // even when a handler fails the pipeline.
+  const Connection* const conn = conn_.get();
+  ResponseParser* const parser = parser_.get();
+  parsing_ = conn;
+  const ResponseParser::State state = parser->Stream(data, this);
+  parsing_ = nullptr;
+  if (state == ResponseParser::State::kError && conn_.get() == conn) {
     LARD_LOG(ERROR) << "lateral peer :" << peer_port_ << " sent garbage";
+    conn_->Close();
+    OnClose();
+  }
+}
+
+void LateralClient::OnHead(HttpResponse head, uint64_t content_length) {
+  if (conn_.get() != parsing_) {
+    return;  // the pipeline failed under the parser
+  }
+  if (pending_.empty()) {
+    LARD_LOG(ERROR) << "lateral peer :" << peer_port_ << " sent a response nobody asked for";
     conn_->Close();
     OnClose();
     return;
   }
-  for (auto& response : responses) {
-    LARD_CHECK(!pending_.empty()) << "lateral response without a pending fetch";
-    FetchCallback callback = std::move(pending_.front());
-    pending_.pop_front();
-    ++fetches_completed_;
-    callback(response.status, std::move(response.body));
+  pending_.front().on_head(head.status, content_length);
+}
+
+void LateralClient::OnBody(std::string_view bytes) {
+  if (conn_.get() != parsing_) {
+    return;
   }
+  pending_.front().on_body(bytes);
+}
+
+void LateralClient::OnEnd() {
+  if (conn_.get() != parsing_) {
+    return;
+  }
+  FetchHandler handler = std::move(pending_.front());
+  pending_.pop_front();
+  ++fetches_completed_;
+  handler.on_end(true);
 }
 
 void LateralClient::OnClose() {
   // Fail everything in flight; the next Fetch reconnects. The Connection may
-  // be calling us from inside its own callback, so its destruction is
-  // deferred to the next loop tick.
-  std::deque<FetchCallback> failed;
+  // be calling us from inside its own callback and the parser may be on the
+  // stack, so their destruction is deferred to the next loop tick.
+  std::deque<FetchHandler> failed;
   failed.swap(pending_);
   fetches_completed_ += failed.size();
   if (conn_ != nullptr) {
-    std::shared_ptr<Connection> dead(conn_.release());
-    loop_->Post([dead]() {});
+    std::shared_ptr<Connection> dead_conn(conn_.release());
+    std::shared_ptr<ResponseParser> dead_parser(parser_.release());
+    loop_->Post([dead_conn, dead_parser]() {});
   }
-  for (auto& callback : failed) {
-    callback(0, "");
+  for (auto& handler : failed) {
+    handler.on_end(false);
   }
 }
 

@@ -90,15 +90,16 @@ const char* SpanKindName(SpanKind kind) {
 }
 
 TraceRing::TraceRing(std::string name, size_t capacity)
-    : name_(std::move(name)),
-      capacity_(capacity == 0 ? 1 : capacity),
-      slots_(capacity == 0 ? 1 : capacity) {}
+    : name_(std::move(name)), capacity_(capacity == 0 ? 1 : capacity) {}
 
 void TraceRing::Record(const TraceSpan& span) {
   MutexLock lock(&mutex_);
+  if (slots_.empty()) {
+    slots_.resize(capacity_);  // first record: a ring never written holds no slots
+  }
   slots_[next_] = span;
-  next_ = (next_ + 1) % slots_.size();
-  size_ = std::min(size_ + 1, slots_.size());
+  next_ = (next_ + 1) % capacity_;
+  size_ = std::min(size_ + 1, capacity_);
   ++recorded_;
 }
 
@@ -107,9 +108,9 @@ std::vector<TraceSpan> TraceRing::Snapshot() const {
   std::vector<TraceSpan> out;
   out.reserve(size_);
   // Oldest slot is `next_` once the ring has wrapped, 0 before.
-  const size_t start = size_ == slots_.size() ? next_ : 0;
+  const size_t start = size_ == capacity_ ? next_ : 0;
   for (size_t i = 0; i < size_; ++i) {
-    out.push_back(slots_[(start + i) % slots_.size()]);
+    out.push_back(slots_[(start + i) % capacity_]);
   }
   return out;
 }
@@ -163,9 +164,9 @@ std::vector<TraceRingSnapshot> Tracer::SnapshotAll() const
     snap.capacity = ring->capacity_;
     snap.recorded = ring->recorded_;
     snap.spans.reserve(ring->size_);
-    const size_t start = ring->size_ == ring->slots_.size() ? ring->next_ : 0;
+    const size_t start = ring->size_ == ring->capacity_ ? ring->next_ : 0;
     for (size_t i = 0; i < ring->size_; ++i) {
-      snap.spans.push_back(ring->slots_[(start + i) % ring->slots_.size()]);
+      snap.spans.push_back(ring->slots_[(start + i) % ring->capacity_]);
     }
     out.push_back(std::move(snap));
   }

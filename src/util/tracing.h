@@ -12,11 +12,13 @@
 //  - Sampling is deterministic on the trace id (hash % sample_every), so the
 //    front-end, the back-ends and the simulator all sample the *same*
 //    connections without coordination.
-//  - Spans are fixed-size PODs written into preallocated per-component ring
-//    buffers (overwrite-oldest). Recording takes one short per-ring mutex
-//    (uncontended in steady state: each ring has a single writer thread) and
-//    performs no allocation; detail strings are snprintf'd into a fixed
-//    buffer after the sampling check.
+//  - Spans are fixed-size PODs written into per-component ring buffers
+//    (overwrite-oldest) whose slots are allocated on a ring's first record,
+//    so a disabled or never-sampled tracer holds none. Recording takes one
+//    short per-ring mutex (uncontended in steady state: each ring has a
+//    single writer thread) and allocates nothing after that first record;
+//    detail strings are snprintf'd into a fixed buffer after the sampling
+//    check.
 //  - The admin server drains the rings: GET /trace renders recent traces as
 //    JSON, GET /trace?format=chrome emits Chrome trace-event format loadable
 //    in about:tracing / Perfetto.
@@ -61,7 +63,7 @@ enum class SpanKind : uint8_t {
 const char* SpanKindName(SpanKind kind);
 
 // One recorded span. Fixed size, trivially copyable: the ring buffers are
-// flat arrays of these and the hot path never allocates.
+// flat arrays of these, allocated once on a ring's first record.
 struct TraceSpan {
   uint64_t trace_id = 0;   // FE-namespaced conn id (0 = component-scoped)
   uint32_t seq = 0;        // request ordinal within the connection
@@ -97,8 +99,9 @@ class TraceRing {
   friend class Tracer;
 
   const std::string name_;
-  const size_t capacity_;  // slots_.size(), fixed at construction
+  const size_t capacity_;  // fixed at construction
   mutable Mutex mutex_;
+  // Empty until the first Record, then capacity_ slots.
   std::vector<TraceSpan> slots_ LARD_GUARDED_BY(mutex_);
   size_t next_ LARD_GUARDED_BY(mutex_) = 0;      // next write position
   size_t size_ LARD_GUARDED_BY(mutex_) = 0;      // live spans (≤ capacity)

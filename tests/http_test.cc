@@ -274,6 +274,106 @@ TEST(ResponseParserTest, SplitAcrossReads) {
   ASSERT_EQ(responses.size(), 1u);
 }
 
+// Records streaming mode's callbacks as text: "H<status>/<length>" per head,
+// the body bytes (concatenated, so the split into runs does not show), "E"
+// per end. Empty runs are flagged: the sink never gets one.
+class RecordingSink : public ResponseParser::Sink {
+ public:
+  void OnHead(HttpResponse head, uint64_t content_length) override {
+    log += "H" + std::to_string(head.status) + "/" + std::to_string(content_length) + " " +
+           head.reason + ":";
+  }
+  void OnBody(std::string_view bytes) override {
+    log += bytes.empty() ? std::string("<empty run>") : std::string(bytes);
+  }
+  void OnEnd() override { log += "E;"; }
+
+  std::string log;
+};
+
+// The same text for whole responses, plus whatever is left incomplete.
+std::string DescribeResponses(const std::vector<HttpResponse>& responses,
+                              const ResponseParser& parser) {
+  std::string out;
+  for (const HttpResponse& response : responses) {
+    out += "H" + std::to_string(response.status) + "/" + std::to_string(response.body.size()) +
+           " " + response.reason + ":" + response.body + "E;";
+  }
+  return out + "held=" + std::to_string(parser.buffered_bytes());
+}
+
+TEST(ResponseParserTest, SplitAtEveryByteMatchesWholeBufferParse) {
+  // Pipelined 200s with bodies (one holding a blank line), a zero-length
+  // body, a 404, and a partial trailing response.
+  const std::string stream =
+      "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"
+      "HTTP/1.1 200 OK\r\nServer: x\r\nContent-Length: 0\r\n\r\n"
+      "HTTP/1.1 200 OK\r\nContent-Length: 12\r\n\r\nab\r\n\r\nHTTP/1"
+      "HTTP/1.1 404 Not Found\r\nContent-Length: 10\r\n\r\nnot found\n"
+      "HTTP/1.0 200 OK\r\nConnection: close\r\nContent-Length: 3\r\n\r\nxyz"
+      "HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\npart";
+  ResponseParser whole;
+  std::vector<HttpResponse> expected_responses;
+  ASSERT_EQ(whole.Feed(stream, &expected_responses), ResponseParser::State::kNeedMore);
+  ASSERT_EQ(expected_responses.size(), 5u);
+  EXPECT_EQ(expected_responses[1].body, "");
+  EXPECT_EQ(expected_responses[2].body, "ab\r\n\r\nHTTP/1");
+  EXPECT_EQ(expected_responses[3].status, 404);
+  const std::string expected = DescribeResponses(expected_responses, whole);
+  EXPECT_EQ(whole.buffered_bytes(), 4u) << "the partial body so far";
+
+  ResponseParser whole_stream;
+  RecordingSink whole_sink;
+  ASSERT_EQ(whole_stream.Stream(stream, &whole_sink), ResponseParser::State::kNeedMore);
+  const std::string expected_log = whole_sink.log;
+  EXPECT_EQ(expected_log.substr(0, expected_log.rfind("E;") + 2),
+            expected.substr(0, expected.rfind("E;") + 2))
+      << "streaming and whole-response mode agree";
+  EXPECT_EQ(expected_log.substr(expected_log.rfind("E;") + 2), "H200/9 OK:part");
+  EXPECT_EQ(whole_stream.buffered_bytes(), 0u) << "streaming mode holds no body bytes";
+
+  const auto check = [&](const std::vector<std::string_view>& chunks, const std::string& what) {
+    ResponseParser parser;
+    std::vector<HttpResponse> responses;
+    ResponseParser streamer;
+    RecordingSink sink;
+    for (const std::string_view chunk : chunks) {
+      ASSERT_EQ(parser.Feed(chunk, &responses), ResponseParser::State::kNeedMore) << what;
+      ASSERT_EQ(streamer.Stream(chunk, &sink), ResponseParser::State::kNeedMore) << what;
+    }
+    EXPECT_EQ(DescribeResponses(responses, parser), expected) << what;
+    EXPECT_EQ(sink.log, expected_log) << what;
+  };
+  for (size_t split = 0; split <= stream.size(); ++split) {
+    check({std::string_view(stream).substr(0, split), std::string_view(stream).substr(split)},
+          "split at " + std::to_string(split));
+  }
+  std::vector<std::string_view> bytes;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    bytes.push_back(std::string_view(stream).substr(i, 1));
+  }
+  check(bytes, "byte at a time");
+}
+
+TEST(ResponseParserTest, OversizedHeadIsAnErrorInBothModes) {
+  const std::string head = "HTTP/1.1 200 OK\r\nX-Big: " +
+                           std::string(ResponseParser::kMaxHeaderBytes, 'v') + "\r\n\r\n";
+  ResponseParser whole;
+  std::vector<HttpResponse> responses;
+  EXPECT_EQ(whole.Feed(head, &responses), ResponseParser::State::kError);
+  ResponseParser streamer;
+  RecordingSink sink;
+  for (size_t at = 0; at < head.size(); at += 1000) {
+    if (streamer.Stream(std::string_view(head).substr(at, 1000), &sink) ==
+        ResponseParser::State::kError) {
+      break;
+    }
+  }
+  EXPECT_EQ(streamer.Stream("", &sink), ResponseParser::State::kError);
+  EXPECT_LE(streamer.buffered_bytes(), ResponseParser::kMaxHeaderBytes + 4);
+  EXPECT_EQ(sink.log, "");
+}
+
 TEST(ResponseParserTest, RejectsGarbage) {
   ResponseParser parser;
   std::vector<HttpResponse> responses;

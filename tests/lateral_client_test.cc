@@ -1,13 +1,15 @@
 // Failure-path tests for LateralClient, the pipelined back-end-to-back-end
-// fetch channel: transport failure (status 0) mid-pipeline, FIFO response
-// matching when errors interleave with successes, and reconnect-on-next-fetch
-// after the peer goes away.
+// fetch channel: transport failure mid-pipeline and mid-body, FIFO response
+// matching when errors interleave with successes, the deadline on a peer
+// that goes silent after the head, streamed body runs, and
+// reconnect-on-next-fetch after the peer goes away.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -44,8 +46,10 @@ class LateralClientTest : public ::testing::Test {
     }
   }
 
-  void StartClient() {
-    loop_.Post([this]() { client_ = std::make_unique<LateralClient>(&loop_, port_); });
+  void StartClient(int64_t timeout_ms = 2000) {
+    loop_.Post([this, timeout_ms]() {
+      client_ = std::make_unique<LateralClient>(&loop_, port_, timeout_ms);
+    });
   }
 
   // Issues a fetch from the loop thread; results land in results_ in
@@ -59,11 +63,25 @@ class LateralClientTest : public ::testing::Test {
   void FetchAll(std::vector<std::string> paths) {
     loop_.Post([this, paths = std::move(paths)]() {
       for (const std::string& path : paths) {
-        client_->Fetch(path, [this, path](int status, std::string body) {
+        // The handlers run on the loop thread, one fetch at a time.
+        auto result = std::make_shared<FetchResult>();
+        result->path = path;
+        LateralClient::FetchHandler handler;
+        handler.on_head = [result](int status, uint64_t length) {
+          result->status = status;
+          result->length = length;
+        };
+        handler.on_body = [result](std::string_view bytes) {
+          result->body.append(bytes);
+          ++result->runs;
+        };
+        handler.on_end = [this, result](bool ok) {
+          result->ok = ok;
           std::lock_guard<std::mutex> lock(mutex_);
-          results_.push_back({path, status, std::move(body)});
+          results_.push_back(*result);
           cv_.notify_all();
-        });
+        };
+        client_->Fetch(path, std::move(handler));
       }
     });
   }
@@ -77,8 +95,11 @@ class LateralClientTest : public ::testing::Test {
 
   struct FetchResult {
     std::string path;
-    int status = -1;
+    int status = 0;  // 0: no head arrived
+    uint64_t length = 0;
     std::string body;
+    int runs = 0;  // on_body calls
+    bool ok = false;
   };
 
   uint16_t port_ = 0;
@@ -133,11 +154,14 @@ TEST_F(LateralClientTest, TransportFailureMidPipelineFailsAllInFlightInOrder) {
   EXPECT_EQ(results_[0].path, "/a");
   EXPECT_EQ(results_[0].status, 200);
   EXPECT_EQ(results_[0].body, "first");
+  EXPECT_TRUE(results_[0].ok);
   EXPECT_EQ(results_[1].path, "/b");
   EXPECT_EQ(results_[1].status, 0);
   EXPECT_TRUE(results_[1].body.empty());
+  EXPECT_FALSE(results_[1].ok);
   EXPECT_EQ(results_[2].path, "/c");
   EXPECT_EQ(results_[2].status, 0);
+  EXPECT_FALSE(results_[2].ok);
 }
 
 TEST_F(LateralClientTest, GarbageResponseFailsPipelineWithStatusZero) {
@@ -199,6 +223,101 @@ TEST_F(LateralClientTest, ReconnectsAfterPeerLossAndKeepsServing) {
   EXPECT_EQ(results_[1].body, "back");
   EXPECT_EQ(connections.load(), 2);
   EXPECT_EQ(client_->fetches_issued(), 2u);
+}
+
+// Accepts one connection and reads until one whole request arrived.
+int AcceptOneRequest(int listener) {
+  const int fd = ::accept(listener, nullptr, nullptr);
+  if (fd < 0) {
+    return fd;
+  }
+  std::string data;
+  char buf[4096];
+  while (data.find("\r\n\r\n") == std::string::npos) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) {
+      break;
+    }
+    data.append(buf, static_cast<size_t>(n));
+  }
+  return fd;
+}
+
+void SendString(int fd, const std::string& bytes) {
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+TEST_F(LateralClientTest, BodyArrivesInRunsAsTheyAreRead) {
+  // The body comes in two sends far apart: the first run reaches the
+  // handler before the second is even sent, nothing is assembled.
+  peer_thread_ = std::thread([this]() {
+    const int fd = AcceptOneRequest(listener_.get());
+    ASSERT_GE(fd, 0);
+    SendString(fd, "HTTP/1.1 200 OK\r\nContent-Length: 8\r\n\r\nfour");
+    ::usleep(100 * 1000);
+    SendString(fd, "more");
+    ::usleep(50 * 1000);
+    ::close(fd);
+  });
+  StartClient();
+  Fetch("/runs");
+  WaitForResults(1);
+  std::lock_guard<std::mutex> lock(mutex_);
+  EXPECT_TRUE(results_[0].ok);
+  EXPECT_EQ(results_[0].status, 200);
+  EXPECT_EQ(results_[0].length, 8u);
+  EXPECT_EQ(results_[0].body, "fourmore");
+  EXPECT_EQ(results_[0].runs, 2);
+}
+
+TEST_F(LateralClientTest, PeerDeathMidBodyEndsTheFetchAfterItsHead) {
+  // Head plus 3 of 10 body bytes, then the peer dies: the handler saw the
+  // head and the 3 bytes, then on_end(false); a second fetch fails unheard.
+  peer_thread_ = std::thread([this]() {
+    const int fd = AcceptOneRequest(listener_.get());
+    ASSERT_GE(fd, 0);
+    SendString(fd, "HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc");
+    ::usleep(50 * 1000);
+    ::close(fd);
+  });
+  StartClient();
+  FetchAll({"/cut", "/next"});
+  WaitForResults(2);
+  std::lock_guard<std::mutex> lock(mutex_);
+  EXPECT_EQ(results_[0].path, "/cut");
+  EXPECT_EQ(results_[0].status, 200);
+  EXPECT_EQ(results_[0].length, 10u);
+  EXPECT_EQ(results_[0].body, "abc");
+  EXPECT_FALSE(results_[0].ok);
+  EXPECT_EQ(results_[1].path, "/next");
+  EXPECT_EQ(results_[1].status, 0);
+  EXPECT_FALSE(results_[1].ok);
+}
+
+TEST_F(LateralClientTest, PeerSilentAfterHeadHitsTheDeadline) {
+  // The head and one body byte arrive, then nothing while the socket stays
+  // open: the per-fetch deadline runs to the last body byte and fails it.
+  std::atomic<bool> done{false};
+  peer_thread_ = std::thread([this, &done]() {
+    const int fd = AcceptOneRequest(listener_.get());
+    ASSERT_GE(fd, 0);
+    SendString(fd, "HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nx");
+    while (!done.load()) {
+      ::usleep(10 * 1000);
+    }
+    ::close(fd);
+  });
+  StartClient(/*timeout_ms=*/200);
+  Fetch("/silent");
+  WaitForResults(1);
+  done = true;
+  peer_thread_.join();  // `done` dies with this frame
+  std::lock_guard<std::mutex> lock(mutex_);
+  EXPECT_EQ(results_[0].status, 200);
+  EXPECT_EQ(results_[0].body, "x");
+  EXPECT_FALSE(results_[0].ok);
+  EXPECT_EQ(client_->fetches_timed_out(), 1u);
 }
 
 TEST_F(LateralClientTest, ConnectFailureFailsImmediatelyWithStatusZero) {

@@ -302,6 +302,83 @@ TEST_F(LoopFixture, ConnectionSegmentQueueSendsMixedSegmentsInOrder) {
   EXPECT_EQ(std::string(buf, 4), "tail");
 }
 
+TEST_F(LoopFixture, ConnectionWriteViewCopiesOnlyWhatTheSocketRefuses) {
+  auto pair = UnixPair();
+  ASSERT_TRUE(pair.ok());
+  ASSERT_TRUE(SetNonBlocking(pair.value().first.get(), true).ok());
+  SetSmallSendBuffer(pair.value().first.get());
+  UniqueFd outside = std::move(pair.value().second);
+  SetRecvTimeout(outside.get());
+
+  std::unique_ptr<Connection> conn;
+  std::string expected;
+  int progress = 0;
+  int drained = 0;
+  const std::string head = "HTTP/1.1 200 OK\r\nContent-Length: 65536\r\n\r\n";
+  OnLoop([&]() {
+    conn = std::make_unique<Connection>(&loop_, std::move(pair.value().first));
+    conn->set_on_write_progress([&]() { ++progress; });
+    conn->Start();
+    // A head queued unsent, then a view far larger than the send buffer:
+    // one gather write takes the head and the start of the view, and only
+    // the refused rest is copied, so the caller's storage can go at once.
+    conn->Queue(head);
+    EXPECT_EQ(conn->pending_write_bytes(), head.size());
+    EXPECT_EQ(conn->bytes_flushed(), 0u);
+    std::string body(64 * 1024, '\0');
+    for (size_t i = 0; i < body.size(); ++i) {
+      body[i] = static_cast<char>('a' + i % 23);
+    }
+    expected = head + body;
+    conn->Write(std::string_view(body));
+    body.assign(body.size(), 'X');
+    EXPECT_GT(conn->bytes_flushed(), head.size()) << "the head went out with the view";
+    EXPECT_GT(conn->pending_write_bytes(), 0u) << "the small buffer refused part of the view";
+    EXPECT_EQ(conn->bytes_flushed() + conn->pending_write_bytes(), expected.size());
+    // A second view while EPOLLOUT is armed lands behind the refused bytes.
+    const uint64_t flushed = conn->bytes_flushed();
+    conn->Write(StaticBytes().substr(0, 3000));
+    expected += StaticBytes().substr(0, 3000);
+    EXPECT_EQ(conn->bytes_flushed() + conn->pending_write_bytes(), expected.size());
+    EXPECT_GE(conn->bytes_flushed(), flushed);
+    EXPECT_EQ(progress, 0) << "Write on the caller's stack fires no callback";
+    conn->set_on_write_drained([&]() { ++drained; });
+  });
+  std::string received;
+  char buf[4096];
+  while (received.size() < expected.size()) {
+    const ssize_t n = ::recv(outside.get(), buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0) << "after " << received.size() << " of " << expected.size() << " bytes";
+    received.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(received, expected);
+
+  const std::string head2 = "HEAD";
+  const std::string_view view = StaticBytes().substr(100, 200);
+  OnLoop([&]() {
+    EXPECT_EQ(conn->pending_write_bytes(), 0u);
+    EXPECT_EQ(conn->bytes_flushed(), expected.size());
+    EXPECT_EQ(drained, 1);
+    EXPECT_GT(progress, 0);
+    // A skip budget that covers the queued head and ends 7 bytes into the
+    // view: those bytes never go out nor count as flushed.
+    conn->SkipNext(head2.size() + 7);
+    conn->Queue(head2);
+    EXPECT_EQ(conn->pending_write_bytes(), 0u);
+    conn->Write(view);
+    EXPECT_EQ(conn->pending_write_bytes(), 0u);
+    EXPECT_EQ(conn->bytes_flushed(), expected.size() + view.size() - 7);
+  });
+  received.clear();
+  while (received.size() < view.size() - 7) {
+    const ssize_t n = ::recv(outside.get(), buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0);
+    received.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(received, view.substr(7));
+  OnLoop([&]() { conn.reset(); });
+}
+
 TEST_F(LoopFixture, ConnectionCloseAfterFlushSendsQueuedBorrowedBytes) {
   auto pair = UnixPair();
   ASSERT_TRUE(pair.ok());

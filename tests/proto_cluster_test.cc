@@ -4,11 +4,16 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <sys/time.h>
+
+#include <chrono>
 #include <future>
 #include <thread>
 
+#include "src/net/event_loop_group.h"
 #include "src/net/socket.h"
 #include "src/proto/cluster.h"
+#include "src/proto/frontend.h"
 #include "src/proto/load_generator.h"
 #include "src/trace/synthetic.h"
 
@@ -143,6 +148,99 @@ TEST(ProtoClusterTest, UnknownPathsGet404) {
   EXPECT_NE(reply.find("404"), std::string::npos);
   EXPECT_EQ(cluster.Snapshot().not_found, 1u);
   cluster.Stop();
+}
+
+// Reads one request off `fd` (up to its blank line).
+void ReadOneRequest(int fd) {
+  std::string request;
+  char buf[4096];
+  ssize_t n;
+  while (request.find("\r\n\r\n") == std::string::npos &&
+         (n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    request.append(buf, static_cast<size_t>(n));
+  }
+}
+
+TEST(ProtoClusterTest, RelayingFrontEndClosesAClientWhoseRelayIsCutMidBody) {
+  // A relaying front end over one stand-in back end. The back end's first
+  // connection dies before answering: the client gets a 503 and keeps its
+  // connection. Its second answers a head and part of the body, then dies:
+  // the client is closed, never handed a short 200 followed by the next
+  // pipelined response.
+  TargetCatalog catalog;
+  catalog.Intern("/doc", 100000);
+  uint16_t backend_port = 0;
+  auto listener = ListenTcp(0, &backend_port);
+  ASSERT_TRUE(listener.ok());
+  const std::string cut_reply =
+      "HTTP/1.1 200 OK\r\nContent-Length: 100000\r\n\r\n" + std::string(3000, 'b');
+  std::thread backend([&]() {
+    for (int round = 0; round < 2; ++round) {
+      UniqueFd fd(::accept(listener.value().get(), nullptr, nullptr));
+      ASSERT_TRUE(fd.valid());
+      ReadOneRequest(fd.get());
+      if (round == 1) {
+        ASSERT_EQ(::send(fd.get(), cut_reply.data(), cut_reply.size(), MSG_NOSIGNAL),
+                  static_cast<ssize_t>(cut_reply.size()));
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      }
+    }
+  });
+
+  FrontEndConfig config;
+  config.num_nodes = 1;
+  config.mechanism = Mechanism::kRelayingFrontEnd;
+  config.heartbeat_timeout_ms = 0;  // the stand-in sends no status frames
+  EventLoopGroup loops(1);
+  auto control = UnixPair();
+  ASSERT_TRUE(control.ok());
+  FrontEnd frontend(config, &loops, &catalog);
+  loops.Start();
+  std::promise<void> started;
+  loops.RunOn(0, [&]() {
+    std::vector<UniqueFd> controls;
+    controls.push_back(std::move(control.value().first));
+    frontend.Start(std::move(controls));
+    frontend.ConnectBackends({backend_port});
+    started.set_value();
+  });
+  started.get_future().wait();
+
+  auto client = ConnectTcp(frontend.port());
+  ASSERT_TRUE(client.ok());
+  timeval tv{};
+  tv.tv_sec = 10;
+  ASSERT_EQ(::setsockopt(client.value().get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)), 0);
+  const std::string get = "GET /doc HTTP/1.1\r\nHost: x\r\n\r\n";
+  const std::string unavailable =
+      "HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n";
+  ASSERT_EQ(::send(client.value().get(), get.data(), get.size(), 0),
+            static_cast<ssize_t>(get.size()));
+  std::string reply;
+  char buf[4096];
+  while (reply.size() < unavailable.size()) {
+    const ssize_t n = ::recv(client.value().get(), buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0);
+    reply.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(reply, unavailable) << "a failure before the head is a 503";
+
+  const std::string two = get + get;
+  ASSERT_EQ(::send(client.value().get(), two.data(), two.size(), 0),
+            static_cast<ssize_t>(two.size()));
+  std::string wire;
+  ssize_t n;
+  while ((n = ::recv(client.value().get(), buf, sizeof(buf), 0)) > 0) {
+    wire.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(n, 0) << "the client is closed";
+  const std::string head = "HTTP/1.1 200 OK\r\nContent-Length: 100000\r\n\r\n";
+  EXPECT_EQ(wire.substr(0, head.size()), head.substr(0, wire.size()));
+  EXPECT_LE(wire.size(), head.size() + 3000);
+  EXPECT_EQ(wire.find("HTTP/1.1", 1), std::string::npos) << "no second response";
+
+  backend.join();
+  loops.Stop();
 }
 
 TEST(ProtoClusterTest, SingleNodeCluster) {

@@ -1,7 +1,8 @@
 // The back end's zero-copy serve path, end to end: every byte a client
 // receives (head, body prefix and the body's slab views) through a cache
-// hit, a disk miss, a lateral relay and a spliced replay adoption, plus deep
-// pipelines that must neither overflow the stack nor amplify memory.
+// hit, a disk miss, a cut-through lateral relay (also one cut short by its
+// peer) and a spliced replay adoption, plus deep pipelines and a 16 MB
+// relay that must neither overflow the stack nor amplify memory.
 //
 // The benchmark client and the load generator check only a body's prefix, so
 // these full-byte comparisons are what guards the rest of the body.
@@ -10,12 +11,15 @@
 #include <sys/time.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,10 +73,12 @@ class BackendPairTest : public ::testing::Test {
  protected:
   static constexpr uint64_t kBigSize = (uint64_t{1} << 20) + 7;  // 17 slab views
   static constexpr uint64_t kSmallSize = 700;                   // joins the head
+  static constexpr uint64_t kHugeSize = (uint64_t{16} << 20) + 7;
 
   void SetUp() override {
     catalog_.Intern(kBig, kBigSize);
     catalog_.Intern(kSmall, kSmallSize);
+    catalog_.Intern(kHuge, kHugeSize);
     store_ = std::make_unique<ContentStore>(&catalog_);
     thread_ = std::thread([this]() { loop_.Run(); });
     OnLoop([this]() {
@@ -82,14 +88,23 @@ class BackendPairTest : public ::testing::Test {
         config.node_id = node;
         config.num_nodes = 2;
         config.disk_time_scale = 0.01;
+        config.lateral_timeout_ms = lateral_timeout_ms_;
+        config.idle_close_ms = idle_close_ms_;
         auto pair = UnixPair();
         LARD_CHECK(pair.ok());
         LARD_CHECK_OK(SetNonBlocking(pair.value().second.get(), true));
         nodes_.push_back(std::make_unique<BackendServer>(config, &loop_, store_.get()));
         nodes_.back()->Start(std::move(pair.value().first));
-        // The front end's side of the session: reports are ignored.
+        // The front end's side of the session: only kConnClosed is kept.
         fes_.push_back(std::make_unique<FramedChannel>(&loop_, std::move(pair.value().second)));
-        fes_.back()->set_on_message([](uint8_t, std::string, UniqueFd) {});
+        fes_.back()->set_on_message([this](uint8_t type, std::string payload, UniqueFd) {
+          uint64_t id = 0;
+          if (static_cast<ControlMsg>(type) == ControlMsg::kConnClosed &&
+              DecodeU64(payload, &id)) {
+            std::lock_guard<std::mutex> lock(closed_mutex_);
+            closed_.push_back(id);
+          }
+        });
         fes_.back()->Start();
         ports.push_back(nodes_.back()->lateral_port());
       }
@@ -119,34 +134,69 @@ class BackendPairTest : public ::testing::Test {
 
   // Hands a fresh client connection to `node` as the front end would (type
   // kHandoff or kReplay with `payload`) and returns the client's end.
-  UniqueFd HandTo(NodeId node, ControlMsg type, const std::string& payload) {
-    auto pair = UnixPair();
-    LARD_CHECK(pair.ok());
-    UniqueFd client = std::move(pair.value().second);
+  // The client is a unix socketpair, or with `tcp` a loopback TCP
+  // connection, as a real front end hands off.
+  UniqueFd HandTo(NodeId node, ControlMsg type, const std::string& payload, bool tcp = false) {
+    UniqueFd server;
+    UniqueFd client;
+    if (tcp) {
+      uint16_t port = 0;
+      auto listener = ListenTcp(0, &port);
+      LARD_CHECK(listener.ok());
+      auto connected = ConnectTcp(port);
+      LARD_CHECK(connected.ok());
+      client = std::move(connected.value());
+      server = UniqueFd(::accept(listener.value().get(), nullptr, nullptr));
+      LARD_CHECK(server.valid());
+    } else {
+      auto pair = UnixPair();
+      LARD_CHECK(pair.ok());
+      server = std::move(pair.value().first);
+      client = std::move(pair.value().second);
+    }
     SetRecvTimeout(client.get(), 10);
     OnLoop([&]() {
       fes_[static_cast<size_t>(node)]->SendWithFd(static_cast<uint8_t>(type), payload,
-                                                   std::move(pair.value().first));
+                                                   std::move(server));
     });
     return client;
   }
 
   UniqueFd Handoff(NodeId node, std::vector<RequestDirective> directives,
-                   const std::string& requests) {
+                   const std::string& requests, bool tcp = false) {
     HandoffMsg msg;
     msg.conn_id = next_conn_id_++;
     msg.autonomous = true;
     msg.directives = std::move(directives);
     msg.unparsed_input = requests;
-    return HandTo(node, ControlMsg::kHandoff, EncodeHandoff(msg));
+    return HandTo(node, ControlMsg::kHandoff, EncodeHandoff(msg), tcp);
   }
 
   const BackendCounters& counters(NodeId node) const {
     return nodes_[static_cast<size_t>(node)]->counters();
   }
 
+  // Hands node 0 a connection whose one request (Connection: close) it
+  // relays from node 1.
+  UniqueFd RelayFromNode1(const std::string& path, bool tcp = false) {
+    RequestDirective directive;
+    directive.action = DirectiveAction::kLateral;
+    directive.path = TagPathForNode(path, 1);
+    return Handoff(0, {directive}, Get(path, true), tcp);
+  }
+
+  bool ConnClosedReported(ConnId id) {
+    std::lock_guard<std::mutex> lock(closed_mutex_);
+    return std::find(closed_.begin(), closed_.end(), id) != closed_.end();
+  }
+
   const std::string kBig = "/docs/big.bin";
   const std::string kSmall = "/docs/small.html";
+  const std::string kHuge = "/docs/huge.bin";
+  int64_t lateral_timeout_ms_ = 2000;
+  int64_t idle_close_ms_ = 15000;
+  std::mutex closed_mutex_;
+  std::vector<ConnId> closed_;  // kConnClosed reports from either node
   TargetCatalog catalog_;
   std::unique_ptr<ContentStore> store_;
   EventLoop loop_;
@@ -244,6 +294,276 @@ TEST_F(BackendPairTest, SplicedReplayResumesAtAnyOffset) {
   EXPECT_EQ(ReadToEof(client.get()), "");
 }
 
+// A stand-in for node 1's lateral listener: each connection reads one
+// request and gets the next scripted reply, then the socket closes — or,
+// for a held reply, stays open and silent until the peer is destroyed.
+class FakePeer {
+ public:
+  struct Reply {
+    std::string bytes;
+    bool hold = false;
+    // Sent after `bytes` from the content store's views (never built), in
+    // runs of at most 64 KB spaced 400 us apart: a peer on a ~150 MB/s link.
+    BodyParts paced_body;
+  };
+
+  explicit FakePeer(std::vector<Reply> replies) {
+    auto listener = ListenTcp(0, &port_);
+    LARD_CHECK(listener.ok());
+    listener_ = std::move(listener.value());
+    thread_ = std::thread([this, replies = std::move(replies)]() {
+      for (const Reply& reply : replies) {
+        UniqueFd fd(::accept(listener_.get(), nullptr, nullptr));
+        if (!fd.valid()) {
+          return;
+        }
+        std::string request;
+        char buf[4096];
+        ssize_t n;
+        while (request.find("\r\n\r\n") == std::string::npos &&
+               (n = ::recv(fd.get(), buf, sizeof(buf), 0)) > 0) {
+          request.append(buf, static_cast<size_t>(n));
+        }
+        bool ok = SendAll(fd.get(), reply.bytes) && SendAll(fd.get(), reply.paced_body.prefix);
+        reply.paced_body.ForEachFillView([&](std::string_view view) {
+          std::this_thread::sleep_for(std::chrono::microseconds(400));
+          ok = ok && SendAll(fd.get(), view);
+        });
+        if (reply.hold) {
+          std::unique_lock<std::mutex> lock(mutex_);
+          released_cv_.wait(lock, [this]() { return released_; });
+        }
+      }
+    });
+  }
+
+  ~FakePeer() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      released_ = true;
+    }
+    released_cv_.notify_all();
+    ::shutdown(listener_.get(), SHUT_RDWR);  // unblocks a pending accept
+    thread_.join();
+  }
+
+  uint16_t port() const { return port_; }
+
+ private:
+  static bool SendAll(int fd, std::string_view bytes) {
+    while (!bytes.empty()) {
+      const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+      if (n <= 0) {
+        return false;
+      }
+      bytes.remove_prefix(static_cast<size_t>(n));
+    }
+    return true;
+  }
+
+  uint16_t port_ = 0;
+  UniqueFd listener_;
+  std::mutex mutex_;
+  std::condition_variable released_cv_;
+  bool released_ = false;
+  std::thread thread_;
+};
+
+// A peer's response head plus the first `body_bytes` of `path`'s body.
+std::string PeerReplyPrefix(const std::string& path, uint64_t size, uint64_t length,
+                            size_t body_bytes) {
+  return "HTTP/1.1 200 OK\r\nContent-Length: " + std::to_string(length) + "\r\n\r\n" +
+         ContentStore::ExpectedBody(path, size).substr(0, body_bytes);
+}
+
+TEST_F(BackendPairTest, RelayCutMidBodyIsFinishedLocally) {
+  // The peer dies after its head and K body bytes: K = 0, 1, and K inside
+  // the second slab view. The document is node 0's too, at the same
+  // length, so node 0 finishes the body from its own store.
+  const size_t prefix = ContentStore::ExpectedParts(kBig, kBigSize).prefix.size();
+  const std::vector<size_t> cuts = {0, 1, prefix + BodyParts::kMaxView + 4000};
+  std::vector<FakePeer::Reply> replies;
+  for (const size_t cut : cuts) {
+    replies.push_back({PeerReplyPrefix(kBig, kBigSize, kBigSize, cut), false, {}});
+  }
+  FakePeer peer(std::move(replies));
+  OnLoop([&]() { nodes_[0]->AddPeer(1, peer.port()); });
+  const std::string expected = ExpectedWire(0, kBig, kBigSize, true);
+  for (const size_t cut : cuts) {
+    UniqueFd client = RelayFromNode1(kBig);
+    const std::string wire = ReadToEof(client.get());
+    EXPECT_EQ(wire.size(), expected.size()) << "cut after " << cut;
+    EXPECT_TRUE(wire == expected) << "cut after " << cut;
+  }
+  EXPECT_EQ(counters(0).lateral_out.load(), cuts.size());
+  EXPECT_EQ(counters(0).requests_served.load(), cuts.size());
+  EXPECT_EQ(counters(0).bytes_to_clients.load(), cuts.size() * kBigSize);
+}
+
+TEST_F(BackendPairTest, RelayCutWithAForeignLengthClosesTheClient) {
+  // The peer's length is not the local document's: nothing local can
+  // finish the body, so the client is closed (and the front end told)
+  // after at most what the peer sent — never a short response followed by
+  // another one.
+  constexpr size_t kSent = 5000;
+  FakePeer peer({{PeerReplyPrefix(kBig, kBigSize, kBigSize + 1, kSent), false, {}}});
+  OnLoop([&]() { nodes_[0]->AddPeer(1, peer.port()); });
+  const ConnId id = next_conn_id_;
+  UniqueFd client = RelayFromNode1(kBig);
+  const std::string wire = ReadToEof(client.get());
+  const std::string head = "HTTP/1.1 200 OK\r\nServer: lard-be0\r\n"
+                           "Content-Type: application/octet-stream\r\nConnection: close\r\n"
+                           "Content-Length: " +
+                           std::to_string(kBigSize + 1) + "\r\n\r\n";
+  ASSERT_GE(wire.size(), head.size());
+  EXPECT_LE(wire.size(), head.size() + kSent);
+  EXPECT_EQ(wire.substr(0, head.size()), head);
+  EXPECT_EQ(wire.substr(head.size()),
+            ContentStore::ExpectedBody(kBig, kBigSize).substr(0, wire.size() - head.size()));
+  for (int i = 0; i < 500 && !ConnClosedReported(id); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(ConnClosedReported(id));
+}
+
+TEST_F(BackendPairTest, RelayedNotFoundPassesThrough) {
+  const std::string path = "/docs/missing.html";
+  UniqueFd client = RelayFromNode1(path);
+  EXPECT_EQ(ReadToEof(client.get()),
+            "HTTP/1.1 404 Not Found\r\nServer: lard-be0\r\n"
+            "Content-Type: application/octet-stream\r\nConnection: close\r\n"
+            "Content-Length: 10\r\n\r\nnot found\n");
+  EXPECT_EQ(counters(0).lateral_out.load(), 1u);
+  EXPECT_EQ(counters(1).lateral_in.load(), 1u);
+  EXPECT_EQ(counters(1).not_found.load() + counters(0).not_found.load(), 0u)
+      << "not_found counts client 404s served locally";
+}
+
+// A fetch deadline shorter than the default, and an idle sweep shorter
+// still, so a relay waiting on its peer would be reaped if the sweep took it
+// for a stalled write.
+class BackendPairShortDeadlineTest : public BackendPairTest {
+ protected:
+  BackendPairShortDeadlineTest() {
+    lateral_timeout_ms_ = 300;
+    idle_close_ms_ = 100;
+  }
+};
+
+TEST_F(BackendPairShortDeadlineTest, RelaySilentAfterHeadIsFinishedLocally) {
+  // The peer sends its head (alone, or with some body), then keeps the
+  // socket open and says nothing: the fetch deadline fails it and node 0
+  // finishes locally. A head queued while the relay waits is not a stalled
+  // write, so the idle sweep leaves the connection alone meanwhile.
+  const std::string expected = ExpectedWire(0, kBig, kBigSize, true);
+  for (const size_t sent : {size_t{0}, size_t{100000}}) {
+    FakePeer peer({{PeerReplyPrefix(kBig, kBigSize, kBigSize, sent), /*hold=*/true, {}}});
+    OnLoop([&]() { nodes_[0]->AddPeer(1, peer.port()); });
+    UniqueFd client = RelayFromNode1(kBig);
+    const std::string wire = ReadToEof(client.get());
+    EXPECT_EQ(wire.size(), expected.size()) << "after " << sent << " body bytes";
+    EXPECT_TRUE(wire == expected) << "after " << sent << " body bytes";
+  }
+  EXPECT_EQ(counters(0).idle_closes.load(), 0u);
+}
+
+TEST_F(BackendPairTest, SplicedReplayOfARelayedResponseResumesAtAnyOffset) {
+  // Node 1 adopts a connection whose first response it relays from node 0,
+  // with part of it already delivered by the dead origin (node 0's token).
+  const std::string full = ExpectedWire(0, kBig, kBigSize, true);
+  const size_t head = full.size() - kBigSize;
+  const size_t prefix = ContentStore::ExpectedParts(kBig, kBigSize).prefix.size();
+  const size_t offsets[] = {
+      1,                       // inside the head
+      head,                    // head/body boundary
+      head + prefix + 100000,  // inside the relayed body
+  };
+  for (const size_t offset : offsets) {
+    ReplayMsg msg;
+    msg.conn_id = next_conn_id_++;
+    msg.origin_node = 0;
+    msg.splice_offset = offset;
+    msg.autonomous = true;
+    msg.directives.resize(1);
+    msg.directives[0].action = DirectiveAction::kLateral;
+    msg.directives[0].path = TagPathForNode(kBig, 0);
+    msg.replay_input = Get(kBig, true);
+    UniqueFd client = HandTo(1, ControlMsg::kReplay, EncodeReplay(msg));
+    const std::string wire = ReadToEof(client.get());
+    const std::string expected = full.substr(offset);
+    EXPECT_EQ(wire.size(), expected.size()) << "offset " << offset;
+    EXPECT_TRUE(wire == expected) << "offset " << offset;
+  }
+  EXPECT_EQ(counters(1).spliced_responses.load(), std::size(offsets));
+  EXPECT_EQ(counters(1).lateral_out.load(), std::size(offsets));
+  EXPECT_EQ(counters(0).lateral_in.load(), std::size(offsets));
+}
+
+// Peak resident set of this process (VmHWM), in kB.
+uint64_t PeakRssKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::stoull(line.substr(6));
+    }
+  }
+  return 0;
+}
+
+TEST_F(BackendPairTest, SixteenMegabyteRelayHoldsOnlyBytesInFlight) {
+  // The peer sends the body from views at link speed rather than memcpy
+  // speed, and the client (a TCP socket, as a front end hands off) checks
+  // each read against the head and the body's prefix and slab views: the
+  // body is materialized nowhere, so any growth is the relay's. Assembling
+  // it (a doubling buffer, then a copy) costs well over 32 MB. Cut-through
+  // holds only what the client socket refuses; a client that stalls for
+  // long enough costs up to one body, copied, by design, since the shared
+  // lateral connection is never paused.
+  FakePeer peer({{"HTTP/1.1 200 OK\r\nContent-Length: " + std::to_string(kHugeSize) + "\r\n\r\n",
+                  false, ContentStore::ExpectedParts(kHuge, kHugeSize)}});
+  OnLoop([&]() { nodes_[0]->AddPeer(1, peer.port()); });
+  const uint64_t peak_before_kb = PeakRssKb();
+  UniqueFd client = RelayFromNode1(kHuge, /*tcp=*/true);
+  const std::string full_head = ExpectedWire(0, kHuge, 0, true);
+  const std::string head =
+      full_head.substr(0, full_head.find("Content-Length: ")) +
+      "Content-Length: " + std::to_string(kHugeSize) + "\r\n\r\n";
+  const BodyParts parts = ContentStore::ExpectedParts(kHuge, kHugeSize);
+  const std::string lead = head + parts.prefix;  // then the fill views
+  const uint64_t total = lead.size() + parts.fill_bytes;
+  // The expected bytes at `offset`, as long a run as one view allows.
+  const auto expected_at = [&](uint64_t offset) {
+    if (offset < lead.size()) {
+      return std::string_view(lead).substr(offset);
+    }
+    const uint64_t fill_offset = offset - lead.size();
+    const size_t in_view = static_cast<size_t>(fill_offset % BodyParts::kMaxView);
+    return parts.fill.substr(
+        in_view, static_cast<size_t>(std::min<uint64_t>(BodyParts::kMaxView - in_view,
+                                                        parts.fill_bytes - fill_offset)));
+  };
+  uint64_t offset = 0;
+  bool match = true;
+  char buf[64 * 1024];
+  ssize_t n;
+  while (match && (n = ::recv(client.get(), buf, sizeof(buf), 0)) > 0) {
+    for (size_t done = 0; match && done < static_cast<size_t>(n);) {
+      const std::string_view want = offset < total ? expected_at(offset) : std::string_view();
+      const size_t run = std::min(want.size(), static_cast<size_t>(n) - done);
+      match = run > 0 && std::memcmp(buf + done, want.data(), run) == 0;
+      done += run;
+      offset += run;
+    }
+  }
+  const uint64_t peak_after_kb = PeakRssKb();
+  EXPECT_TRUE(match) << "first difference at or before byte " << offset;
+  EXPECT_EQ(offset, total);
+  EXPECT_EQ(counters(0).lateral_out.load(), 1u);
+  EXPECT_LT(peak_after_kb - peak_before_kb, 4u * 1024)
+      << "VmHWM grew by " << (peak_after_kb - peak_before_kb) << " kB";
+}
+
 // ---------------------------------------------------------------------------
 // Deep pipelines through the whole cluster
 // ---------------------------------------------------------------------------
@@ -316,18 +636,6 @@ std::thread SendAll(int fd, std::string requests) {
       sent += static_cast<size_t>(n);
     }
   });
-}
-
-// Peak resident set of this process (VmHWM), in kB.
-uint64_t PeakRssKb() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::stoull(line.substr(6));
-    }
-  }
-  return 0;
 }
 
 ClusterConfig PipelineCluster() {

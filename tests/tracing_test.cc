@@ -1,12 +1,16 @@
 // Unit tests for the tracing subsystem: span lifecycle through the rings,
-// overwrite-oldest semantics, deterministic sampling, and well-formedness of
-// the two render formats the admin server serves.
+// overwrite-oldest semantics, slots allocated on a ring's first record,
+// deterministic sampling, and well-formedness of the two render formats the
+// admin server serves.
 #include "src/util/tracing.h"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
+#include <vector>
 
 namespace lard {
 namespace {
@@ -95,6 +99,46 @@ TEST(TraceRing, SnapshotBeforeWrapIsInsertionOrder) {
   ASSERT_EQ(spans.size(), 3u);
   EXPECT_EQ(spans[0].seq, 0u);
   EXPECT_EQ(spans[2].seq, 2u);
+}
+
+TEST(TraceRing, SlotsAreAllocatedOnTheFirstRecord) {
+  TraceRing ring("lazy", 4096);
+  EXPECT_EQ(ring.capacity(), 4096u);
+  EXPECT_TRUE(ring.Snapshot().empty());
+  TraceSpan span;
+  span.seq = 9;
+  ring.Record(span);
+  ASSERT_EQ(ring.Snapshot().size(), 1u);
+  EXPECT_EQ(ring.Snapshot()[0].seq, 9u);
+  EXPECT_EQ(ring.capacity(), 4096u);
+}
+
+TEST(Tracer, DisabledTracerHoldsNoRingSlots) {
+  // Eight rings of 4096 slots are 3.4 MB of spans; a disabled tracer can
+  // never record one, so its rings must hold no slots at all.
+  TracerConfig config;
+  config.enabled = false;
+  config.ring_capacity = 4096;
+  const int64_t in_use_before = static_cast<int64_t>(mallinfo2().uordblks);
+  Tracer tracer(config);
+  std::vector<TraceRing*> rings;
+  rings.reserve(8);
+  for (int i = 0; i < 8; ++i) {
+    rings.push_back(tracer.Ring("be" + std::to_string(i)));
+  }
+  for (TraceRing* ring : rings) {
+    RecordSpan(&tracer, ring, 1, 0, SpanKind::kServe, 0, 0, 0, "dropped");
+  }
+  const int64_t grown = static_cast<int64_t>(mallinfo2().uordblks) - in_use_before;
+  EXPECT_LT(grown, 16 * 1024) << "in-use heap grew by " << grown << " bytes";
+  // The inventory still reports every ring at its configured capacity.
+  const std::string json = tracer.RenderJson();
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_NE(json.find("{\"name\":\"be" + std::to_string(i) +
+                        "\",\"capacity\":4096,\"recorded\":0}"),
+              std::string::npos)
+        << json;
+  }
 }
 
 TEST(Tracer, SamplingIsDeterministicAndPartial) {
