@@ -1,10 +1,11 @@
 // Google-benchmark microbenchmarks for the hot paths of the library: the
-// dispatcher decision, the LRU cache, the HTTP parser, the event engine and
-// the workload sampler. These bound how much of a real deployment's budget
-// the policy machinery itself would consume.
+// dispatcher decision, the LRU cache, the catalog lookup, the HTTP parser,
+// the event engine and the workload sampler. These bound how much of a real
+// deployment's budget the policy machinery itself would consume.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -41,6 +42,27 @@ void BM_LruCacheInsertEvict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LruCacheInsertEvict);
+
+// URL -> TargetId resolution, which the front end does for every request
+// and each back end for every request it serves. Arg 1 looks up interned
+// paths (hits), arg 0 paths that were never interned (misses).
+void BM_CatalogFind(benchmark::State& state) {
+  constexpr int kTargets = 20000;
+  TargetCatalog catalog;
+  std::vector<std::string> queries;
+  for (int i = 0; i < kTargets; ++i) {
+    const std::string path = "/page" + std::to_string(i / 8) + "/obj" + std::to_string(i % 8);
+    catalog.Intern(path, 8192);
+    queries.push_back(state.range(0) != 0 ? path : path + ".missing");
+  }
+  size_t q = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(catalog.Find(queries[q]));
+    q = q + 1 == queries.size() ? 0 : q + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CatalogFind)->ArgName("hit")->Arg(1)->Arg(0);
 
 void BM_DispatcherFirstRequest(benchmark::State& state) {
   TargetCatalog catalog;

@@ -6,12 +6,21 @@
 //   * the prototype back-end's content cache (there with real bytes besides).
 // Keeping one implementation ensures the front-end's model and the back-ends'
 // reality evolve identically under the same update stream.
+//
+// Layout: entries live in one slab of 24 B slots {size_bytes, id, prev, next}
+// whose recency links are uint32 slab indices (freed slots are reused through
+// a free list), and a power-of-two open-addressed index of slab indices, at
+// most half full, maps an id to its slot (linear probing, backward-shift
+// deletion, so no tombstones). About 32 B per resident entry and no heap node
+// per entry: once the slab and the index have grown to the working set,
+// Touch, Insert and eviction allocate nothing. The storage follows the
+// resident entries, not the id space: a cache that holds a few ids out of a
+// large catalog stays small, which per-id arrays would not.
 #ifndef SRC_CORE_LRU_CACHE_H_
 #define SRC_CORE_LRU_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "src/trace/trace.h"
@@ -22,7 +31,7 @@ class LruCache {
  public:
   explicit LruCache(uint64_t capacity_bytes) : capacity_bytes_(capacity_bytes) {}
 
-  bool Contains(TargetId id) const { return index_.find(id) != index_.end(); }
+  bool Contains(TargetId id) const { return FindPos(id) != kNoPos; }
 
   // Moves `id` to most-recently-used. Returns false (and does nothing) when
   // the entry is absent.
@@ -37,25 +46,52 @@ class LruCache {
   // Removes `id` if present.
   void Erase(TargetId id);
 
-  // Drops every entry (node removal evicts the whole virtual cache).
+  // Drops every entry and releases the storage (node removal evicts the
+  // whole virtual cache).
   void Clear();
 
   uint64_t used_bytes() const { return used_bytes_; }
   uint64_t capacity_bytes() const { return capacity_bytes_; }
-  size_t entry_count() const { return entries_.size(); }
+  size_t entry_count() const { return entry_count_; }
 
  private:
-  struct Entry {
-    TargetId id = 0;
-    uint64_t size_bytes = 0;
-  };
+  static constexpr uint32_t kNone = 0xffffffffu;
+  static constexpr size_t kNoPos = ~size_t{0};
 
-  void EvictOne(std::vector<TargetId>* evicted);
+  struct Slot {
+    uint64_t size_bytes;
+    TargetId id;
+    uint32_t prev;  // towards most recently used; kNone at the head
+    uint32_t next;  // towards least recently used; kNone at the tail
+  };
+  static_assert(sizeof(Slot) == 24, "the per-entry cost the layout is sized for");
+
+  // Home position of `id` in an index of 2^(64 - shift_) positions.
+  size_t Home(TargetId id) const {
+    return static_cast<size_t>((static_cast<uint64_t>(id) * 0x9e3779b97f4a7c15ull) >> shift_);
+  }
+  // Index position holding `id`, or kNoPos.
+  size_t FindPos(TargetId id) const;
+  // Adds `slot` to the index, which must have a free position.
+  void IndexInsert(uint32_t slot);
+  // Empties index position `pos`, shifting later members of its probe run back.
+  void IndexErase(size_t pos);
+  void GrowIndex();
+
+  void Unlink(uint32_t slot);
+  void PushFront(uint32_t slot);
+  // Drops the entry at index position `pos` and returns its slot to the free list.
+  void Remove(size_t pos);
 
   uint64_t capacity_bytes_ = 0;
   uint64_t used_bytes_ = 0;
-  std::list<Entry> entries_;  // front = most recently used
-  std::unordered_map<TargetId, std::list<Entry>::iterator> index_;
+  size_t entry_count_ = 0;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> index_;  // slab indices; kNone marks an empty position
+  unsigned shift_ = 64;
+  uint32_t head_ = kNone;  // most recently used
+  uint32_t tail_ = kNone;  // least recently used: the next victim
+  uint32_t free_ = kNone;  // freed slots, chained through `next`
 };
 
 }  // namespace lard

@@ -1,21 +1,38 @@
 #include "src/trace/trace.h"
 
+#include <functional>
+
 namespace lard {
 
+size_t TargetCatalog::Probe(const std::string& path) const {
+  const size_t mask = index_.size() - 1;
+  size_t pos = std::hash<std::string>{}(path) & mask;
+  while (index_[pos] != kInvalidTarget && targets_[index_[pos]].path != path) {
+    pos = (pos + 1) & mask;
+  }
+  return pos;
+}
+
 TargetId TargetCatalog::Intern(const std::string& path, uint64_t size_bytes) {
-  auto it = by_path_.find(path);
-  if (it != by_path_.end()) {
-    return it->second;
+  if ((targets_.size() + 1) * 2 > index_.size()) {
+    // Double (8 positions first) and re-place every id.
+    index_.assign(index_.empty() ? 8 : index_.size() * 2, kInvalidTarget);
+    for (TargetId id = 0; id < targets_.size(); ++id) {
+      index_[Probe(targets_[id].path)] = id;
+    }
+  }
+  const size_t pos = Probe(path);
+  if (index_[pos] != kInvalidTarget) {
+    return index_[pos];
   }
   const TargetId id = static_cast<TargetId>(targets_.size());
   targets_.push_back(Target{path, size_bytes});
-  by_path_.emplace(path, id);
+  index_[pos] = id;
   return id;
 }
 
 TargetId TargetCatalog::Find(const std::string& path) const {
-  auto it = by_path_.find(path);
-  return it == by_path_.end() ? kInvalidTarget : it->second;
+  return index_.empty() ? kInvalidTarget : index_[Probe(path)];
 }
 
 uint64_t TargetCatalog::TotalBytes() const {

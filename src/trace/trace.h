@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/util/logging.h"
@@ -30,8 +29,12 @@ struct Target {
   uint64_t size_bytes = 0;
 };
 
-// Interned table of all targets in a workload. TargetIds are dense and stable,
-// which lets policies and caches use vectors instead of hash maps.
+// Interned table of all targets in a workload. TargetIds are dense and stable
+// (0..size()-1 in order of first Intern). Each path is stored once, in its
+// Target: the path index is a power-of-two open-addressed table of ids, at
+// most half full, probed linearly by std::hash of the path and compared
+// against targets_[id].path, so it costs 8-16 B per target rather than a
+// second copy of the path in a node-based map.
 class TargetCatalog {
  public:
   // Returns the id for `path`, creating it (with `size_bytes`) if new. When
@@ -53,8 +56,12 @@ class TargetCatalog {
   uint64_t TotalBytes() const;
 
  private:
+  // Index position of `path`'s id, or of the empty position where it would go.
+  // The index must not be empty.
+  size_t Probe(const std::string& path) const;
+
   std::vector<Target> targets_;
-  std::unordered_map<std::string, TargetId> by_path_;
+  std::vector<TargetId> index_;  // kInvalidTarget marks an empty position
 };
 
 // A group of pipelined requests. `offset_us` is the send time relative to the

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <unordered_map>
+#include <vector>
+
 #include "src/core/lru_cache.h"
 #include "src/util/rng.h"
 
@@ -145,6 +150,153 @@ TEST_P(LruPropertyTest, InvariantsHoldUnderRandomOps) {
       ASSERT_TRUE(cache.Contains(key));
     }
   }
+}
+
+// The list + hash-map LRU that LruCache's slab layout replaced, kept as the
+// executable spec of its behaviour: same return values, same eviction order.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(uint64_t capacity_bytes) : capacity_bytes_(capacity_bytes) {}
+
+  bool Contains(TargetId id) const { return index_.count(id) != 0; }
+
+  bool Touch(TargetId id) {
+    auto it = index_.find(id);
+    if (it == index_.end()) {
+      return false;
+    }
+    entries_.splice(entries_.begin(), entries_, it->second);
+    return true;
+  }
+
+  bool Insert(TargetId id, uint64_t size_bytes, std::vector<TargetId>* evicted) {
+    if (Touch(id)) {
+      return true;
+    }
+    if (size_bytes > capacity_bytes_) {
+      return false;
+    }
+    while (used_bytes_ + size_bytes > capacity_bytes_ && !entries_.empty()) {
+      const Entry& victim = entries_.back();
+      evicted->push_back(victim.id);
+      used_bytes_ -= victim.size_bytes;
+      index_.erase(victim.id);
+      entries_.pop_back();
+    }
+    entries_.push_front(Entry{id, size_bytes});
+    index_.emplace(id, entries_.begin());
+    used_bytes_ += size_bytes;
+    return true;
+  }
+
+  void Erase(TargetId id) {
+    auto it = index_.find(id);
+    if (it != index_.end()) {
+      used_bytes_ -= it->second->size_bytes;
+      entries_.erase(it->second);
+      index_.erase(it);
+    }
+  }
+
+  void Clear() {
+    entries_.clear();
+    index_.clear();
+    used_bytes_ = 0;
+  }
+
+  uint64_t used_bytes() const { return used_bytes_; }
+  size_t entry_count() const { return entries_.size(); }
+
+ private:
+  struct Entry {
+    TargetId id;
+    uint64_t size_bytes;
+  };
+  uint64_t capacity_bytes_;
+  uint64_t used_bytes_ = 0;
+  std::list<Entry> entries_;  // front = most recently used
+  std::unordered_map<TargetId, std::list<Entry>::iterator> index_;
+};
+
+// Drives LruCache and ReferenceLru with one random op stream over ids drawn
+// from `ids`, object sizes in [0, max_size], and a Clear() about every
+// `clear_every` ops, comparing every result after every op. At some point at
+// least `min_peak_entries` must be resident at once.
+void ExpectMatchesReference(uint64_t capacity, uint64_t max_size, const std::vector<TargetId>& ids,
+                            int ops, uint64_t clear_every, uint64_t seed, size_t min_peak_entries) {
+  LruCache cache(capacity);
+  ReferenceLru reference(capacity);
+  Rng rng(seed);
+  size_t peak_entries = 0;
+  std::vector<TargetId> evicted;
+  std::vector<TargetId> reference_evicted;
+  for (int op = 0; op < ops; ++op) {
+    const TargetId id = ids[rng.NextBelow(ids.size())];
+    const uint64_t roll = rng.NextBelow(100);
+    if (rng.NextBelow(clear_every) == 0) {
+      cache.Clear();
+      reference.Clear();
+    } else if (roll < 45) {
+      const uint64_t size = rng.NextBelow(max_size + 1);
+      evicted.clear();
+      reference_evicted.clear();
+      ASSERT_EQ(cache.Insert(id, size, &evicted), reference.Insert(id, size, &reference_evicted))
+          << "op " << op;
+      ASSERT_EQ(evicted, reference_evicted) << "op " << op;
+    } else if (roll < 70) {
+      ASSERT_EQ(cache.Touch(id), reference.Touch(id)) << "op " << op;
+    } else if (roll < 85) {
+      ASSERT_EQ(cache.Contains(id), reference.Contains(id)) << "op " << op;
+    } else {
+      cache.Erase(id);
+      reference.Erase(id);
+    }
+    ASSERT_EQ(cache.Contains(id), reference.Contains(id)) << "op " << op;
+    ASSERT_EQ(cache.used_bytes(), reference.used_bytes()) << "op " << op;
+    ASSERT_EQ(cache.entry_count(), reference.entry_count()) << "op " << op;
+    ASSERT_LE(cache.used_bytes(), capacity);
+    peak_entries = std::max(peak_entries, cache.entry_count());
+  }
+  EXPECT_GE(peak_entries, min_peak_entries);
+}
+
+std::vector<TargetId> DenseIds(TargetId count) {
+  std::vector<TargetId> ids(count);
+  for (TargetId id = 0; id < count; ++id) {
+    ids[id] = id;
+  }
+  return ids;
+}
+
+// Random ids over the whole valid range, both ends included.
+std::vector<TargetId> SparseIds(size_t count, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<TargetId> ids = {0, kInvalidTarget - 1};
+  while (ids.size() < count) {
+    ids.push_back(static_cast<TargetId>(rng.NextBelow(kInvalidTarget)));
+  }
+  return ids;
+}
+
+TEST_P(LruPropertyTest, MatchesReferenceWithDenseIds) {
+  const uint64_t capacity = GetParam();
+  ExpectMatchesReference(capacity, capacity / 2, DenseIds(64), 100000, 20000, capacity, 1);
+}
+
+TEST_P(LruPropertyTest, MatchesReferenceWithSparseIds) {
+  const uint64_t capacity = GetParam();
+  ExpectMatchesReference(capacity, capacity / 2, SparseIds(256, capacity), 100000, 20000,
+                         capacity + 1, 1);
+}
+
+// Thousands of small entries: the index doubles from 8 to 8192 positions or
+// more, and the rare Clear() makes it grow again from nothing.
+TEST_P(LruPropertyTest, MatchesReferenceAcrossIndexGrowth) {
+  const uint64_t capacity = GetParam();
+  ExpectMatchesReference(capacity * 64, capacity / 32, DenseIds(8192), 200000, 100000,
+                         capacity + 2, 2049);
+  ExpectMatchesReference(capacity * 64, capacity / 32, SparseIds(8192, capacity), 200000, 100000,
+                         capacity + 3, 2049);
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, LruPropertyTest, ::testing::Values(64, 1024, 65536));

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/trace/synthetic.h"
 #include "src/trace/trace.h"
 #include "src/trace/trace_stats.h"
@@ -21,8 +23,56 @@ TEST(TargetCatalogTest, InternIsIdempotent) {
 TEST(TargetCatalogTest, FindMissingReturnsInvalid) {
   TargetCatalog catalog;
   EXPECT_EQ(catalog.Find("/nope"), kInvalidTarget);
+  EXPECT_EQ(catalog.Find(""), kInvalidTarget);
   catalog.Intern("/yes", 1);
   EXPECT_NE(catalog.Find("/yes"), kInvalidTarget);
+  EXPECT_EQ(catalog.Find("/nope"), kInvalidTarget);
+}
+
+TEST(TargetCatalogTest, RepeatInternKeepsFirstSizeAndId) {
+  TargetCatalog catalog;
+  const TargetId first = catalog.Intern("/doc", 10);
+  for (int i = 0; i < 100; ++i) {
+    catalog.Intern("/other" + std::to_string(i), 1);  // grow the index past /doc
+  }
+  EXPECT_EQ(catalog.Intern("/doc", 20), first);
+  EXPECT_EQ(catalog.Get(first).size_bytes, 10u);
+  EXPECT_EQ(catalog.Find("/doc"), first);
+  EXPECT_EQ(catalog.size(), 101u);
+}
+
+// 20,000 paths interned across many doublings of the path index (it doubles
+// as the count passes each power of two): just before and just after each
+// doubling every path interned so far is still found under its id, absent
+// paths are not, and ids stay dense in order of first Intern.
+TEST(TargetCatalogTest, FindSurvivesIndexGrowth) {
+  const auto path = [](int i) { return "/dir" + std::to_string(i % 97) + "/f" + std::to_string(i); };
+  TargetCatalog catalog;
+  const auto power_of_two = [](int n) { return n > 0 && (n & (n - 1)) == 0; };
+  int checks = 0;
+  for (int i = 0; i < 20000; ++i) {
+    ASSERT_EQ(catalog.Intern(path(i), static_cast<uint64_t>(i)), static_cast<TargetId>(i));
+    const int n = i + 1;
+    if (power_of_two(n) || power_of_two(n - 1)) {
+      ++checks;
+      for (int j = 0; j < n; ++j) {
+        ASSERT_EQ(catalog.Find(path(j)), static_cast<TargetId>(j)) << "after " << n;
+      }
+      ASSERT_EQ(catalog.Find(path(n)), kInvalidTarget) << "after " << n;
+      ASSERT_EQ(catalog.Find("/absent"), kInvalidTarget) << "after " << n;
+    }
+  }
+  EXPECT_GE(checks, 28);
+  ASSERT_EQ(catalog.size(), 20000u);
+  for (TargetId id = 0; id < 20000; ++id) {
+    ASSERT_EQ(catalog.Get(id).path, path(static_cast<int>(id)));
+    ASSERT_EQ(catalog.Get(id).size_bytes, id);
+    ASSERT_EQ(catalog.Find(catalog.Get(id).path), id);
+  }
+  EXPECT_EQ(catalog.Find("/dir0/f20000"), kInvalidTarget);
+
+  const TargetCatalog copy = catalog;  // Trace::ToHttp10 copies the catalog
+  EXPECT_EQ(copy.Find(path(12345)), 12345u);
 }
 
 TEST(TraceTest, RequestAndByteAccounting) {
