@@ -1,10 +1,12 @@
 // Google-benchmark microbenchmarks for the hot paths of the library: the
 // dispatcher decision, the LRU cache, the catalog lookup, the HTTP parser,
 // the event engine and the workload sampler. These bound how much of a real
-// deployment's budget the policy machinery itself would consume.
+// deployment's budget the policy machinery itself would consume. One more
+// measures the prototype cluster's bring-up and teardown.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,8 +14,10 @@
 #include "src/core/dispatcher.h"
 #include "src/http/request_parser.h"
 #include "src/net/event_loop.h"
+#include "src/proto/cluster.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/resources.h"
+#include "src/util/logging.h"
 #include "src/util/rng.h"
 #include "src/util/tracing.h"
 
@@ -267,6 +271,44 @@ void BM_EventLoopSelfPost(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 BENCHMARK(BM_EventLoopSelfPost);
+
+// Cluster::Start() and Stop() with the request-cost benchmark's cluster:
+// 3 back ends, 1 front end on 1 loop, extLARD, back-end forwarding, admin
+// on, tracing off. start_us and stop_us are the mean wall time of each call;
+// the iteration time adds construction and destruction.
+void BM_ClusterStartStop(benchmark::State& state) {
+  SetMinLogSeverity(LogSeverity::kWarning);  // Start() logs at info
+  TargetCatalog catalog;
+  catalog.Intern("/index.html", 8192);
+  ClusterConfig config;
+  config.num_nodes = 3;
+  config.num_frontends = 1;
+  config.fe_loops = 1;
+  config.policy = Policy::kExtendedLard;
+  config.mechanism = Mechanism::kBackEndForwarding;
+  config.tracing_enabled = false;
+  using Clock = std::chrono::steady_clock;
+  Clock::duration start{};
+  Clock::duration stop{};
+  for (auto _ : state) {
+    Cluster cluster(config, &catalog);
+    const Clock::time_point t0 = Clock::now();
+    if (!cluster.Start().ok()) {
+      state.SkipWithError("Cluster::Start() failed");
+      break;
+    }
+    const Clock::time_point t1 = Clock::now();
+    cluster.Stop();
+    start += t1 - t0;
+    stop += Clock::now() - t1;
+  }
+  const auto us = [](Clock::duration d) {
+    return std::chrono::duration<double, std::micro>(d).count();
+  };
+  state.counters["start_us"] = benchmark::Counter(us(start), benchmark::Counter::kAvgIterations);
+  state.counters["stop_us"] = benchmark::Counter(us(stop), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ClusterStartStop)->Unit(benchmark::kMicrosecond);
 
 void BM_ZipfSample(benchmark::State& state) {
   Rng rng(1);

@@ -64,13 +64,16 @@ void AdminServer::RoutePrefix(const std::string& method, const std::string& pref
   prefixes_.emplace_back(method + " " + prefix, std::move(handler));
 }
 
-void AdminServer::Start(uint16_t port) {
+Status AdminServer::Start(uint16_t port) {
   auto listener = ListenTcp(port, &port_);
-  LARD_CHECK(listener.ok()) << listener.status().ToString();
+  if (!listener.ok()) {
+    return listener.status();
+  }
   listener_ = std::move(listener.value());
   LARD_CHECK_OK(SetNonBlocking(listener_.get(), true));
   loop_->Register(listener_.get(), EPOLLIN, [this](uint32_t events) { OnAccept(events); });
   LARD_LOG(INFO) << "admin server listening on 127.0.0.1:" << port_;
+  return Status::Ok();
 }
 
 void AdminServer::OnAccept(uint32_t) {

@@ -31,6 +31,7 @@
 #include "src/net/event_loop.h"
 #include "src/util/liveness.h"
 #include "src/util/metrics.h"
+#include "src/util/status.h"
 
 namespace lard {
 
@@ -65,8 +66,9 @@ class AdminServer {
   // chance to refresh bridged gauges (per-node counters held elsewhere).
   void set_before_metrics(std::function<void()> hook) { before_metrics_ = std::move(hook); }
 
-  // Loop thread. Binds 127.0.0.1:`port` (0 = ephemeral; see port() after).
-  void Start(uint16_t port);
+  // Loop thread (or before the loop runs). Binds 127.0.0.1:`port`
+  // (0 = ephemeral; see port() after); a bind failure is returned.
+  Status Start(uint16_t port);
 
   uint16_t port() const { return port_; }
   uint64_t requests_served() const { return requests_served_; }

@@ -16,7 +16,7 @@ EventLoopGroup::~EventLoopGroup() { Stop(); }
 
 void EventLoopGroup::RunOn(int loop_idx, std::function<void()> fn) {
   EventLoop* target = loop(loop_idx);
-  if (target->IsInLoopThread()) {
+  if (!started_.load(std::memory_order_acquire) || target->IsInLoopThread()) {
     fn();
     return;
   }
@@ -34,6 +34,7 @@ void EventLoopGroup::EnableProfiling(MetricsRegistry* metrics, const std::string
 
 void EventLoopGroup::Start() {
   LARD_CHECK(threads_.empty()) << "EventLoopGroup already started";
+  started_.store(true, std::memory_order_release);
   threads_.reserve(loops_.size());
   for (auto& loop : loops_) {
     EventLoop* raw = loop.get();

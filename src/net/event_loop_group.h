@@ -6,7 +6,8 @@
 //
 // Threading contract: construction, Start() and Stop() happen on the owner's
 // thread; loop(i) pointers are stable for the group's lifetime and may be
-// shared across threads (EventLoop::Post is thread-safe). RunOn() may be
+// shared across threads (EventLoop::Post is thread-safe). Before Start() the
+// loops have no threads and the owner wires them directly. RunOn() may be
 // called from any thread, including a loop thread targeting itself (runs
 // inline) or a sibling loop (posts).
 #ifndef SRC_NET_EVENT_LOOP_GROUP_H_
@@ -44,8 +45,9 @@ class EventLoopGroup {
     return static_cast<int>(next_.fetch_add(1, std::memory_order_relaxed) % loops_.size());
   }
 
-  // Runs `fn` on loop `loop_idx`: inline when already on that loop's thread,
-  // otherwise via EventLoop::Post (fire-and-forget).
+  // Runs `fn` on loop `loop_idx`: inline when already on that loop's thread
+  // or before Start() (the owner's single-threaded setup), otherwise via
+  // EventLoop::Post (fire-and-forget).
   void RunOn(int loop_idx, std::function<void()> fn);
 
   // Publishes per-loop health metrics as {loop="<prefix>"} for loop 0 and
@@ -61,6 +63,9 @@ class EventLoopGroup {
  private:
   std::vector<std::unique_ptr<EventLoop>> loops_;
   std::vector<std::thread> threads_;
+  // Set by Start() before the first thread spawns; RunOn reads it from any
+  // thread.
+  std::atomic<bool> started_{false};
   std::atomic<uint64_t> next_{0};
 };
 

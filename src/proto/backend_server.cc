@@ -53,7 +53,12 @@ int64_t BackendServer::NowMs() const {
   return static_cast<int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1000000;
 }
 
-void BackendServer::Start(UniqueFd control_fd) {
+Status BackendServer::Start(UniqueFd control_fd) {
+  auto listener = ListenTcp(0, &lateral_port_);
+  if (!listener.ok()) {
+    return listener.status();
+  }
+  lateral_listener_ = std::move(listener.value());
   disk_ = std::make_unique<DiskGate>(loop_, config_.disk_costs, config_.disk_time_scale);
 
   if (config_.metrics != nullptr) {
@@ -87,9 +92,6 @@ void BackendServer::Start(UniqueFd control_fd) {
 
   AttachFrontEnd(0, std::move(control_fd));
 
-  auto listener = ListenTcp(0, &lateral_port_);
-  LARD_CHECK(listener.ok()) << listener.status().ToString();
-  lateral_listener_ = std::move(listener.value());
   LARD_CHECK_OK(SetNonBlocking(lateral_listener_.get(), true));
   loop_->Register(lateral_listener_.get(), EPOLLIN,
                   [this](uint32_t events) { OnLateralAccept(events); });
@@ -99,6 +101,7 @@ void BackendServer::Start(UniqueFd control_fd) {
   // idle-connection sweep, every 100 ms. Guarded: the timer must die with
   // the server, not the loop.
   loop_->ScheduleAfterMs(kHousekeepingPeriodMs, alive_.Guard([this]() { Housekeeping(); }));
+  return Status::Ok();
 }
 
 void BackendServer::AttachFrontEnd(int fe_id, UniqueFd control_fd) {

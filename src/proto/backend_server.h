@@ -46,6 +46,7 @@
 #include "src/proto/lateral_client.h"
 #include "src/util/liveness.h"
 #include "src/util/metrics.h"
+#include "src/util/status.h"
 #include "src/util/tracing.h"
 
 namespace lard {
@@ -96,19 +97,21 @@ struct BackendCounters {
 
 class BackendServer {
  public:
-  // `loop` and `store` must outlive the server. The server is constructed on
-  // the owner's thread but must be *started* on the loop thread.
+  // `loop` and `store` must outlive the server. Construct and Start() on the
+  // owner's thread before the loop runs, or on the loop thread.
   BackendServer(const BackendConfig& config, EventLoop* loop, const ContentStore* store);
   ~BackendServer();
 
   BackendServer(const BackendServer&) = delete;
   BackendServer& operator=(const BackendServer&) = delete;
 
-  // Loop thread. Attaches front-end 0's control session and opens the
-  // lateral listener (port returned via lateral_port()).
-  void Start(UniqueFd control_fd);
+  // Loop thread (or before the loop runs). Opens the lateral listener (port
+  // returned via lateral_port()) and attaches front-end 0's control session;
+  // a listen failure is returned with nothing attached.
+  Status Start(UniqueFd control_fd);
 
-  // Loop thread. Attaches (or replaces) the control session of front-end
+  // Loop thread (or before the loop runs). Attaches (or replaces) the
+  // control session of front-end
   // `fe_id` — the replicated-FE tier's join path. Every client connection
   // remembers which front-end handed it off, and its consults, idle/close
   // notifications and handbacks travel that front-end's session; node-status
@@ -117,7 +120,8 @@ class BackendServer {
   // autonomous local service instead of wedging on unanswerable consults.
   void AttachFrontEnd(int fe_id, UniqueFd control_fd);
 
-  // Loop thread. Connects lateral clients; ports[i] is node i's lateral port
+  // Loop thread (or before the loop runs). Connects lateral clients;
+  // ports[i] is node i's lateral port
   // (entry for self ignored). Call after every node has started; the list may
   // be longer than the membership this node was configured with (nodes that
   // joined since).

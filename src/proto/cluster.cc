@@ -257,144 +257,159 @@ Status Cluster::StartBackend(NodeId node_id, std::vector<UniqueFd>* fe_ends) {
   backend_config.metrics = &metrics_;
   backend_config.tracer = tracer_.get();
   node->server = std::make_unique<BackendServer>(backend_config, node->loop.get(), &store_);
+  Status status = node->server->Start(std::move(be_ends[0]));
+  if (!status.ok()) {
+    return status;
+  }
+  for (size_t fe = 1; fe < be_ends.size(); ++fe) {
+    if (be_ends[fe].valid()) {
+      node->server->AttachFrontEnd(static_cast<int>(fe), std::move(be_ends[fe]));
+    }
+  }
   if (config_.profile_loops) {
-    // Must precede Run(): the loop thread starts just below.
     node->loop->EnableProfiling(&metrics_, "be" + std::to_string(node_id));
   }
-  node->thread = std::thread([loop = node->loop.get()]() { loop->Run(); });
-  Node* raw = node.get();
+  node->lateral_port = node->server->lateral_port();
   LARD_CHECK(static_cast<size_t>(node_id) == nodes_.size());
   nodes_.push_back(std::move(node));
-  RunOnLoop(raw->loop.get(), [raw, &be_ends]() {
-    raw->server->Start(std::move(be_ends[0]));
-    for (size_t fe = 1; fe < be_ends.size(); ++fe) {
-      if (be_ends[fe].valid()) {
-        raw->server->AttachFrontEnd(static_cast<int>(fe), std::move(be_ends[fe]));
-      }
-    }
-  });
-  raw->lateral_port = raw->server->lateral_port();
   return Status::Ok();
 }
 
+std::unique_ptr<Cluster::FeReplica> Cluster::NewReplica(FrontEndConfig fe_config) {
+  fe_config.gossip_interval_ms = config_.gossip_interval_ms;
+  fe_config.policy = config_.policy;
+  fe_config.policy_name = config_.policy_name;
+  fe_config.mechanism = config_.mechanism;
+  fe_config.params = config_.params;
+  fe_config.virtual_cache_bytes = config_.backend_cache_bytes;
+  fe_config.heartbeat_timeout_ms = config_.heartbeat_timeout_ms;
+  fe_config.retire_grace_ms = config_.retire_grace_ms;
+  fe_config.lateral_timeout_ms = config_.lateral_timeout_ms;
+  fe_config.replay_enabled = config_.replay_enabled;
+  fe_config.replay_journal = config_.replay_journal;
+  fe_config.idempotent_methods = config_.idempotent_methods;
+  fe_config.metrics = &metrics_;
+  fe_config.tracer = tracer_.get();
+  fe_config.telemetry_interval_ms = config_.telemetry_interval_ms;
+  fe_config.slo_rules = config_.slo_rules;
+  auto replica = std::make_unique<FeReplica>();
+  replica->loops = std::make_unique<EventLoopGroup>(config_.fe_loops);
+  replica->frontend =
+      std::make_unique<FrontEnd>(fe_config, replica->loops.get(), &store_.catalog());
+  // Node teardown follows the front-ends' removal decisions (which may be
+  // deferred past a graceful retire), not the admin call — and waits for
+  // every replica to let go.
+  replica->frontend->set_on_node_removed([this](NodeId node) { OnNodeRemoved(node); });
+  if (config_.profile_loops) {
+    // Per-loop twins: "fe<k>" for loop 0 (historic label), "fe<k>.<n>"
+    // for the extra reactors.
+    replica->loops->EnableProfiling(&metrics_, "fe" + std::to_string(fe_config.fe_id));
+  }
+  return replica;
+}
+
 Status Cluster::Start() {
-  MutexLock lock(&nodes_mutex_);
-  // started_ is read under nodes_mutex_ by the membership verbs on the
-  // front-end loops; the write must be published under the same lock (the
-  // annotation pass caught the old unlocked write).
-  LARD_CHECK(!started_);
-  started_ = true;
-
-  // Back-ends, each with one control-session socketpair per front-end.
+  // Every loop is wired here, on this thread, before any loop thread exists
+  // (docs/CONCURRENCY.md, "Bring-up"); threads start last. A failure returns
+  // before that, so the cluster has nothing to join and its destructor
+  // closes every fd opened so far.
   std::vector<std::vector<UniqueFd>> fe_ends(static_cast<size_t>(config_.num_nodes));
-  for (int i = 0; i < config_.num_nodes; ++i) {
-    Status status = StartBackend(i, &fe_ends[static_cast<size_t>(i)]);
-    if (!status.ok()) {
-      return status;
-    }
-  }
-
-  // Remember each node's capacity weight so front-ends joining later
-  // (AddFrontEnd) register the same weights the tier started with.
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    nodes_[i]->weight = i < config_.node_weights.size() ? config_.node_weights[i] : 1.0;
-  }
-
-  // Lateral mesh.
   std::vector<uint16_t> lateral_ports;
-  for (const auto& node : nodes_) {
-    lateral_ports.push_back(node->lateral_port);
-  }
-  for (const auto& node : nodes_) {
-    RunOnLoop(node->loop.get(),
-              [&node, &lateral_ports]() { node->server->ConnectPeers(lateral_ports); });
+  {
+    MutexLock lock(&nodes_mutex_);
+    // started_ is read under nodes_mutex_ by the membership verbs on the
+    // front-end loops; the write must be published under the same lock (the
+    // annotation pass caught the old unlocked write).
+    LARD_CHECK(!started_);
+    started_ = true;
+
+    // Back-ends, each with one control-session socketpair per front-end.
+    for (int i = 0; i < config_.num_nodes; ++i) {
+      Status status = StartBackend(i, &fe_ends[static_cast<size_t>(i)]);
+      if (!status.ok()) {
+        return status;
+      }
+    }
+
+    // Remember each node's capacity weight so front-ends joining later
+    // (AddFrontEnd) register the same weights the tier started with.
+    for (size_t i = 0; i < nodes_.size(); ++i) {
+      nodes_[i]->weight = i < config_.node_weights.size() ? config_.node_weights[i] : 1.0;
+    }
+
+    // Lateral mesh.
+    for (const auto& node : nodes_) {
+      lateral_ports.push_back(node->lateral_port);
+    }
+    for (const auto& node : nodes_) {
+      node->server->ConnectPeers(lateral_ports);
+    }
   }
 
   // The front-end tier: each replica gets its own EventLoopGroup of
   // fe_loops reactors. Loop 0 carries the control plane; client
-  // connections shard across all loops (see FrontEnd).
+  // connections shard across all loops (see FrontEnd). Wired outside
+  // nodes_mutex_: FrontEnd methods take the replica's state_mutex_, which
+  // its loops hold when they call back into OnNodeRemoved (lock order
+  // state_mutex_ -> nodes_mutex_).
+  std::vector<std::unique_ptr<FeReplica>> replicas;
   for (int fe = 0; fe < config_.num_frontends; ++fe) {
-    auto replica = std::make_unique<FeReplica>();
-    replica->loops = std::make_unique<EventLoopGroup>(config_.fe_loops);
     FrontEndConfig fe_config;
-    fe_config.num_nodes = config_.num_nodes;
     fe_config.fe_id = fe;
     fe_config.num_frontends = config_.num_frontends;
-    fe_config.gossip_interval_ms = config_.gossip_interval_ms;
-    fe_config.policy = config_.policy;
-    fe_config.policy_name = config_.policy_name;
+    fe_config.num_nodes = config_.num_nodes;
     fe_config.node_weights = config_.node_weights;
-    fe_config.mechanism = config_.mechanism;
-    fe_config.params = config_.params;
-    fe_config.virtual_cache_bytes = config_.backend_cache_bytes;
     // Only replica 0 gets the configured port; the rest pick free ports
     // (ports() exposes the whole tier for client spraying).
     fe_config.listen_port = fe == 0 ? config_.listen_port : 0;
-    fe_config.heartbeat_timeout_ms = config_.heartbeat_timeout_ms;
-    fe_config.retire_grace_ms = config_.retire_grace_ms;
-    fe_config.lateral_timeout_ms = config_.lateral_timeout_ms;
-    fe_config.replay_enabled = config_.replay_enabled;
-    fe_config.replay_journal = config_.replay_journal;
-    fe_config.idempotent_methods = config_.idempotent_methods;
-    fe_config.metrics = &metrics_;
-    fe_config.tracer = tracer_.get();
-    fe_config.telemetry_interval_ms = config_.telemetry_interval_ms;
-    fe_config.slo_rules = config_.slo_rules;
     fe_config.idle_timeout_ms = config_.idle_timeout_ms;
-    replica->frontend =
-        std::make_unique<FrontEnd>(fe_config, replica->loops.get(), &store_.catalog());
-    // Node teardown follows the front-ends' removal decisions (which may be
-    // deferred past a graceful retire), not the admin call — and waits for
-    // every replica to let go.
-    replica->frontend->set_on_node_removed([this](NodeId node) { OnNodeRemoved(node); });
-    if (config_.profile_loops) {
-      // Per-loop twins: "fe<k>" for loop 0 (historic label), "fe<k>.<n>"
-      // for the extra reactors. Must precede Start(): threads spawn below.
-      replica->loops->EnableProfiling(&metrics_, "fe" + std::to_string(fe));
-    }
-    replica->loops->Start();
-    fes_.push_back(std::move(replica));
-  }
-  for (int fe = 0; fe < config_.num_frontends; ++fe) {
+    std::unique_ptr<FeReplica> replica = NewReplica(fe_config);
     std::vector<UniqueFd> controls;
     controls.reserve(static_cast<size_t>(config_.num_nodes));
-    for (int node = 0; node < config_.num_nodes; ++node) {
-      controls.push_back(
-          std::move(fe_ends[static_cast<size_t>(node)][static_cast<size_t>(fe)]));
+    for (auto& ends : fe_ends) {
+      controls.push_back(std::move(ends[static_cast<size_t>(fe)]));
     }
-    RunOnLoop(FeLoop(static_cast<size_t>(fe)), [this, fe, &controls, &lateral_ports]() {
-      Fe(static_cast<size_t>(fe))->Start(std::move(controls));
-      if (config_.mechanism == Mechanism::kRelayingFrontEnd) {
-        Fe(static_cast<size_t>(fe))->ConnectBackends(lateral_ports);
-      }
-    });
+    Status status = replica->frontend->Start(std::move(controls));
+    if (!status.ok()) {
+      return status;
+    }
+    if (config_.mechanism == Mechanism::kRelayingFrontEnd) {
+      replica->frontend->ConnectBackends(lateral_ports);
+    }
+    replicas.push_back(std::move(replica));
   }
 
   // Pairwise gossip channels between the replicas.
-  for (size_t i = 0; i < fes_.size(); ++i) {
-    for (size_t j = i + 1; j < fes_.size(); ++j) {
+  for (size_t i = 0; i < replicas.size(); ++i) {
+    for (size_t j = i + 1; j < replicas.size(); ++j) {
       auto pair = UnixPair();
       if (!pair.ok()) {
         return pair.status();
       }
-      UniqueFd end_i = std::move(pair.value().first);
-      UniqueFd end_j = std::move(pair.value().second);
-      RunOnLoop(FeLoop(i), [this, i, j, &end_i]() {
-        Fe(i)->AttachPeer(static_cast<uint32_t>(j), std::move(end_i));
-      });
-      RunOnLoop(FeLoop(j), [this, i, j, &end_j]() {
-        Fe(j)->AttachPeer(static_cast<uint32_t>(i), std::move(end_j));
-      });
+      replicas[i]->frontend->AttachPeer(static_cast<uint32_t>(j), std::move(pair.value().first));
+      replicas[j]->frontend->AttachPeer(static_cast<uint32_t>(i), std::move(pair.value().second));
     }
   }
 
+  MutexLock lock(&nodes_mutex_);
+  fes_ = std::move(replicas);
   // Admin plane, on front-end 0's loop (handlers run where that dispatcher
   // lives; mesh introspection reads the other replicas' thread-safe
   // snapshots).
   if (config_.enable_admin) {
     admin_ = std::make_unique<AdminServer>(FeLoop(0), &metrics_);
     RegisterAdminRoutes();
-    RunOnLoop(FeLoop(0), [this]() { admin_->Start(config_.admin_port); });
+    Status status = admin_->Start(config_.admin_port);
+    if (!status.ok()) {
+      return status;
+    }
+  }
+
+  for (auto& node : nodes_) {
+    node->thread = std::thread([loop = node->loop.get()]() { loop->Run(); });
+  }
+  for (auto& replica : fes_) {
+    replica->loops->Start();
   }
   return Status::Ok();
 }
@@ -689,10 +704,10 @@ NodeId Cluster::AddNode(double weight) {
   // Membership operations are serialized on front-end 0's loop thread
   // (inline when an admin handler calls us there), so concurrent joins
   // cannot interleave id allocation across the replicas. nodes_mutex_ is
-  // held only around the backend bring-up (which posts exclusively to the
-  // *node's own* fresh loop) and released before fanning out to the other
-  // front-end loops — those may be blocked on the mutex inside
-  // OnNodeRemoved, and waiting on them while holding it would deadlock.
+  // held only around the backend bring-up (which waits on back-end loops
+  // only) and released before fanning out to the other front-end loops —
+  // those may be blocked on the mutex inside OnNodeRemoved, and waiting on
+  // them while holding it would deadlock.
   NodeId node_id = kInvalidNode;
   RunOnLoop(FeLoop(0), [this, weight, &node_id]() {
     NodeId fresh_id = kInvalidNode;
@@ -710,14 +725,14 @@ NodeId Cluster::AddNode(double weight) {
       fresh = nodes_.back().get();
       fresh->weight = weight;
 
-      // Lateral mesh: the new node learns every live peer; every live peer
-      // learns the new node.
+      // Lateral mesh: the new node learns every live peer before its thread
+      // starts; every live peer learns the new node on its own loop.
       std::vector<uint16_t> lateral_ports;
       for (const auto& node : nodes_) {
         lateral_ports.push_back(node->lateral_port);
       }
-      RunOnLoop(fresh->loop.get(),
-                [fresh, &lateral_ports]() { fresh->server->ConnectPeers(lateral_ports); });
+      fresh->server->ConnectPeers(lateral_ports);
+      fresh->thread = std::thread([loop = fresh->loop.get()]() { loop->Run(); });
       for (NodeId peer = 0; peer < fresh_id; ++peer) {
         Node* node = nodes_[static_cast<size_t>(peer)].get();
         if (node->stopped) {
@@ -875,105 +890,72 @@ int Cluster::AddFrontEnd() {
   // the admin/control plane never race the push_back.
   int fe_id = -1;
   RunOnLoop(FeLoop(0), [this, &fe_id]() {
-    struct NodeInfo {
-      bool live = false;
+    // The replica is wired before its loops start. nodes_mutex_ is held only
+    // to install it and attach the back-end side of its control sessions:
+    // FrontEnd methods take the replica's state_mutex_, which its loops hold
+    // when they call back into OnNodeRemoved (lock order state_mutex_ ->
+    // nodes_mutex_).
+    const int id = static_cast<int>(fes_.size());  // we are on replica 0's loop: safe
+    FrontEndConfig fe_config;
+    fe_config.fe_id = id;
+    fe_config.num_frontends = id + 1;
+    fe_config.num_nodes = 0;  // nodes join below, one AddNode per live slot
+    // A replica added after a runtime POST /idletimeout joins with the
+    // tier's current deadline, not the boot-time one.
+    fe_config.idle_timeout_ms = Fe(0)->idle_timeout_ms();
+    std::unique_ptr<FeReplica> replica = NewReplica(fe_config);
+    FrontEnd* fe = replica->frontend.get();
+    EventLoopGroup* loops = replica->loops.get();
+    if (!fe->Start({}).ok()) {
+      return;
+    }
+
+    // One control session per live node, attached on the node's own loop
+    // (back-end loops never take nodes_mutex_, so waiting on them under it
+    // cannot deadlock, and the lock keeps StopNodeLocked from racing us).
+    // An invalid control fd marks a dead slot.
+    struct Slot {
+      UniqueFd control;
       uint16_t lateral_port = 0;
       double weight = 1.0;
     };
-    std::vector<NodeInfo> node_info;
-    std::vector<UniqueFd> control_fds;  // fe-side ends, parallel to node_info
-    FeReplica* raw = nullptr;
-    int id = -1;
+    std::vector<Slot> slots;
     {
       MutexLock lock(&nodes_mutex_);
       if (!started_ || stopped_) {
         return;
       }
-      id = static_cast<int>(fes_.size());
-      auto replica = std::make_unique<FeReplica>();
-      replica->loops = std::make_unique<EventLoopGroup>(config_.fe_loops);
-      FrontEndConfig fe_config;
-      fe_config.num_nodes = 0;  // nodes join below, one AddNode per live slot
-      fe_config.fe_id = id;
-      fe_config.num_frontends = id + 1;
-      fe_config.gossip_interval_ms = config_.gossip_interval_ms;
-      fe_config.policy = config_.policy;
-      fe_config.policy_name = config_.policy_name;
-      fe_config.mechanism = config_.mechanism;
-      fe_config.params = config_.params;
-      fe_config.virtual_cache_bytes = config_.backend_cache_bytes;
-      fe_config.listen_port = 0;  // ephemeral; see ports()
-      fe_config.heartbeat_timeout_ms = config_.heartbeat_timeout_ms;
-      fe_config.retire_grace_ms = config_.retire_grace_ms;
-      fe_config.lateral_timeout_ms = config_.lateral_timeout_ms;
-      fe_config.replay_enabled = config_.replay_enabled;
-      fe_config.replay_journal = config_.replay_journal;
-      fe_config.idempotent_methods = config_.idempotent_methods;
-      fe_config.metrics = &metrics_;
-      fe_config.tracer = tracer_.get();
-      fe_config.telemetry_interval_ms = config_.telemetry_interval_ms;
-      fe_config.slo_rules = config_.slo_rules;
-      // A replica added after a runtime POST /idletimeout joins with the
-      // tier's current deadline, not the boot-time one.
-      fe_config.idle_timeout_ms =
-          fes_.empty() || Fe(0) == nullptr ? config_.idle_timeout_ms : Fe(0)->idle_timeout_ms();
-      replica->frontend =
-          std::make_unique<FrontEnd>(fe_config, replica->loops.get(), &store_.catalog());
-      replica->frontend->set_on_node_removed([this](NodeId node) { OnNodeRemoved(node); });
-      if (config_.profile_loops) {
-        replica->loops->EnableProfiling(&metrics_, "fe" + std::to_string(id));
-      }
-      replica->loops->Start();
-      raw = replica.get();
       fes_.push_back(std::move(replica));
-
-      // Back-end side of the control sessions: one pair per live node,
-      // attached on the node's own loop (the AddNode pattern — backend
-      // loops never take nodes_mutex_, so posting under it cannot
-      // deadlock, and the lock keeps StopNodeLocked from racing us).
-      for (size_t n = 0; n < nodes_.size(); ++n) {
-        Node* node = nodes_[n].get();
-        NodeInfo info;
-        info.live = !node->stopped && node->server != nullptr;
-        info.lateral_port = node->lateral_port;
-        info.weight = node->weight;
-        if (info.live) {
+      for (const auto& node_ptr : nodes_) {
+        Node* node = node_ptr.get();
+        Slot slot;
+        slot.lateral_port = node->lateral_port;
+        slot.weight = node->weight;
+        if (!node->stopped && node->server != nullptr) {
           auto pair = UnixPair();
-          if (!pair.ok()) {
-            info.live = false;
-            control_fds.emplace_back();
-          } else {
-            control_fds.push_back(std::move(pair.value().first));
+          if (pair.ok()) {
+            slot.control = std::move(pair.value().first);
             auto be_end = std::make_shared<UniqueFd>(std::move(pair.value().second));
             RunOnLoop(node->loop.get(), [node, id, be_end]() {
               node->server->AttachFrontEnd(id, std::move(*be_end));
             });
           }
-        } else {
-          control_fds.emplace_back();
         }
-        node_info.push_back(info);
+        slots.push_back(std::move(slot));
       }
     }
 
-    // Bring the replica up on its own control-plane loop, outside
-    // nodes_mutex_ (its loop may call back into OnNodeRemoved, which takes
-    // the lock). Node slots must register in id order: dead slots burn an
-    // id so every replica agrees on the numbering.
-    FrontEnd* fe = raw->frontend.get();
-    auto fds = std::make_shared<std::vector<UniqueFd>>(std::move(control_fds));
-    RunOnLoop(raw->loops->loop(0), [fe, fds, &node_info]() {
-      fe->Start({});
-      for (size_t n = 0; n < node_info.size(); ++n) {
-        if (node_info[n].live) {
-          const NodeId assigned = fe->AddNode(std::move((*fds)[n]), node_info[n].lateral_port,
-                                              node_info[n].weight);
-          LARD_CHECK(assigned == static_cast<NodeId>(n)) << "joining front-end diverged";
-        } else {
-          fe->BurnNodeSlot();
-        }
+    // Node slots register in id order: dead slots burn an id so every
+    // replica agrees on the numbering.
+    for (size_t n = 0; n < slots.size(); ++n) {
+      if (!slots[n].control.valid()) {
+        fe->BurnNodeSlot();
+        continue;
       }
-    });
+      const NodeId assigned =
+          fe->AddNode(std::move(slots[n].control), slots[n].lateral_port, slots[n].weight);
+      LARD_CHECK(assigned == static_cast<NodeId>(n)) << "joining front-end diverged";
+    }
 
     // Gossip mesh: pairwise channels to every surviving replica — but only
     // when the tier was born replicated. A tier started with one front-end
@@ -990,19 +972,17 @@ int Cluster::AddFrontEnd() {
         if (!pair.ok()) {
           continue;
         }
-        auto end_new = std::make_shared<UniqueFd>(std::move(pair.value().first));
+        fe->AttachPeer(static_cast<uint32_t>(peer), std::move(pair.value().first));
         auto end_peer = std::make_shared<UniqueFd>(std::move(pair.value().second));
-        RunOnLoop(raw->loops->loop(0), [fe, peer, end_new]() {
-          fe->AttachPeer(static_cast<uint32_t>(peer), std::move(*end_new));
-        });
         // Fire-and-forget (peer 0 == this loop: Post defers, which is fine).
         FeLoop(peer)->Post([peer_fe, id, end_peer]() {
           peer_fe->AttachPeer(static_cast<uint32_t>(id), std::move(*end_peer));
         });
       }
     }
-    LARD_LOG(WARNING) << "cluster: front-end " << id << " joined ("
-                      << raw->loops->size() << " loop(s))";
+    loops->Start();
+    LARD_LOG(WARNING) << "cluster: front-end " << id << " joined (" << loops->size()
+                      << " loop(s))";
     fe_id = id;
   });
   return fe_id;
@@ -1085,9 +1065,13 @@ void Cluster::Stop() {
   for (EventLoopGroup* group : groups) {
     group->Stop();
   }
+  // Back-end loops never take nodes_mutex_, so they are signalled and joined
+  // under it — all signalled before any join, like the groups above.
   MutexLock lock(&nodes_mutex_);
   for (auto& node : nodes_) {
     node->loop->Stop();
+  }
+  for (auto& node : nodes_) {
     if (node->thread.joinable()) {
       node->thread.join();
     }

@@ -148,7 +148,11 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  // Starts all loops and components; returns once the front-end is listening.
+  // Wires every loop on the calling thread, then starts the loop threads.
+  // Returns once every loop is wired and running; listeners accept from their
+  // loop's first iteration. A bind failure (e.g. a busy listen_port or
+  // admin_port) is returned, not fatal: no thread has started, and the
+  // destructor closes every fd opened so far.
   Status Start();
   // Stops all loops and joins the threads. Safe to call twice.
   void Stop();
@@ -211,8 +215,9 @@ class Cluster {
   // slot persists with frontend == nullptr and the loops stopped.
   //
   // Mutation rule: fes_ (and each slot's frontend pointer) is only mutated
-  // on replica 0's loop thread *and* under nodes_mutex_. Readers on replica
-  // 0's loop need no lock; readers on any other thread take nodes_mutex_.
+  // on replica 0's loop thread *and* under nodes_mutex_ — or by Start(),
+  // under the lock, before any loop thread exists. Readers on replica 0's
+  // loop need no lock; readers on any other thread take nodes_mutex_.
   struct FeReplica {
     std::unique_ptr<EventLoopGroup> loops;
     std::unique_ptr<FrontEnd> frontend;
@@ -230,11 +235,16 @@ class Cluster {
   // nodes_mutex_ (or runs on replica 0's loop).
   int LiveFeCountLocked() const LARD_REQUIRES(nodes_mutex_);
 
-  // Creates + starts one back-end (loop thread, control session wiring).
+  // Creates one back-end and wires it on its not yet running loop (server
+  // started, control sessions attached); the caller spawns the loop thread.
   // Returns one fe-side control fd per front-end through *fe_ends. Caller
   // holds nodes_mutex_.
   Status StartBackend(NodeId node_id, std::vector<UniqueFd>* fe_ends)
       LARD_REQUIRES(nodes_mutex_);
+  // Builds a front-end replica whose loops are not started yet: `fe_config`
+  // carries the per-replica fields (id, tier size, initial nodes, port, idle
+  // timeout); the tier-wide ones are filled in from config_.
+  std::unique_ptr<FeReplica> NewReplica(FrontEndConfig fe_config);
   void StopNodeLocked(NodeId node, bool destroy_server) LARD_REQUIRES(nodes_mutex_);
   // Runs on a front-end loop when that replica finishes removing a node
   // (admin remove, retire completion, heartbeat timeout or control EOF).

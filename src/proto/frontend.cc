@@ -261,20 +261,16 @@ void FrontEnd::AttachControl(NodeId node, UniqueFd control_fd) {
   }
 }
 
-void FrontEnd::Start(std::vector<UniqueFd> control_fds) {
+Status FrontEnd::Start(std::vector<UniqueFd> control_fds) {
   LARD_CHECK(control_fds.size() == static_cast<size_t>(config_.num_nodes));
-  for (int node = 0; node < config_.num_nodes; ++node) {
-    AttachControl(node, std::move(control_fds[static_cast<size_t>(node)]));
-  }
-
-  // The bound port is published into the atomic only once the listener is
-  // up: AddFrontEnd installs the replica in Cluster::fes_ before Start runs
-  // on this loop, so ports() may already be reading port() concurrently.
+  // Listeners first: a busy port fails Start() before anything is attached.
   uint16_t bound_port = 0;
   if (shards_.size() == 1) {
     // One loop: the historic single listener, no SO_REUSEPORT involved.
     auto listener = ListenTcp(config_.listen_port, &bound_port);
-    LARD_CHECK(listener.ok()) << listener.status().ToString();
+    if (!listener.ok()) {
+      return listener.status();
+    }
     shards_[0]->listener = std::move(listener.value());
   } else {
     // One SO_REUSEPORT listener per shard: the kernel spreads accepts across
@@ -303,26 +299,28 @@ void FrontEnd::Start(std::vector<UniqueFd> control_fds) {
       LARD_LOG(WARNING) << "front-end " << config_.fe_id
                         << ": SO_REUSEPORT unavailable, falling back to fd-handoff accept";
       auto listener = ListenTcp(config_.listen_port, &bound_port);
-      LARD_CHECK(listener.ok()) << listener.status().ToString();
+      if (!listener.ok()) {
+        return listener.status();
+      }
       shards_[0]->listener = std::move(listener.value());
       fd_handoff_accept_ = true;
     }
   }
-  port_.store(bound_port, std::memory_order_release);
+  port_ = bound_port;
 
+  for (int node = 0; node < config_.num_nodes; ++node) {
+    AttachControl(node, std::move(control_fds[static_cast<size_t>(node)]));
+  }
   for (auto& shard_ptr : shards_) {
     LoopShard* shard = shard_ptr.get();
     if (!shard->listener.valid()) {
       continue;
     }
     LARD_CHECK_OK(SetNonBlocking(shard->listener.get(), true));
-    // Register is loop-thread-only; shard 0 is this thread, the rest post.
-    loops_->RunOn(shard->index, alive_.Guard([this, shard]() {
-                    shard->loop->Register(shard->listener.get(), EPOLLIN,
-                                          [this, shard](uint32_t events) {
-                                            OnAccept(shard, events);
-                                          });
-                  }));
+    // No loop runs yet, so every shard's listener registers from here and
+    // accepts from its loop's first iteration.
+    shard->loop->Register(shard->listener.get(), EPOLLIN,
+                          [this, shard](uint32_t events) { OnAccept(shard, events); });
   }
 
   if (config_.heartbeat_timeout_ms > 0) {
@@ -340,6 +338,7 @@ void FrontEnd::Start(std::vector<UniqueFd> control_fds) {
     loop_->ScheduleAfterMs(config_.telemetry_interval_ms,
                            alive_.Guard([this]() { TelemetryTick(); }));
   }
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -1028,15 +1027,12 @@ void FrontEnd::ConnectBackends(const std::vector<uint16_t>& backend_http_ports) 
   // connection is pinned to.
   for (auto& shard_ptr : shards_) {
     LoopShard* shard = shard_ptr.get();
-    loops_->RunOn(shard->index,
-                  alive_.Guard([this, shard, ports = backend_http_ports]() {
-                    shard->loop->AssertInLoopThread();
-                    shard->relays.clear();
-                    for (const uint16_t http_port : ports) {
-                      shard->relays.push_back(std::make_unique<LateralClient>(
-                          shard->loop, http_port, config_.lateral_timeout_ms));
-                    }
-                  }));
+    shard->loop->AssertInLoopThread();
+    shard->relays.clear();
+    for (const uint16_t http_port : backend_http_ports) {
+      shard->relays.push_back(
+          std::make_unique<LateralClient>(shard->loop, http_port, config_.lateral_timeout_ms));
+    }
   }
 }
 

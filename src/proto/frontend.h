@@ -72,6 +72,7 @@
 #include "src/util/liveness.h"
 #include "src/util/metrics.h"
 #include "src/util/mutex.h"
+#include "src/util/status.h"
 #include "src/util/thread_annotations.h"
 #include "src/util/tracing.h"
 
@@ -178,12 +179,15 @@ class FrontEnd {
   FrontEnd(const FrontEnd&) = delete;
   FrontEnd& operator=(const FrontEnd&) = delete;
 
-  // Loop-0 thread. control_fds[i] is the unix-socket end of node i's control
-  // session. Opens the client listener(s); port available via port() after.
-  void Start(std::vector<UniqueFd> control_fds);
+  // Bring-up, on the owner's thread before the group's loops run.
+  // control_fds[i] is the unix-socket end of node i's control session. Opens
+  // and registers the client listener(s) (port() after); a bind failure is
+  // returned with nothing attached.
+  Status Start(std::vector<UniqueFd> control_fds);
 
-  // Loop-0 thread; relaying mechanism only: connect to the back-ends' HTTP
-  // (lateral) ports (every shard loop gets its own persistent connections).
+  // Bring-up, like Start(); relaying mechanism only: connect to the
+  // back-ends' HTTP (lateral) ports (every shard loop gets its own
+  // persistent connections).
   void ConnectBackends(const std::vector<uint16_t>& backend_http_ports);
 
   // --- control plane (loop-0 thread; the admin server calls these) ---
@@ -246,7 +250,7 @@ class FrontEnd {
   // under a mutex (the DescribeMeshJson pattern); "{}" when telemetry is off.
   std::string DescribeHealthJson() const LARD_EXCLUDES(health_json_mutex_);
 
-  uint16_t port() const { return port_.load(std::memory_order_acquire); }
+  uint16_t port() const { return port_; }
   const FrontEndCounters& counters() const { return counters_; }
 
   // Runtime idle-deadline tuning (POST /idletimeout; thread-safe). New
@@ -495,9 +499,8 @@ class FrontEnd {
   mutable Mutex state_mutex_;
   std::unique_ptr<DiskTable> disk_table_ LARD_PT_GUARDED_BY(state_mutex_);
   std::unique_ptr<Dispatcher> dispatcher_ LARD_PT_GUARDED_BY(state_mutex_);
-  // Atomic: Start() publishes the bound port on this replica's loop while
-  // Cluster::ports() readers may already see the replica in fes_.
-  std::atomic<uint16_t> port_{0};
+  // Written by Start() before any loop runs; immutable afterwards.
+  uint16_t port_ = 0;
   std::vector<NodeLink> nodes_;  // index = NodeId; loop-0 confined
 
   // Reactor shards (size = loops_->size()); shard 0 runs on loop 0.

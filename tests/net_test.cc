@@ -15,6 +15,7 @@
 
 #include "src/net/connection.h"
 #include "src/net/event_loop.h"
+#include "src/net/event_loop_group.h"
 #include "src/net/fd.h"
 #include "src/net/framed_channel.h"
 #include "src/net/socket.h"
@@ -531,6 +532,22 @@ TEST_F(LoopFixture, FramedChannelInterleavesManyMessages) {
     a.reset();
     b.reset();
   });
+}
+
+// Before Start() the group's loops have no threads: RunOn runs inline on the
+// owner (single-threaded setup). Afterwards it posts to the target loop.
+TEST(EventLoopGroupTest, RunOnIsInlineBeforeStartAndPostedAfter) {
+  EventLoopGroup loops(2);
+  const std::thread::id owner = std::this_thread::get_id();
+  std::thread::id ran_on;
+  loops.RunOn(1, [&]() { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, owner);
+
+  loops.Start();
+  std::promise<std::thread::id> posted;
+  loops.RunOn(1, [&]() { posted.set_value(std::this_thread::get_id()); });
+  EXPECT_NE(posted.get_future().get(), owner);
+  loops.Stop();
 }
 
 }  // namespace

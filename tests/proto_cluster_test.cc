@@ -12,6 +12,7 @@
 
 #include "src/net/event_loop_group.h"
 #include "src/net/socket.h"
+#include "src/obs/process_stats.h"
 #include "src/proto/cluster.h"
 #include "src/proto/frontend.h"
 #include "src/proto/load_generator.h"
@@ -195,16 +196,11 @@ TEST(ProtoClusterTest, RelayingFrontEndClosesAClientWhoseRelayIsCutMidBody) {
   auto control = UnixPair();
   ASSERT_TRUE(control.ok());
   FrontEnd frontend(config, &loops, &catalog);
+  std::vector<UniqueFd> controls;
+  controls.push_back(std::move(control.value().first));
+  ASSERT_TRUE(frontend.Start(std::move(controls)).ok());
+  frontend.ConnectBackends({backend_port});
   loops.Start();
-  std::promise<void> started;
-  loops.RunOn(0, [&]() {
-    std::vector<UniqueFd> controls;
-    controls.push_back(std::move(control.value().first));
-    frontend.Start(std::move(controls));
-    frontend.ConnectBackends({backend_port});
-    started.set_value();
-  });
-  started.get_future().wait();
 
   auto client = ConnectTcp(frontend.port());
   ASSERT_TRUE(client.ok());
@@ -291,6 +287,30 @@ TEST(ProtoClusterTest, StopIsIdempotent) {
   cluster.Stop();
   cluster.Stop();
 }
+
+// A busy configured port fails Start() with the bind error instead of
+// aborting, and the failed cluster destroys cleanly: no thread was started,
+// and every fd it opened is closed again.
+void ExpectBusyPortFailsStart(bool admin) {
+  const Trace trace = TestTrace(31);
+  uint16_t busy_port = 0;
+  auto holder = ListenTcp(0, &busy_port);
+  ASSERT_TRUE(holder.ok());
+  const double fds = ReadProcessStats().open_fds;
+  {
+    ClusterConfig config = BaseConfig(2, Policy::kExtendedLard, Mechanism::kBackEndForwarding);
+    (admin ? config.admin_port : config.listen_port) = busy_port;
+    Cluster cluster(config, &trace.catalog());
+    const Status status = cluster.Start();
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("bind"), std::string::npos) << status.ToString();
+  }
+  EXPECT_EQ(ReadProcessStats().open_fds, fds);
+}
+
+TEST(ProtoClusterTest, BusyListenPortFailsStart) { ExpectBusyPortFailsStart(/*admin=*/false); }
+
+TEST(ProtoClusterTest, BusyAdminPortFailsStart) { ExpectBusyPortFailsStart(/*admin=*/true); }
 
 TEST(DiskGateTest, FcfsOrderingAndQueueLength) {
   EventLoop loop;

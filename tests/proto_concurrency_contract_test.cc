@@ -4,14 +4,21 @@
 // keeps it inside the TSan CI job's test regex, so a regression shows up as
 // a data-race report, not just a flaky assertion.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
 #include <atomic>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/net/event_loop.h"
+#include "src/net/socket.h"
+#include "src/obs/process_stats.h"
 #include "src/proto/cluster.h"
+#include "src/proto/content_store.h"
 #include "src/proto/disk_gate.h"
 #include "src/sim/cost_model.h"
 #include "src/trace/synthetic.h"
@@ -41,6 +48,76 @@ ClusterConfig SmallConfig() {
   config.heartbeat_timeout_ms = 2000;
   config.retire_grace_ms = 2000;
   return config;
+}
+
+size_t ThreadCount() {
+  size_t threads = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++threads;
+  }
+  return threads;
+}
+
+// One HTTP/1.0 GET of the trace's first document on a fresh connection;
+// returns the whole reply (the server closes after it).
+std::string GetFirstDocument(uint16_t port, const TargetCatalog& catalog) {
+  auto client = ConnectTcp(port);
+  if (!client.ok()) {
+    return "<connect failed>";
+  }
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  (void)::setsockopt(client.value().get(), SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  const std::string request = "GET " + catalog.Get(0).path + " HTTP/1.0\r\n\r\n";
+  if (::send(client.value().get(), request.data(), request.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(request.size())) {
+    return "<send failed>";
+  }
+  std::string reply;
+  char buf[16384];
+  ssize_t n;
+  while ((n = ::recv(client.value().get(), buf, sizeof(buf), 0)) > 0) {
+    reply.append(buf, static_cast<size_t>(n));
+  }
+  return reply;
+}
+
+// Start() wires every loop on the calling thread before any loop thread runs
+// (docs/CONCURRENCY.md, "Bring-up"): a request sent the moment Start()
+// returns, with no sleep or poll, is served whatever the loop layout, and the
+// bring-up touches no running loop off its thread.
+TEST(ConcurrencyContractTest, ClusterStartWiresEveryLoopBeforeRun) {
+  const Trace trace = SmallTrace();
+  const Target& doc = trace.catalog().Get(0);
+  for (const int fe_loops : {1, 4}) {
+    ClusterConfig config = SmallConfig();
+    config.fe_loops = fe_loops;
+    Cluster cluster(config, &trace.catalog());
+    ASSERT_TRUE(cluster.Start().ok());
+    const std::string reply = GetFirstDocument(cluster.port(), trace.catalog());
+    EXPECT_NE(reply.substr(0, reply.find("\r\n")).find(" 200 "), std::string::npos)
+        << "fe_loops=" << fe_loops << ": " << reply.substr(0, 200);
+    const std::string body = ContentStore::ExpectedBody(doc.path, doc.size_bytes);
+    ASSERT_GE(reply.size(), body.size());
+    EXPECT_EQ(reply.substr(reply.size() - body.size()), body) << "fe_loops=" << fe_loops;
+    EXPECT_EQ(cluster.frontend().pinning_violations(), 0u) << "fe_loops=" << fe_loops;
+    cluster.Stop();
+  }
+}
+
+// Construct/Start/Stop cycles give back every fd and thread they took.
+TEST(ConcurrencyContractTest, StartStopCyclesLeakNothing) {
+  const Trace trace = SmallTrace();
+  const double fds = ReadProcessStats().open_fds;
+  const size_t threads = ThreadCount();
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    Cluster cluster(SmallConfig(), &trace.catalog());
+    ASSERT_TRUE(cluster.Start().ok());
+    cluster.Stop();
+  }
+  EXPECT_EQ(ReadProcessStats().open_fds, fds);
+  EXPECT_EQ(ThreadCount(), threads);
 }
 
 // Cluster::port()/ports()/num_frontends()/frontend() used to read fes_

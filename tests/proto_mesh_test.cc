@@ -228,20 +228,19 @@ TEST(ProtoMeshTest, RuntimeFrontEndJoinAndLeave) {
   ASSERT_EQ(ports.size(), 3u);
   EXPECT_NE(ports[2], 0);
 
-  // Its dispatcher converged on the tier's membership (ids + weights).
+  // The replica is wired before its loops start, so its dispatcher holds the
+  // tier's membership (ids + weights) the moment AddFrontEnd returns.
   int slots = 0;
   double weight = 0.0;
-  for (int attempt = 0; attempt < 100 && slots != 3; ++attempt) {
-    cluster.InspectReplica(joined, [&](const FrontEnd& frontend) {
-      slots = frontend.dispatcher().num_node_slots();
-      weight = frontend.dispatcher().NodeWeight(weighted);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  cluster.InspectReplica(joined, [&](const FrontEnd& frontend) {
+    slots = frontend.dispatcher().num_node_slots();
+    weight = frontend.dispatcher().NodeWeight(weighted);
+  });
   EXPECT_EQ(slots, 3);
   EXPECT_DOUBLE_EQ(weight, 2.0);
 
-  // The joined replica serves traffic addressed directly to it.
+  // The joined replica serves traffic addressed directly to it, and the
+  // added node takes its share.
   LoadGeneratorConfig load;
   load.ports = {ports[2]};
   load.num_clients = 4;
@@ -249,6 +248,10 @@ TEST(ProtoMeshTest, RuntimeFrontEndJoinAndLeave) {
   EXPECT_EQ(via_joined.responses_ok, trace.total_requests());
   EXPECT_EQ(via_joined.transport_errors, 0u);
   EXPECT_GT(cluster.frontend(joined).counters().connections_accepted.load(), 0u);
+  EXPECT_GT(cluster.Snapshot().requests_per_node[static_cast<size_t>(weighted)], 0u);
+  for (int fe = 0; fe <= joined; ++fe) {
+    EXPECT_EQ(cluster.frontend(fe).pinning_violations(), 0u) << "fe=" << fe;
+  }
 
   // Leave: replica 0 (the control plane) is protected; the joined replica
   // goes away exactly once and its port slot zeroes out.

@@ -94,7 +94,7 @@ class BackendPairTest : public ::testing::Test {
         LARD_CHECK(pair.ok());
         LARD_CHECK_OK(SetNonBlocking(pair.value().second.get(), true));
         nodes_.push_back(std::make_unique<BackendServer>(config, &loop_, store_.get()));
-        nodes_.back()->Start(std::move(pair.value().first));
+        LARD_CHECK_OK(nodes_.back()->Start(std::move(pair.value().first)));
         // The front end's side of the session: only kConnClosed is kept.
         fes_.push_back(std::make_unique<FramedChannel>(&loop_, std::move(pair.value().second)));
         fes_.back()->set_on_message([this](uint8_t type, std::string payload, UniqueFd) {
