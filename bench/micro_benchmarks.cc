@@ -1,19 +1,24 @@
 // Google-benchmark microbenchmarks for the hot paths of the library: the
 // dispatcher decision, the LRU cache, the catalog lookup, the HTTP parser,
 // the event engine and the workload sampler. These bound how much of a real
-// deployment's budget the policy machinery itself would consume. One more
-// measures the prototype cluster's bring-up and teardown.
+// deployment's budget the policy machinery itself would consume. The rest
+// measure the prototype cluster's bring-up and teardown and its telemetry
+// tick's two costs: a time-series row and a /proc read.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/dispatcher.h"
 #include "src/http/request_parser.h"
 #include "src/net/event_loop.h"
+#include "src/obs/process_stats.h"
+#include "src/obs/time_series.h"
 #include "src/proto/cluster.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/resources.h"
@@ -309,6 +314,55 @@ void BM_ClusterStartStop(benchmark::State& state) {
   state.counters["stop_us"] = benchmark::Counter(us(stop), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_ClusterStartStop)->Unit(benchmark::kMicrosecond);
+
+// One telemetry row of 16 series, as the front end appends each tick, into
+// the default 300-row store. full=0: a new store grows to capacity, its
+// construction included (items are rows); full=1: rows wrap a full store.
+void BM_TimeSeriesAppend(benchmark::State& state) {
+  const bool full = state.range(0) != 0;
+  constexpr int kSeries = 16;
+  const TimeSeriesConfig config;
+  const auto make_store = [&config]() {
+    auto store = std::make_unique<TimeSeriesStore>(config);
+    for (int i = 0; i < kSeries; ++i) {
+      store->AddSeries("series_" + std::to_string(i));
+    }
+    return store;
+  };
+  std::vector<std::pair<int, double>> row;
+  for (int i = 0; i < kSeries; ++i) {
+    row.emplace_back(i, 1.5 * i);
+  }
+  int64_t t_ms = 0;
+  std::unique_ptr<TimeSeriesStore> store = make_store();
+  if (full) {
+    for (int i = 0; i < config.capacity; ++i) {
+      store->Append(t_ms += 1000, row);
+    }
+    for (auto _ : state) {
+      store->Append(t_ms += 1000, row);
+    }
+    state.SetItemsProcessed(state.iterations());
+    return;
+  }
+  for (auto _ : state) {
+    store = make_store();
+    for (int i = 0; i < config.capacity; ++i) {
+      store->Append(t_ms += 1000, row);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * config.capacity);
+}
+BENCHMARK(BM_TimeSeriesAppend)->ArgName("full")->Arg(0)->Arg(1);
+
+// The front end's per-tick process snapshot: /proc/self/statm plus a walk of
+// /proc/self/fd.
+void BM_ReadProcessStats(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ReadProcessStats());
+  }
+}
+BENCHMARK(BM_ReadProcessStats)->Unit(benchmark::kMicrosecond);
 
 void BM_ZipfSample(benchmark::State& state) {
   Rng rng(1);

@@ -46,7 +46,7 @@ void Connection::HandleEvents(uint32_t events) {
 }
 
 void Connection::HandleReadable() {
-  char buf[64 * 1024];
+  char buf[kReadChunkBytes];
   while (open_) {
     // lard-lint: allow(blocking-call) fd is O_NONBLOCK (Connection requires it);
     // this recv returns EAGAIN instead of blocking the loop.

@@ -66,6 +66,11 @@ class EventLoop {
   // instruments then cost two clock reads per callback and nothing when
   // profiling was never enabled.
   void EnableProfiling(MetricsRegistry* metrics, const std::string& label);
+  // The wakeup-delay histogram and pending-task gauge EnableProfiling
+  // registered; null when profiling is off. Stable from before Run(), so
+  // any thread may read them.
+  MetricHistogram* wakeup_delay_histogram() const { return wakeup_delay_us_; }
+  MetricGauge* pending_tasks_gauge() const { return pending_tasks_; }
 
   // Runs until Stop(). Must be called from exactly one thread, which becomes
   // the loop thread.

@@ -4,9 +4,16 @@
 
 #include <unistd.h>
 
+#include <cstddef>
 #include <utility>
 
 namespace lard {
+
+// Bytes a loop's read handler (Connection, FramedChannel) takes per recv()
+// into its stack buffer. Requests and control frames fit in one chunk; a
+// relayed body costs one recv() per chunk, and a loop's stack keeps at most
+// this much read buffer resident.
+inline constexpr size_t kReadChunkBytes = 16 * 1024;
 
 class UniqueFd {
  public:

@@ -135,7 +135,7 @@ void FramedChannel::HandleEvents(uint32_t events) {
 }
 
 void FramedChannel::HandleReadable() {
-  char buf[64 * 1024];
+  char buf[kReadChunkBytes];
   while (open_) {
     msghdr msg{};
     iovec iov{};

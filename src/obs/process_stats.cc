@@ -3,11 +3,15 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdio>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 
 #if defined(__linux__)
 #include <dirent.h>
+#include <fcntl.h>
 #endif
 
 #ifndef LARD_VERSION
@@ -24,17 +28,27 @@ std::chrono::steady_clock::time_point ProcessStart() {
   return start;
 }
 
+// Both readers use a raw fd and a stack buffer: opendir()'s DIR and fopen()'s
+// FILE would each heap-allocate (32 KB and 4 KB) on every telemetry tick.
 double ReadRssBytes() {
 #if defined(__linux__)
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) {
+  const int fd = ::open("/proc/self/statm", O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return 0.0;
   }
-  long total_pages = 0;
-  long rss_pages = 0;
-  const int matched = std::fscanf(f, "%ld %ld", &total_pages, &rss_pages);
-  std::fclose(f);
-  if (matched != 2) {
+  // "size resident shared text lib data dt\n": seven page counts.
+  char buf[128];
+  const ssize_t n = ::read(fd, buf, sizeof(buf) - 1);
+  ::close(fd);
+  if (n <= 0) {
+    return 0.0;
+  }
+  buf[n] = '\0';
+  char* end = nullptr;
+  (void)std::strtol(buf, &end, 10);  // total program size
+  const char* rss_start = end;
+  const long rss_pages = std::strtol(rss_start, &end, 10);
+  if (end == rss_start) {
     return 0.0;
   }
   return static_cast<double>(rss_pages) * static_cast<double>(::sysconf(_SC_PAGESIZE));
@@ -45,17 +59,25 @@ double ReadRssBytes() {
 
 double CountOpenFds() {
 #if defined(__linux__)
-  DIR* dir = ::opendir("/proc/self/fd");
-  if (dir == nullptr) {
+  const int fd = ::open("/proc/self/fd", O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) {
     return 0.0;
   }
+  char buf[2048];
   double count = 0.0;
-  while (struct dirent* entry = ::readdir(dir)) {
-    if (entry->d_name[0] != '.') {
-      count += 1.0;  // includes the opendir fd itself; off-by-one is fine
+  ssize_t n = 0;
+  while ((n = ::getdents64(fd, buf, sizeof(buf))) > 0) {
+    for (ssize_t pos = 0; pos < n;) {
+      const char* entry = buf + pos;
+      if (entry[offsetof(struct dirent64, d_name)] != '.') {
+        count += 1.0;  // includes the counting fd itself; off-by-one is fine
+      }
+      uint16_t reclen = 0;
+      std::memcpy(&reclen, entry + offsetof(struct dirent64, d_reclen), sizeof(reclen));
+      pos += reclen;
     }
   }
-  ::closedir(dir);
+  ::close(fd);
   return count;
 #else
   return 0.0;
@@ -100,18 +122,20 @@ ProcessStats ReadProcessStats() {
   return stats;
 }
 
-void UpdateProcessMetrics(MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    return;
-  }
-  const std::string build_info = std::string("lard_build_info{version=\"") + LARD_VERSION +
-                                 "\",compiler=\"" + BuildCompiler() + "\",sanitizer=\"" +
-                                 BuildSanitizer() + "\"}";
-  registry->Gauge(build_info)->Set(1.0);
-  const ProcessStats stats = ReadProcessStats();
-  registry->Gauge("lard_process_uptime_seconds")->Set(stats.uptime_seconds);
-  registry->Gauge("lard_process_rss_bytes")->Set(stats.rss_bytes);
-  registry->Gauge("lard_process_open_fds")->Set(stats.open_fds);
+ProcessMetrics::ProcessMetrics(MetricsRegistry* registry)
+    : uptime_seconds_(registry->Gauge("lard_process_uptime_seconds")),
+      rss_bytes_(registry->Gauge("lard_process_rss_bytes")),
+      open_fds_(registry->Gauge("lard_process_open_fds")) {
+  registry
+      ->Gauge(std::string("lard_build_info{version=\"") + LARD_VERSION + "\",compiler=\"" +
+              BuildCompiler() + "\",sanitizer=\"" + BuildSanitizer() + "\"}")
+      ->Set(1.0);
+}
+
+void ProcessMetrics::Publish(const ProcessStats& stats) {
+  uptime_seconds_->Set(stats.uptime_seconds);
+  rss_bytes_->Set(stats.rss_bytes);
+  open_fds_->Set(stats.open_fds);
 }
 
 }  // namespace lard

@@ -14,14 +14,26 @@ struct ProcessStats {
 };
 
 // Snapshot of the current process (uptime is measured from the first call).
+// Two /proc reads into stack buffers; no heap allocation.
 ProcessStats ReadProcessStats();
 
-// Registers lard_build_info{version=..,compiler=..,sanitizer=..} = 1 (static)
-// plus lard_process_uptime_seconds / lard_process_rss_bytes /
-// lard_process_open_fds, and refreshes the latter three from ReadProcessStats.
-// Idempotent; call again (e.g. from a /metrics pre-render hook or a telemetry
-// tick) to refresh.
-void UpdateProcessMetrics(MetricsRegistry* registry);
+// The process gauges of one registry, looked up once. Construction registers
+// lard_build_info{version=..,compiler=..,sanitizer=..} = 1 (static) plus
+// lard_process_uptime_seconds / lard_process_rss_bytes /
+// lard_process_open_fds; Publish refreshes the latter three (e.g. from a
+// /metrics pre-render hook or a telemetry tick). Several instances may share
+// one registry.
+class ProcessMetrics {
+ public:
+  explicit ProcessMetrics(MetricsRegistry* registry);
+
+  void Publish(const ProcessStats& stats);
+
+ private:
+  MetricGauge* uptime_seconds_;
+  MetricGauge* rss_bytes_;
+  MetricGauge* open_fds_;
+};
 
 // "clang 17.0.6" / "gcc 13.2.0" — the toolchain that built this binary.
 const char* BuildCompiler();

@@ -11,6 +11,21 @@ namespace {
 
 constexpr double kNoSample = std::numeric_limits<double>::quiet_NaN();
 
+// Writes `value` into `slot` of a ring that grows one row per Append: a slot
+// past the end appends (doubling the reservation, clamped to `cap` so a full
+// ring holds exactly `cap` slots), any other slot is overwritten in place.
+template <typename T>
+void Put(std::vector<T>* ring, size_t slot, T value, size_t cap) {
+  if (slot < ring->size()) {
+    (*ring)[slot] = value;
+    return;
+  }
+  if (ring->size() == ring->capacity()) {
+    ring->reserve(std::min(cap, std::max<size_t>(1, 2 * ring->size())));
+  }
+  ring->push_back(value);
+}
+
 std::string JsonQuote(const std::string& s) {
   std::string out = "\"";
   for (const char c : s) {
@@ -35,10 +50,7 @@ std::string FormatValue(double value) {
 }  // namespace
 
 TimeSeriesStore::TimeSeriesStore(const TimeSeriesConfig& config)
-    : config_{config.interval_ms, std::max(config.capacity, 1)} {
-  MutexLock lock(&mutex_);
-  t_ring_.assign(static_cast<size_t>(config_.capacity), 0);
-}
+    : config_{config.interval_ms, std::max(config.capacity, 1)} {}
 
 int TimeSeriesStore::AddSeries(const std::string& name) {
   MutexLock lock(&mutex_);
@@ -47,8 +59,7 @@ int TimeSeriesStore::AddSeries(const std::string& name) {
     return it->second;
   }
   const int idx = static_cast<int>(series_.size());
-  series_.push_back(Series{name, std::vector<double>(static_cast<size_t>(config_.capacity),
-                                                     kNoSample)});
+  series_.push_back(Series{name, std::vector<double>(t_ring_.size(), kNoSample)});
   index_[name] = idx;
   return idx;
 }
@@ -61,24 +72,24 @@ int TimeSeriesStore::FindSeries(const std::string& name) const {
 
 void TimeSeriesStore::Append(int64_t t_ms, const std::vector<std::pair<int, double>>& values) {
   MutexLock lock(&mutex_);
+  const size_t cap = static_cast<size_t>(config_.capacity);
   const size_t slot = head_;
-  t_ring_[slot] = t_ms;
+  Put(&t_ring_, slot, t_ms, cap);
   for (Series& series : series_) {
-    series.ring[slot] = kNoSample;
+    Put(&series.ring, slot, kNoSample, cap);
   }
   for (const auto& [idx, value] : values) {
     if (idx >= 0 && static_cast<size_t>(idx) < series_.size()) {
       series_[static_cast<size_t>(idx)].ring[slot] = value;
     }
   }
-  head_ = (head_ + 1) % static_cast<size_t>(config_.capacity);
-  count_ = std::min(count_ + 1, static_cast<size_t>(config_.capacity));
+  head_ = (head_ + 1) % cap;
 }
 
 size_t TimeSeriesStore::SlotForAge(size_t i) const {
   const size_t cap = static_cast<size_t>(config_.capacity);
-  // head_ is one past the newest sample; the oldest lives count_ slots back.
-  return (head_ + cap - count_ + i) % cap;
+  // head_ is one past the newest row; the oldest lives size() slots back.
+  return (head_ + cap - t_ring_.size() + i) % cap;
 }
 
 std::vector<TimeSeriesStore::Point> TimeSeriesStore::Points(const std::string& name,
@@ -86,12 +97,13 @@ std::vector<TimeSeriesStore::Point> TimeSeriesStore::Points(const std::string& n
   MutexLock lock(&mutex_);
   std::vector<Point> out;
   const auto it = index_.find(name);
-  if (it == index_.end() || count_ == 0) {
+  const size_t rows = t_ring_.size();
+  if (it == index_.end() || rows == 0) {
     return out;
   }
   const Series& series = series_[static_cast<size_t>(it->second)];
-  const int64_t newest = t_ring_[SlotForAge(count_ - 1)];
-  for (size_t i = 0; i < count_; ++i) {
+  const int64_t newest = t_ring_[SlotForAge(rows - 1)];
+  for (size_t i = 0; i < rows; ++i) {
     const size_t slot = SlotForAge(i);
     if (window_ms > 0 && newest - t_ring_[slot] > window_ms) {
       continue;
@@ -111,7 +123,7 @@ double TimeSeriesStore::Latest(const std::string& name) const {
     return kNoSample;
   }
   const Series& series = series_[static_cast<size_t>(it->second)];
-  for (size_t i = count_; i > 0; --i) {
+  for (size_t i = t_ring_.size(); i > 0; --i) {
     const double value = series.ring[SlotForAge(i - 1)];
     if (!std::isnan(value)) {
       return value;
@@ -133,12 +145,21 @@ std::vector<std::string> TimeSeriesStore::SeriesNames() const {
 
 int64_t TimeSeriesStore::last_t_ms() const {
   MutexLock lock(&mutex_);
-  return count_ == 0 ? 0 : t_ring_[SlotForAge(count_ - 1)];
+  return t_ring_.empty() ? 0 : t_ring_[SlotForAge(t_ring_.size() - 1)];
 }
 
 size_t TimeSeriesStore::num_samples() const {
   MutexLock lock(&mutex_);
-  return count_;
+  return t_ring_.size();
+}
+
+size_t TimeSeriesStore::reserved_slots() const {
+  MutexLock lock(&mutex_);
+  size_t slots = t_ring_.capacity();
+  for (const Series& series : series_) {
+    slots += series.ring.capacity();
+  }
+  return slots;
 }
 
 std::string TimeSeriesStore::RenderJson(const std::string& metric_filter,
@@ -146,7 +167,8 @@ std::string TimeSeriesStore::RenderJson(const std::string& metric_filter,
   MutexLock lock(&mutex_);
   std::ostringstream out;
   out << "{\"interval_ms\":" << config_.interval_ms << ",\"series\":{";
-  const int64_t newest = count_ == 0 ? 0 : t_ring_[SlotForAge(count_ - 1)];
+  const size_t rows = t_ring_.size();
+  const int64_t newest = rows == 0 ? 0 : t_ring_[SlotForAge(rows - 1)];
   bool first_series = true;
   for (const auto& [name, idx] : index_) {  // map order: sorted, deterministic
     if (!metric_filter.empty() && name.find(metric_filter) == std::string::npos) {
@@ -156,7 +178,7 @@ std::string TimeSeriesStore::RenderJson(const std::string& metric_filter,
     first_series = false;
     const Series& series = series_[static_cast<size_t>(idx)];
     bool first_point = true;
-    for (size_t i = 0; i < count_; ++i) {
+    for (size_t i = 0; i < rows; ++i) {
       const size_t slot = SlotForAge(i);
       if (window_ms > 0 && newest - t_ring_[slot] > window_ms) {
         continue;

@@ -1,13 +1,15 @@
-// Fixed-size time-series ring: the retention layer of the telemetry pipeline
-// (docs/OBSERVABILITY.md, "Telemetry & health"). One store per front-end and
-// per back-end holds ~5 minutes of periodic samples — counter rates,
-// histogram window-quantiles and gauges — appended from that component's
-// loop-posted sampling timer and read by the admin plane.
+// Bounded time-series ring: the retention layer of the telemetry pipeline
+// (docs/OBSERVABILITY.md, "Telemetry & health"). A front-end keeps one store
+// for itself and one mirror per back-end (the simulator keeps one for the
+// modelled cluster), each holding ~5 minutes of periodic samples — counter
+// rates, histogram window-quantiles and gauges — read by the admin plane.
 //
-// Steady state is zero-allocation: AddSeries preallocates each series' value
-// ring at setup time (a late AddSeries backfills NaN), and Append only writes
-// into the preallocated slots. Callers inject timestamps, so the simulator
-// twin records virtual time and produces deterministic series.
+// Storage follows the data: the timestamp ring and every series ring start
+// empty and grow by one slot per Append until `capacity` (reserving
+// geometrically, but never past `capacity`), then stay fixed and wrap, so a
+// full store allocates nothing more. A late AddSeries backfills NaN for the
+// rows recorded so far. Callers inject timestamps, so the simulator twin
+// records virtual time and produces deterministic series.
 #ifndef SRC_OBS_TIME_SERIES_H_
 #define SRC_OBS_TIME_SERIES_H_
 
@@ -42,16 +44,16 @@ class TimeSeriesStore {
   TimeSeriesStore(const TimeSeriesStore&) = delete;
   TimeSeriesStore& operator=(const TimeSeriesStore&) = delete;
 
-  // Find-or-create; returns the series index used with Append. Allocates the
-  // value ring (setup-time work); a series added after samples were recorded
-  // reads NaN ("no data") for the older slots.
+  // Find-or-create; returns the series index used with Append. A series
+  // added after samples were recorded reads NaN ("no data") for the older
+  // rows.
   int AddSeries(const std::string& name) LARD_EXCLUDES(mutex_);
   // Index of an existing series, -1 when absent. Never allocates.
   int FindSeries(const std::string& name) const LARD_EXCLUDES(mutex_);
 
   // Records one sampling tick: every series gets NaN for this slot, then the
   // (index, value) pairs overwrite their series. Out-of-range indices are
-  // ignored. Zero-allocation.
+  // ignored. Allocation-free once the store holds `capacity` rows.
   void Append(int64_t t_ms, const std::vector<std::pair<int, double>>& values)
       LARD_EXCLUDES(mutex_);
 
@@ -67,6 +69,9 @@ class TimeSeriesStore {
   size_t num_samples() const LARD_EXCLUDES(mutex_);
   int interval_ms() const { return config_.interval_ms; }
   int capacity() const { return config_.capacity; }
+  // Slots allocated across the timestamp ring and every series ring: what
+  // the store holds in memory, as opposed to the rows it stores.
+  size_t reserved_slots() const LARD_EXCLUDES(mutex_);
 
   // {"interval_ms":N,"series":{"name":[[t,v],...]}} — series whose name
   // contains `metric_filter` (empty: all), samples within `window_ms` of the
@@ -78,19 +83,19 @@ class TimeSeriesStore {
  private:
   struct Series {
     std::string name;
-    std::vector<double> ring;  // capacity slots, NaN = no sample
+    std::vector<double> ring;  // one slot per stored row, NaN = no sample
   };
 
-  // Slot of the i-th oldest stored sample. Requires count_ > 0, i < count_.
+  // Slot of the i-th oldest stored row. Requires i < t_ring_.size().
   size_t SlotForAge(size_t i) const LARD_REQUIRES(mutex_);
 
   const TimeSeriesConfig config_;
   mutable Mutex mutex_;
   std::vector<Series> series_ LARD_GUARDED_BY(mutex_);
   std::map<std::string, int> index_ LARD_GUARDED_BY(mutex_);
+  // One timestamp per stored row; its size is the row count (<= capacity).
   std::vector<int64_t> t_ring_ LARD_GUARDED_BY(mutex_);
-  size_t head_ LARD_GUARDED_BY(mutex_) = 0;   // next slot to write
-  size_t count_ LARD_GUARDED_BY(mutex_) = 0;  // stored samples, <= capacity
+  size_t head_ LARD_GUARDED_BY(mutex_) = 0;  // next slot to write
 };
 
 }  // namespace lard

@@ -230,11 +230,8 @@ void BackendServer::TelemetryTick() {
     }
   }
   row.push_back({"lateral_rate", rate(rate_lateral_, counters_.lateral_out)});
-  if (config_.metrics != nullptr) {
-    // The loop publishes its health histograms when profiling is on; the
-    // find-or-create lookup is harmless (empty window -> no sample) when not.
-    MetricHistogram* wakeup = config_.metrics->Histogram(
-        "lard_loop_wakeup_delay_us{loop=\"be" + std::to_string(config_.node_id) + "\"}");
+  // The loop holds its wakeup histogram when profiling is on.
+  if (const MetricHistogram* wakeup = loop_->wakeup_delay_histogram(); wakeup != nullptr) {
     const HistogramWindowSampler::Window window = wakeup_window_.Sample(*wakeup);
     if (window.count > 0) {
       row.push_back({"wakeup_p99_us", window.p99});

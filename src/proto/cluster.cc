@@ -419,7 +419,7 @@ void Cluster::RegisterAdminRoutes() {
     BridgeDispatcherMetrics();
     // Build info + uptime/RSS/fd gauges refresh on every render, so they are
     // live even when the telemetry tick (which also refreshes them) is off.
-    UpdateProcessMetrics(&metrics_);
+    process_metrics_.Publish(ReadProcessStats());
   });
 
   admin_->Route("GET", "/nodes", [this](const HttpRequest&, const std::string&) {

@@ -24,6 +24,7 @@
 #include "src/core/cluster_types.h"
 #include "src/net/event_loop_group.h"
 #include "src/core/lard_params.h"
+#include "src/obs/process_stats.h"
 #include "src/obs/slo_watchdog.h"
 #include "src/proto/backend_server.h"
 #include "src/proto/content_store.h"
@@ -256,6 +257,7 @@ class Cluster {
   ClusterConfig config_;
   ContentStore store_;
   MetricsRegistry metrics_;
+  ProcessMetrics process_metrics_{&metrics_};
   std::unique_ptr<Tracer> tracer_;
 
   // fes_ follows the hybrid discipline documented on FeReplica (mutations on

@@ -209,6 +209,9 @@ FrontEnd::FrontEnd(const FrontEndConfig& config, EventLoopGroup* loops,
     for (const char* name : kFeSeriesNames) {
       telemetry_->AddSeries(name);  // AddSeries order == FeSeries indices
     }
+    if (config_.metrics != nullptr) {
+      process_metrics_ = std::make_unique<ProcessMetrics>(config_.metrics);
+    }
     std::vector<SloRule> rules =
         config_.slo_rules.empty() ? DefaultSloRules() : config_.slo_rules;
     watchdog_ = std::make_unique<SloWatchdog>("fe" + std::to_string(config_.fe_id),
@@ -571,34 +574,37 @@ void FrontEnd::TelemetryTick() {
   }
 
   // Loop health: worst wakeup-delay p99 across this replica's loops this
-  // window, plus the pending-task depth summed over the loops. The profiling
-  // histograms are labelled "fe<id>" (loop 0) / "fe<id>.<k>" (shard k); the
-  // 1 Hz find-or-create lookup is harmless when profiling is off (the empty
-  // histogram yields an empty window).
+  // window, plus the pending-task depth summed over the loops, read from the
+  // instruments each loop holds when profiling is on (none otherwise).
   double wakeup_p99 = kNaN;
-  if (config_.metrics != nullptr) {
-    if (wakeup_windows_.size() < static_cast<size_t>(loops_->size())) {
-      wakeup_windows_.resize(static_cast<size_t>(loops_->size()));
+  if (wakeup_windows_.size() < static_cast<size_t>(loops_->size())) {
+    wakeup_windows_.resize(static_cast<size_t>(loops_->size()));
+  }
+  double pending = 0.0;
+  bool profiled = false;
+  for (int k = 0; k < loops_->size(); ++k) {
+    const EventLoop* loop = loops_->loop(k);
+    if (loop->wakeup_delay_histogram() == nullptr) {
+      continue;
     }
-    double pending = 0.0;
-    for (int k = 0; k < loops_->size(); ++k) {
-      const std::string label =
-          k == 0 ? "fe" + std::to_string(config_.fe_id)
-                 : "fe" + std::to_string(config_.fe_id) + "." + std::to_string(k);
-      const HistogramWindowSampler::Window window = wakeup_windows_[static_cast<size_t>(k)].Sample(
-          *config_.metrics->Histogram("lard_loop_wakeup_delay_us{loop=\"" + label + "\"}"));
-      if (window.count > 0) {
-        wakeup_p99 = std::isnan(wakeup_p99) ? window.p99 : std::max(wakeup_p99, window.p99);
-      }
-      pending += config_.metrics->Gauge("lard_loop_pending_tasks{loop=\"" + label + "\"}")->value();
+    profiled = true;
+    const HistogramWindowSampler::Window window =
+        wakeup_windows_[static_cast<size_t>(k)].Sample(*loop->wakeup_delay_histogram());
+    if (window.count > 0) {
+      wakeup_p99 = std::isnan(wakeup_p99) ? window.p99 : std::max(wakeup_p99, window.p99);
     }
-    if (!std::isnan(wakeup_p99)) {
-      telemetry_scratch_.emplace_back(kSWakeupP99Us, wakeup_p99);
-    }
+    pending += loop->pending_tasks_gauge()->value();
+  }
+  if (!std::isnan(wakeup_p99)) {
+    telemetry_scratch_.emplace_back(kSWakeupP99Us, wakeup_p99);
+  }
+  if (profiled) {
     telemetry_scratch_.emplace_back(kSPendingTasks, pending);
-    UpdateProcessMetrics(config_.metrics);  // keeps the /metrics gauges fresh too
   }
   const ProcessStats stats = ReadProcessStats();
+  if (process_metrics_ != nullptr) {
+    process_metrics_->Publish(stats);  // keeps the /metrics gauges fresh too
+  }
   telemetry_scratch_.emplace_back(kSRssBytes, stats.rss_bytes);
   telemetry_scratch_.emplace_back(kSOpenFds, stats.open_fds);
   telemetry_scratch_.emplace_back(kSIdleCloseRate,

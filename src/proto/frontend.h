@@ -62,6 +62,7 @@
 #include "src/net/event_loop.h"
 #include "src/net/event_loop_group.h"
 #include "src/net/framed_channel.h"
+#include "src/obs/process_stats.h"
 #include "src/obs/samplers.h"
 #include "src/obs/slo_watchdog.h"
 #include "src/obs/time_series.h"
@@ -558,6 +559,7 @@ class FrontEnd {
   CounterRateSampler rate_rejected_;
   CounterRateSampler rate_idle_closes_;
   std::vector<HistogramWindowSampler> wakeup_windows_;  // one per loop
+  std::unique_ptr<ProcessMetrics> process_metrics_;     // null without metrics
   std::vector<std::pair<int, double>> telemetry_scratch_;
   int64_t telemetry_last_ms_ = 0;
 

@@ -534,6 +534,114 @@ TEST_F(LoopFixture, FramedChannelInterleavesManyMessages) {
   });
 }
 
+// Bytes 0..n-1 of a pattern with no short period, so a dropped, repeated or
+// reordered chunk cannot go unnoticed.
+std::string PatternBytes(size_t n) {
+  std::string out;
+  out.reserve(n);
+  uint32_t x = 12345;
+  for (size_t i = 0; i < n; ++i) {
+    x = x * 1103515245u + 12345u;
+    out.push_back(static_cast<char>(x >> 24));
+  }
+  return out;
+}
+
+// Blocking send of all of `data` from a plain (blocking) socket.
+void SendAll(int fd, std::string_view data) {
+  while (!data.empty()) {
+    const ssize_t n = ::send(fd, data.data(), data.size(), 0);
+    ASSERT_GT(n, 0);
+    data.remove_prefix(static_cast<size_t>(n));
+  }
+}
+
+TEST_F(LoopFixture, ConnectionDeliversBurstInReadChunks) {
+  auto pair = UnixPair();
+  ASSERT_TRUE(pair.ok());
+  ASSERT_TRUE(SetNonBlocking(pair.value().first.get(), true).ok());
+  UniqueFd outside = std::move(pair.value().second);
+
+  const std::string burst = PatternBytes(200 * 1024);
+  std::unique_ptr<Connection> conn;
+  std::string received;  // loop-confined until all_received
+  size_t largest = 0;
+  std::promise<void> all_received;
+  OnLoop([&]() {
+    conn = std::make_unique<Connection>(&loop_, std::move(pair.value().first));
+    conn->set_on_data([&](std::string_view data) {
+      largest = std::max(largest, data.size());
+      received.append(data);
+      if (received.size() == burst.size()) {
+        all_received.set_value();
+      }
+    });
+    conn->Start();
+  });
+  SendAll(outside.get(), burst);
+  ASSERT_EQ(all_received.get_future().wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  OnLoop([&]() {
+    EXPECT_LE(largest, kReadChunkBytes);
+    EXPECT_TRUE(received == burst);
+    conn.reset();
+  });
+}
+
+TEST_F(LoopFixture, FramedChannelDeliversFrameSplitOverManyReadsOnce) {
+  auto pair = UnixPair();
+  ASSERT_TRUE(pair.ok());
+  ASSERT_TRUE(SetNonBlocking(pair.value().first.get(), true).ok());
+  UniqueFd outside = std::move(pair.value().second);
+
+  // Wire format: u32 payload length (LE) | u8 type | u8 flags | u16 zero.
+  const auto frame = [](uint8_t type, const std::string& payload) {
+    std::string bytes;
+    const uint32_t len = static_cast<uint32_t>(payload.size());
+    for (int shift = 0; shift < 32; shift += 8) {
+      bytes.push_back(static_cast<char>((len >> shift) & 0xff));
+    }
+    bytes.push_back(static_cast<char>(type));
+    bytes.append(3, '\0');
+    return bytes + payload;
+  };
+  const std::string big = PatternBytes(100 * 1024);
+  const std::string wire = frame(3, big) + frame(4, "after");
+
+  std::unique_ptr<FramedChannel> channel;
+  std::vector<std::pair<uint8_t, std::string>> messages;  // loop-confined
+  std::promise<void> both_received;
+  OnLoop([&]() {
+    channel = std::make_unique<FramedChannel>(&loop_, std::move(pair.value().first));
+    channel->set_on_message([&](uint8_t type, std::string payload, UniqueFd) {
+      messages.emplace_back(type, std::move(payload));
+      if (messages.size() == 2) {
+        both_received.set_value();
+      }
+    });
+    channel->Start();
+  });
+  // Small pieces with pauses, the first one splitting the header, so the
+  // big frame reaches the channel over many reads.
+  size_t pos = 0;
+  for (size_t piece = 3; pos < wire.size(); piece = 4096) {
+    const size_t n = std::min(piece, wire.size() - pos);
+    SendAll(outside.get(), std::string_view(wire).substr(pos, n));
+    pos += n;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  ASSERT_EQ(both_received.get_future().wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  OnLoop([&]() {
+    ASSERT_EQ(messages.size(), 2u);
+    EXPECT_EQ(messages[0].first, 3);
+    EXPECT_TRUE(messages[0].second == big);
+    EXPECT_EQ(messages[1].first, 4);
+    EXPECT_EQ(messages[1].second, "after");
+    channel.reset();
+  });
+}
+
 // Before Start() the group's loops have no threads: RunOn runs inline on the
 // owner (single-threaded setup). Afterwards it posts to the target loop.
 TEST(EventLoopGroupTest, RunOnIsInlineBeforeStartAndPostedAfter) {
