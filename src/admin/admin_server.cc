@@ -1,10 +1,8 @@
 #include "src/admin/admin_server.h"
 
 #include <sys/epoll.h>
-#include <sys/socket.h>
 #include <time.h>
 
-#include <cerrno>
 #include <cstring>
 
 #include "src/net/socket.h"
@@ -77,23 +75,12 @@ Status AdminServer::Start(uint16_t port) {
 }
 
 void AdminServer::OnAccept(uint32_t) {
-  while (true) {
-    const int fd = ::accept4(listener_.get(), nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return;
-      }
-      if (errno == EINTR) {
-        continue;
-      }
-      LARD_LOG(ERROR) << "admin accept: " << std::strerror(errno);
-      return;
-    }
-    (void)SetTcpNoDelay(fd);
+  const int error = AcceptAll(listener_.get(), [this](UniqueFd fd) {
+    (void)SetTcpNoDelay(fd.get());
     auto conn = std::make_unique<AdminConn>();
     AdminConn* raw = conn.get();
     raw->id = next_conn_id_++;
-    raw->conn = std::make_unique<Connection>(loop_, UniqueFd(fd));
+    raw->conn = std::make_unique<Connection>(loop_, std::move(fd));
     raw->conn->set_on_data([this, id = raw->id](std::string_view data) {
       auto it = conns_.find(id);
       if (it != conns_.end()) {
@@ -108,6 +95,9 @@ void AdminServer::OnAccept(uint32_t) {
     });
     raw->conn->Start();
     conns_.emplace(raw->id, std::move(conn));
+  });
+  if (error != 0) {
+    LARD_LOG(ERROR) << "admin accept: " << std::strerror(error);
   }
 }
 

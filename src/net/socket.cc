@@ -85,6 +85,19 @@ StatusOr<std::pair<UniqueFd, UniqueFd>> UnixPair() {
   return std::make_pair(UniqueFd(fds[0]), UniqueFd(fds[1]));
 }
 
+int AcceptAll(int listener, const std::function<void(UniqueFd)>& on_accept) {
+  while (true) {
+    const int fd = ::accept4(listener, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd >= 0) {
+      on_accept(UniqueFd(fd));
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return 0;
+    } else if (errno != EINTR) {
+      return errno;
+    }
+  }
+}
+
 Status SetNonBlocking(int fd, bool non_blocking) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0) {

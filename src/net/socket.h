@@ -7,6 +7,7 @@
 #define SRC_NET_SOCKET_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -32,6 +33,12 @@ StatusOr<UniqueFd> ConnectTcp(uint16_t port);
 // A connected unix-domain stream socket pair (for control sessions and fd
 // passing between front-end and back-end components).
 StatusOr<std::pair<UniqueFd, UniqueFd>> UnixPair();
+
+// Accepts every connection pending on the non-blocking `listener`, handing
+// each to `on_accept` as a non-blocking, close-on-exec fd. Returns 0 once
+// the backlog is empty (EAGAIN); EINTR is retried. Any other accept4 error
+// ends the call and is returned as its errno, for the caller to log.
+int AcceptAll(int listener, const std::function<void(UniqueFd)>& on_accept);
 
 Status SetNonBlocking(int fd, bool non_blocking);
 Status SetTcpNoDelay(int fd);

@@ -1,10 +1,8 @@
 #include "src/proto/backend_server.h"
 
 #include <sys/epoll.h>
-#include <sys/socket.h>
 #include <time.h>
 
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 
@@ -176,7 +174,7 @@ void BackendServer::Housekeeping() {
   }
   SweepIdleConnections();
   if (metric_open_conns_ != nullptr) {
-    metric_open_conns_->Set(static_cast<double>(conns_.size()));
+    metric_open_conns_->Set(static_cast<double>(conns_.size() - peer_conns_));
   }
   loop_->ScheduleAfterMs(kHousekeepingPeriodMs, alive_.Guard([this]() { Housekeeping(); }));
 }
@@ -186,7 +184,7 @@ void BackendServer::SendStatus(std::vector<StatusSample> samples) {
   status.seq = ++status_seq_;
   status.t_ms = NowMs();
   status.disk_queue_len = static_cast<uint32_t>(disk_->queue_length());
-  status.open_conns = static_cast<uint32_t>(conns_.size());
+  status.open_conns = static_cast<uint32_t>(conns_.size() - peer_conns_);
   status.samples = std::move(samples);
   const std::string payload = EncodeNodeStatus(status);
   // Every front-end runs its own health tracker; all of them hear it.
@@ -387,18 +385,20 @@ BackendServer::ClientConn* BackendServer::AdoptCommon(int fe, ConnId conn_id, bo
       }
     });
   }
-  raw->traced = tracer_ != nullptr && tracer_->Sampled(conn_id);
-  // Timed when spans or the slow log need it — or when telemetry does: the
-  // latency histogram must see every request, not just sampled ones.
-  raw->timed = raw->traced ||
-               (tracer_ != nullptr && tracer_->enabled() && tracer_->slow_threshold_us() > 0) ||
-               metric_request_us_ != nullptr;
+  if (!raw->peer()) {
+    raw->traced = tracer_ != nullptr && tracer_->Sampled(conn_id);
+    // Timed when spans or the slow log need it — or when telemetry does: the
+    // latency histogram must see every request, not just sampled ones.
+    raw->timed = raw->traced ||
+                 (tracer_ != nullptr && tracer_->enabled() && tracer_->slow_threshold_us() > 0) ||
+                 metric_request_us_ != nullptr;
+    counters_.connections_adopted.fetch_add(1, std::memory_order_relaxed);
+  }
   if (raw->traced) {
     RecordSpan(tracer_, trace_ring_, conn_id, raw->trace_seq++, SpanKind::kAdopt,
                config_.node_id, TraceNowUs(), 0, "fe=%d dirs=%zu autonomous=%d", fe,
                raw->directives.size(), autonomous ? 1 : 0);
   }
-  counters_.connections_adopted.fetch_add(1, std::memory_order_relaxed);
   conns_.emplace(raw->id, std::move(conn));
 
   // Register with the loop first (no events can arrive until we return to
@@ -448,6 +448,20 @@ void BackendServer::AdoptReplay(int fe, ReplayMsg msg, UniqueFd fd) {
     }
   }
   ProcessNext(raw);
+}
+
+void BackendServer::OnLateralAccept(uint32_t) {
+  // A peer's connection is an autonomous client connection with no front
+  // end: its GETs take the client path, and every miss populates the cache.
+  const int error = AcceptAll(lateral_listener_.get(), [this](UniqueFd fd) {
+    ++peer_conns_;
+    AdoptCommon(/*fe=*/-1, next_peer_id_++, /*autonomous=*/true, /*replay_protected=*/false, {},
+                std::move(fd));
+  });
+  if (error != 0) {
+    LARD_LOG(ERROR) << "backend " << config_.node_id << ": lateral accept: "
+                    << std::strerror(error);
+  }
 }
 
 void BackendServer::OnAssignments(const AssignmentsMsg& msg) {
@@ -731,9 +745,14 @@ void BackendServer::DoHandback(ConnId conn_id) {
 
 void BackendServer::ServeLocal(ClientConn* conn, const HttpRequest& request,
                                const RequestDirective& directive) {
+  if (conn->peer()) {
+    counters_.lateral_in.fetch_add(1, std::memory_order_relaxed);
+  }
   const TargetId target = store_->Resolve(request.path);
   if (target == kInvalidTarget) {
-    counters_.not_found.fetch_add(1, std::memory_order_relaxed);
+    if (!conn->peer()) {
+      counters_.not_found.fetch_add(1, std::memory_order_relaxed);
+    }
     WriteResponse(conn, request, 404, BodyParts::Owned("not found\n"));
     return;
   }
@@ -899,11 +918,13 @@ std::optional<uint64_t> BackendServer::BeginResponse(ClientConn* conn, const Htt
   if (!KeepsAlive(request, status)) {
     response.headers.Add("Connection", "close");
   }
-  counters_.requests_served.fetch_add(1, std::memory_order_relaxed);
-  if (metric_requests_ != nullptr) {
-    metric_requests_->Increment();
+  if (!conn->peer()) {
+    counters_.requests_served.fetch_add(1, std::memory_order_relaxed);
+    if (metric_requests_ != nullptr) {
+      metric_requests_->Increment();
+    }
+    counters_.bytes_to_clients.fetch_add(body_size, std::memory_order_relaxed);
   }
-  counters_.bytes_to_clients.fetch_add(body_size, std::memory_order_relaxed);
   std::string head = response.SerializeHead(body_size);
   uint64_t wire_bytes = head.size() + body_size;
   if (conn->splice_pending) {
@@ -1075,7 +1096,12 @@ void BackendServer::CloseClient(ClientConn* conn, bool notify_frontend) {
   }
   // The Connection may be mid-callback and disk/lateral callbacks may still
   // reference this ClientConn by id, so tear down on the next tick.
-  loop_->Post(alive_.Guard([this, id = conn->id]() { conns_.erase(id); }));
+  loop_->Post(alive_.Guard([this, id = conn->id, peer = conn->peer()]() {
+    conns_.erase(id);
+    if (peer) {
+      --peer_conns_;
+    }
+  }));
 }
 
 void BackendServer::SweepIdleConnections() {
@@ -1085,7 +1111,8 @@ void BackendServer::SweepIdleConnections() {
   const int64_t now = NowMs();
   std::vector<ClientConn*> idle;
   for (auto& [id, conn] : conns_) {
-    if (conn->closed) {
+    // A peer's connection carries all of that peer's fetches: never reaped.
+    if (conn->closed || conn->peer()) {
       continue;
     }
     // Write progress counts as activity. A queued response that made no
@@ -1114,136 +1141,6 @@ void BackendServer::SweepIdleConnections() {
     // reap its half (dispatcher entry, journal, retained dup).
     CloseClient(conn, /*notify_frontend=*/true);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Lateral service (peer-facing)
-// ---------------------------------------------------------------------------
-
-void BackendServer::OnLateralAccept(uint32_t) {
-  while (true) {
-    const int fd = ::accept4(lateral_listener_.get(), nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return;
-      }
-      if (errno == EINTR) {
-        continue;
-      }
-      LARD_LOG(ERROR) << "backend " << config_.node_id << ": lateral accept: "
-                      << std::strerror(errno);
-      return;
-    }
-    auto lateral = std::make_unique<LateralConn>();
-    LateralConn* raw = lateral.get();
-    raw->id = next_lateral_id_++;
-    (void)SetTcpNoDelay(fd);
-    raw->conn = std::make_unique<Connection>(loop_, UniqueFd(fd));
-    raw->conn->set_on_data(
-        [this, id = raw->id](std::string_view data) { OnLateralData(id, data); });
-    raw->conn->set_on_close([this, id = raw->id]() { DestroyLateralConn(id); });
-    raw->conn->Start();
-    lateral_conns_.emplace(raw->id, std::move(lateral));
-  }
-}
-
-void BackendServer::OnLateralData(uint64_t lateral_id, std::string_view data) {
-  auto it = lateral_conns_.find(lateral_id);
-  if (it == lateral_conns_.end()) {
-    return;
-  }
-  LateralConn* conn = it->second.get();
-  std::vector<HttpRequest> requests;
-  if (conn->parser.Feed(data, &requests) == RequestParser::State::kError) {
-    conn->conn->Close();
-    DestroyLateralConn(lateral_id);
-    return;
-  }
-  for (auto& request : requests) {
-    conn->pending.push_back(std::move(request));
-  }
-  ProcessNextLateral(lateral_id);
-}
-
-void BackendServer::ProcessNextLateral(uint64_t lateral_id) {
-  auto it = lateral_conns_.find(lateral_id);
-  if (it == lateral_conns_.end()) {
-    return;
-  }
-  LateralConn* conn = it->second.get();
-  // A loop, not recursion, for the same reason as ProcessNext. A destroyed
-  // connection stays allocated until a posted task frees it, and its
-  // responder then leaves `serving` set, which ends the loop.
-  if (conn->dispatching) {
-    return;
-  }
-  conn->dispatching = true;
-  while (!conn->serving && !conn->pending.empty()) {
-    const HttpRequest request = std::move(conn->pending.front());
-    conn->pending.pop_front();
-    conn->serving = true;
-    ServeLateralRequest(lateral_id, request);
-  }
-  conn->dispatching = false;
-}
-
-void BackendServer::ServeLateralRequest(uint64_t lateral_id, const HttpRequest& request) {
-  counters_.lateral_in.fetch_add(1, std::memory_order_relaxed);
-
-  auto respond = [this, lateral_id](int status, BodyParts body) {
-    auto it = lateral_conns_.find(lateral_id);
-    if (it == lateral_conns_.end()) {
-      return;
-    }
-    LateralConn* conn = it->second.get();
-    if (conn->conn != nullptr && conn->conn->open()) {
-      HttpResponse response;
-      response.version = HttpVersion::kHttp11;
-      response.status = status;
-      response.reason = ReasonPhrase(status);
-      conn->conn->Queue(response.SerializeHead(body.size()));
-      QueueBody(conn->conn.get(), std::move(body));
-      conn->conn->Flush();
-    }
-    conn->serving = false;
-    ProcessNextLateral(lateral_id);
-  };
-
-  const TargetId target = store_->Resolve(request.path);
-  if (target == kInvalidTarget) {
-    respond(404, BodyParts::Owned("not found\n"));
-    return;
-  }
-  if (cache_.Touch(target)) {
-    counters_.local_hits.fetch_add(1, std::memory_order_relaxed);
-    if (metric_hits_ != nullptr) {
-      metric_hits_->Increment();
-    }
-    respond(200, store_->PartsFor(target));
-    return;
-  }
-  counters_.local_misses.fetch_add(1, std::memory_order_relaxed);
-  if (metric_misses_ != nullptr) {
-    metric_misses_->Increment();
-  }
-  disk_->Read(store_->SizeOf(target), [this, target, respond]() {
-    // This node is the caching node for laterally requested targets: misses
-    // populate the cache.
-    cache_.Insert(target, store_->SizeOf(target));
-    respond(200, store_->PartsFor(target));
-  });
-}
-
-void BackendServer::DestroyLateralConn(uint64_t lateral_id) {
-  auto it = lateral_conns_.find(lateral_id);
-  if (it == lateral_conns_.end()) {
-    return;
-  }
-  // May be called from inside the connection's own callback: defer.
-  std::shared_ptr<LateralConn> dead(it->second.release());
-  lateral_conns_.erase(it);
-  loop_->Post([dead]() {});
 }
 
 }  // namespace lard

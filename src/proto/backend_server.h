@@ -8,7 +8,9 @@
 //     and acts on the returned *tagged requests*: a "/__be<k>/..." tag makes
 //     it fetch the content laterally from node k and relay the response on
 //     its client connection (back-end request forwarding),
-//   * serves lateral fetches for its peers from its own cache/disk,
+//   * serves its peers' lateral fetches as ordinary GETs: a peer's
+//     connection is a client connection of the peer kind, autonomous and
+//     with no front end, served by the same loop from its own cache/disk,
 //   * reports its disk queue length to the front-end (piggybacked on
 //     consults and in its periodic node-status frame), which is the
 //     extended-LARD policy's only back-end feedback.
@@ -138,9 +140,22 @@ class BackendServer {
   bool draining() const { return draining_; }
 
  private:
+  // Peer connections take ids with this bit set, which no front end mints
+  // (front-end ids are fe_id << 48).
+  static constexpr ConnId kPeerIdBit = ConnId{1} << 63;
+
+  // A connection served by ProcessNext: a client connection handed off by a
+  // front end, or a peer's lateral connection accepted on the lateral
+  // listener. A peer connection is autonomous with no front end (fe = -1),
+  // so it skips the client path's consults, idle reports, journal and
+  // handbacks, and every request gets a default (local, cache-on-miss)
+  // directive. It also counts lateral_in instead of the client counters,
+  // is neither traced nor timed, is never reaped by the idle sweep and is
+  // left out of the open-connection counts.
   struct ClientConn {
     ConnId id = 0;
-    int fe = 0;  // the front-end whose control session handed this conn off
+    int fe = 0;  // the front-end that handed this conn off; -1 for a peer
+    bool peer() const { return (id & kPeerIdBit) != 0; }
     std::unique_ptr<Connection> conn;
     RequestParser parser;
     bool autonomous = false;
@@ -205,26 +220,18 @@ class BackendServer {
     char serve_cache = '-';        // 'h'it / 'm'iss / 'l'ateral for the kServe span
   };
 
-  struct LateralConn {
-    uint64_t id = 0;
-    std::unique_ptr<Connection> conn;
-    RequestParser parser;
-    // Responses must leave in request order even when a cache hit follows a
-    // disk miss, so lateral service is serial per connection.
-    std::deque<HttpRequest> pending;
-    bool serving = false;
-    bool dispatching = false;  // ProcessNextLateral's loop is on the stack
-  };
-
   // Control sessions (one per front-end).
   void OnControlMessage(int fe, uint8_t type, std::string payload, UniqueFd fd);
   void AdoptConnection(int fe, HandoffMsg msg, UniqueFd fd);
   // Crash replay (kReplay): adopt a connection whose previous node died,
   // re-serving the journaled tail and splicing the first response.
   void AdoptReplay(int fe, ReplayMsg msg, UniqueFd fd);
-  // Shared adoption plumbing for kHandoff and kReplay.
+  // Shared adoption plumbing for kHandoff, kReplay and peer connections.
   ClientConn* AdoptCommon(int fe, ConnId conn_id, bool autonomous, bool replay_protected,
                           std::vector<RequestDirective> directives, UniqueFd fd);
+  // Adopts each pending connection on the lateral listener as a ClientConn
+  // of the peer kind.
+  void OnLateralAccept(uint32_t events);
   void OnAssignments(const AssignmentsMsg& msg);
   // The channel to front-end `fe`, or nullptr when absent/closed.
   FramedChannel* FeChannel(int fe);
@@ -296,14 +303,6 @@ class BackendServer {
   void CloseClient(ClientConn* conn, bool notify_frontend);
   void ReportIdleIfQuiescent(ClientConn* conn);
 
-  // Lateral service.
-  void OnLateralAccept(uint32_t events);
-  void OnLateralData(uint64_t lateral_id, std::string_view data);
-  // Serves the connection's pending peer requests in order, in a loop.
-  void ProcessNextLateral(uint64_t lateral_id);
-  void ServeLateralRequest(uint64_t lateral_id, const HttpRequest& request);
-  void DestroyLateralConn(uint64_t lateral_id);
-
   void Housekeeping();
   void SweepIdleConnections();
   // Broadcasts one node-status frame (carrying `samples`, possibly none) to
@@ -339,8 +338,8 @@ class BackendServer {
   std::vector<std::unique_ptr<LateralClient>> peers_;  // index = NodeId
 
   std::unordered_map<ConnId, std::unique_ptr<ClientConn>> conns_;
-  std::unordered_map<uint64_t, std::unique_ptr<LateralConn>> lateral_conns_;
-  uint64_t next_lateral_id_ = 1;
+  ConnId next_peer_id_ = kPeerIdBit | 1;
+  size_t peer_conns_ = 0;  // entries of conns_ that are peers'
 
   BackendCounters counters_;
 

@@ -5,7 +5,6 @@
 #include <sys/socket.h>
 #include <time.h>
 
-#include <cerrno>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -1044,22 +1043,8 @@ void FrontEnd::ConnectBackends(const std::vector<uint16_t>& backend_http_ports) 
 
 void FrontEnd::OnAccept(LoopShard* shard, uint32_t) {
   shard->loop->AssertInLoopThread();
-  while (true) {
-    const int fd = ::accept4(shard->listener.get(), nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return;
-      }
-      if (errno == EINTR) {
-        continue;
-      }
-      LARD_LOG(ERROR) << "front-end accept: " << std::strerror(errno);
-      return;
-    }
-    (void)SetTcpNoDelay(fd);
-    UniqueFd client(fd);
-
+  const int error = AcceptAll(shard->listener.get(), [this, shard](UniqueFd client) {
+    (void)SetTcpNoDelay(client.get());
     if (fd_handoff_accept_) {
       // Fallback accept path (loop 0 only): round-robin the fresh fd across
       // the shards; the owning loop adopts it and pins every callback there.
@@ -1072,9 +1057,12 @@ void FrontEnd::OnAccept(LoopShard* shard, uint32_t) {
           AdoptClientFd(target, std::move(*boxed));
         }));
       }
-      continue;
+      return;
     }
     AdoptClientFd(shard, std::move(client));
+  });
+  if (error != 0) {
+    LARD_LOG(ERROR) << "front-end accept: " << std::strerror(error);
   }
 }
 

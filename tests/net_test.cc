@@ -88,6 +88,36 @@ TEST(SocketTest, ListenConnectRoundTrip) {
   EXPECT_STREQ(buf, "ping");
 }
 
+TEST(SocketTest, AcceptAllDrainsTheBacklogInOneCall) {
+  constexpr int kPending = 32;
+  uint16_t port = 0;
+  auto listener = ListenTcp(0, &port);
+  ASSERT_TRUE(listener.ok());
+  ASSERT_TRUE(SetNonBlocking(listener.value().get(), true).ok());
+  std::vector<UniqueFd> clients;
+  for (int i = 0; i < kPending; ++i) {
+    auto client = ConnectTcp(port);
+    ASSERT_TRUE(client.ok());
+    clients.push_back(std::move(client.value()));
+  }
+
+  std::vector<UniqueFd> accepted;
+  EXPECT_EQ(AcceptAll(listener.value().get(),
+                      [&](UniqueFd fd) { accepted.push_back(std::move(fd)); }),
+            0)
+      << "an empty backlog (EAGAIN) ends the call without an error";
+  ASSERT_EQ(accepted.size(), static_cast<size_t>(kPending));
+  for (const UniqueFd& fd : accepted) {
+    EXPECT_NE(::fcntl(fd.get(), F_GETFL) & O_NONBLOCK, 0);
+    EXPECT_NE(::fcntl(fd.get(), F_GETFD) & FD_CLOEXEC, 0);
+  }
+  EXPECT_EQ(AcceptAll(listener.value().get(), [&](UniqueFd fd) {
+              accepted.push_back(std::move(fd));
+            }),
+            0);
+  EXPECT_EQ(accepted.size(), static_cast<size_t>(kPending));
+}
+
 TEST(SocketTest, UnixPairIsConnected) {
   auto pair = UnixPair();
   ASSERT_TRUE(pair.ok());

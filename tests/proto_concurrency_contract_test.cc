@@ -9,7 +9,9 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,11 +52,29 @@ ClusterConfig SmallConfig() {
   return config;
 }
 
+// Live threads. A joined thread can stay listed for a moment while the
+// kernel finishes its exit, but by then it is flagged PF_EXITING (the
+// flags field of its stat line), so it is not counted.
 size_t ThreadCount() {
+  constexpr unsigned long kPfExiting = 0x4;
   size_t threads = 0;
   for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
-    (void)entry;
-    ++threads;
+    std::ifstream stat(entry.path() / "stat");
+    std::string line;
+    if (!std::getline(stat, line) || line.rfind(')') == std::string::npos) {
+      continue;  // reaped since the listing
+    }
+    // After "tid (comm)": state ppid pgrp session tty_nr tpgid flags.
+    std::istringstream fields(line.substr(line.rfind(')') + 1));
+    std::string skipped;
+    for (int i = 0; i < 6; ++i) {
+      fields >> skipped;
+    }
+    unsigned long flags = 0;
+    fields >> flags;
+    if ((flags & kPfExiting) == 0) {
+      ++threads;
+    }
   }
   return threads;
 }

@@ -74,11 +74,13 @@ class BackendPairTest : public ::testing::Test {
   static constexpr uint64_t kBigSize = (uint64_t{1} << 20) + 7;  // 17 slab views
   static constexpr uint64_t kSmallSize = 700;                   // joins the head
   static constexpr uint64_t kHugeSize = (uint64_t{16} << 20) + 7;
+  static constexpr uint64_t kTinySize = 64;
 
   void SetUp() override {
     catalog_.Intern(kBig, kBigSize);
     catalog_.Intern(kSmall, kSmallSize);
     catalog_.Intern(kHuge, kHugeSize);
+    catalog_.Intern(kTiny, kTinySize);
     store_ = std::make_unique<ContentStore>(&catalog_);
     thread_ = std::thread([this]() { loop_.Run(); });
     OnLoop([this]() {
@@ -95,14 +97,20 @@ class BackendPairTest : public ::testing::Test {
         LARD_CHECK_OK(SetNonBlocking(pair.value().second.get(), true));
         nodes_.push_back(std::make_unique<BackendServer>(config, &loop_, store_.get()));
         LARD_CHECK_OK(nodes_.back()->Start(std::move(pair.value().first)));
-        // The front end's side of the session: only kConnClosed is kept.
+        // The front end's side of the session: only kConnClosed and the
+        // latest node-status frame are kept.
         fes_.push_back(std::make_unique<FramedChannel>(&loop_, std::move(pair.value().second)));
-        fes_.back()->set_on_message([this](uint8_t type, std::string payload, UniqueFd) {
+        fes_.back()->set_on_message([this, node](uint8_t type, std::string payload, UniqueFd) {
           uint64_t id = 0;
+          NodeStatusMsg status;
           if (static_cast<ControlMsg>(type) == ControlMsg::kConnClosed &&
               DecodeU64(payload, &id)) {
             std::lock_guard<std::mutex> lock(closed_mutex_);
             closed_.push_back(id);
+          } else if (static_cast<ControlMsg>(type) == ControlMsg::kNodeStatus &&
+                     DecodeNodeStatus(payload, &status)) {
+            std::lock_guard<std::mutex> lock(closed_mutex_);
+            last_status_[node] = status;
           }
         });
         fes_.back()->Start();
@@ -190,13 +198,44 @@ class BackendPairTest : public ::testing::Test {
     return std::find(closed_.begin(), closed_.end(), id) != closed_.end();
   }
 
+  // A node-status frame from `node` built after this call began: the one
+  // after the next, so a frame already being built cannot be taken for it.
+  NodeStatusMsg FreshStatus(NodeId node) {
+    uint64_t after = 0;
+    {
+      std::lock_guard<std::mutex> lock(closed_mutex_);
+      after = last_status_[node].seq + 1;
+    }
+    for (int i = 0; i < 500; ++i) {
+      {
+        std::lock_guard<std::mutex> lock(closed_mutex_);
+        if (last_status_[node].seq > after) {
+          return last_status_[node];
+        }
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ADD_FAILURE() << "no node-status frame from node " << node;
+    return {};
+  }
+
+  // A connection to `node`'s lateral listener, opened as a peer's would be.
+  UniqueFd ConnectPeer(NodeId node) {
+    auto fd = ConnectTcp(nodes_[static_cast<size_t>(node)]->lateral_port());
+    LARD_CHECK(fd.ok());
+    SetRecvTimeout(fd.value().get(), 10);
+    return std::move(fd.value());
+  }
+
   const std::string kBig = "/docs/big.bin";
   const std::string kSmall = "/docs/small.html";
   const std::string kHuge = "/docs/huge.bin";
+  const std::string kTiny = "/docs/tiny.txt";
   int64_t lateral_timeout_ms_ = 2000;
   int64_t idle_close_ms_ = 15000;
   std::mutex closed_mutex_;
   std::vector<ConnId> closed_;  // kConnClosed reports from either node
+  NodeStatusMsg last_status_[2];  // the latest node-status frame per node
   TargetCatalog catalog_;
   std::unique_ptr<ContentStore> store_;
   EventLoop loop_;
@@ -576,7 +615,11 @@ class ResponseStream {
   explicit ResponseStream(int fd) : fd_(fd) {}
 
   // True when the next response is a 200 whose body is exactly `body`.
-  bool Next200(std::string_view body) {
+  bool Next200(std::string_view body) { return Next(200, body); }
+
+  // True when the next response has status `status` and a body of exactly
+  // `body`, with a Content-Length to match.
+  bool Next(int status, std::string_view body) {
     size_t end;
     while ((end = buffer_.find("\r\n\r\n", pos_)) == std::string::npos) {
       if (!Fill()) {
@@ -585,7 +628,9 @@ class ResponseStream {
     }
     const std::string head = buffer_.substr(pos_, end + 4 - pos_);
     pos_ = end + 4;
-    if (head.rfind("HTTP/1.1 200 OK\r\n", 0) != 0 ||
+    const std::string status_line =
+        "HTTP/1.1 " + std::to_string(status) + " " + ReasonPhrase(status) + "\r\n";
+    if (head.rfind(status_line, 0) != 0 ||
         head.find("Content-Length: " + std::to_string(body.size()) + "\r\n") ==
             std::string::npos) {
       return false;
@@ -719,6 +764,127 @@ TEST(ProtoServePathTest, PipelinedMegabyteBodiesKeepMemoryFlat) {
                                                        << (peak_after_kb - peak_before_kb)
                                                        << " kB";
   cluster.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Peer service: what a back end's lateral listener answers
+// ---------------------------------------------------------------------------
+
+TEST_F(BackendPairTest, PeerPipelineAnswersInRequestOrder) {
+  // A peer pipelines a disk miss, a second miss, a cache hit queued behind
+  // that miss, a 404 and another hit. Node 1 answers in request order even
+  // though the hit could be produced before the disk finishes.
+  const std::string missing = "/docs/missing.html";
+  UniqueFd peer = ConnectPeer(1);
+  std::thread sender = SendAll(peer.get(), Get(kSmall, false) + Get(kBig, false) +
+                                               Get(kSmall, false) + Get(missing, false) +
+                                               Get(kBig, false));
+  const std::string small = ContentStore::ExpectedBody(kSmall, kSmallSize);
+  const std::string big = ContentStore::ExpectedBody(kBig, kBigSize);
+  ResponseStream stream(peer.get());
+  EXPECT_TRUE(stream.Next(200, small));
+  EXPECT_TRUE(stream.Next(200, big));
+  EXPECT_TRUE(stream.Next(200, small));
+  EXPECT_TRUE(stream.Next(404, "not found\n"));
+  EXPECT_TRUE(stream.Next(200, big));
+  sender.join();
+
+  // Peer service counts as lateral service, never as client service.
+  EXPECT_EQ(counters(1).lateral_in.load(), 5u);
+  EXPECT_EQ(counters(1).local_misses.load(), 2u);
+  EXPECT_EQ(counters(1).local_hits.load(), 2u);
+  EXPECT_EQ(counters(1).requests_served.load(), 0u);
+  EXPECT_EQ(counters(1).bytes_to_clients.load(), 0u);
+  EXPECT_EQ(counters(1).not_found.load(), 0u);
+  EXPECT_EQ(counters(1).connections_adopted.load(), 0u);
+}
+
+TEST_F(BackendPairTest, HundredThousandPipelinedPeerRequestsComplete) {
+  // The requests queue behind a 16 MB disk miss (~70 ms at this disk time
+  // scale), then are served synchronously as cache hits when it completes:
+  // one stack frame per request would overflow the stack.
+  constexpr int kRequests = 100000;
+  UniqueFd peer = ConnectPeer(1);
+  std::string requests = Get(kHuge, false);
+  for (int i = 0; i < kRequests; ++i) {
+    requests += Get(kTiny, false);
+  }
+  std::thread sender = SendAll(peer.get(), std::move(requests));
+  const std::string body = ContentStore::ExpectedBody(kTiny, kTinySize);
+  ResponseStream stream(peer.get());
+  EXPECT_TRUE(stream.Next200(ContentStore::ExpectedBody(kHuge, kHugeSize)));
+  int ok = 0;
+  while (ok < kRequests && stream.Next200(body)) {
+    ++ok;
+  }
+  sender.join();
+  EXPECT_EQ(ok, kRequests);
+  EXPECT_EQ(counters(1).lateral_in.load(), static_cast<uint64_t>(kRequests) + 1);
+  EXPECT_EQ(counters(1).requests_served.load(), 0u);
+}
+
+TEST_F(BackendPairShortDeadlineTest, QuietPeerConnectionOutlivesIdleSweeps) {
+  // The idle sweep reaps quiet client connections after 100 ms. A peer's
+  // connection is shared by all its fetches, so it is never reaped.
+  UniqueFd peer = ConnectPeer(1);
+  const std::string body = ContentStore::ExpectedBody(kSmall, kSmallSize);
+  ResponseStream stream(peer.get());
+  std::thread first = SendAll(peer.get(), Get(kSmall, false));
+  first.join();
+  EXPECT_TRUE(stream.Next200(body));
+  std::this_thread::sleep_for(std::chrono::milliseconds(800));
+  std::thread second = SendAll(peer.get(), Get(kSmall, false));
+  second.join();
+  EXPECT_TRUE(stream.Next200(body));
+  EXPECT_EQ(counters(1).idle_closes.load(), 0u);
+}
+
+TEST_F(BackendPairTest, NodeStatusCountsClientConnectionsOnly) {
+  // One keep-alive client connection and one peer connection are open on
+  // node 1; its status frame reports one open connection.
+  UniqueFd client = Handoff(1, {}, Get(kSmall, false));
+  const std::string body = ContentStore::ExpectedBody(kSmall, kSmallSize);
+  ResponseStream client_stream(client.get());
+  ASSERT_TRUE(client_stream.Next200(body));
+  UniqueFd peer = ConnectPeer(1);
+  std::thread sender = SendAll(peer.get(), Get(kSmall, false));
+  sender.join();
+  ResponseStream peer_stream(peer.get());
+  ASSERT_TRUE(peer_stream.Next200(body));
+  EXPECT_EQ(FreshStatus(1).open_conns, 1u);
+}
+
+TEST_F(BackendPairTest, MalformedPeerRequestGetsA400AndAClose) {
+  // A malformed request on one peer connection ends that connection the
+  // way it ends a client's: a 400, then a close. Another peer connection
+  // to the same node is still served.
+  UniqueFd healthy = ConnectPeer(1);
+  const std::string body = ContentStore::ExpectedBody(kSmall, kSmallSize);
+  ResponseStream healthy_stream(healthy.get());
+  std::thread first = SendAll(healthy.get(), Get(kSmall, false));
+  first.join();
+  ASSERT_TRUE(healthy_stream.Next200(body));
+
+  UniqueFd bad = ConnectPeer(1);
+  std::thread garbage = SendAll(bad.get(), "GARBAGE\r\n\r\n");
+  garbage.join();
+  std::string wire;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::recv(bad.get(), buf, sizeof(buf), 0)) > 0) {
+    wire.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(n, 0) << "the connection ends in an orderly close, not a timeout";
+  EXPECT_EQ(wire,
+            "HTTP/1.0 400 Bad Request\r\nServer: lard-be1\r\n"
+            "Content-Type: application/octet-stream\r\nConnection: close\r\n"
+            "Content-Length: 12\r\n\r\nbad request\n");
+
+  std::thread second = SendAll(healthy.get(), Get(kSmall, false));
+  second.join();
+  EXPECT_TRUE(healthy_stream.Next200(body));
+  EXPECT_EQ(counters(1).lateral_in.load(), 2u);
+  EXPECT_EQ(counters(1).requests_served.load(), 0u);
 }
 
 }  // namespace
