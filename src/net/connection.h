@@ -1,4 +1,7 @@
-// Buffered non-blocking stream connection on an EventLoop.
+// Buffered non-blocking stream connection on an EventLoop: the one byte pipe
+// of src/net. It is the only code there that reads, writes or closes a
+// stream socket; the control session's framing (FramedChannel) is a layer
+// on top of it.
 //
 // Detach() is the key facility for the prototype's TCP handoff: it atomically
 // pulls the socket out of the loop and returns the fd together with any bytes
@@ -10,13 +13,27 @@
 // that outlives the connection (the content store's static fill slab). It is
 // sent with gather writes (sendmsg over up to kMaxIov segments), so a
 // response goes out as its small head plus views of the body, never copied
-// into one buffer.
+// into one buffer. An owned segment may carry a file descriptor (unix-domain
+// sockets only): its SCM_RIGHTS control message rides on the sendmsg that
+// sends the segment's first byte, and is attached again on a retry after
+// EAGAIN. A gather write stops before any fd segment that is not at the head
+// of the queue, so one sendmsg carries at most one fd. The fd is closed once
+// its first byte is sent, or when the queue is cleared.
+//
+// Input is one read loop (recvmsg). File descriptors that arrive with the
+// bytes go to the fd sink, ahead of the bytes they came with; a connection
+// with no sink closes them at once. Received fds are close-on-exec.
+//
+// One hangup rule: EPOLLHUP/EPOLLERR without EPOLLIN closes at once; with
+// EPOLLIN the connection reads to EOF or error first, so bytes a peer wrote
+// just before it closed still reach on_data before on_close.
 //
 // All methods must be called on the loop thread.
 #ifndef SRC_NET_CONNECTION_H_
 #define SRC_NET_CONNECTION_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <list>
 #include <string>
@@ -48,6 +65,9 @@ class Connection {
     on_data_ = std::move(on_data);
   }
   void set_on_close(std::function<void()> on_close) { on_close_ = std::move(on_close); }
+  // Received fds are appended to `*sink`, which must outlive the reads. Only
+  // the framing layer sets one.
+  void set_fd_sink(std::deque<UniqueFd>* sink) { fd_sink_ = sink; }
 
   // One-shot: fires (from the write path) when the buffered write data has
   // fully reached the kernel. Callers that need to detach a connection with
@@ -94,11 +114,11 @@ class Connection {
   // fires on_write_drained/on_write_progress, and unlike Flush() it tries
   // the socket even while waiting for EPOLLOUT, since a refusal costs a copy.
   void Write(std::string_view data);
-  // Queue + Flush.
-  void Write(std::string&& data) {
-    Queue(std::move(data));
-    Flush();
-  }
+  // As Write(string_view), but what the socket refuses is moved into the
+  // queue, not copied, and `fd` (if valid) rides on the first byte of `data`.
+  // Trying the socket on every call keeps a control session's frames moving
+  // while its loop is busy in a long callback elsewhere.
+  void Write(std::string&& data, UniqueFd fd = UniqueFd());
   void Write(const char* data) { Write(std::string_view(data)); }
 
   // Closes once the write queue drains (used for HTTP/1.0-style responses).
@@ -135,15 +155,17 @@ class Connection {
   void HandleReadable();
   void HandleWritable();
   // Gather-writes queued segments, then `*extra` (advanced past what was
-  // sent), until the socket would block. Returns false when the connection
-  // failed (and is closed).
-  bool SendQueued(std::string_view* extra = nullptr);
+  // sent) with `*extra_fd` on its first byte, until the socket would block.
+  // Returns false when the connection failed (and is closed).
+  bool SendQueued(std::string_view* extra = nullptr, UniqueFd* extra_fd = nullptr);
+  // Queues `data` as a segment of its own, or joins it to the owned tail
+  // when it is small and carries no fd.
+  void Enqueue(std::string data, UniqueFd fd);
   // Trims the skip budget off the front of `data`; returns the bytes kept.
   std::string_view TakeSkip(std::string_view data);
   // Appends `data` to the owned tail when it is small and the tail has
   // room; returns false when it needs a segment of its own.
   bool JoinOwnedTail(std::string_view data);
-  void ClearQueue();
   void UpdateInterest();
   void FailAndClose();
 
@@ -151,6 +173,7 @@ class Connection {
   UniqueFd fd_;
   bool open_ = false;
   bool close_after_flush_ = false;
+  bool writing_ = false;  // EPOLLOUT armed
 
   std::function<void(std::string_view)> on_data_;
   std::function<void()> on_close_;
@@ -158,10 +181,12 @@ class Connection {
   std::function<void()> on_write_progress_;
 
   // One queued piece of output: owned bytes, or (when `borrowed` is
-  // non-empty) a view of storage that outlives the connection.
+  // non-empty) a view of storage that outlives the connection. `fd` is
+  // valid until the segment's first byte is sent.
   struct Segment {
     std::string owned;
     std::string_view borrowed;
+    UniqueFd fd;
     std::string_view bytes() const { return borrowed.empty() ? std::string_view(owned) : borrowed; }
   };
   static constexpr size_t kMaxIov = 64;
@@ -177,7 +202,7 @@ class Connection {
   uint64_t skip_next_ = 0;
   uint64_t bytes_flushed_ = 0;
   std::string pushback_;
-  uint32_t interest_ = 0;
+  std::deque<UniqueFd>* fd_sink_ = nullptr;
 };
 
 }  // namespace lard

@@ -9,9 +9,9 @@
 
 namespace lard {
 
-// Bytes a loop's read handler (Connection, FramedChannel) takes per recv()
+// Bytes Connection's read loop (the only one in src/net) takes per recvmsg()
 // into its stack buffer. Requests and control frames fit in one chunk; a
-// relayed body costs one recv() per chunk, and a loop's stack keeps at most
+// relayed body costs one recvmsg() per chunk, and a loop's stack keeps at most
 // this much read buffer resident.
 inline constexpr size_t kReadChunkBytes = 16 * 1024;
 

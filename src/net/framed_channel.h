@@ -5,6 +5,15 @@
 // dispatcher's tagged requests, the back-ends' disk-queue reports, and —
 // carrying an fd — the TCP connection handoff itself.
 //
+// It is a framing layer only: it owns a Connection, which does all of the
+// socket I/O (one read loop, one write queue, one hangup rule). Sending
+// encodes the header and writes the frame through the Connection, an
+// attached fd as the frame's fd segment. Receiving parses frames out of
+// on_data and pairs each flagged frame with the next fd from the
+// Connection's fd sink; fds that no frame claims are closed with the
+// channel. An oversized length or a flagged frame with no fd closes the
+// channel and fires on_close.
+//
 // Wire format (little-endian):
 //   u32 payload_length | u8 type | u8 flags (bit0: fd attached) | u16 zero |
 //   payload bytes
@@ -23,6 +32,7 @@
 #include <string>
 #include <string_view>
 
+#include "src/net/connection.h"
 #include "src/net/event_loop.h"
 #include "src/net/fd.h"
 
@@ -35,7 +45,6 @@ class FramedChannel {
 
   // `fd` must be non-blocking. fd attachment requires a unix-domain socket.
   FramedChannel(EventLoop* loop, UniqueFd fd);
-  ~FramedChannel();
 
   FramedChannel(const FramedChannel&) = delete;
   FramedChannel& operator=(const FramedChannel&) = delete;
@@ -43,43 +52,27 @@ class FramedChannel {
   void set_on_message(MessageCallback on_message) { on_message_ = std::move(on_message); }
   void set_on_close(std::function<void()> on_close) { on_close_ = std::move(on_close); }
 
-  void Start();
+  void Start() { conn_.Start(); }
 
-  void Send(uint8_t type, std::string_view payload);
+  void Send(uint8_t type, std::string_view payload) { SendWithFd(type, payload, UniqueFd()); }
   // Takes ownership of `fd`; it is closed once transmitted.
   void SendWithFd(uint8_t type, std::string_view payload, UniqueFd fd);
 
-  void Close();
-  bool open() const { return open_; }
-  int fd() const { return fd_.get(); }
+  void Close() { conn_.Close(); }
+  bool open() const { return conn_.open(); }
+  int fd() const { return conn_.fd(); }
 
   static constexpr size_t kMaxPayload = 16 * 1024 * 1024;
 
  private:
-  struct OutFrame {
-    std::string bytes;   // header + payload
-    size_t offset = 0;
-    UniqueFd fd;         // sent with the frame's first byte
-  };
+  void OnData(std::string_view data);
+  void CloseOnBadFrame();
 
-  void HandleEvents(uint32_t events);
-  void HandleReadable();
-  void Flush();
-  void ParseFrames();
-  void UpdateInterest();
-  void FailAndClose();
-
-  EventLoop* loop_;
-  UniqueFd fd_;
-  bool open_ = false;
-
+  std::deque<UniqueFd> received_fds_;  // conn_'s fd sink, so declared first
+  Connection conn_;
   MessageCallback on_message_;
   std::function<void()> on_close_;
-
-  std::deque<OutFrame> out_;
   std::string in_buffer_;
-  std::deque<UniqueFd> received_fds_;
-  uint32_t interest_ = 0;
 };
 
 }  // namespace lard

@@ -1,3 +1,4 @@
+#include <dirent.h>
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/epoll.h>
@@ -7,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <future>
 #include <set>
 #include <string>
@@ -508,6 +510,7 @@ TEST_F(LoopFixture, FramedChannelPassesFd) {
   });
   UniqueFd write_end = received_fd.get_future().get();
   ASSERT_TRUE(write_end.valid());
+  EXPECT_NE(::fcntl(write_end.get(), F_GETFD) & FD_CLOEXEC, 0);
   ASSERT_EQ(::write(write_end.get(), "via-scm", 7), 7);
   char buf[16] = {0};
   ASSERT_EQ(::read(read_end.get(), buf, sizeof(buf)), 7);
@@ -670,6 +673,275 @@ TEST_F(LoopFixture, FramedChannelDeliversFrameSplitOverManyReadsOnce) {
     EXPECT_EQ(messages[1].second, "after");
     channel.reset();
   });
+}
+
+// Entries in /proc/self/fd (the directory's own fd included, so the count is
+// comparable between two calls).
+int CountOpenFds() {
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) {
+    return -1;
+  }
+  int count = 0;
+  while (const dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] != '.') {
+      ++count;
+    }
+  }
+  ::closedir(dir);
+  return count;
+}
+
+// One frame on the wire, with the length field and flags given explicitly.
+std::string RawFrame(uint32_t len, uint8_t type, uint8_t flags, std::string_view payload) {
+  std::string bytes;
+  for (int shift = 0; shift < 32; shift += 8) {
+    bytes.push_back(static_cast<char>((len >> shift) & 0xff));
+  }
+  bytes.push_back(static_cast<char>(type));
+  bytes.push_back(static_cast<char>(flags));
+  bytes.append(2, '\0');
+  bytes.append(payload);
+  return bytes;
+}
+
+// Sends all of `bytes` from a blocking socket, with `fd` attached to the
+// first byte as SCM_RIGHTS.
+void SendAllWithRights(int sock, std::string_view bytes, int fd) {
+  iovec iov{const_cast<char*>(bytes.data()), bytes.size()};
+  alignas(cmsghdr) char control[CMSG_SPACE(sizeof(int))] = {};
+  msghdr msg{};
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  msg.msg_control = control;
+  msg.msg_controllen = sizeof(control);
+  cmsghdr* cmsg = CMSG_FIRSTHDR(&msg);
+  cmsg->cmsg_level = SOL_SOCKET;
+  cmsg->cmsg_type = SCM_RIGHTS;
+  cmsg->cmsg_len = CMSG_LEN(sizeof(int));
+  std::memcpy(CMSG_DATA(cmsg), &fd, sizeof(int));
+  const ssize_t n = ::sendmsg(sock, &msg, 0);
+  ASSERT_GT(n, 0);
+  SendAll(sock, bytes.substr(static_cast<size_t>(n)));
+}
+
+// The payload of backlogged frame `i`: its index, then a size that mixes
+// empty, small and 64 KB frames.
+std::string BackloggedPayload(int i) {
+  std::string payload = std::to_string(i) + ";";
+  const size_t sizes[] = {0, 17, 1000, 4096, 30000, 64 * 1024 - 16};
+  payload.append(PatternBytes(sizes[(i * 5) % 6]));
+  return payload;
+}
+
+TEST_F(LoopFixture, FramedChannelBackloggedFramesKeepOrderAndFds) {
+  const int fds_before = CountOpenFds();
+  {
+    auto pair = UnixPair();
+    ASSERT_TRUE(pair.ok());
+    ASSERT_TRUE(SetNonBlocking(pair.value().first.get(), true).ok());
+    ASSERT_TRUE(SetNonBlocking(pair.value().second.get(), true).ok());
+    SetSmallSendBuffer(pair.value().first.get());
+
+    constexpr int kFrames = 200;
+    std::vector<UniqueFd> twins(kFrames);  // kept end of each passed pair
+    std::vector<UniqueFd> received(kFrames);
+    std::vector<std::string> payloads;  // loop-confined until all_received
+    std::promise<void> all_received;
+    std::unique_ptr<FramedChannel> a;
+    std::unique_ptr<FramedChannel> b;
+    OnLoop([&]() {
+      a = std::make_unique<FramedChannel>(&loop_, std::move(pair.value().first));
+      b = std::make_unique<FramedChannel>(&loop_, std::move(pair.value().second));
+      b->set_on_message([&](uint8_t type, std::string payload, UniqueFd fd) {
+        EXPECT_EQ(type, 9);
+        received[payloads.size()] = std::move(fd);
+        payloads.push_back(std::move(payload));
+        if (payloads.size() == kFrames) {
+          all_received.set_value();
+        }
+      });
+      a->Start();
+      b->Start();
+      for (int i = 0; i < kFrames; ++i) {
+        if (i % 3 != 0) {
+          a->Send(9, BackloggedPayload(i));
+          continue;
+        }
+        auto passed = UnixPair();
+        ASSERT_TRUE(passed.ok());
+        twins[i] = std::move(passed.value().second);
+        a->SendWithFd(9, BackloggedPayload(i), std::move(passed.value().first));
+      }
+    });
+    ASSERT_EQ(all_received.get_future().wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+    for (int i = 0; i < kFrames; ++i) {
+      EXPECT_TRUE(payloads[i] == BackloggedPayload(i)) << "frame " << i;
+      ASSERT_EQ(received[i].valid(), i % 3 == 0) << "frame " << i;
+      if (i % 3 == 0) {
+        const char tag = static_cast<char>(i);
+        ASSERT_EQ(::send(twins[i].get(), &tag, 1, 0), 1);
+      }
+    }
+    for (int i = 0; i < kFrames; i += 3) {
+      char tag = 0;
+      ASSERT_EQ(::recv(received[i].get(), &tag, 1, MSG_DONTWAIT), 1) << "frame " << i;
+      EXPECT_EQ(tag, static_cast<char>(i)) << "frame " << i;
+    }
+
+    // Fd frames still queued behind a full socket when both ends close: the
+    // sender's unsent fds and the receiver's unclaimed ones must be closed.
+    OnLoop([&]() {
+      for (int i = 0; i < 20; ++i) {
+        auto passed = UnixPair();
+        ASSERT_TRUE(passed.ok());
+        a->SendWithFd(9, BackloggedPayload(5), std::move(passed.value().first));
+      }
+      a.reset();
+      b.reset();
+    });
+  }
+  EXPECT_EQ(CountOpenFds(), fds_before);
+}
+
+TEST_F(LoopFixture, FramedChannelOversizedLengthClosesOnce) {
+  const int fds_before = CountOpenFds();
+  {
+    auto pair = UnixPair();
+    ASSERT_TRUE(pair.ok());
+    ASSERT_TRUE(SetNonBlocking(pair.value().first.get(), true).ok());
+    UniqueFd outside = std::move(pair.value().second);
+
+    std::unique_ptr<FramedChannel> channel;
+    std::atomic<int> messages{0};
+    std::atomic<int> closes{0};
+    std::promise<void> closed;
+    OnLoop([&]() {
+      channel = std::make_unique<FramedChannel>(&loop_, std::move(pair.value().first));
+      channel->set_on_message([&](uint8_t, std::string, UniqueFd) { messages.fetch_add(1); });
+      channel->set_on_close([&]() {
+        if (closes.fetch_add(1) == 0) {
+          closed.set_value();
+        }
+      });
+      channel->Start();
+    });
+    // The header carries an fd that no frame will claim.
+    auto passed = UnixPair();
+    ASSERT_TRUE(passed.ok());
+    const auto len = static_cast<uint32_t>(FramedChannel::kMaxPayload + 1);
+    SendAllWithRights(outside.get(), RawFrame(len, 5, 0, "x"), passed.value().first.get());
+    ASSERT_EQ(closed.get_future().wait_for(std::chrono::seconds(10)), std::future_status::ready);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    OnLoop([&]() {
+      EXPECT_FALSE(channel->open());
+      channel.reset();
+    });
+    EXPECT_EQ(closes.load(), 1);
+    EXPECT_EQ(messages.load(), 0);
+  }
+  EXPECT_EQ(CountOpenFds(), fds_before);
+}
+
+TEST_F(LoopFixture, FramedChannelFrameMissingItsFdClosesOnce) {
+  const int fds_before = CountOpenFds();
+  {
+    auto pair = UnixPair();
+    ASSERT_TRUE(pair.ok());
+    ASSERT_TRUE(SetNonBlocking(pair.value().first.get(), true).ok());
+    UniqueFd outside = std::move(pair.value().second);
+
+    std::unique_ptr<FramedChannel> channel;
+    std::atomic<int> messages{0};
+    std::atomic<int> closes{0};
+    std::promise<void> closed;
+    OnLoop([&]() {
+      channel = std::make_unique<FramedChannel>(&loop_, std::move(pair.value().first));
+      channel->set_on_message([&](uint8_t, std::string, UniqueFd) { messages.fetch_add(1); });
+      channel->set_on_close([&]() {
+        if (closes.fetch_add(1) == 0) {
+          closed.set_value();
+        }
+      });
+      channel->Start();
+    });
+    SendAll(outside.get(), RawFrame(7, 1, /*flags=*/0x1, "handoff"));
+    ASSERT_EQ(closed.get_future().wait_for(std::chrono::seconds(10)), std::future_status::ready);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    OnLoop([&]() {
+      EXPECT_FALSE(channel->open());
+      channel.reset();
+    });
+    EXPECT_EQ(closes.load(), 1);
+    EXPECT_EQ(messages.load(), 0);
+  }
+  EXPECT_EQ(CountOpenFds(), fds_before);
+}
+
+// A unix peer that writes and closes before the loop wakes raises EPOLLHUP
+// together with EPOLLIN: the bytes are delivered before on_close.
+TEST_F(LoopFixture, ConnectionDeliversBytesThatArriveBeforeHangup) {
+  auto pair = UnixPair();
+  ASSERT_TRUE(pair.ok());
+  ASSERT_TRUE(SetNonBlocking(pair.value().first.get(), true).ok());
+  UniqueFd outside = std::move(pair.value().second);
+  ASSERT_EQ(::send(outside.get(), "abc", 3, 0), 3);
+  outside.Reset();
+
+  std::unique_ptr<Connection> conn;
+  std::string received;  // loop-confined until closed
+  int closes = 0;
+  std::promise<void> closed;
+  OnLoop([&]() {
+    conn = std::make_unique<Connection>(&loop_, std::move(pair.value().first));
+    conn->set_on_data([&](std::string_view data) { received.append(data); });
+    conn->set_on_close([&]() {
+      if (closes++ == 0) {
+        closed.set_value();
+      }
+    });
+    conn->Start();
+  });
+  ASSERT_EQ(closed.get_future().wait_for(std::chrono::seconds(10)), std::future_status::ready);
+  OnLoop([&]() {
+    EXPECT_EQ(received, "abc");
+    EXPECT_EQ(closes, 1);
+    conn.reset();
+  });
+}
+
+TEST_F(LoopFixture, ConnectionWithoutFdSinkClosesReceivedFds) {
+  const int fds_before = CountOpenFds();
+  {
+    auto pair = UnixPair();
+    ASSERT_TRUE(pair.ok());
+    ASSERT_TRUE(SetNonBlocking(pair.value().first.get(), true).ok());
+    UniqueFd outside = std::move(pair.value().second);
+
+    std::unique_ptr<Connection> conn;
+    std::promise<void> received;
+    OnLoop([&]() {
+      conn = std::make_unique<Connection>(&loop_, std::move(pair.value().first));
+      conn->set_on_data([&](std::string_view data) {
+        EXPECT_EQ(data, "x");
+        received.set_value();
+      });
+      conn->Start();
+    });
+    {
+      auto passed = UnixPair();
+      ASSERT_TRUE(passed.ok());
+      SendAllWithRights(outside.get(), "x", passed.value().first.get());
+    }
+    ASSERT_EQ(received.get_future().wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+    // The bytes were delivered and the fd that came with them is already
+    // closed: only the connection's own socket and the peer remain.
+    EXPECT_EQ(CountOpenFds(), fds_before + 2);
+    OnLoop([&]() { conn.reset(); });
+  }
+  EXPECT_EQ(CountOpenFds(), fds_before);
 }
 
 // Before Start() the group's loops have no threads: RunOn runs inline on the

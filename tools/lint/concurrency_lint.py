@@ -68,7 +68,7 @@ GUARD_RE = re.compile(r"\bGuard\s*\(")
 
 # blocking-call: syscalls with no deadline that would wedge a loop thread.
 BLOCKING_RE = re.compile(
-    r"(?:::recv\s*\(|::connect\s*\(|\busleep\s*\(|\bnanosleep\s*\(|"
+    r"(?:::recv\s*\(|::recvmsg\s*\(|::connect\s*\(|\busleep\s*\(|\bnanosleep\s*\(|"
     r"\bsleep_for\b|\bsleep_until\b|(?<![\w_])::sleep\s*\()"
 )
 

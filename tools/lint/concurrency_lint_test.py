@@ -65,7 +65,7 @@ class LoopAffinityRule(unittest.TestCase):
 class BlockingCallRule(unittest.TestCase):
     def test_flags_blocking_recv(self):
         findings = [f for f in lint("blocking_bad.cc") if f.rule == "blocking-call"]
-        self.assertEqual(len(findings), 1)
+        self.assertEqual(len(findings), 2)
 
 
 class CommentAndStringImmunity(unittest.TestCase):

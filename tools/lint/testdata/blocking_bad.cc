@@ -4,3 +4,7 @@
 void ReadAll(int fd, char* buf, unsigned long len) {
   (void)::recv(fd, buf, len, 0);
 }
+
+void ReadMessage(int fd, msghdr* msg) {
+  (void)::recvmsg(fd, msg, 0);
+}
