@@ -1,15 +1,14 @@
 // Bounded time-series ring: the retention layer of the telemetry pipeline
 // (docs/OBSERVABILITY.md, "Telemetry & health"). A front-end keeps one store
-// for itself and one mirror per back-end (the simulator keeps one for the
-// modelled cluster), each holding ~5 minutes of periodic samples — counter
-// rates, histogram window-quantiles and gauges — read by the admin plane.
+// for itself and one mirror per back-end, each holding ~5 minutes of periodic
+// samples — counter rates, histogram window-quantiles and gauges — read by
+// the admin plane.
 //
 // Storage follows the data: the timestamp ring and every series ring start
 // empty and grow by one slot per Append until `capacity` (reserving
 // geometrically, but never past `capacity`), then stay fixed and wrap, so a
 // full store allocates nothing more. A late AddSeries backfills NaN for the
-// rows recorded so far. Callers inject timestamps, so the simulator twin
-// records virtual time and produces deterministic series.
+// rows recorded so far. Callers inject timestamps.
 #ifndef SRC_OBS_TIME_SERIES_H_
 #define SRC_OBS_TIME_SERIES_H_
 

@@ -36,30 +36,44 @@ void LateralClient::Fetch(const std::string& path, FetchHandler handler) {
     return;
   }
   ++fetches_issued_;
-  pending_.push_back(std::move(handler));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms_);
+  pending_.push_back(InFlight{std::move(handler), deadline});
+  if (timeout_ms_ > 0 && !deadline_armed_) {
+    ArmDeadline(deadline);
+  }
   std::string request = "GET " + path + " HTTP/1.1\r\nHost: lateral\r\n\r\n";
   conn_->Write(std::move(request));
-  if (timeout_ms_ > 0) {
-    // Deadline for this fetch: responses are FIFO, so it has ended iff the
-    // completed count passed its issue number by then. A silent peer (killed
-    // node whose listener still accepts, or one that stalls mid-body) fails
-    // the pipeline instead of wedging it — and the client connection being
-    // served with it.
-    loop_->ScheduleAfterMs(timeout_ms_, alive_.Guard([this, expected = fetches_issued_]() {
-                             if (fetches_completed_ >= expected) {
-                               return;
-                             }
-                             ++fetches_timed_out_;
-                             LARD_LOG(WARNING)
-                                 << "lateral peer :" << peer_port_
-                                 << " silent for " << timeout_ms_ << "ms, failing "
-                                 << pending_.size() << " in-flight fetches";
-                             if (conn_ != nullptr) {
-                               conn_->Close();
-                             }
-                             OnClose();
-                           }));
+}
+
+void LateralClient::ArmDeadline(std::chrono::steady_clock::time_point deadline) {
+  deadline_armed_ = true;
+  // Rounded up, so the timer never fires before `deadline`.
+  const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+      deadline - std::chrono::steady_clock::now());
+  loop_->ScheduleAfterMs(wait.count(), alive_.Guard([this]() { OnDeadline(); }));
+}
+
+void LateralClient::OnDeadline() {
+  deadline_armed_ = false;
+  if (pending_.empty()) {
+    return;
   }
+  // Responses are FIFO and deadlines grow in fetch order, so the front
+  // fetch has the earliest one. Past it, a silent peer (killed node whose
+  // listener still accepts, or one that stalls mid-body) fails the pipeline
+  // instead of wedging it — and the client connection being served with it.
+  if (std::chrono::steady_clock::now() < pending_.front().deadline) {
+    ArmDeadline(pending_.front().deadline);
+    return;
+  }
+  ++fetches_timed_out_;
+  LARD_LOG(WARNING) << "lateral peer :" << peer_port_ << " silent for " << timeout_ms_
+                    << "ms, failing " << pending_.size() << " in-flight fetches";
+  if (conn_ != nullptr) {
+    conn_->Close();
+  }
+  OnClose();
 }
 
 void LateralClient::OnData(std::string_view data) {
@@ -87,23 +101,22 @@ void LateralClient::OnHead(HttpResponse head, uint64_t content_length) {
     OnClose();
     return;
   }
-  pending_.front().on_head(head.status, content_length);
+  pending_.front().handler.on_head(head.status, content_length);
 }
 
 void LateralClient::OnBody(std::string_view bytes) {
   if (conn_.get() != parsing_) {
     return;
   }
-  pending_.front().on_body(bytes);
+  pending_.front().handler.on_body(bytes);
 }
 
 void LateralClient::OnEnd() {
   if (conn_.get() != parsing_) {
     return;
   }
-  FetchHandler handler = std::move(pending_.front());
+  FetchHandler handler = std::move(pending_.front().handler);
   pending_.pop_front();
-  ++fetches_completed_;
   handler.on_end(true);
 }
 
@@ -111,16 +124,15 @@ void LateralClient::OnClose() {
   // Fail everything in flight; the next Fetch reconnects. The Connection may
   // be calling us from inside its own callback and the parser may be on the
   // stack, so their destruction is deferred to the next loop tick.
-  std::deque<FetchHandler> failed;
+  std::deque<InFlight> failed;
   failed.swap(pending_);
-  fetches_completed_ += failed.size();
   if (conn_ != nullptr) {
     std::shared_ptr<Connection> dead_conn(conn_.release());
     std::shared_ptr<ResponseParser> dead_parser(parser_.release());
     loop_->Post([dead_conn, dead_parser]() {});
   }
-  for (auto& handler : failed) {
-    handler.on_end(false);
+  for (InFlight& fetch : failed) {
+    fetch.handler.on_end(false);
   }
 }
 

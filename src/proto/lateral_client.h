@@ -13,6 +13,7 @@
 #ifndef SRC_PROTO_LATERAL_CLIENT_H_
 #define SRC_PROTO_LATERAL_CLIENT_H_
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -46,7 +47,8 @@ class LateralClient : private ResponseParser::Sink {
   // goes silent mid-body would otherwise wedge the FIFO pipeline (and the
   // client connection being served) forever. On expiry the whole pipeline
   // fails (on_end(false); callers fall back to a local serve) and the next
-  // fetch reconnects. <= 0 disables.
+  // fetch reconnects. <= 0 disables. One loop timer at most is armed per
+  // client, for the oldest in-flight fetch's deadline.
   LateralClient(EventLoop* loop, uint16_t peer_port, int64_t timeout_ms = 2000);
 
   // Issues GET `path`; handlers run in issue order. Connects lazily on first
@@ -61,6 +63,11 @@ class LateralClient : private ResponseParser::Sink {
   bool EnsureConnected();
   void OnData(std::string_view data);
   void OnClose();
+  // Arms the deadline timer to fire at `deadline`, a future time point.
+  void ArmDeadline(std::chrono::steady_clock::time_point deadline);
+  // The timer fired: fails the pipeline if the oldest in-flight fetch is past
+  // its deadline, else re-arms for that fetch's deadline.
+  void OnDeadline();
 
   // ResponseParser::Sink: the response at the front of the pipeline.
   void OnHead(HttpResponse head, uint64_t content_length) override;
@@ -70,8 +77,8 @@ class LateralClient : private ResponseParser::Sink {
   EventLoop* loop_;
   uint16_t peer_port_ = 0;
   int64_t timeout_ms_ = 0;
-  // Guards the per-fetch deadline timers: the owning back-end can be torn
-  // down in place while its loop keeps running.
+  // Guards the deadline timer: the owning back-end can be torn down in place
+  // while its loop keeps running.
   LivenessToken alive_;
   // A connection and its parser live and die together. A handler can fail
   // the pipeline (its next Fetch's write errors) while the parser is on the
@@ -81,9 +88,13 @@ class LateralClient : private ResponseParser::Sink {
   std::unique_ptr<Connection> conn_;
   std::unique_ptr<ResponseParser> parser_;
   const Connection* parsing_ = nullptr;
-  std::deque<FetchHandler> pending_;
+  struct InFlight {
+    FetchHandler handler;
+    std::chrono::steady_clock::time_point deadline;  // Fetch() time + timeout_ms_
+  };
+  std::deque<InFlight> pending_;
+  bool deadline_armed_ = false;
   uint64_t fetches_issued_ = 0;
-  uint64_t fetches_completed_ = 0;  // ended or failed (FIFO, monotone)
   uint64_t fetches_timed_out_ = 0;
 };
 

@@ -110,11 +110,6 @@ struct ClusterSim::SessionRun {
   // connection migrates — the dispatcher reassigns it to a surviving node,
   // mirroring the prototype's giveback/re-handoff.
   bool drain_pending = false;
-  // The connection was reaped at the keep-alive deadline mid-think
-  // (config.idle_timeout_us). Distinguishes the reopen from a failover:
-  // the client reconnecting after an idle close is routine P-HTTP churn,
-  // not a recovery event.
-  bool idle_closed = false;
 };
 
 ClusterSim::ClusterSim(const ClusterSimConfig& config, const Trace* trace) : config_(config) {
@@ -165,9 +160,6 @@ ClusterSim::ClusterSim(const ClusterSimConfig& config, const Trace* trace) : con
     dispatch_config.num_nodes = config_.num_nodes;
     dispatch_config.node_weights = config_.node_weights;
     dispatch_config.virtual_cache_bytes = config_.backend_cache_bytes;
-    // Instrument gauges describe the whole cluster; publish replica 0 only
-    // so N front-ends don't fight over one gauge family.
-    dispatch_config.metrics = fe == 0 ? config_.metrics : nullptr;
     dispatch_config.remote_loads = frontends > 1 ? mesh_[static_cast<size_t>(fe)].get() : nullptr;
     dispatchers_.push_back(
         std::make_unique<Dispatcher>(dispatch_config, &trace_->catalog(), disk_stats_.get()));
@@ -183,34 +175,6 @@ ClusterSim::ClusterSim(const ClusterSimConfig& config, const Trace* trace) : con
   }
   if (config_.failure_replay) {
     replay_rng_ = std::make_unique<Rng>(config_.replay_seed);
-  }
-  tracer_ = config_.tracer;
-  if (tracer_ != nullptr) {
-    trace_ring_ = tracer_->Ring("sim");
-  }
-  if (config_.metrics != nullptr) {
-    metric_batch_latency_ = config_.metrics->Histogram("lard_sim_batch_latency_us");
-    metric_requests_ = config_.metrics->Counter("lard_sim_requests_total");
-    metric_failovers_ = config_.metrics->Counter("lard_sim_failovers_total");
-    metric_rehandoffs_ = config_.metrics->Counter("lard_sim_rehandoffs_total");
-  }
-  if (config_.telemetry_interval_us > 0) {
-    TimeSeriesConfig series_config;
-    series_config.interval_ms = std::max<int64_t>(1, config_.telemetry_interval_us / 1000);
-    telemetry_ = std::make_unique<TimeSeriesStore>(series_config);
-    // Fixed registration order == fixed RenderJson order (map by name, but
-    // the set is static): the byte-identical contract depends only on the
-    // sampled values, which virtual time makes deterministic.
-    telemetry_->AddSeries("request_rate");
-    telemetry_->AddSeries("byte_rate_mbps");
-    telemetry_->AddSeries("cache_hit_ratio");
-    telemetry_->AddSeries("batch_latency_mean_us");
-    telemetry_->AddSeries("active_sessions");
-    if (config_.idle_timeout_us > 0) {
-      // Registered only when the knob is on so runs with it off stay
-      // byte-identical to pre-knob outputs.
-      telemetry_->AddSeries("idle_close_rate");
-    }
   }
 }
 
@@ -302,7 +266,7 @@ void ClusterSim::ApplyMembershipEvent(const MembershipEvent& event) {
           continue;
         }
         if (config_.failure_replay) {
-          ReplayOrphanedRun(victim, event.node);
+          ReplayOrphanedRun(victim);
         } else {
           victim->conn_lost = true;
         }
@@ -403,68 +367,10 @@ void ClusterSim::GossipRound() {
     }
   }
 
-  // Gossip is cluster health, not per-request flow: always recorded when
-  // tracing is on, under a synthetic per-round trace id.
-  RecordSpanUnsampled(tracer_, trace_ring_, uint64_t{1} << 60, 0, SpanKind::kGossip, -1,
-                      now, static_cast<int64_t>(queue_.now_us()) - now,
-                      "round=%llu deltas=%llu bytes=%llu",
-                      static_cast<unsigned long long>(gossip_rounds_),
-                      static_cast<unsigned long long>(gossip_deltas_applied_),
-                      static_cast<unsigned long long>(gossip_bytes_));
-
   if (sessions_done_ < trace_->sessions().size()) {
     queue_.ScheduleAfter(static_cast<double>(config_.gossip_interval_us),
                          [this]() { GossipRound(); });
   }
-}
-
-void ClusterSim::TelemetryTick() {
-  const double dt_seconds = static_cast<double>(config_.telemetry_interval_us) / 1e6;
-  uint64_t hits = 0;
-  uint64_t served = 0;
-  for (const auto& backend : backends_) {
-    hits += backend->metrics.cache_hits;
-    served += backend->metrics.cache_hits + backend->metrics.disk_reads;
-  }
-  const uint64_t tick_served = served - telemetry_prev_served_;
-  const uint64_t tick_hits = hits - telemetry_prev_hits_;
-  const int64_t tick_batches = batch_latency_us_.count() - telemetry_prev_latency_n_;
-  const double tick_latency_sum = batch_latency_us_.sum() - telemetry_prev_latency_sum_;
-
-  std::vector<std::pair<int, double>> values;
-  values.emplace_back(0, static_cast<double>(total_requests_ - telemetry_prev_requests_) /
-                             dt_seconds);
-  values.emplace_back(1, 8.0 * static_cast<double>(total_bytes_ - telemetry_prev_bytes_) / 1e6 /
-                             dt_seconds);
-  if (tick_served > 0) {
-    values.emplace_back(2, static_cast<double>(tick_hits) / static_cast<double>(tick_served));
-  }
-  if (tick_batches > 0) {
-    values.emplace_back(3, tick_latency_sum / static_cast<double>(tick_batches));
-  }
-  values.emplace_back(4, static_cast<double>(active_runs_.size()));
-  if (config_.idle_timeout_us > 0) {
-    values.emplace_back(5, static_cast<double>(idle_closes_ - telemetry_prev_idle_closes_) /
-                               dt_seconds);
-  }
-  telemetry_->Append(queue_.now_us() / 1000, values);
-
-  telemetry_prev_requests_ = total_requests_;
-  telemetry_prev_bytes_ = total_bytes_;
-  telemetry_prev_hits_ = hits;
-  telemetry_prev_served_ = served;
-  telemetry_prev_latency_n_ = batch_latency_us_.count();
-  telemetry_prev_latency_sum_ = batch_latency_us_.sum();
-  telemetry_prev_idle_closes_ = idle_closes_;
-
-  if (sessions_done_ < trace_->sessions().size()) {
-    queue_.ScheduleAfter(static_cast<double>(config_.telemetry_interval_us),
-                         [this]() { TelemetryTick(); });
-  }
-}
-
-std::string ClusterSim::TelemetryJson() const {
-  return telemetry_ == nullptr ? "{}" : telemetry_->RenderJson("", 0);
 }
 
 void ClusterSim::StartNextSession() {
@@ -511,7 +417,7 @@ void ClusterSim::OnGuardedResponseDone(uint64_t run_id, size_t index, uint32_t g
   OnResponseDone(run);
 }
 
-void ClusterSim::ReplayOrphanedRun(SessionRun* run, NodeId dead_node) {
+void ClusterSim::ReplayOrphanedRun(SessionRun* run) {
   Dispatcher& dispatcher = DispatcherFor(run);
   // Resurrect the connection and place it on a survivor, seeding the pick
   // with the requests about to be re-served there (the prototype's journal
@@ -548,9 +454,6 @@ void ClusterSim::ReplayOrphanedRun(SessionRun* run, NodeId dead_node) {
     return;
   }
   ++replayed_connections_;
-  RecordSpan(tracer_, trace_ring_, run->conn, 3, SpanKind::kReplay, target,
-             static_cast<int64_t>(queue_.now_us()), 0, "from=%d reqs=%zu", dead_node,
-             replay_indices.size());
   run->drain_pending = false;
   // The front-end pays the re-handoff work, as in the drain path.
   fe_accounted_us_[static_cast<size_t>(run->fe)] += config_.fe_costs.migrate_us;
@@ -597,17 +500,7 @@ void ClusterSim::ReopenIfLost(SessionRun* run) {
   run->drain_pending = false;  // the fresh connection is placed anew anyway
   run->conn = next_conn_id_++;
   DispatcherFor(run).OnConnectionOpen(run->conn);
-  if (run->idle_closed) {
-    // The client coming back after an idle reap is routine P-HTTP churn,
-    // not a recovery event — it must never inflate the failover count.
-    run->idle_closed = false;
-    ++idle_reopens_;
-    return;
-  }
   ++failovers_;
-  if (metric_failovers_ != nullptr) {
-    metric_failovers_->Increment();
-  }
 }
 
 void ClusterSim::RehandoffIfDraining(SessionRun* run, const std::vector<TargetId>& targets) {
@@ -620,11 +513,6 @@ void ClusterSim::RehandoffIfDraining(SessionRun* run, const std::vector<TargetId
     return;  // nowhere to go; the connection stays pinned (prototype 503s)
   }
   ++rehandoffs_;
-  RecordSpan(tracer_, trace_ring_, run->conn, 3, SpanKind::kReassign, moved_to,
-             static_cast<int64_t>(queue_.now_us()), 0, "reason=drain");
-  if (metric_rehandoffs_ != nullptr) {
-    metric_rehandoffs_->Increment();
-  }
   // The front-end pays the re-handoff work (accounted; the giveback happens
   // between batches so it does not stall the response pipeline).
   fe_accounted_us_[static_cast<size_t>(run->fe)] += config_.fe_costs.migrate_us;
@@ -649,14 +537,6 @@ void ClusterSim::ProcessBatch(SessionRun* run) {
   std::vector<Assignment> assignments =
       DispatcherFor(run).OnBatch(run->conn, batch.targets);
   LARD_CHECK(assignments.size() == batch.targets.size());
-  // OnBatch is synchronous in virtual time, so the decision span has zero
-  // duration — what matters is the chosen node and the decision's inputs.
-  RecordSpan(tracer_, trace_ring_, run->conn, 1, SpanKind::kPolicy, assignments[0].node,
-             static_cast<int64_t>(run->batch_start_us), 0, "fe=%d batch=%zu reqs=%zu loads=%s",
-             run->fe, run->next_batch - 1, batch.targets.size(),
-             tracer_ != nullptr && tracer_->Sampled(run->conn)
-                 ? DispatcherFor(run).DescribeLoads().c_str()
-                 : "");
   if (config_.failure_replay) {
     // Fresh in-flight records for this batch: serving node + idempotency
     // verdict per request (the crash handler consults them).
@@ -686,9 +566,6 @@ void ClusterSim::ProcessBatch(SessionRun* run) {
 void ClusterSim::IssueRequest(SessionRun* run, size_t index, TargetId target,
                               const Assignment& assignment) {
   ++total_requests_;
-  if (metric_requests_ != nullptr) {
-    metric_requests_->Increment();
-  }
   const uint64_t bytes = trace_->catalog().Get(target).size_bytes;
   total_bytes_ += bytes;
   const ServerCostModel& costs = config_.server_costs;
@@ -825,14 +702,6 @@ void ClusterSim::OnResponseDone(SessionRun* run) {
     return;
   }
   batch_latency_us_.Add(static_cast<double>(queue_.now_us() - run->batch_start_us));
-  if (metric_batch_latency_ != nullptr) {
-    metric_batch_latency_->Observe(static_cast<double>(queue_.now_us() - run->batch_start_us));
-  }
-  RecordSpan(tracer_, trace_ring_, run->conn, 2, SpanKind::kServe,
-             DispatcherFor(run).HandlingNode(run->conn),
-             static_cast<int64_t>(run->batch_start_us),
-             static_cast<int64_t>(queue_.now_us() - run->batch_start_us), "batch=%zu",
-             run->next_batch - 1);
 
   if (run->next_batch >= run->session->batches.size()) {
     FinishSession(run);
@@ -845,31 +714,6 @@ void ClusterSim::OnResponseDone(SessionRun* run) {
     const double think_us = static_cast<double>(std::max<int64_t>(next_offset - prev_offset, 0));
     if (think_us > 0.0) {
       DispatcherFor(run).OnConnectionIdle(run->conn);
-      if (config_.idle_timeout_us > 0 &&
-          think_us > static_cast<double>(config_.idle_timeout_us)) {
-        // The think gap outlives the keep-alive deadline: the server reaps
-        // the connection at exactly think-start + idle_timeout_us. The
-        // guards make the event a no-op if the run finished, reconnected,
-        // or lost the connection to a node failure first.
-        queue_.ScheduleAfter(static_cast<double>(config_.idle_timeout_us),
-                             [this, run_id = run->id, conn = run->conn]() {
-                               SessionRun* idle_run = FindRun(run_id);
-                               if (idle_run == nullptr || idle_run->conn != conn ||
-                                   idle_run->conn_lost) {
-                                 return;
-                               }
-                               RecordSpan(tracer_, trace_ring_, conn, 4, SpanKind::kClose,
-                                          DispatcherFor(idle_run).HandlingNode(conn),
-                                          static_cast<int64_t>(queue_.now_us()), 0,
-                                          "reason=idle");
-                               DispatcherFor(idle_run).OnConnectionClose(conn);
-                               fe_accounted_us_[static_cast<size_t>(idle_run->fe)] +=
-                                   config_.fe_costs.conn_close_us;
-                               ++idle_closes_;
-                               idle_run->conn_lost = true;
-                               idle_run->idle_closed = true;
-                             });
-      }
       queue_.ScheduleAfter(think_us, [this, run]() { ProcessBatch(run); });
       return;
     }
@@ -916,10 +760,6 @@ ClusterSimMetrics ClusterSim::Run() {
   if (MeshMode()) {
     queue_.ScheduleAfter(static_cast<double>(config_.gossip_interval_us),
                          [this]() { GossipRound(); });
-  }
-  if (telemetry_ != nullptr) {
-    queue_.ScheduleAfter(static_cast<double>(config_.telemetry_interval_us),
-                         [this]() { TelemetryTick(); });
   }
 
   const size_t initial =
@@ -983,10 +823,7 @@ ClusterSimMetrics ClusterSim::Run() {
   metrics.nodes_drained = nodes_drained_;
   metrics.failovers = failovers_;
   metrics.rehandoffs = rehandoffs_;
-  metrics.idle_closes = idle_closes_;
-  metrics.idle_reopens = idle_reopens_;
   metrics.rejected_membership_events = rejected_membership_events_;
-  metrics.telemetry_samples = telemetry_ != nullptr ? telemetry_->num_samples() : 0;
   metrics.replayed_connections = replayed_connections_;
   metrics.replayed_requests = replayed_requests_;
   metrics.lost_requests = lost_requests_;

@@ -22,15 +22,12 @@
 #include "src/core/lard_params.h"
 #include "src/core/lru_cache.h"
 #include "src/mesh/mesh_state.h"
-#include "src/obs/time_series.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/resources.h"
 #include "src/trace/trace.h"
-#include "src/util/metrics.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
-#include "src/util/tracing.h"
 
 namespace lard {
 
@@ -131,32 +128,6 @@ struct ClusterSimConfig {
   // decided per request with a deterministic RNG.
   double non_idempotent_fraction = 0.0;
   uint64_t replay_seed = 1234;
-
-  // Telemetry sampling period, the simulator's deterministic twin of
-  // ClusterConfig::telemetry_interval_ms: a self-rescheduling sim event
-  // samples rates / ratios / gauges into a TimeSeriesStore stamped with
-  // *virtual* time, so two runs of the same scenario produce byte-identical
-  // series (see ClusterSim::TelemetryJson). <= 0 (default) disables it.
-  SimTimeUs telemetry_interval_us = 0;
-
-  // Keep-alive idle deadline, the deterministic twin of
-  // ClusterConfig::idle_timeout_ms: with use_think_times on, a session whose
-  // think gap exceeds this is closed at exactly think-start + idle_timeout_us
-  // (virtual time) and reopens a fresh connection when the client returns —
-  // counted in `idle_closes`/`idle_reopens`, never in `failovers`. <= 0
-  // (default) disables reaping, leaving every output byte-identical to
-  // before the knob existed.
-  SimTimeUs idle_timeout_us = 0;
-
-  // Optional shared registry (lard_sim_* instruments + dispatcher gauges).
-  MetricsRegistry* metrics = nullptr;
-  // Optional span recorder (ring "sim"): the simulator emits the same span
-  // model as the prototype — policy decisions, batch service, failure
-  // replays, gossip rounds — but stamped with *virtual* time, so a sim trace
-  // and a prototype trace of the same scenario line up side by side in the
-  // chrome viewer. Connection ids are deterministic, so sampling picks the
-  // same connections on every run.
-  Tracer* tracer = nullptr;
 };
 
 struct BackendSimMetrics {
@@ -192,9 +163,6 @@ struct ClusterSimMetrics {
   uint64_t nodes_drained = 0;
   uint64_t failovers = 0;    // connections re-opened after their node died
   uint64_t rehandoffs = 0;   // connections migrated off a draining node
-  // Keep-alive reaping (config.idle_timeout_us > 0 only; zero otherwise).
-  uint64_t idle_closes = 0;   // connections closed at the idle deadline
-  uint64_t idle_reopens = 0;  // sessions that continued on a fresh connection
   // Failure replay (config.failure_replay only; all zero otherwise).
   uint64_t replayed_connections = 0;  // orphans continued on a survivor
   uint64_t replayed_requests = 0;     // idempotent in-flight requests re-issued
@@ -204,8 +172,6 @@ struct ClusterSimMetrics {
   // Scripted events dropped by validation (non-positive/non-finite weight
   // or speed on a NodeJoin).
   uint64_t rejected_membership_events = 0;
-  // Telemetry rows sampled (config.telemetry_interval_us > 0 only).
-  uint64_t telemetry_samples = 0;
 
   // Front-end mesh (num_frontends > 1; zero/true otherwise).
   int frontends = 1;
@@ -240,12 +206,6 @@ class ClusterSim {
   // Call at most once.
   ClusterSimMetrics Run();
 
-  // The virtual-time telemetry series (null unless telemetry_interval_us > 0).
-  const TimeSeriesStore* telemetry() const { return telemetry_.get(); }
-  // The whole series as JSON — deterministic: byte-identical across runs of
-  // the same config + trace. "{}" when telemetry is disabled.
-  std::string TelemetryJson() const;
-
  private:
   struct Backend;
   struct SessionRun;
@@ -256,7 +216,7 @@ class ClusterSim {
   // Failure-replay mode: continue one orphaned run on a survivor at the
   // crash instant — reassign the connection, re-issue its idempotent
   // in-flight requests there, drop (and count) the non-idempotent ones.
-  void ReplayOrphanedRun(SessionRun* run, NodeId dead_node);
+  void ReplayOrphanedRun(SessionRun* run);
   // Completion trampoline for failure-replay mode: drops stale completions
   // from a crashed node (the replacement was already issued or the request
   // was declared lost) and survives the run finishing early.
@@ -290,9 +250,6 @@ class ClusterSim {
   // peer; also runs the unique-ownership audit. Reschedules itself while
   // sessions remain.
   void GossipRound();
-  // Samples one telemetry row at virtual now and reschedules itself while
-  // sessions remain (the GossipRound pattern).
-  void TelemetryTick();
   bool MeshMode() const { return config_.num_frontends > 1; }
 
   ClusterSimConfig config_;
@@ -334,26 +291,12 @@ class ClusterSim {
   StreamingStats batch_latency_us_;
   bool ran_ = false;
 
-  // Virtual-time telemetry (config.telemetry_interval_us > 0 only). The
-  // prev_* snapshots turn cumulative totals into per-tick rates/ratios.
-  std::unique_ptr<TimeSeriesStore> telemetry_;
-  uint64_t telemetry_prev_requests_ = 0;
-  uint64_t telemetry_prev_bytes_ = 0;
-  uint64_t telemetry_prev_hits_ = 0;
-  uint64_t telemetry_prev_served_ = 0;
-  double telemetry_prev_latency_sum_ = 0.0;
-  int64_t telemetry_prev_latency_n_ = 0;
-  uint64_t telemetry_prev_idle_closes_ = 0;
-
   // Control plane.
   uint64_t nodes_joined_ = 0;
   uint64_t nodes_failed_ = 0;
   uint64_t nodes_drained_ = 0;
   uint64_t failovers_ = 0;
   uint64_t rehandoffs_ = 0;
-  // Keep-alive reaping (config.idle_timeout_us > 0 only).
-  uint64_t idle_closes_ = 0;
-  uint64_t idle_reopens_ = 0;
   uint64_t rejected_membership_events_ = 0;
   // Failure replay.
   std::unique_ptr<Rng> replay_rng_;  // per-request idempotency draws
@@ -370,12 +313,6 @@ class ClusterSim {
   uint64_t gossip_divergent_deltas_ = 0;
   uint64_t ownership_violations_ = 0;
   double max_gossip_lag_us_ = 0.0;
-  Tracer* tracer_ = nullptr;
-  TraceRing* trace_ring_ = nullptr;
-  MetricHistogram* metric_batch_latency_ = nullptr;
-  MetricCounter* metric_requests_ = nullptr;
-  MetricCounter* metric_failovers_ = nullptr;
-  MetricCounter* metric_rehandoffs_ = nullptr;
 };
 
 }  // namespace lard

@@ -1,6 +1,6 @@
 // Cluster-wide metrics registry: named counters, gauges and latency
-// histograms that the dispatcher, front-end, back-ends and simulator publish
-// into, and that the admin server renders over HTTP (GET /metrics).
+// histograms that the dispatcher, front-end and back-ends publish into, and
+// that the admin server renders over HTTP (GET /metrics).
 //
 // Publishing is lock-free after the first lookup: instruments are atomics
 // with stable addresses (callers cache the pointer), so the prototype's hot

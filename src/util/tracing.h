@@ -10,8 +10,8 @@
 //    format changes. The request sequence number distinguishes requests on
 //    one persistent connection.
 //  - Sampling is deterministic on the trace id (hash % sample_every), so the
-//    front-end, the back-ends and the simulator all sample the *same*
-//    connections without coordination.
+//    front-end and the back-ends all sample the *same* connections without
+//    coordination.
 //  - Spans are fixed-size PODs written into per-component ring buffers
 //    (overwrite-oldest) whose slots are allocated on a ring's first record,
 //    so a disabled or never-sampled tracer holds none. Recording takes one
@@ -40,8 +40,8 @@
 
 namespace lard {
 
-// Stages of a request's life, across components. One enum for FE, BE, mesh
-// and simulator spans so traces from all of them merge into one tree.
+// Stages of a request's life, across components. One enum for FE, BE and mesh
+// spans so traces from all of them merge into one tree.
 enum class SpanKind : uint8_t {
   kAccept = 0,    // FE accepted the client connection
   kParse,         // request bytes parsed into targets
@@ -69,13 +69,13 @@ struct TraceSpan {
   uint32_t seq = 0;        // request ordinal within the connection
   SpanKind kind = SpanKind::kAccept;
   int32_t node = -1;       // serving/chosen node, or FE id for FE spans
-  int64_t start_us = 0;    // CLOCK_MONOTONIC µs (prototype) or sim time
+  int64_t start_us = 0;    // CLOCK_MONOTONIC µs
   int64_t duration_us = 0;
   char detail[64] = {};    // NUL-terminated free-form annotation
 };
 
 // Fixed-capacity overwrite-oldest span store. One ring per component (per FE
-// replica, per back-end, one for the simulator); a short mutex per record
+// replica, per back-end); a short mutex per record
 // keeps cross-thread drains (the admin server) race-free.
 class TraceRing {
  public:
@@ -126,8 +126,8 @@ struct TracerConfig {
   int64_t slow_threshold_us = 0;
 };
 
-// Owns the rings and the sampling decision; one per cluster (and one per
-// simulator). All methods are thread-safe.
+// Owns the rings and the sampling decision; one per cluster. All methods are
+// thread-safe.
 class Tracer {
  public:
   explicit Tracer(const TracerConfig& config)
@@ -186,8 +186,7 @@ class Tracer {
   std::vector<std::unique_ptr<TraceRing>> rings_ LARD_GUARDED_BY(mutex_);
 };
 
-// Monotonic microsecond clock for span timestamps (prototype side; the
-// simulator stamps spans with virtual time instead).
+// Monotonic microsecond clock for span timestamps.
 int64_t TraceNowUs();
 
 // Records a span iff `tracer`/`ring` are live and the trace is sampled. The

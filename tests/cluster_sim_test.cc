@@ -57,36 +57,6 @@ TEST(ClusterSimTest, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.cache_hit_rate, b.cache_hit_rate);
 }
 
-TEST(ClusterSimTest, TracerRecordsDeterministicVirtualTimeSpans) {
-  const Trace trace = TestTrace();
-  TracerConfig tracer_config;
-  tracer_config.sample_every = 1;
-  tracer_config.ring_capacity = 8192;
-
-  // Two traced runs of the same scenario must record byte-identical span
-  // sets: conn ids are deterministic and timestamps are virtual.
-  std::string renders[2];
-  for (int run = 0; run < 2; ++run) {
-    Tracer tracer(tracer_config);
-    ClusterSimConfig config =
-        BaseConfig(3, Policy::kExtendedLard, Mechanism::kBackEndForwarding);
-    config.tracer = &tracer;
-    ClusterSim sim(config, &trace);
-    const ClusterSimMetrics metrics = sim.Run();
-    EXPECT_EQ(metrics.total_requests, trace.total_requests());
-    EXPECT_GT(tracer.Ring("sim")->recorded(), 0u);
-    renders[run] = tracer.RenderJson();
-    EXPECT_NE(renders[run].find("\"kind\":\"policy\""), std::string::npos);
-    EXPECT_NE(renders[run].find("\"kind\":\"serve\""), std::string::npos);
-  }
-  EXPECT_EQ(renders[0], renders[1]) << "sim spans must be run-to-run deterministic";
-
-  // An untraced run is unaffected (null tracer is the default).
-  ClusterSim untraced(BaseConfig(3, Policy::kExtendedLard, Mechanism::kBackEndForwarding),
-                      &trace);
-  EXPECT_EQ(untraced.Run().total_requests, trace.total_requests());
-}
-
 TEST(ClusterSimTest, Http10ModeCreatesConnectionPerRequest) {
   const Trace trace = TestTrace();
   ClusterSimConfig config = BaseConfig(2, Policy::kLard, Mechanism::kSingleHandoff);
@@ -184,40 +154,6 @@ TEST(ClusterSimTest, ThinkTimesStretchSimulatedTime) {
   config.use_think_times = true;
   ClusterSim relaxed(config, &trace);
   EXPECT_GT(relaxed.Run().sim_seconds, eager.Run().sim_seconds);
-}
-
-TEST(ClusterSimTest, IdleTimeoutReapsAndReopensDeterministically) {
-  const Trace trace = TestTrace();
-  ClusterSimConfig config = BaseConfig(3, Policy::kExtendedLard, Mechanism::kBackEndForwarding);
-  config.use_think_times = true;
-  // Well under the trace's inter-page think gaps (exponential, mean in
-  // seconds) but above the 50ms parse delays: only genuine idle waits reap.
-  config.idle_timeout_us = 200 * 1000;
-  config.telemetry_interval_us = 1000 * 1000;
-
-  std::string telemetry[2];
-  for (int run = 0; run < 2; ++run) {
-    ClusterSim sim(config, &trace);
-    const ClusterSimMetrics metrics = sim.Run();
-    EXPECT_EQ(metrics.total_requests, trace.total_requests());
-    EXPECT_GT(metrics.idle_closes, 0u);
-    // Every reaped session that had batches left came back on a fresh
-    // connection, and none of that churn registered as a failover.
-    EXPECT_GT(metrics.idle_reopens, 0u);
-    EXPECT_LE(metrics.idle_reopens, metrics.idle_closes);
-    EXPECT_EQ(metrics.failovers, 0u);
-    telemetry[run] = sim.TelemetryJson();
-    EXPECT_NE(telemetry[run].find("idle_close_rate"), std::string::npos);
-  }
-  EXPECT_EQ(telemetry[0], telemetry[1]) << "idle-close events must be run-to-run deterministic";
-
-  // Knob off: no reaping, and the telemetry schema is untouched.
-  config.idle_timeout_us = 0;
-  ClusterSim off(config, &trace);
-  const ClusterSimMetrics off_metrics = off.Run();
-  EXPECT_EQ(off_metrics.idle_closes, 0u);
-  EXPECT_EQ(off_metrics.idle_reopens, 0u);
-  EXPECT_EQ(off.TelemetryJson().find("idle_close_rate"), std::string::npos);
 }
 
 TEST(ClusterSimTest, SingleNodeDegenerate) {

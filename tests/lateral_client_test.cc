@@ -1,14 +1,16 @@
 // Failure-path tests for LateralClient, the pipelined back-end-to-back-end
 // fetch channel: transport failure mid-pipeline and mid-body, FIFO response
 // matching when errors interleave with successes, the deadline on a peer
-// that goes silent after the head, streamed body runs, and
-// reconnect-on-next-fetch after the peer goes away.
+// that goes silent after the head, one deadline timer however many fetches
+// completed, streamed body runs, and reconnect-on-next-fetch after the peer
+// goes away.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <condition_variable>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -318,6 +320,52 @@ TEST_F(LateralClientTest, PeerSilentAfterHeadHitsTheDeadline) {
   EXPECT_EQ(results_[0].body, "x");
   EXPECT_FALSE(results_[0].ok);
   EXPECT_EQ(client_->fetches_timed_out(), 1u);
+}
+
+TEST_F(LateralClientTest, CompletedFetchesLeaveAtMostOneTimerArmed) {
+  // 100 pipelined fetches, all answered well inside the deadline: once they
+  // completed, the loop holds at most the one deadline timer, not one per
+  // fetch for the rest of its timeout.
+  constexpr int kFetches = 100;
+  std::atomic<bool> done{false};
+  peer_thread_ = std::thread([this, &done]() {
+    const int fd = ::accept(listener_.get(), nullptr, nullptr);
+    ASSERT_GE(fd, 0);
+    std::string data;
+    char buf[4096];
+    int answered = 0;
+    while (answered < kFetches) {
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) {
+        break;
+      }
+      data.append(buf, static_cast<size_t>(n));
+      size_t end;
+      while ((end = data.find("\r\n\r\n")) != std::string::npos) {
+        data.erase(0, end + 4);
+        SendString(fd, OkResponse("ok"));
+        ++answered;
+      }
+    }
+    while (!done.load()) {
+      ::usleep(10 * 1000);
+    }
+    ::close(fd);
+  });
+  StartClient();
+  FetchAll(std::vector<std::string>(kFetches, "/answered"));
+  WaitForResults(kFetches);
+  std::promise<size_t> timers;
+  loop_.Post([this, &timers]() { timers.set_value(loop_.pending_timers()); });
+  EXPECT_LE(timers.get_future().get(), 1u);
+  done = true;
+  peer_thread_.join();  // `done` dies with this frame
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const FetchResult& result : results_) {
+    EXPECT_TRUE(result.ok);
+    EXPECT_EQ(result.body, "ok");
+  }
+  EXPECT_EQ(client_->fetches_timed_out(), 0u);
 }
 
 TEST_F(LateralClientTest, ConnectFailureFailsImmediatelyWithStatusZero) {

@@ -1,5 +1,4 @@
-// The telemetry pipeline end to end: the simulator's deterministic
-// virtual-time series, and the prototype cluster's admin surface
+// The telemetry pipeline end to end: the prototype cluster's admin surface
 // (/timeseries, /cluster/health, /slowlog, /trace filtering, /nodes).
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -11,64 +10,11 @@
 #include "src/net/socket.h"
 #include "src/proto/cluster.h"
 #include "src/proto/load_generator.h"
-#include "src/sim/cluster_sim.h"
 #include "src/trace/synthetic.h"
 #include "src/util/logging.h"
 
 namespace lard {
 namespace {
-
-// --- simulator twin ---
-
-Trace SimTrace() {
-  SyntheticTraceConfig config;
-  config.seed = 7;
-  config.num_pages = 80;
-  config.num_sessions = 400;
-  config.num_clients = 32;
-  config.max_size_bytes = 64 * 1024;
-  return GenerateSyntheticTrace(config);
-}
-
-TEST(SimTelemetryTest, VirtualTimeSeriesIsByteIdenticalAcrossRuns) {
-  const Trace trace = SimTrace();
-  std::string first;
-  uint64_t first_samples = 0;
-  for (int run = 0; run < 2; ++run) {
-    ClusterSimConfig config;
-    config.num_nodes = 3;
-    config.telemetry_interval_us = 50000;
-    ClusterSim sim(config, &trace);
-    const ClusterSimMetrics metrics = sim.Run();
-    EXPECT_GT(metrics.telemetry_samples, 0u);
-    const std::string json = sim.TelemetryJson();
-    EXPECT_NE(json.find("request_rate"), std::string::npos);
-    EXPECT_NE(json.find("cache_hit_ratio"), std::string::npos);
-    EXPECT_NE(json.find("active_sessions"), std::string::npos);
-    if (run == 0) {
-      first = json;
-      first_samples = metrics.telemetry_samples;
-    } else {
-      // The determinism contract: same config + trace -> byte-identical
-      // series, because every timestamp is virtual.
-      EXPECT_EQ(json, first);
-      EXPECT_EQ(metrics.telemetry_samples, first_samples);
-    }
-  }
-}
-
-TEST(SimTelemetryTest, DisabledByDefault) {
-  const Trace trace = SimTrace();
-  ClusterSimConfig config;
-  config.num_nodes = 2;
-  ClusterSim sim(config, &trace);
-  const ClusterSimMetrics metrics = sim.Run();
-  EXPECT_EQ(metrics.telemetry_samples, 0u);
-  EXPECT_EQ(sim.telemetry(), nullptr);
-  EXPECT_EQ(sim.TelemetryJson(), "{}");
-}
-
-// --- prototype cluster admin surface ---
 
 Trace TestTrace() {
   SyntheticTraceConfig config;
