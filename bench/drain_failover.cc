@@ -78,15 +78,6 @@ struct DrainRecord {
   uint64_t rehandoffs_after = 0;
 };
 
-uint64_t TotalBackendRequests(MetricsRegistry* metrics, int node_slots) {
-  uint64_t total = 0;
-  for (int node = 0; node < node_slots; ++node) {
-    total += metrics->Counter(MetricsRegistry::WithNode("lard_backend_requests_total", node))
-                 ->value();
-  }
-  return total;
-}
-
 int Main(int argc, char** argv) {
   FlagSet flags("drain_failover");
   int64_t nodes = 4;
@@ -163,11 +154,10 @@ int Main(int argc, char** argv) {
   // never empty), with throughput sampled throughout.
   NodeId next_victim = 1;
   int64_t next_drain_ms = start_ms + drain_interval_ms;
-  int node_slots = static_cast<int>(nodes);
   DrainRecord* recovering = nullptr;
 
   while (!load_done.load(std::memory_order_acquire)) {
-    samples.push_back({NowMs() - start_ms, TotalBackendRequests(metrics, node_slots)});
+    samples.push_back({NowMs() - start_ms, cluster.Snapshot().requests_served});
 
     if (recovering != nullptr) {
       const double open =
@@ -181,9 +171,7 @@ int Main(int argc, char** argv) {
         if (remove_after_drain) {
           cluster.RemoveNode(recovering->node);
           if (add_replacement) {
-            if (cluster.AddNode() != kInvalidNode) {
-              ++node_slots;
-            }
+            cluster.AddNode();
           }
         }
         recovering = nullptr;
@@ -203,7 +191,7 @@ int Main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(sample_interval_ms));
   }
   load_thread.join();
-  samples.push_back({NowMs() - start_ms, TotalBackendRequests(metrics, node_slots)});
+  samples.push_back({NowMs() - start_ms, cluster.Snapshot().requests_served});
   const int64_t wall_ms = NowMs() - start_ms;
 
   const ClusterSnapshot snapshot = cluster.Snapshot();

@@ -59,15 +59,6 @@ struct StormResult {
   uint64_t lost_requests = 0;
 };
 
-uint64_t TotalBackendRequests(MetricsRegistry* metrics, int node_slots) {
-  uint64_t total = 0;
-  for (int node = 0; node < node_slots; ++node) {
-    total += metrics->Counter(MetricsRegistry::WithNode("lard_backend_requests_total", node))
-                 ->value();
-  }
-  return total;
-}
-
 double WindowRps(const std::vector<Sample>& samples, size_t i) {
   if (i == 0 || i >= samples.size()) {
     return 0.0;
@@ -112,14 +103,13 @@ StormResult RunStorm(const Trace& trace, int64_t nodes, int64_t clients, int64_t
   });
 
   const int64_t start_ms = NowMs();
-  MetricsRegistry* metrics = cluster.metrics();
   int node_slots = static_cast<int>(nodes);
   NodeId next_victim = 1;  // node 0 always survives
   int64_t next_kill_ms = start_ms + kill_interval_ms;
   int64_t kills_left = kills;
 
   while (!load_done.load(std::memory_order_acquire)) {
-    result.samples.push_back({NowMs() - start_ms, TotalBackendRequests(metrics, node_slots)});
+    result.samples.push_back({NowMs() - start_ms, cluster.Snapshot().requests_served});
 
     // Per-kill recovery: first sampling window after the kill whose goodput
     // regained half of the pre-kill rate.
@@ -157,7 +147,7 @@ StormResult RunStorm(const Trace& trace, int64_t nodes, int64_t clients, int64_t
     std::this_thread::sleep_for(std::chrono::milliseconds(sample_interval_ms));
   }
   load_thread.join();
-  result.samples.push_back({NowMs() - start_ms, TotalBackendRequests(metrics, node_slots)});
+  result.samples.push_back({NowMs() - start_ms, cluster.Snapshot().requests_served});
 
   result.snapshot = cluster.Snapshot();
   result.failure_reassignments =

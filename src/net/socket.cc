@@ -14,6 +14,22 @@ namespace {
 
 std::string Errno(const char* what) { return std::string(what) + ": " + std::strerror(errno); }
 
+// The fd table is full: accept and close every pending connection in the
+// slot of the thread's spare descriptor, then reopen the spare. The client
+// sees a close, and the level-triggered listener stops being readable.
+void ShedPending(int listener, UniqueFd* spare) {
+  spare->Reset();
+  while (true) {
+    const int fd = ::accept4(listener, nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd >= 0) {
+      ::close(fd);
+    } else if (errno != EINTR) {
+      break;
+    }
+  }
+  spare->Reset(::open("/dev/null", O_RDONLY | O_CLOEXEC));
+}
+
 }  // namespace
 
 namespace {
@@ -86,12 +102,18 @@ StatusOr<std::pair<UniqueFd, UniqueFd>> UnixPair() {
 }
 
 int AcceptAll(int listener, const std::function<void(UniqueFd)>& on_accept) {
+  // One spare descriptor per accepting thread, opened by its first call.
+  thread_local UniqueFd spare(::open("/dev/null", O_RDONLY | O_CLOEXEC));
   while (true) {
     const int fd = ::accept4(listener, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd >= 0) {
       on_accept(UniqueFd(fd));
     } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
       return 0;
+    } else if (errno == EMFILE || errno == ENFILE) {
+      const int error = errno;
+      ShedPending(listener, &spare);
+      return error;
     } else if (errno != EINTR) {
       return errno;
     }

@@ -37,7 +37,10 @@ StatusOr<std::pair<UniqueFd, UniqueFd>> UnixPair();
 // Accepts every connection pending on the non-blocking `listener`, handing
 // each to `on_accept` as a non-blocking, close-on-exec fd. Returns 0 once
 // the backlog is empty (EAGAIN); EINTR is retried. Any other accept4 error
-// ends the call and is returned as its errno, for the caller to log.
+// ends the call and is returned as its errno, for the caller to log. On
+// EMFILE/ENFILE the pending connections are first accepted and closed in the
+// slot of a spare descriptor each calling thread keeps, so a full fd table
+// does not leave the listener readable and the loop spinning on it.
 int AcceptAll(int listener, const std::function<void(UniqueFd)>& on_accept);
 
 Status SetNonBlocking(int fd, bool non_blocking);

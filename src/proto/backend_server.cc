@@ -24,11 +24,34 @@ void QueueBody(Connection* conn, BodyParts body) {
   conn->Queue(std::move(body.prefix));
   body.ForEachFillView([conn](std::string_view view) { conn->QueueBorrowed(view); });
 }
+
+std::atomic<uint64_t>& NodeCell(MetricsRegistry* registry, const char* name, NodeId node) {
+  return registry->Counter(MetricsRegistry::WithNode(name, node))->cell();
+}
 }  // namespace
+
+BackendCounters::BackendCounters(MetricsRegistry* registry, NodeId node)
+    : connections_adopted(NodeCell(registry, "lard_backend_connections_adopted_total", node)),
+      replays_adopted(NodeCell(registry, "lard_backend_replays_adopted_total", node)),
+      spliced_responses(NodeCell(registry, "lard_backend_spliced_responses_total", node)),
+      handbacks(NodeCell(registry, "lard_backend_handbacks_total", node)),
+      drain_handbacks(NodeCell(registry, "lard_backend_drain_handbacks_total", node)),
+      requests_served(NodeCell(registry, "lard_backend_requests_total", node)),
+      local_hits(NodeCell(registry, "lard_backend_cache_hits_total", node)),
+      local_misses(NodeCell(registry, "lard_backend_cache_misses_total", node)),
+      lateral_out(NodeCell(registry, "lard_backend_lateral_out_total", node)),
+      lateral_in(NodeCell(registry, "lard_backend_lateral_in_total", node)),
+      bytes_to_clients(NodeCell(registry, "lard_backend_bytes_to_clients_total", node)),
+      not_found(NodeCell(registry, "lard_backend_not_found_total", node)),
+      idle_closes(NodeCell(registry, "lard_backend_idle_closes_total", node)),
+      heartbeats(NodeCell(registry, "lard_backend_heartbeats_total", node)) {}
 
 BackendServer::BackendServer(const BackendConfig& config, EventLoop* loop,
                              const ContentStore* store)
-    : config_(config), loop_(loop), store_(store), cache_(config.cache_bytes) {
+    : config_(WithRegistry(config, &own_metrics_)), loop_(loop), store_(store),
+      cache_(config.cache_bytes), counters_(config_.metrics, config_.node_id),
+      metric_open_conns_(config_.metrics->Gauge(
+          MetricsRegistry::WithNode("lard_backend_open_connections", config_.node_id))) {
   LARD_CHECK(loop_ != nullptr);
   LARD_CHECK(store_ != nullptr);
   LARD_CHECK(config_.node_id >= 0 && config_.node_id < config_.num_nodes);
@@ -59,31 +82,11 @@ Status BackendServer::Start(UniqueFd control_fd) {
   lateral_listener_ = std::move(listener.value());
   disk_ = std::make_unique<DiskGate>(loop_, config_.disk_costs, config_.disk_time_scale);
 
-  if (config_.metrics != nullptr) {
-    const NodeId id = config_.node_id;
-    metric_requests_ =
-        config_.metrics->Counter(MetricsRegistry::WithNode("lard_backend_requests_total", id));
-    metric_hits_ =
-        config_.metrics->Counter(MetricsRegistry::WithNode("lard_backend_cache_hits_total", id));
-    metric_misses_ =
-        config_.metrics->Counter(MetricsRegistry::WithNode("lard_backend_cache_misses_total", id));
-    metric_lateral_ =
-        config_.metrics->Counter(MetricsRegistry::WithNode("lard_backend_lateral_out_total", id));
-    metric_heartbeats_ =
-        config_.metrics->Counter(MetricsRegistry::WithNode("lard_backend_heartbeats_total", id));
-    metric_open_conns_ =
-        config_.metrics->Gauge(MetricsRegistry::WithNode("lard_backend_open_connections", id));
-    metric_idle_closes_ =
-        config_.metrics->Counter(MetricsRegistry::WithNode("lard_backend_idle_closes_total", id));
-  }
-
   if (config_.telemetry_interval_ms > 0) {
-    // The per-request latency histogram is gated on telemetry (not on the
-    // shared registry alone) so a telemetry-off cluster pays nothing for it.
-    if (config_.metrics != nullptr) {
-      metric_request_us_ = config_.metrics->Histogram(
-          MetricsRegistry::WithNode("lard_backend_request_us", config_.node_id));
-    }
+    // The per-request latency histogram is gated on telemetry so a
+    // telemetry-off cluster pays nothing for it.
+    request_us_ = config_.metrics->Histogram(
+        MetricsRegistry::WithNode("lard_backend_request_us", config_.node_id));
     loop_->ScheduleAfterMs(config_.telemetry_interval_ms,
                            alive_.Guard([this]() { TelemetryTick(); }));
   }
@@ -173,9 +176,7 @@ void BackendServer::Housekeeping() {
     }
   }
   SweepIdleConnections();
-  if (metric_open_conns_ != nullptr) {
-    metric_open_conns_->Set(static_cast<double>(conns_.size() - peer_conns_));
-  }
+  metric_open_conns_->Set(static_cast<double>(conns_.size() - peer_conns_));
   loop_->ScheduleAfterMs(kHousekeepingPeriodMs, alive_.Guard([this]() { Housekeeping(); }));
 }
 
@@ -196,8 +197,8 @@ void BackendServer::SendStatus(std::vector<StatusSample> samples) {
       sent = true;
     }
   }
-  if (sent && metric_heartbeats_ != nullptr) {
-    metric_heartbeats_->Increment();
+  if (sent) {
+    counters_.heartbeats.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -219,13 +220,11 @@ void BackendServer::TelemetryTick() {
   if (hit_rate + miss_rate > 0.0) {
     row.push_back({"hit_ratio", hit_rate / (hit_rate + miss_rate)});
   }
-  if (metric_request_us_ != nullptr) {
-    const HistogramWindowSampler::Window window = latency_window_.Sample(*metric_request_us_);
-    if (window.count > 0) {
-      row.push_back({"latency_p50_us", window.p50});
-      row.push_back({"latency_p95_us", window.p95});
-      row.push_back({"latency_p99_us", window.p99});
-    }
+  const HistogramWindowSampler::Window window = latency_window_.Sample(*request_us_);
+  if (window.count > 0) {
+    row.push_back({"latency_p50_us", window.p50});
+    row.push_back({"latency_p95_us", window.p95});
+    row.push_back({"latency_p99_us", window.p99});
   }
   row.push_back({"lateral_rate", rate(rate_lateral_, counters_.lateral_out)});
   // The loop holds its wakeup histogram when profiling is on.
@@ -391,7 +390,7 @@ BackendServer::ClientConn* BackendServer::AdoptCommon(int fe, ConnId conn_id, bo
     // latency histogram must see every request, not just sampled ones.
     raw->timed = raw->traced ||
                  (tracer_ != nullptr && tracer_->enabled() && tracer_->slow_threshold_us() > 0) ||
-                 metric_request_us_ != nullptr;
+                 request_us_ != nullptr;
     counters_.connections_adopted.fetch_add(1, std::memory_order_relaxed);
   }
   if (raw->traced) {
@@ -759,17 +758,11 @@ void BackendServer::ServeLocal(ClientConn* conn, const HttpRequest& request,
   const uint64_t size = store_->SizeOf(target);
   if (cache_.Touch(target)) {
     counters_.local_hits.fetch_add(1, std::memory_order_relaxed);
-    if (metric_hits_ != nullptr) {
-      metric_hits_->Increment();
-    }
     conn->serve_cache = 'h';
     WriteResponse(conn, request, 200, store_->PartsFor(target));
     return;
   }
   counters_.local_misses.fetch_add(1, std::memory_order_relaxed);
-  if (metric_misses_ != nullptr) {
-    metric_misses_->Increment();
-  }
   conn->serve_cache = 'm';
   const ConnId id = conn->id;
   const bool cache_after_miss = directive.cache_after_miss;
@@ -798,9 +791,6 @@ void BackendServer::ServeLocal(ClientConn* conn, const HttpRequest& request,
 void BackendServer::ServeLateral(ClientConn* conn, const HttpRequest& request, NodeId peer,
                                  const std::string& path) {
   counters_.lateral_out.fetch_add(1, std::memory_order_relaxed);
-  if (metric_lateral_ != nullptr) {
-    metric_lateral_->Increment();
-  }
   LateralClient* client = peers_[static_cast<size_t>(peer)].get();
   LARD_CHECK(client != nullptr) << "no lateral client for node " << peer;
   conn->serve_cache = 'l';
@@ -920,9 +910,6 @@ std::optional<uint64_t> BackendServer::BeginResponse(ClientConn* conn, const Htt
   }
   if (!conn->peer()) {
     counters_.requests_served.fetch_add(1, std::memory_order_relaxed);
-    if (metric_requests_ != nullptr) {
-      metric_requests_->Increment();
-    }
     counters_.bytes_to_clients.fetch_add(body_size, std::memory_order_relaxed);
   }
   std::string head = response.SerializeHead(body_size);
@@ -963,8 +950,8 @@ void BackendServer::EndResponse(ClientConn* conn, const HttpRequest& request, in
   if (conn->timed && conn->serve_start_us > 0) {
     const int64_t now_us = TraceNowUs();
     const int64_t total_us = now_us - conn->serve_start_us;
-    if (metric_request_us_ != nullptr) {
-      metric_request_us_->Observe(static_cast<double>(total_us));
+    if (request_us_ != nullptr) {
+      request_us_->Observe(static_cast<double>(total_us));
     }
     if (conn->traced) {
       RecordSpan(tracer_, trace_ring_, conn->id, conn->trace_seq++, SpanKind::kServe,
@@ -1134,9 +1121,6 @@ void BackendServer::SweepIdleConnections() {
   }
   for (ClientConn* conn : idle) {
     counters_.idle_closes.fetch_add(1, std::memory_order_relaxed);
-    if (metric_idle_closes_ != nullptr) {
-      metric_idle_closes_->Increment();
-    }
     // notify_frontend: the kConnClosed message is what lets the front-end
     // reap its half (dispatcher entry, journal, retained dup).
     CloseClient(conn, /*notify_frontend=*/true);

@@ -66,8 +66,8 @@ struct BackendConfig {
   // keeps accepting silently until its process dies, and an unbounded wait
   // would wedge the client connection being served. <= 0 disables.
   int64_t lateral_timeout_ms = 2000;
-  // Optional shared registry; per-node counters are published under
-  // lard_backend_*{node="k"}. Must be thread-safe (MetricsRegistry is).
+  // Shared registry; per-node counts are kept under lard_backend_*{node="k"}.
+  // When null the back end keeps them in a registry of its own.
   MetricsRegistry* metrics = nullptr;
   // Telemetry sampling period: each tick samples one row of windowed values
   // (request rate, hit ratio, latency quantiles, lateral rate, loop health)
@@ -81,20 +81,30 @@ struct BackendConfig {
   Tracer* tracer = nullptr;
 };
 
+// A read view of one node's counts. The fields are references to the
+// node's instruments in its registry, so the back end updates them in place
+// and /metrics, telemetry and Cluster::Snapshot() all read the same counts.
+// The instruments outlive the server.
 struct BackendCounters {
-  std::atomic<uint64_t> connections_adopted{0};
-  std::atomic<uint64_t> replays_adopted{0};  // crash-replay connections (kReplay)
-  std::atomic<uint64_t> spliced_responses{0};  // responses emitted with a trimmed prefix
-  std::atomic<uint64_t> handbacks{0};  // connections migrated away (multiple handoff)
-  std::atomic<uint64_t> drain_handbacks{0};  // connections given back while draining
-  std::atomic<uint64_t> requests_served{0};     // responses written to clients
-  std::atomic<uint64_t> local_hits{0};
-  std::atomic<uint64_t> local_misses{0};
-  std::atomic<uint64_t> lateral_out{0};         // fetched from a peer
-  std::atomic<uint64_t> lateral_in{0};          // served on behalf of a peer
-  std::atomic<uint64_t> bytes_to_clients{0};
-  std::atomic<uint64_t> not_found{0};
-  std::atomic<uint64_t> idle_closes{0};  // adopted conns reaped by the idle sweep
+  // Binds every field to node `node`'s "{node=\"k\"}" instrument in
+  // `registry`, creating it on first use: the one place back-end counts are
+  // named.
+  BackendCounters(MetricsRegistry* registry, NodeId node);
+
+  std::atomic<uint64_t>& connections_adopted;
+  std::atomic<uint64_t>& replays_adopted;  // crash-replay connections (kReplay)
+  std::atomic<uint64_t>& spliced_responses;  // responses emitted with a trimmed prefix
+  std::atomic<uint64_t>& handbacks;  // connections migrated away (multiple handoff)
+  std::atomic<uint64_t>& drain_handbacks;  // connections given back while draining
+  std::atomic<uint64_t>& requests_served;     // responses written to clients
+  std::atomic<uint64_t>& local_hits;
+  std::atomic<uint64_t>& local_misses;
+  std::atomic<uint64_t>& lateral_out;         // fetched from a peer
+  std::atomic<uint64_t>& lateral_in;          // served on behalf of a peer
+  std::atomic<uint64_t>& bytes_to_clients;
+  std::atomic<uint64_t>& not_found;
+  std::atomic<uint64_t>& idle_closes;  // adopted conns reaped by the idle sweep
+  std::atomic<uint64_t>& heartbeats;   // node-status frames sent
 };
 
 class BackendServer {
@@ -320,6 +330,10 @@ class BackendServer {
            peers_[static_cast<size_t>(node)] != nullptr;
   }
 
+  // The registry the back end keeps its counts in when config.metrics is
+  // null; config_.metrics then points here. Declared first: config_ is
+  // initialized from it.
+  std::unique_ptr<MetricsRegistry> own_metrics_;
   BackendConfig config_;
   EventLoop* loop_;
   const ContentStore* store_;
@@ -346,19 +360,13 @@ class BackendServer {
   Tracer* tracer_ = nullptr;
   TraceRing* trace_ring_ = nullptr;
 
-  // Shared-registry instruments (null when config.metrics is null).
-  MetricCounter* metric_requests_ = nullptr;
-  MetricCounter* metric_hits_ = nullptr;
-  MetricCounter* metric_misses_ = nullptr;
-  MetricCounter* metric_lateral_ = nullptr;
-  MetricCounter* metric_heartbeats_ = nullptr;
   MetricGauge* metric_open_conns_ = nullptr;
-  MetricCounter* metric_idle_closes_ = nullptr;
   uint64_t status_seq_ = 0;
 
-  // Telemetry (telemetry_interval_ms > 0): the window samplers feeding the
-  // rows, loop-confined.
-  MetricHistogram* metric_request_us_ = nullptr;  // always-on request latency
+  // Telemetry (telemetry_interval_ms > 0): the request latency histogram
+  // (null while telemetry is off) and the window samplers feeding the rows,
+  // loop-confined.
+  MetricHistogram* request_us_ = nullptr;
   CounterRateSampler rate_requests_;
   CounterRateSampler rate_hits_;
   CounterRateSampler rate_misses_;

@@ -1132,14 +1132,12 @@ uint16_t Cluster::admin_port() const {
 }
 
 ClusterSnapshot Cluster::Snapshot() const {
+  // Every view is bound through the registry, whose instruments outlive
+  // the components: a removed node or replica keeps its counts.
   ClusterSnapshot snapshot;
   MutexLock lock(&nodes_mutex_);
-  for (const auto& node : nodes_) {
-    if (node->server == nullptr) {
-      snapshot.requests_per_node.push_back(0);
-      continue;
-    }
-    const BackendCounters& counters = node->server->counters();
+  for (NodeId node = 0; node < static_cast<NodeId>(nodes_.size()); ++node) {
+    const BackendCounters counters(&metrics_, node);
     const uint64_t requests = counters.requests_served.load(std::memory_order_relaxed);
     snapshot.requests_served += requests;
     snapshot.requests_per_node.push_back(requests);
@@ -1154,10 +1152,7 @@ ClusterSnapshot Cluster::Snapshot() const {
     snapshot.spliced_responses += counters.spliced_responses.load(std::memory_order_relaxed);
   }
   for (size_t fe = 0; fe < fes_.size(); ++fe) {
-    if (Fe(fe) == nullptr) {
-      continue;  // removed replica
-    }
-    const FrontEndCounters& counters = Fe(fe)->counters();
+    const FrontEndCounters counters(&metrics_, static_cast<int>(fe));
     snapshot.connections += counters.connections_accepted.load();
     snapshot.consults += counters.consults.load();
     snapshot.handoffs += counters.handoffs.load();

@@ -256,7 +256,8 @@ class Cluster {
 
   ClusterConfig config_;
   ContentStore store_;
-  MetricsRegistry metrics_;
+  // Mutable: Snapshot() binds counter views, which find-or-create.
+  mutable MetricsRegistry metrics_;
   ProcessMetrics process_metrics_{&metrics_};
   std::unique_ptr<Tracer> tracer_;
 

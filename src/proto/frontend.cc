@@ -83,7 +83,27 @@ std::vector<SloRule> DefaultSloRules() {
   return rules;
 }
 
+std::atomic<uint64_t>& FeCell(MetricsRegistry* registry, const char* name, int fe) {
+  return registry->Counter(MetricsRegistry::WithFe(name, fe))->cell();
+}
+
 }  // namespace
+
+FrontEndCounters::FrontEndCounters(MetricsRegistry* registry, int fe)
+    : connections_accepted(FeCell(registry, "lard_fe_connections_total", fe)),
+      handoffs(FeCell(registry, "lard_fe_handoffs_total", fe)),
+      consults(FeCell(registry, "lard_fe_consults_total", fe)),
+      relayed_requests(FeCell(registry, "lard_fe_relayed_requests_total", fe)),
+      migrations(FeCell(registry, "lard_fe_migrations_total", fe)),
+      rehandoffs(FeCell(registry, "lard_fe_rehandoffs_total", fe)),
+      replays(FeCell(registry, "lard_fe_replays_total", fe)),
+      replay_giveups(FeCell(registry, "lard_fe_replay_giveups_total", fe)),
+      heartbeats(FeCell(registry, "lard_fe_heartbeats_total", fe)),
+      auto_removals(FeCell(registry, "lard_cluster_auto_removals_total", fe)),
+      rejected_no_backend(FeCell(registry, "lard_fe_rejected_no_backend_total", fe)),
+      idle_closes(FeCell(registry, "lard_fe_idle_closes_total", fe)),
+      gossip_sent(FeCell(registry, "lard_mesh_deltas_sent_total", fe)),
+      gossip_applied(FeCell(registry, "lard_mesh_deltas_applied_total", fe)) {}
 
 // Last-reported disk queue length per back-end — the dispatcher's
 // BackendStatsProvider view (updated from kNodeStatus frames and consult
@@ -109,8 +129,9 @@ class FrontEnd::DiskTable final : public BackendStatsProvider {
 
 FrontEnd::FrontEnd(const FrontEndConfig& config, EventLoopGroup* loops,
                    const TargetCatalog* catalog)
-    : config_(config), loops_(loops), loop_(nullptr), catalog_(catalog),
-      journal_(config.replay_journal) {
+    : config_(WithRegistry(config, &own_metrics_)), loops_(loops), loop_(nullptr),
+      catalog_(catalog), journal_(config.replay_journal),
+      counters_(config_.metrics, config_.fe_id) {
   LARD_CHECK(loops_ != nullptr);
   idle_timeout_ms_.store(config_.idle_timeout_ms, std::memory_order_relaxed);
   loop_ = loops_->loop(0);
@@ -125,6 +146,13 @@ FrontEnd::FrontEnd(const FrontEndConfig& config, EventLoopGroup* loops,
              config_.fe_id < config_.num_frontends);
   if (config_.num_frontends > 1) {
     mesh_ = std::make_unique<MeshStateTable>(static_cast<uint32_t>(config_.fe_id));
+    const int fe = config_.fe_id;
+    metric_mesh_epoch_ = config_.metrics->Gauge(MetricsRegistry::WithFe("lard_mesh_epoch", fe));
+    metric_mesh_lag_ms_ =
+        config_.metrics->Gauge(MetricsRegistry::WithFe("lard_mesh_gossip_lag_ms", fe));
+    metric_mesh_peers_ = config_.metrics->Gauge(MetricsRegistry::WithFe("lard_mesh_peers", fe));
+    metric_mesh_divergence_ =
+        config_.metrics->Gauge(MetricsRegistry::WithFe("lard_mesh_divergence", fe));
   }
 
   // Trace ids are connection ids; the per-shard id blocks below also make
@@ -166,40 +194,8 @@ FrontEnd::FrontEnd(const FrontEndConfig& config, EventLoopGroup* loops,
   dispatch_config.remote_loads = mesh_.get();
   dispatcher_ = std::make_unique<Dispatcher>(dispatch_config, catalog_, disk_table_.get());
 
-  if (config_.metrics != nullptr) {
-    metric_active_nodes_ = config_.metrics->Gauge("lard_cluster_active_nodes");
-    metric_active_nodes_->Set(config_.num_nodes);
-    metric_auto_removals_ = config_.metrics->Counter("lard_cluster_auto_removals_total");
-    metric_heartbeats_ = config_.metrics->Counter("lard_fe_heartbeats_total");
-    metric_connections_ = config_.metrics->Counter("lard_fe_connections_total");
-    metric_rehandoffs_ = config_.metrics->Counter("lard_fe_rehandoffs_total");
-    metric_replays_ = config_.metrics->Counter("lard_fe_replays_total");
-    metric_replay_giveups_ = config_.metrics->Counter("lard_fe_replay_giveups_total");
-    metric_idle_closes_ = config_.metrics->Counter("lard_fe_idle_closes_total");
-    if (config_.num_frontends > 1) {
-      // The unlabelled instruments stay cluster totals (every replica
-      // increments them); the {fe="k"} twins attribute work to a replica.
-      const int fe = config_.fe_id;
-      metric_fe_connections_ = config_.metrics->Counter(
-          MetricsRegistry::WithFe("lard_fe_connections_total", fe));
-      metric_fe_handoffs_ =
-          config_.metrics->Counter(MetricsRegistry::WithFe("lard_fe_handoffs_total", fe));
-      metric_fe_rehandoffs_ =
-          config_.metrics->Counter(MetricsRegistry::WithFe("lard_fe_rehandoffs_total", fe));
-      metric_mesh_epoch_ =
-          config_.metrics->Gauge(MetricsRegistry::WithFe("lard_mesh_epoch", fe));
-      metric_mesh_lag_ms_ =
-          config_.metrics->Gauge(MetricsRegistry::WithFe("lard_mesh_gossip_lag_ms", fe));
-      metric_mesh_peers_ =
-          config_.metrics->Gauge(MetricsRegistry::WithFe("lard_mesh_peers", fe));
-      metric_mesh_divergence_ =
-          config_.metrics->Gauge(MetricsRegistry::WithFe("lard_mesh_divergence", fe));
-      metric_gossip_sent_ = config_.metrics->Counter(
-          MetricsRegistry::WithFe("lard_mesh_deltas_sent_total", fe));
-      metric_gossip_applied_ = config_.metrics->Counter(
-          MetricsRegistry::WithFe("lard_mesh_deltas_applied_total", fe));
-    }
-  }
+  metric_active_nodes_ = config_.metrics->Gauge("lard_cluster_active_nodes");
+  metric_active_nodes_->Set(config_.num_nodes);
 
   if (config_.telemetry_interval_ms > 0) {
     TimeSeriesConfig ts;
@@ -208,9 +204,7 @@ FrontEnd::FrontEnd(const FrontEndConfig& config, EventLoopGroup* loops,
     for (const char* name : kFeSeriesNames) {
       telemetry_->AddSeries(name);  // AddSeries order == FeSeries indices
     }
-    if (config_.metrics != nullptr) {
-      process_metrics_ = std::make_unique<ProcessMetrics>(config_.metrics);
-    }
+    process_metrics_ = std::make_unique<ProcessMetrics>(config_.metrics);
     std::vector<SloRule> rules =
         config_.slo_rules.empty() ? DefaultSloRules() : config_.slo_rules;
     watchdog_ = std::make_unique<SloWatchdog>("fe" + std::to_string(config_.fe_id),
@@ -257,10 +251,8 @@ void FrontEnd::AttachControl(NodeId node, UniqueFd control_fd) {
   // a 1-replica tier; the hello is harmless and keeps one code path).
   link.control->Send(static_cast<uint8_t>(ControlMsg::kFeHello),
                      EncodeU32(static_cast<uint32_t>(config_.fe_id)));
-  if (config_.metrics != nullptr) {
-    link.handoff_counter =
-        config_.metrics->Counter(MetricsRegistry::WithNode("lard_fe_handoffs_total", node));
-  }
+  link.handoff_counter =
+      config_.metrics->Counter(MetricsRegistry::WithNode("lard_fe_handoffs_total", node));
 }
 
 Status FrontEnd::Start(std::vector<UniqueFd> control_fds) {
@@ -391,16 +383,11 @@ void FrontEnd::OnPeerMessage(uint32_t peer, uint8_t type, std::string payload) {
   if (!mesh_->Apply(delta, NowMs() * 1000)) {
     return;  // stale or regressed; counters already advanced
   }
-  if (metric_gossip_applied_ != nullptr) {
-    metric_gossip_applied_->Increment();
-  }
+  counters_.gossip_applied.fetch_add(1, std::memory_order_relaxed);
   // The non-load fields are the peer's membership/weight beliefs: surface
   // how far this replica and the sender disagree (persistently non-zero =
   // somebody missed control-plane news).
-  if (metric_mesh_divergence_ != nullptr) {
-    metric_mesh_divergence_->Set(
-        static_cast<double>(CountBeliefDivergence(delta, *dispatcher_)));
-  }
+  metric_mesh_divergence_->Set(static_cast<double>(CountBeliefDivergence(delta, *dispatcher_)));
   for (const GossipVcacheHint& hint : delta.hints) {
     dispatcher_->NoteRemoteFetch(hint.node, hint.target);
   }
@@ -462,10 +449,7 @@ void FrontEnd::GossipTick() {
   for (FramedChannel* channel : channels) {
     if (channel != nullptr && channel->open()) {
       channel->Send(kGossipFrameType, encoded);
-      ++gossip_sent_;
-      if (metric_gossip_sent_ != nullptr) {
-        metric_gossip_sent_->Increment();
-      }
+      counters_.gossip_sent.fetch_add(1, std::memory_order_relaxed);
     }
   }
   // Gossip rounds are component-scoped (no client connection), so they carry
@@ -485,7 +469,8 @@ void FrontEnd::UpdateMeshSnapshot() {
   std::ostringstream out;
   out << "{\"fe_id\":" << config_.fe_id << ",\"port\":" << port()
       << ",\"membership_epoch\":" << dispatcher_->membership_epoch()
-      << ",\"gossip_seq\":" << gossip_seq_ << ",\"deltas_sent\":" << gossip_sent_
+      << ",\"gossip_seq\":" << gossip_seq_ << ",\"deltas_sent\":"
+      << counters_.gossip_sent.load(std::memory_order_relaxed)
       << ",\"deltas_applied\":" << mesh_->deltas_applied()
       << ",\"stale_drops\":" << mesh_->stale_drops()
       << ",\"epoch_regressions\":" << mesh_->epoch_regressions()
@@ -503,11 +488,9 @@ void FrontEnd::UpdateMeshSnapshot() {
     MutexLock lock(&mesh_json_mutex_);
     mesh_json_ = out.str();
   }
-  if (metric_mesh_epoch_ != nullptr) {
-    metric_mesh_epoch_->Set(static_cast<double>(dispatcher_->membership_epoch()));
-    metric_mesh_lag_ms_->Set(static_cast<double>(mesh_->OldestPeerAgeUs(now_us)) / 1000.0);
-    metric_mesh_peers_->Set(static_cast<double>(mesh_->peer_count()));
-  }
+  metric_mesh_epoch_->Set(static_cast<double>(dispatcher_->membership_epoch()));
+  metric_mesh_lag_ms_->Set(static_cast<double>(mesh_->OldestPeerAgeUs(now_us)) / 1000.0);
+  metric_mesh_peers_->Set(static_cast<double>(mesh_->peer_count()));
 }
 
 std::string FrontEnd::DescribeMeshJson() const {
@@ -601,9 +584,7 @@ void FrontEnd::TelemetryTick() {
     telemetry_scratch_.emplace_back(kSPendingTasks, pending);
   }
   const ProcessStats stats = ReadProcessStats();
-  if (process_metrics_ != nullptr) {
-    process_metrics_->Publish(stats);  // keeps the /metrics gauges fresh too
-  }
+  process_metrics_->Publish(stats);  // keeps the /metrics gauges fresh too
   telemetry_scratch_.emplace_back(kSRssBytes, stats.rss_bytes);
   telemetry_scratch_.emplace_back(kSOpenFds, stats.open_fds);
   telemetry_scratch_.emplace_back(kSIdleCloseRate,
@@ -764,9 +745,7 @@ NodeId FrontEnd::AddNode(UniqueFd control_fd, uint16_t backend_http_port, double
     MutexLock lock(&state_mutex_);
     node = dispatcher_->AddNode(weight);
     disk_table_->Update(node, 0);
-    if (metric_active_nodes_ != nullptr) {
-      metric_active_nodes_->Set(dispatcher_->active_node_count());
-    }
+    metric_active_nodes_->Set(dispatcher_->active_node_count());
   }
   AttachControl(node, std::move(control_fd));
   if (config_.mechanism == Mechanism::kRelayingFrontEnd) {
@@ -799,9 +778,7 @@ bool FrontEnd::DrainNode(NodeId node) {
     if (!dispatcher_->DrainNode(node)) {
       return false;
     }
-    if (metric_active_nodes_ != nullptr) {
-      metric_active_nodes_->Set(dispatcher_->active_node_count());
-    }
+    metric_active_nodes_->Set(dispatcher_->active_node_count());
   }
   // Ask the node to give its persistent connections back between batches;
   // they come home as kHandback(target=kInvalidNode) and are re-handed-off.
@@ -834,9 +811,7 @@ bool FrontEnd::RemoveNode(NodeId node) {
   }
   if (state == NodeState::kActive) {
     (void)dispatcher_->DrainNode(node);
-    if (metric_active_nodes_ != nullptr) {
-      metric_active_nodes_->Set(dispatcher_->active_node_count());
-    }
+    metric_active_nodes_->Set(dispatcher_->active_node_count());
   }
   retiring_.insert(node);
   nodes_[static_cast<size_t>(node)].control->Send(static_cast<uint8_t>(ControlMsg::kDrain),
@@ -909,13 +884,8 @@ bool FrontEnd::RemoveNodeInternal(NodeId node, const char* reason) {
   }
   if (detected_failure) {
     counters_.auto_removals.fetch_add(1, std::memory_order_relaxed);
-    if (metric_auto_removals_ != nullptr) {
-      metric_auto_removals_->Increment();
-    }
   }
-  if (metric_active_nodes_ != nullptr) {
-    metric_active_nodes_->Set(dispatcher_->active_node_count());
-  }
+  metric_active_nodes_->Set(dispatcher_->active_node_count());
   LARD_LOG(WARNING) << "front-end: node " << node << " removed (" << reason << "), "
                     << orphans.size() << " connections orphaned, " << replayed
                     << " replayed onto survivors, " << dispatcher_->active_node_count()
@@ -942,9 +912,7 @@ void FrontEnd::BurnNodeSlot() {
   if (static_cast<size_t>(node) >= nodes_.size()) {
     nodes_.resize(static_cast<size_t>(node) + 1);  // keep id indexing aligned
   }
-  if (metric_active_nodes_ != nullptr) {
-    metric_active_nodes_->Set(dispatcher_->active_node_count());
-  }
+  metric_active_nodes_->Set(dispatcher_->active_node_count());
 }
 
 void FrontEnd::SetPolicy(Policy policy) {
@@ -1085,12 +1053,6 @@ void FrontEnd::AdoptClientFd(LoopShard* shard, UniqueFd fd) {
   }
 
   counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-  if (metric_connections_ != nullptr) {
-    metric_connections_->Increment();
-  }
-  if (metric_fe_connections_ != nullptr) {
-    metric_fe_connections_->Increment();
-  }
 
   auto conn = std::make_unique<FeConn>();
   FeConn* raw = conn.get();
@@ -1359,12 +1321,7 @@ void FrontEnd::CompleteHandoff(PendingHandoff pending) {
                pending.msg.replay_protected ? 1 : 0);
   }
   counters_.handoffs.fetch_add(1, std::memory_order_relaxed);
-  if (link.handoff_counter != nullptr) {
-    link.handoff_counter->Increment();
-  }
-  if (metric_fe_handoffs_ != nullptr) {
-    metric_fe_handoffs_->Increment();
-  }
+  link.handoff_counter->Increment();
 }
 
 void FrontEnd::RelayFlow(FeConn* conn, std::vector<HttpRequest> requests) {
@@ -1564,9 +1521,6 @@ void FrontEnd::OnIdleDeadline(LoopShard* shard, ConnId id) {
     return;
   }
   counters_.idle_closes.fetch_add(1, std::memory_order_relaxed);
-  if (metric_idle_closes_ != nullptr) {
-    metric_idle_closes_->Increment();
-  }
   RecordSpan(tracer_, shard->trace_ring, id, 8, SpanKind::kClose,
              static_cast<int32_t>(config_.fe_id), TraceNowUs(), 0, "idle after=%lldms",
              static_cast<long long>(idle_for));
@@ -1721,9 +1675,6 @@ void FrontEnd::OnControlMessage(NodeId node, uint8_t type, std::string payload, 
       link.reported_conns = msg.open_conns;
       disk_table_->Update(node, static_cast<int>(msg.disk_queue_len));
       counters_.heartbeats.fetch_add(1, std::memory_order_relaxed);
-      if (metric_heartbeats_ != nullptr) {
-        metric_heartbeats_->Increment();
-      }
       if (msg.samples.empty()) {
         return;
       }
@@ -1818,12 +1769,6 @@ void FrontEnd::RehandoffConnection(NodeId from_node, HandbackMsg msg, UniqueFd f
   RecordSpan(tracer_, trace_ring_, msg.conn_id, 7, SpanKind::kReassign, target, TraceNowUs(), 0,
              "from=%d reason=drain", from_node);
   counters_.rehandoffs.fetch_add(1, std::memory_order_relaxed);
-  if (metric_rehandoffs_ != nullptr) {
-    metric_rehandoffs_->Increment();
-  }
-  if (metric_fe_rehandoffs_ != nullptr) {
-    metric_fe_rehandoffs_->Increment();
-  }
   if (MeshEnabled()) {
     // The reassignment seeded `target`'s virtual cache with the pending
     // targets; tell the peers the same news.
@@ -1833,9 +1778,7 @@ void FrontEnd::RehandoffConnection(NodeId from_node, HandbackMsg msg, UniqueFd f
     }
     RecordFetchHints(pending, seeded);
   }
-  if (nodes_[static_cast<size_t>(target)].handoff_counter != nullptr) {
-    nodes_[static_cast<size_t>(target)].handoff_counter->Increment();
-  }
+  nodes_[static_cast<size_t>(target)].handoff_counter->Increment();
   if (retiring_.count(from_node) != 0) {
     // Deferred: finalizing tears down the channel this handback arrived on.
     loop_->Post(alive_.Guard([this, from_node]() {
@@ -1902,9 +1845,6 @@ void FrontEnd::TryReplayOrphan(ConnId conn, NodeId dead_node) {
     RecordSpan(tracer_, trace_ring_, conn, 6, SpanKind::kReassign, dead_node, replay_start_us,
                TraceNowUs() - replay_start_us, "replay-giveup: %s (%d)", why, status);
     counters_.replay_giveups.fetch_add(1, std::memory_order_relaxed);
-    if (metric_replay_giveups_ != nullptr) {
-      metric_replay_giveups_->Increment();
-    }
     // A clean error beats a spliced half-response — but once response bytes
     // already reached the client, injecting anything would corrupt the
     // stream mid-body; closing is the only honest signal then.
@@ -1984,12 +1924,7 @@ void FrontEnd::TryReplayOrphan(ConnId conn, NodeId dead_node) {
   nodes_[static_cast<size_t>(target)].control->SendWithFd(
       static_cast<uint8_t>(ControlMsg::kReplay), EncodeReplay(msg), std::move(ship));
   counters_.replays.fetch_add(1, std::memory_order_relaxed);
-  if (metric_replays_ != nullptr) {
-    metric_replays_->Increment();
-  }
-  if (nodes_[static_cast<size_t>(target)].handoff_counter != nullptr) {
-    nodes_[static_cast<size_t>(target)].handoff_counter->Increment();
-  }
+  nodes_[static_cast<size_t>(target)].handoff_counter->Increment();
   if (MeshEnabled()) {
     // The reassignment seeded `target`'s virtual cache; tell the peers.
     std::vector<Assignment> seeded(pending.size());

@@ -83,9 +83,8 @@ struct FrontEndConfig {
   int num_nodes = 1;
   // Replicated front-end tier (the mesh). fe_id names this replica;
   // num_frontends > 1 arms the gossip machinery: the dispatcher decides over
-  // local + gossiped remote load, every control session announces the
-  // replica (kFeHello), and per-FE labelled metrics are published alongside
-  // the shared (cluster-total) instruments.
+  // local + gossiped remote load and every control session announces the
+  // replica (kFeHello). Every count is labelled {fe="k"}.
   int fe_id = 0;
   int num_frontends = 1;
   // Mesh sync period (only meaningful with num_frontends > 1).
@@ -135,7 +134,8 @@ struct FrontEndConfig {
   // idempotency policy). A non-idempotent request in the unacknowledged tail
   // turns the crash into a clean 502/close for that client instead.
   std::vector<std::string> idempotent_methods = {"GET", "HEAD"};
-  // Optional shared registry (lard_fe_*, lard_cluster_* instruments).
+  // Shared registry (lard_fe_*, lard_cluster_* instruments). When null the
+  // front end keeps its counts in a registry of its own.
   MetricsRegistry* metrics = nullptr;
   // Telemetry sampling period for this front-end's TimeSeriesStore (conn/
   // handoff/replay rates, loop health, process gauges) and the SLO watchdog
@@ -153,19 +153,29 @@ struct FrontEndConfig {
   Tracer* tracer = nullptr;
 };
 
+// A read view of one replica's counts. The fields are references to the
+// replica's instruments in its registry, so the front end updates them in
+// place and /metrics, telemetry and Cluster::Snapshot() all read the same
+// counts.
 struct FrontEndCounters {
-  std::atomic<uint64_t> connections_accepted{0};
-  std::atomic<uint64_t> handoffs{0};
-  std::atomic<uint64_t> consults{0};
-  std::atomic<uint64_t> relayed_requests{0};
-  std::atomic<uint64_t> migrations{0};  // hand-backs relayed (multiple handoff)
-  std::atomic<uint64_t> rehandoffs{0};  // drain givebacks re-handed-off to a new node
-  std::atomic<uint64_t> replays{0};  // crashed-node conns re-handed-off with a journal replay
-  std::atomic<uint64_t> replay_giveups{0};  // orphans unreplayable (non-idempotent/overflow/no node)
-  std::atomic<uint64_t> heartbeats{0};
-  std::atomic<uint64_t> auto_removals{0};  // nodes declared dead by health tracking
-  std::atomic<uint64_t> rejected_no_backend{0};  // 503s with zero assignable nodes
-  std::atomic<uint64_t> idle_closes{0};  // FE-owned conns reaped at the idle deadline
+  // Binds every field to replica `fe`'s "{fe=\"k\"}" instrument in `registry`,
+  // creating it on first use: the one place front-end counts are named.
+  FrontEndCounters(MetricsRegistry* registry, int fe);
+
+  std::atomic<uint64_t>& connections_accepted;
+  std::atomic<uint64_t>& handoffs;
+  std::atomic<uint64_t>& consults;
+  std::atomic<uint64_t>& relayed_requests;
+  std::atomic<uint64_t>& migrations;  // hand-backs relayed (multiple handoff)
+  std::atomic<uint64_t>& rehandoffs;  // drain givebacks re-handed-off to a new node
+  std::atomic<uint64_t>& replays;  // crashed-node conns re-handed-off with a journal replay
+  std::atomic<uint64_t>& replay_giveups;  // orphans unreplayable (non-idempotent/overflow/no node)
+  std::atomic<uint64_t>& heartbeats;
+  std::atomic<uint64_t>& auto_removals;  // nodes declared dead by health tracking
+  std::atomic<uint64_t>& rejected_no_backend;  // 503s with zero assignable nodes
+  std::atomic<uint64_t>& idle_closes;  // FE-owned conns reaped at the idle deadline
+  std::atomic<uint64_t>& gossip_sent;     // mesh deltas published to peers
+  std::atomic<uint64_t>& gossip_applied;  // peer deltas accepted
 };
 
 class FrontEnd {
@@ -364,7 +374,7 @@ class FrontEnd {
     // both fire for one dead node; the epoch makes detection idempotent so
     // orphans are never replayed or reassigned twice.
     uint64_t failure_epoch = 0;
-    MetricCounter* handoff_counter = nullptr;
+    MetricCounter* handoff_counter = nullptr;  // lard_fe_handoffs_total{node=...}
   };
 
   class DiskTable;
@@ -481,6 +491,10 @@ class FrontEnd {
   void GossipTick() LARD_EXCLUDES(state_mutex_);
   void UpdateMeshSnapshot() LARD_REQUIRES(state_mutex_) LARD_EXCLUDES(mesh_json_mutex_);
 
+  // The registry the front end keeps its counts in when config.metrics is
+  // null; config_.metrics then points here. Declared first: config_ is
+  // initialized from it.
+  std::unique_ptr<MetricsRegistry> own_metrics_;
   FrontEndConfig config_;
   EventLoopGroup* loops_;
   EventLoop* loop_;  // loops_->loop(0): the control-plane loop
@@ -534,7 +548,6 @@ class FrontEnd {
   // (node << 32) | target
   std::unordered_set<uint64_t> pending_hints_ LARD_GUARDED_BY(state_mutex_);
   uint64_t gossip_seq_ LARD_GUARDED_BY(state_mutex_) = 0;
-  uint64_t gossip_sent_ LARD_GUARDED_BY(state_mutex_) = 0;
   mutable Mutex mesh_json_mutex_;
   // Refreshed each tick; read by the admin thread.
   std::string mesh_json_ LARD_GUARDED_BY(mesh_json_mutex_);
@@ -559,7 +572,7 @@ class FrontEnd {
   CounterRateSampler rate_rejected_;
   CounterRateSampler rate_idle_closes_;
   std::vector<HistogramWindowSampler> wakeup_windows_;  // one per loop
-  std::unique_ptr<ProcessMetrics> process_metrics_;     // null without metrics
+  std::unique_ptr<ProcessMetrics> process_metrics_;
   std::vector<std::pair<int, double>> telemetry_scratch_;
   int64_t telemetry_last_ms_ = 0;
 
@@ -575,24 +588,12 @@ class FrontEnd {
   // Atomic — bumped on the shard loops, read by telemetry and tests. The
   // handed-off twin is derived from the dispatcher (open_conns_handed_off).
   std::atomic<int64_t> conns_fe_owned_{0};
-  MetricCounter* metric_idle_closes_ = nullptr;
   MetricGauge* metric_active_nodes_ = nullptr;
-  MetricCounter* metric_auto_removals_ = nullptr;
-  MetricCounter* metric_heartbeats_ = nullptr;
-  MetricCounter* metric_connections_ = nullptr;
-  MetricCounter* metric_rehandoffs_ = nullptr;
-  MetricCounter* metric_replays_ = nullptr;
-  MetricCounter* metric_replay_giveups_ = nullptr;
-  // Per-FE labelled twins (replicated tier only; null otherwise).
-  MetricCounter* metric_fe_connections_ = nullptr;
-  MetricCounter* metric_fe_handoffs_ = nullptr;
-  MetricCounter* metric_fe_rehandoffs_ = nullptr;
+  // Mesh gauges (num_frontends > 1; null otherwise).
   MetricGauge* metric_mesh_epoch_ = nullptr;
   MetricGauge* metric_mesh_lag_ms_ = nullptr;
   MetricGauge* metric_mesh_peers_ = nullptr;
   MetricGauge* metric_mesh_divergence_ = nullptr;
-  MetricCounter* metric_gossip_sent_ = nullptr;
-  MetricCounter* metric_gossip_applied_ = nullptr;
 };
 
 }  // namespace lard

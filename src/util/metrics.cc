@@ -37,6 +37,15 @@ void SplitName(const std::string& name, std::string* base, std::string* labels) 
   }
 }
 
+// "name{key=\"value\"}", built in one allocation.
+std::string WithLabel(std::string_view name, std::string_view key, int32_t value) {
+  const std::string digits = std::to_string(value);
+  std::string out;
+  out.reserve(name.size() + key.size() + digits.size() + 5);
+  out.append(name).append("{").append(key).append("=\"").append(digits).append("\"}");
+  return out;
+}
+
 // Appends one label to an existing (possibly empty) label block.
 std::string WithExtraLabel(const std::string& labels, const std::string& extra) {
   if (labels.empty()) {
@@ -103,39 +112,27 @@ double MetricHistogram::Percentile(double p) const {
   return BucketUpperBound(kBuckets - 1);
 }
 
-MetricCounter* MetricsRegistry::Counter(const std::string& name) {
+MetricCounter* MetricsRegistry::Counter(std::string name) {
   MutexLock lock(&mutex_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<MetricCounter>();
-  }
-  return slot.get();
+  return &counters_.try_emplace(std::move(name)).first->second;
 }
 
-MetricGauge* MetricsRegistry::Gauge(const std::string& name) {
+MetricGauge* MetricsRegistry::Gauge(std::string name) {
   MutexLock lock(&mutex_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<MetricGauge>();
-  }
-  return slot.get();
+  return &gauges_.try_emplace(std::move(name)).first->second;
 }
 
-MetricHistogram* MetricsRegistry::Histogram(const std::string& name) {
+MetricHistogram* MetricsRegistry::Histogram(std::string name) {
   MutexLock lock(&mutex_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<MetricHistogram>();
-  }
-  return slot.get();
+  return &histograms_.try_emplace(std::move(name)).first->second;
 }
 
-std::string MetricsRegistry::WithNode(const std::string& name, int32_t node) {
-  return name + "{node=\"" + std::to_string(node) + "\"}";
+std::string MetricsRegistry::WithNode(std::string_view name, int32_t node) {
+  return WithLabel(name, "node", node);
 }
 
-std::string MetricsRegistry::WithFe(const std::string& name, int32_t fe) {
-  return name + "{fe=\"" + std::to_string(fe) + "\"}";
+std::string MetricsRegistry::WithFe(std::string_view name, int32_t fe) {
+  return WithLabel(name, "fe", fe);
 }
 
 std::string MetricsRegistry::RenderText() const {
@@ -150,7 +147,7 @@ std::string MetricsRegistry::RenderText() const {
   std::map<std::string, std::string> families;
   for (const auto& [name, counter] : counters_) {
     SplitName(name, &base, &labels);
-    families[base] += name + " " + std::to_string(counter->value()) + "\n";
+    families[base] += name + " " + std::to_string(counter.value()) + "\n";
   }
   for (const auto& [family, body] : families) {
     out << "# TYPE " << family << " counter\n" << body;
@@ -158,7 +155,7 @@ std::string MetricsRegistry::RenderText() const {
   families.clear();
   for (const auto& [name, gauge] : gauges_) {
     SplitName(name, &base, &labels);
-    families[base] += name + " " + FormatDouble(gauge->value()) + "\n";
+    families[base] += name + " " + FormatDouble(gauge.value()) + "\n";
   }
   for (const auto& [family, body] : families) {
     out << "# TYPE " << family << " gauge\n" << body;
@@ -168,13 +165,13 @@ std::string MetricsRegistry::RenderText() const {
     SplitName(name, &base, &labels);
     std::string& body = families[base];
     body += base + WithExtraLabel(labels, "quantile=\"0.5\"") + " " +
-            FormatDouble(histogram->Percentile(50)) + "\n";
+            FormatDouble(histogram.Percentile(50)) + "\n";
     body += base + WithExtraLabel(labels, "quantile=\"0.9\"") + " " +
-            FormatDouble(histogram->Percentile(90)) + "\n";
+            FormatDouble(histogram.Percentile(90)) + "\n";
     body += base + WithExtraLabel(labels, "quantile=\"0.99\"") + " " +
-            FormatDouble(histogram->Percentile(99)) + "\n";
-    body += base + "_count" + labels + " " + std::to_string(histogram->count()) + "\n";
-    body += base + "_sum" + labels + " " + FormatDouble(histogram->sum()) + "\n";
+            FormatDouble(histogram.Percentile(99)) + "\n";
+    body += base + "_count" + labels + " " + std::to_string(histogram.count()) + "\n";
+    body += base + "_sum" + labels + " " + FormatDouble(histogram.sum()) + "\n";
   }
   for (const auto& [family, body] : families) {
     out << "# TYPE " << family << " summary\n" << body;
@@ -188,23 +185,23 @@ std::string MetricsRegistry::RenderJson() const {
   out << "{\"counters\":{";
   bool first = true;
   for (const auto& [name, counter] : counters_) {
-    out << (first ? "" : ",") << JsonQuote(name) << ":" << counter->value();
+    out << (first ? "" : ",") << JsonQuote(name) << ":" << counter.value();
     first = false;
   }
   out << "},\"gauges\":{";
   first = true;
   for (const auto& [name, gauge] : gauges_) {
-    out << (first ? "" : ",") << JsonQuote(name) << ":" << FormatDouble(gauge->value());
+    out << (first ? "" : ",") << JsonQuote(name) << ":" << FormatDouble(gauge.value());
     first = false;
   }
   out << "},\"histograms\":{";
   first = true;
   for (const auto& [name, histogram] : histograms_) {
-    out << (first ? "" : ",") << JsonQuote(name) << ":{\"count\":" << histogram->count()
-        << ",\"sum\":" << FormatDouble(histogram->sum())
-        << ",\"p50\":" << FormatDouble(histogram->Percentile(50))
-        << ",\"p90\":" << FormatDouble(histogram->Percentile(90))
-        << ",\"p99\":" << FormatDouble(histogram->Percentile(99)) << "}";
+    out << (first ? "" : ",") << JsonQuote(name) << ":{\"count\":" << histogram.count()
+        << ",\"sum\":" << FormatDouble(histogram.sum())
+        << ",\"p50\":" << FormatDouble(histogram.Percentile(50))
+        << ",\"p90\":" << FormatDouble(histogram.Percentile(90))
+        << ",\"p99\":" << FormatDouble(histogram.Percentile(99)) << "}";
     first = false;
   }
   out << "}}";

@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/util/mutex.h"
@@ -28,6 +29,9 @@ class MetricCounter {
  public:
   void Increment(uint64_t delta = 1) { value_.fetch_add(delta, std::memory_order_relaxed); }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  // The count itself, for a component's counter view (FrontEndCounters,
+  // BackendCounters) that updates and reads it in place.
+  std::atomic<uint64_t>& cell() { return value_; }
 
  private:
   std::atomic<uint64_t> value_{0};
@@ -91,14 +95,14 @@ class MetricsRegistry {
   // lifetime; callers on hot paths should look up once and cache it.
   // Metric names use prometheus conventions ("lard_requests_total");
   // per-node instruments append a label ("...{node=\"3\"}" via WithNode).
-  MetricCounter* Counter(const std::string& name);
-  MetricGauge* Gauge(const std::string& name);
-  MetricHistogram* Histogram(const std::string& name);
+  MetricCounter* Counter(std::string name);
+  MetricGauge* Gauge(std::string name);
+  MetricHistogram* Histogram(std::string name);
 
   // "name{node=\"7\"}" — the per-back-end label family.
-  static std::string WithNode(const std::string& name, int32_t node);
+  static std::string WithNode(std::string_view name, int32_t node);
   // "name{fe=\"1\"}" — the per-front-end label family (replicated FE tier).
-  static std::string WithFe(const std::string& name, int32_t fe);
+  static std::string WithFe(std::string_view name, int32_t fe);
 
   // Prometheus text exposition: "# TYPE" lines per metric family, one
   // "name value" line per counter/gauge, histograms rendered as summaries —
@@ -110,13 +114,25 @@ class MetricsRegistry {
 
  private:
   mutable Mutex mutex_;
-  // node-stable containers: instruments never move once created, so the
-  // returned instrument pointers are used lock-free (they are atomics); only
-  // the maps themselves are guarded.
-  std::map<std::string, std::unique_ptr<MetricCounter>> counters_ LARD_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<MetricGauge>> gauges_ LARD_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<MetricHistogram>> histograms_ LARD_GUARDED_BY(mutex_);
+  // Node-stable containers holding the instruments in place: instruments
+  // never move once created, so the returned instrument pointers are used
+  // lock-free (they are atomics); only the maps themselves are guarded.
+  std::map<std::string, MetricCounter> counters_ LARD_GUARDED_BY(mutex_);
+  std::map<std::string, MetricGauge> gauges_ LARD_GUARDED_BY(mutex_);
+  std::map<std::string, MetricHistogram> histograms_ LARD_GUARDED_BY(mutex_);
 };
+
+// `config` with its `metrics` pointing at a registry: the shared one it
+// names, else a private one created into *owned. A component keeps all its
+// counts in that one registry.
+template <typename Config>
+Config WithRegistry(Config config, std::unique_ptr<MetricsRegistry>* owned) {
+  if (config.metrics == nullptr) {
+    *owned = std::make_unique<MetricsRegistry>();
+    config.metrics = owned->get();
+  }
+  return config;
+}
 
 }  // namespace lard
 

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <atomic>
 #include <chrono>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/net/socket.h"
 #include "src/proto/cluster.h"
@@ -348,6 +351,211 @@ TEST(AdminClusterTest, WeightedAddNodeAndNodesReport) {
   const ClusterSnapshot snapshot = cluster.Snapshot();
   ASSERT_EQ(snapshot.requests_per_node.size(), 3u);
   EXPECT_GT(snapshot.requests_per_node[2], 0u) << "weighted node took no traffic";
+  cluster.Stop();
+}
+
+// One count of a counter view, with the registry name it is kept under.
+struct NamedCount {
+  std::string name;
+  const std::atomic<uint64_t>* cell;
+};
+
+// Each field of the views, named as docs/ADMIN_API.md lists it. A view's
+// fields are all references, so its size counts them: a new field fails
+// these asserts until it gets a row here.
+static_assert(sizeof(FrontEndCounters) == 14 * sizeof(void*), "add the new field below");
+static_assert(sizeof(BackendCounters) == 14 * sizeof(void*), "add the new field below");
+
+std::vector<NamedCount> FeCounts(const FrontEndCounters& c, int fe) {
+  const auto n = [fe](const char* name) { return MetricsRegistry::WithFe(name, fe); };
+  return {{n("lard_fe_connections_total"), &c.connections_accepted},
+          {n("lard_fe_handoffs_total"), &c.handoffs},
+          {n("lard_fe_consults_total"), &c.consults},
+          {n("lard_fe_relayed_requests_total"), &c.relayed_requests},
+          {n("lard_fe_migrations_total"), &c.migrations},
+          {n("lard_fe_rehandoffs_total"), &c.rehandoffs},
+          {n("lard_fe_replays_total"), &c.replays},
+          {n("lard_fe_replay_giveups_total"), &c.replay_giveups},
+          {n("lard_fe_heartbeats_total"), &c.heartbeats},
+          {n("lard_cluster_auto_removals_total"), &c.auto_removals},
+          {n("lard_fe_rejected_no_backend_total"), &c.rejected_no_backend},
+          {n("lard_fe_idle_closes_total"), &c.idle_closes},
+          {n("lard_mesh_deltas_sent_total"), &c.gossip_sent},
+          {n("lard_mesh_deltas_applied_total"), &c.gossip_applied}};
+}
+
+std::vector<NamedCount> BeCounts(const BackendCounters& c, NodeId node) {
+  const auto n = [node](const char* name) { return MetricsRegistry::WithNode(name, node); };
+  return {{n("lard_backend_connections_adopted_total"), &c.connections_adopted},
+          {n("lard_backend_replays_adopted_total"), &c.replays_adopted},
+          {n("lard_backend_spliced_responses_total"), &c.spliced_responses},
+          {n("lard_backend_handbacks_total"), &c.handbacks},
+          {n("lard_backend_drain_handbacks_total"), &c.drain_handbacks},
+          {n("lard_backend_requests_total"), &c.requests_served},
+          {n("lard_backend_cache_hits_total"), &c.local_hits},
+          {n("lard_backend_cache_misses_total"), &c.local_misses},
+          {n("lard_backend_lateral_out_total"), &c.lateral_out},
+          {n("lard_backend_lateral_in_total"), &c.lateral_in},
+          {n("lard_backend_bytes_to_clients_total"), &c.bytes_to_clients},
+          {n("lard_backend_not_found_total"), &c.not_found},
+          {n("lard_backend_idle_closes_total"), &c.idle_closes},
+          {n("lard_backend_heartbeats_total"), &c.heartbeats}};
+}
+
+// Counter `name`'s value in a /metrics?format=json body; -1 when absent.
+int64_t JsonCounter(const std::string& json, const std::string& name) {
+  std::string key = "\"";
+  for (const char c : name) {
+    if (c == '"') {
+      key.push_back('\\');
+    }
+    key.push_back(c);
+  }
+  key += "\":";
+  const size_t at = json.find(key);
+  return at == std::string::npos ? -1 : std::stoll(json.substr(at + key.size()));
+}
+
+// Every count equals its /metrics?format=json value. Status frames move the
+// heartbeat counts every 100 ms, so the fields are read before and after
+// each fetch, and a fetch during which any of them moved is retried.
+void ExpectCountsMatchJson(uint16_t admin_port, const std::vector<NamedCount>& counts) {
+  const auto read = [&counts]() {
+    std::vector<uint64_t> values;
+    for (const NamedCount& count : counts) {
+      values.push_back(count.cell->load());
+    }
+    return values;
+  };
+  for (int attempt = 0; attempt < 50; ++attempt) {
+    const std::vector<uint64_t> before = read();
+    const std::string json = AdminHttp(admin_port, "GET", "/metrics?format=json");
+    if (read() != before) {
+      continue;
+    }
+    ASSERT_EQ(json.substr(0, 3), "200");
+    for (size_t i = 0; i < counts.size(); ++i) {
+      EXPECT_EQ(JsonCounter(json, counts[i].name), static_cast<int64_t>(before[i]))
+          << counts[i].name;
+    }
+    return;
+  }
+  ADD_FAILURE() << "the counts never held still across a /metrics fetch";
+}
+
+// No front-end count is rendered without its {fe="k"} label.
+void ExpectNoUnlabelledFeCounts(uint16_t admin_port) {
+  std::istringstream lines(AdminHttp(admin_port, "GET", "/metrics"));
+  std::string line;
+  while (std::getline(lines, line)) {
+    const bool fe_count = line.rfind("lard_fe_", 0) == 0 ||
+                          line.rfind("lard_cluster_auto_removals_total", 0) == 0 ||
+                          line.rfind("lard_mesh_deltas_", 0) == 0;
+    if (fe_count) {
+      EXPECT_NE(line.find('{'), std::string::npos) << line;
+    }
+  }
+}
+
+TEST(AdminClusterTest, CounterViewsAreTheRegistrySingleFrontEnd) {
+  // The ExtLardUsesLateralFetches set-up (a working set far larger than the
+  // caches, a low disk-queue threshold) so that hits, misses and lateral
+  // fetches all happen; then a 404 and an FE idle close.
+  SyntheticTraceConfig trace_config;
+  trace_config.seed = 5;
+  trace_config.num_pages = 200;
+  trace_config.num_sessions = 300;
+  trace_config.max_size_bytes = 64 * 1024;
+  const Trace trace = GenerateSyntheticTrace(trace_config);
+  ClusterConfig config = BaseConfig(3);
+  config.backend_cache_bytes = 1ull * 1024 * 1024;
+  config.disk_time_scale = 0.05;
+  config.params.low_disk_queue_threshold = 1;
+  config.idle_timeout_ms = 300;
+  Cluster cluster(config, &trace.catalog());
+  ASSERT_TRUE(cluster.Start().ok());
+
+  LoadGeneratorConfig load;
+  load.port = cluster.port();
+  load.num_clients = 16;
+  ASSERT_EQ(RunLoad(load, trace).responses_ok, trace.total_requests());
+  {
+    auto fd = ConnectTcp(cluster.port());
+    ASSERT_TRUE(fd.ok());
+    const std::string request = "GET /no/such/file HTTP/1.0\r\n\r\n";
+    ASSERT_EQ(::send(fd.value().get(), request.data(), request.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(request.size()));
+    char buf[4096];
+    while (::recv(fd.value().get(), buf, sizeof(buf), 0) > 0) {
+    }
+  }
+  {
+    // Silent until the front end's idle deadline closes it.
+    auto fd = ConnectTcp(cluster.port());
+    ASSERT_TRUE(fd.ok());
+    timeval timeout{10, 0};
+    ::setsockopt(fd.value().get(), SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    char byte = 0;
+    EXPECT_EQ(::recv(fd.value().get(), &byte, 1, 0), 0);
+  }
+
+  const FrontEndCounters& fe = cluster.frontend().counters();
+  EXPECT_GE(fe.idle_closes.load(), 1u);
+  std::vector<NamedCount> counts = FeCounts(fe, 0);
+  std::vector<BackendCounters> nodes;
+  for (NodeId node = 0; node < 3; ++node) {
+    nodes.emplace_back(cluster.metrics(), node);
+  }
+  uint64_t served = 0, hits = 0, misses = 0, lateral_out = 0, lateral_in = 0, not_found = 0;
+  for (NodeId node = 0; node < 3; ++node) {
+    const BackendCounters& be = nodes[static_cast<size_t>(node)];
+    served += be.requests_served.load();
+    hits += be.local_hits.load();
+    misses += be.local_misses.load();
+    lateral_out += be.lateral_out.load();
+    lateral_in += be.lateral_in.load();
+    not_found += be.not_found.load();
+    for (const NamedCount& count : BeCounts(be, node)) {
+      counts.push_back(count);
+    }
+  }
+  // The views count what the clients saw.
+  EXPECT_EQ(served, trace.total_requests() + 1);
+  EXPECT_EQ(not_found, 1u);
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(misses, 0u);
+  EXPECT_GT(lateral_out, 0u);
+  EXPECT_GT(lateral_in, 0u);
+  ExpectCountsMatchJson(cluster.admin_port(), counts);
+  ExpectNoUnlabelledFeCounts(cluster.admin_port());
+  cluster.Stop();
+}
+
+TEST(AdminClusterTest, CounterViewsAreTheRegistryPerReplica) {
+  const Trace trace = TestTrace(9);
+  ClusterConfig config = BaseConfig(2);
+  config.num_frontends = 2;
+  Cluster cluster(config, &trace.catalog());
+  ASSERT_TRUE(cluster.Start().ok());
+  LoadGeneratorConfig load;
+  load.ports = cluster.ports();
+  load.num_clients = 8;
+  ASSERT_EQ(RunLoad(load, trace).responses_ok, trace.total_requests());
+
+  std::vector<NamedCount> counts;
+  uint64_t connections = 0;
+  for (int fe = 0; fe < 2; ++fe) {
+    const FrontEndCounters& view = cluster.frontend(fe).counters();
+    EXPECT_GT(view.connections_accepted.load(), 0u) << "fe=" << fe;
+    EXPECT_GT(view.gossip_sent.load(), 0u) << "fe=" << fe;
+    connections += view.connections_accepted.load();
+    for (const NamedCount& count : FeCounts(view, fe)) {
+      counts.push_back(count);
+    }
+  }
+  EXPECT_EQ(cluster.Snapshot().connections, connections);
+  ExpectCountsMatchJson(cluster.admin_port(), counts);
+  ExpectNoUnlabelledFeCounts(cluster.admin_port());
   cluster.Stop();
 }
 

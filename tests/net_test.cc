@@ -1,7 +1,9 @@
 #include <dirent.h>
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/epoll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -118,6 +120,59 @@ TEST(SocketTest, AcceptAllDrainsTheBacklogInOneCall) {
             }),
             0);
   EXPECT_EQ(accepted.size(), static_cast<size_t>(kPending));
+}
+
+TEST(SocketTest, AcceptAllShedsPendingConnectionsWhenTheFdTableIsFull) {
+  uint16_t port = 0;
+  auto listener = ListenTcp(0, &port);
+  ASSERT_TRUE(listener.ok());
+  const int listen_fd = listener.value().get();
+  ASSERT_TRUE(SetNonBlocking(listen_fd, true).ok());
+  std::vector<UniqueFd> accepted;
+  const auto keep = [&](UniqueFd fd) { accepted.push_back(std::move(fd)); };
+  // A call with room in the table opens this thread's spare descriptor.
+  ASSERT_EQ(AcceptAll(listen_fd, keep), 0);
+  auto client = ConnectTcp(port);
+  ASSERT_TRUE(client.ok());
+
+  // Fill the table: a soft limit just above the highest open descriptor,
+  // then every free slot below it taken.
+  const int lowest_free = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  int highest_open = 0;
+  for (int fd = 0; fd < 4096; ++fd) {
+    if (::fcntl(fd, F_GETFD) != -1) {
+      highest_open = fd;
+    }
+  }
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit full = saved;
+  full.rlim_cur = static_cast<rlim_t>(highest_open + 1);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &full), 0);
+  std::vector<UniqueFd> fillers;
+  for (UniqueFd fd(::open("/dev/null", O_RDONLY | O_CLOEXEC)); fd.valid();
+       fd = UniqueFd(::open("/dev/null", O_RDONLY | O_CLOEXEC))) {
+    fillers.push_back(std::move(fd));
+  }
+  const int error = AcceptAll(listen_fd, keep);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  fillers.clear();
+
+  EXPECT_EQ(error, EMFILE) << "the errno still reaches the caller's log";
+  EXPECT_TRUE(accepted.empty());
+  pollfd listen_poll{listen_fd, POLLIN, 0};
+  EXPECT_EQ(::poll(&listen_poll, 1, 0), 0) << "the shed connection no longer wakes the loop";
+  pollfd client_poll{client.value().get(), POLLIN, 0};
+  ASSERT_EQ(::poll(&client_poll, 1, 5000), 1);
+  char byte = 0;
+  EXPECT_LE(::recv(client.value().get(), &byte, 1, 0), 0) << "the client sees a close";
+  // The spare is back in its slot and the shed connections' fds are closed:
+  // the lowest free descriptor is the same as before.
+  const int lowest_after = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  EXPECT_EQ(lowest_after, lowest_free);
+  ::close(lowest_after);
 }
 
 TEST(SocketTest, UnixPairIsConnected) {

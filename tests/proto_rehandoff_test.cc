@@ -246,6 +246,50 @@ TEST(ProtoRehandoffTest, GracefulRemoveMigratesThenRemoves) {
   cluster.Stop();
 }
 
+TEST(ProtoRehandoffTest, SnapshotKeepsARemovedNodesCounts) {
+  // A node's counts live in the cluster's registry, not in its server: once
+  // the removed node's server is destroyed, Snapshot() must still count what
+  // it served, so no cluster total goes backwards.
+  const Trace trace = TestTrace(31, 150);
+  Cluster cluster(BaseConfig(3), &trace.catalog());
+  ASSERT_TRUE(cluster.Start().ok());
+  LoadGeneratorConfig load;
+  load.port = cluster.port();
+  load.num_clients = 8;
+  ASSERT_EQ(RunLoad(load, trace).responses_ok, trace.total_requests());
+
+  const ClusterSnapshot before = cluster.Snapshot();
+  ASSERT_EQ(before.requests_per_node.size(), 3u);
+  NodeId removed = 0;
+  for (NodeId node = 1; node < 3; ++node) {
+    if (before.requests_per_node[static_cast<size_t>(node)] >
+        before.requests_per_node[static_cast<size_t>(removed)]) {
+      removed = node;
+    }
+  }
+  ASSERT_GT(before.requests_per_node[static_cast<size_t>(removed)], 0u);
+
+  ASSERT_TRUE(cluster.RemoveNode(removed));
+  // The front end marks the node dead and tears its server down in the same
+  // loop-0 callback, so a dead node on loop 0 means the server is gone.
+  ASSERT_TRUE(WaitFor([&]() {
+    NodeState state = NodeState::kActive;
+    cluster.InspectReplica(0, [&](const FrontEnd& frontend) {
+      state = frontend.dispatcher().node_state(removed);
+    });
+    return state == NodeState::kDead;
+  }));
+
+  const ClusterSnapshot after = cluster.Snapshot();
+  EXPECT_GE(after.requests_per_node[static_cast<size_t>(removed)],
+            before.requests_per_node[static_cast<size_t>(removed)]);
+  EXPECT_GE(after.requests_served, before.requests_served);
+  EXPECT_GE(after.local_hits, before.local_hits);
+  EXPECT_GE(after.local_misses, before.local_misses);
+  EXPECT_GE(after.bytes_to_clients, before.bytes_to_clients);
+  cluster.Stop();
+}
+
 TEST(ProtoRehandoffTest, SimNodeDrainMigratesInsteadOfPinning) {
   // The simulator's NodeDrain twin: draining migrates connections (rehandoffs
   // > 0, counted identically by the sim and the shared dispatcher) and loses
