@@ -23,6 +23,7 @@
 #include "src/sim/event_queue.h"
 #include "src/sim/resources.h"
 #include "src/util/logging.h"
+#include "src/util/metrics.h"
 #include "src/util/rng.h"
 #include "src/util/tracing.h"
 
@@ -363,6 +364,25 @@ void BM_ReadProcessStats(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReadProcessStats)->Unit(benchmark::kMicrosecond);
+
+// One MetricHistogram::Observe of an integer-µs sample, as each loop tick,
+// profiled callback and back-end request pays. The samples cycle through
+// 1024 values spread over 1..65536 µs so the bucket varies.
+void BM_HistogramObserve(benchmark::State& state) {
+  std::vector<double> samples;
+  for (uint32_t i = 0; i < 1024; ++i) {
+    samples.push_back(static_cast<double>((i * 7919u) % 65536u + 1u));
+  }
+  MetricHistogram histogram;
+  size_t next = 0;
+  for (auto _ : state) {
+    histogram.Observe(samples[next]);
+    next = (next + 1) & 1023;
+  }
+  benchmark::DoNotOptimize(histogram.count());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HistogramObserve);
 
 void BM_ZipfSample(benchmark::State& state) {
   Rng rng(1);

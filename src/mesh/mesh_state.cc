@@ -49,7 +49,6 @@ bool MeshStateTable::Apply(const GossipDelta& delta, int64_t now_us) {
     peer.loads[slot] = entry.load;
     remote_sum_[slot] += entry.load;
   }
-  ++deltas_applied_;
   return true;
 }
 

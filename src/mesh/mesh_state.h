@@ -62,7 +62,6 @@ class MeshStateTable final : public RemoteLoadProvider {
   };
   std::vector<PeerInfo> Peers() const;
   size_t peer_count() const { return peers_.size(); }
-  uint64_t deltas_applied() const { return deltas_applied_; }
   uint64_t stale_drops() const { return stale_drops_; }
   // Monotone-epoch violations observed. The invariant is that this stays 0.
   uint64_t epoch_regressions() const { return epoch_regressions_; }
@@ -85,7 +84,6 @@ class MeshStateTable final : public RemoteLoadProvider {
   std::map<uint32_t, PeerState> peers_;
   // Aggregated overlay, maintained incrementally on Apply/RemovePeer.
   std::vector<double> remote_sum_;
-  uint64_t deltas_applied_ = 0;
   uint64_t stale_drops_ = 0;
   uint64_t epoch_regressions_ = 0;
 };

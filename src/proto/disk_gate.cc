@@ -3,7 +3,6 @@
 #include <time.h>
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/util/logging.h"
 
@@ -24,8 +23,13 @@ void DiskGate::Read(uint64_t bytes, std::function<void()> done) {
   const double service_ms = DiskServiceTimeUs(costs_, bytes) * time_scale_ / 1000.0;
   const int64_t now = NowMs();
   const int64_t start = std::max(now, busy_until_ms_);
-  const int64_t completion =
-      start + std::max<int64_t>(1, static_cast<int64_t>(std::llround(service_ms)));
+  // llround without a libm call on the serve path: truncate, then round half
+  // up (service_ms >= 0, and the remainder is computed exactly).
+  auto rounded_ms = static_cast<int64_t>(service_ms);
+  if (service_ms - static_cast<double>(rounded_ms) >= 0.5) {
+    ++rounded_ms;
+  }
+  const int64_t completion = start + std::max<int64_t>(1, rounded_ms);
   busy_until_ms_ = completion;
   ++outstanding_;
   ++total_reads_;

@@ -194,7 +194,8 @@ FrontEnd::FrontEnd(const FrontEndConfig& config, EventLoopGroup* loops,
   dispatch_config.remote_loads = mesh_.get();
   dispatcher_ = std::make_unique<Dispatcher>(dispatch_config, catalog_, disk_table_.get());
 
-  metric_active_nodes_ = config_.metrics->Gauge("lard_cluster_active_nodes");
+  metric_active_nodes_ =
+      config_.metrics->Gauge(MetricsRegistry::WithFe("lard_cluster_active_nodes", config_.fe_id));
   metric_active_nodes_->Set(config_.num_nodes);
 
   if (config_.telemetry_interval_ms > 0) {
@@ -471,7 +472,7 @@ void FrontEnd::UpdateMeshSnapshot() {
       << ",\"membership_epoch\":" << dispatcher_->membership_epoch()
       << ",\"gossip_seq\":" << gossip_seq_ << ",\"deltas_sent\":"
       << counters_.gossip_sent.load(std::memory_order_relaxed)
-      << ",\"deltas_applied\":" << mesh_->deltas_applied()
+      << ",\"deltas_applied\":" << counters_.gossip_applied.load(std::memory_order_relaxed)
       << ",\"stale_drops\":" << mesh_->stale_drops()
       << ",\"epoch_regressions\":" << mesh_->epoch_regressions()
       << ",\"gossip_lag_ms\":" << mesh_->OldestPeerAgeUs(now_us) / 1000 << ",\"peers\":[";

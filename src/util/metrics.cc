@@ -1,24 +1,25 @@
 #include "src/util/metrics.h"
 
-#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
 namespace lard {
 namespace {
 
+// The bucket is read off the sample's IEEE-754 bits: the octave is the
+// unbiased exponent and the sub-bucket the top two mantissa bits. Integer
+// arithmetic keeps libm off the serve path, and a sample just below a power
+// of two stays in its own octave.
 int BucketFor(double value) {
+  static_assert(MetricHistogram::kSubBuckets == 4, "sub-bucket = top 2 mantissa bits");
   if (!(value >= 1.0)) {
     return 0;  // negatives, NaN and sub-unit samples land in bucket 0
   }
-  int octave = static_cast<int>(std::log2(value));
-  double frac = value / std::exp2(octave);  // in [1, 2) modulo rounding
-  if (frac >= 2.0) {
-    ++octave;
-    frac = 1.0;
-  }
-  const int sub = std::min(static_cast<int>((frac - 1.0) * MetricHistogram::kSubBuckets),
-                           MetricHistogram::kSubBuckets - 1);
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  const int octave = static_cast<int>(bits >> 52) - 1023;  // sign bit is 0 here
+  const int sub = static_cast<int>((bits >> 50) & 3);
   const int bucket = octave * MetricHistogram::kSubBuckets + sub;
   return bucket >= MetricHistogram::kBuckets ? MetricHistogram::kBuckets - 1 : bucket;
 }
@@ -93,7 +94,8 @@ double MetricHistogram::mean() const {
 double MetricHistogram::BucketUpperBound(int index) {
   const int octave = index / kSubBuckets;
   const int sub = index % kSubBuckets;
-  return std::exp2(octave) * (1.0 + static_cast<double>(sub + 1) / kSubBuckets);
+  return static_cast<double>(uint64_t{1} << octave) *
+         (1.0 + static_cast<double>(sub + 1) / kSubBuckets);
 }
 
 double MetricHistogram::Percentile(double p) const {

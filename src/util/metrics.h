@@ -59,7 +59,8 @@ class MetricHistogram {
   static constexpr int kOctaves = 64;
   static constexpr int kBuckets = kOctaves * kSubBuckets;
 
-  // Exclusive upper bound of bucket `index`: 2^o * (1 + (s+1)/kSubBuckets).
+  // Exclusive upper bound of bucket `index` in [0, kBuckets):
+  // 2^o * (1 + (s+1)/kSubBuckets).
   static double BucketUpperBound(int index);
 
   void Observe(double value);

@@ -94,7 +94,7 @@ TEST(AdminClusterTest, MetricsAndNodesEndpoints) {
   EXPECT_NE(metrics.find("lard_backend_cache_hits_total{node=\"2\"}"), std::string::npos);
   EXPECT_NE(metrics.find("lard_fe_handoffs_total{node=\"1\"}"), std::string::npos);
   EXPECT_NE(metrics.find("lard_node_load{node=\"0\"}"), std::string::npos);
-  EXPECT_NE(metrics.find("lard_cluster_active_nodes 3"), std::string::npos);
+  EXPECT_NE(metrics.find("lard_cluster_active_nodes{fe=\"0\"} 3"), std::string::npos);
   EXPECT_NE(metrics.find("lard_dispatcher_requests"), std::string::npos);
   EXPECT_NE(metrics.find("lard_backend_heartbeats_total{node=\"0\"}"), std::string::npos);
 
@@ -443,13 +443,14 @@ void ExpectCountsMatchJson(uint16_t admin_port, const std::vector<NamedCount>& c
   ADD_FAILURE() << "the counts never held still across a /metrics fetch";
 }
 
-// No front-end count is rendered without its {fe="k"} label.
+// No front-end count or gauge is rendered without its {fe="k"} label.
 void ExpectNoUnlabelledFeCounts(uint16_t admin_port) {
   std::istringstream lines(AdminHttp(admin_port, "GET", "/metrics"));
   std::string line;
   while (std::getline(lines, line)) {
     const bool fe_count = line.rfind("lard_fe_", 0) == 0 ||
                           line.rfind("lard_cluster_auto_removals_total", 0) == 0 ||
+                          line.rfind("lard_cluster_active_nodes", 0) == 0 ||
                           line.rfind("lard_mesh_deltas_", 0) == 0;
     if (fe_count) {
       EXPECT_NE(line.find('{'), std::string::npos) << line;
@@ -556,6 +557,10 @@ TEST(AdminClusterTest, CounterViewsAreTheRegistryPerReplica) {
   EXPECT_EQ(cluster.Snapshot().connections, connections);
   ExpectCountsMatchJson(cluster.admin_port(), counts);
   ExpectNoUnlabelledFeCounts(cluster.admin_port());
+  // Each replica publishes the membership its own dispatcher sees.
+  const std::string metrics = AdminHttp(cluster.admin_port(), "GET", "/metrics");
+  EXPECT_NE(metrics.find("lard_cluster_active_nodes{fe=\"0\"} 2\n"), std::string::npos);
+  EXPECT_NE(metrics.find("lard_cluster_active_nodes{fe=\"1\"} 2\n"), std::string::npos);
   cluster.Stop();
 }
 

@@ -98,6 +98,8 @@ TEST(MeshStateTableTest, AggregatesPeersAndReplacesOldDeltas) {
 
 TEST(MeshStateTableTest, DropsStaleAndSelfDeltas) {
   MeshStateTable table(0);
+  // The front end counts applied deltas off Apply's return value: of the
+  // four deltas below only the first counts.
   EXPECT_TRUE(table.Apply(SampleDelta(1, 5, 2), 0));
   // Duplicate and reordered sequence numbers are stale, not errors.
   EXPECT_FALSE(table.Apply(SampleDelta(1, 5, 2), 0));
@@ -106,7 +108,6 @@ TEST(MeshStateTableTest, DropsStaleAndSelfDeltas) {
   EXPECT_EQ(table.epoch_regressions(), 0u);
   // Our own delta looping back is dropped too.
   EXPECT_FALSE(table.Apply(SampleDelta(0, 9, 2), 0));
-  EXPECT_EQ(table.deltas_applied(), 1u);
 }
 
 TEST(MeshStateTableTest, FlagsEpochRegressionsAndTracksLag) {

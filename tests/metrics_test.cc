@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -78,6 +80,86 @@ TEST(MetricsTest, LogLinearBucketsAreTight) {
   for (int i = 1; i < MetricHistogram::kBuckets; ++i) {
     EXPECT_LT(MetricHistogram::BucketUpperBound(i - 1), MetricHistogram::BucketUpperBound(i));
   }
+}
+
+// The log2/exp2 bucketing the histogram used before it read the bucket off a
+// sample's bits, kept as the reference the exact version must agree with.
+int ReferenceBucket(double value) {
+  if (!(value >= 1.0)) {
+    return 0;
+  }
+  int octave = static_cast<int>(std::log2(value));
+  double frac = value / std::exp2(octave);
+  if (frac >= 2.0) {
+    ++octave;
+    frac = 1.0;
+  }
+  const int sub = std::min(static_cast<int>((frac - 1.0) * MetricHistogram::kSubBuckets),
+                           MetricHistogram::kSubBuckets - 1);
+  return std::min(octave * MetricHistogram::kSubBuckets + sub, MetricHistogram::kBuckets - 1);
+}
+
+double ReferenceUpperBound(int index) {
+  const int octave = index / MetricHistogram::kSubBuckets;
+  const int sub = index % MetricHistogram::kSubBuckets;
+  return std::exp2(octave) * (1.0 + static_cast<double>(sub + 1) / MetricHistogram::kSubBuckets);
+}
+
+// The upper bound of the bucket `value` lands in: a one-sample histogram's
+// Percentile(100).
+double UpperBoundOf(double value) {
+  MetricHistogram histogram;
+  histogram.Observe(value);
+  return histogram.Percentile(100);
+}
+
+TEST(MetricsTest, BucketUpperBoundsMatchTheReference) {
+  for (int i = 0; i < MetricHistogram::kBuckets; ++i) {
+    EXPECT_EQ(MetricHistogram::BucketUpperBound(i), ReferenceUpperBound(i)) << i;
+  }
+}
+
+TEST(MetricsTest, IntegerSamplesLandInTheReferenceBuckets) {
+  // Every integer in [0, 2^24], observed in ascending order into one
+  // histogram. After each sample Percentile(100) is the upper bound of the
+  // highest bucket seen so far, and it must be the reference bucket of that
+  // sample: so no sample lands above its reference bucket. The bucket
+  // counts at the end must equal the reference counts: so none lands below.
+  constexpr int64_t kLast = int64_t{1} << 24;
+  MetricHistogram histogram;
+  std::vector<uint64_t> reference_counts(MetricHistogram::kBuckets, 0);
+  int64_t mismatches = 0;
+  int64_t first_mismatch = -1;
+  for (int64_t v = 0; v <= kLast; ++v) {
+    const auto value = static_cast<double>(v);
+    const int reference = ReferenceBucket(value);
+    ++reference_counts[static_cast<size_t>(reference)];
+    histogram.Observe(value);
+    if (histogram.Percentile(100) != MetricHistogram::BucketUpperBound(reference) &&
+        mismatches++ == 0) {
+      first_mismatch = v;
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "first at " << first_mismatch;
+  std::vector<uint64_t> counts(MetricHistogram::kBuckets, 0);
+  histogram.SnapshotBuckets(counts.data());
+  EXPECT_EQ(counts, reference_counts);
+}
+
+TEST(MetricsTest, BucketBoundariesAreExact) {
+  // A bucket's upper bound is exclusive: the largest double below it stays in
+  // the bucket, the bound itself opens the next one. The log2 version put
+  // 2^k - ulp one bucket high.
+  for (int i = 0; i + 1 < MetricHistogram::kBuckets; ++i) {
+    const double bound = MetricHistogram::BucketUpperBound(i);
+    EXPECT_EQ(UpperBoundOf(std::nextafter(bound, 0.0)), bound) << "bucket " << i;
+    EXPECT_EQ(UpperBoundOf(bound), MetricHistogram::BucketUpperBound(i + 1)) << "bucket " << i;
+  }
+  // Past the last octave everything is clamped into the last bucket.
+  const double last = MetricHistogram::BucketUpperBound(MetricHistogram::kBuckets - 1);
+  EXPECT_EQ(UpperBoundOf(last), last);
+  EXPECT_EQ(UpperBoundOf(1e300), last);
+  EXPECT_EQ(UpperBoundOf(std::numeric_limits<double>::infinity()), last);
 }
 
 TEST(MetricsTest, ConcurrentPublishFromManyThreads) {

@@ -227,7 +227,9 @@ TEST(ProtoRehandoffTest, GracefulRemoveMigratesThenRemoves) {
   // Retirement completes once the node's connections migrated away (well
   // before the grace period).
   ASSERT_TRUE(WaitFor([&]() {
-    return cluster.metrics()->Gauge("lard_cluster_active_nodes")->value() <= 2.0 &&
+    return cluster.metrics()
+                   ->Gauge(MetricsRegistry::WithFe("lard_cluster_active_nodes", 0))
+                   ->value() <= 2.0 &&
            cluster.Snapshot().rehandoffs >= 2;
   }));
   ASSERT_TRUE(WaitFor([&]() {
