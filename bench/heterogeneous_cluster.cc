@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/policy.h"
 #include "src/sim/cluster_sim.h"
 #include "src/trace/synthetic.h"
 #include "src/trace/trace_stats.h"
@@ -40,7 +41,7 @@ namespace {
 
 struct PolicyRun {
   std::string label;
-  std::string policy_name;
+  Policy policy = Policy::kWrr;
   bool weighted = false;  // node_weights track the true speeds
 };
 
@@ -56,9 +57,9 @@ struct RegimeResult {
   int sessions_per_node = 0;
   std::vector<RunRecord> records;
 
-  const RunRecord* Find(const std::string& policy_name) const {
+  const RunRecord* Find(Policy policy) const {
     for (const RunRecord& record : records) {
-      if (record.run.policy_name == policy_name) {
+      if (record.run.policy == policy) {
         return &record;
       }
     }
@@ -159,17 +160,17 @@ int Main(int argc, char** argv) {
   std::printf("], %lld MB cache/node\n", static_cast<long long>(cache_mb));
 
   const PolicyRun runs[] = {
-      {"WRR (unweighted)", "wrr", false},
-      {"extLARD (unweighted)", "extlard", false},
-      {"wextLARD (weights=speeds)", "wextlard", true},
-      {"LARD/R (unweighted)", "lardr", false},
+      {"WRR (unweighted)", Policy::kWrr, false},
+      {"extLARD (unweighted)", Policy::kExtendedLard, false},
+      {"wextLARD (weights=speeds)", Policy::kWeightedExtendedLard, true},
+      {"LARD/R (unweighted)", Policy::kLardReplication, false},
   };
 
-  auto run_sim = [&](const std::string& policy_name, const std::vector<double>& weights,
+  auto run_sim = [&](Policy policy, const std::vector<double>& weights,
                      int sessions_per_node) -> ClusterSimMetrics {
     ClusterSimConfig config;
     config.num_nodes = static_cast<int>(nodes);
-    config.policy_name = policy_name;
+    config.policy = policy;
     config.mechanism = Mechanism::kBackEndForwarding;
     config.backend_cache_bytes = static_cast<uint64_t>(cache_mb) * 1024 * 1024;
     config.concurrent_sessions_per_node = sessions_per_node;
@@ -189,7 +190,7 @@ int Main(int argc, char** argv) {
     for (const PolicyRun& run : runs) {
       RunRecord record;
       record.run = run;
-      record.metrics = run_sim(run.policy_name, run.weighted ? speeds : unit_weights,
+      record.metrics = run_sim(run.policy, run.weighted ? speeds : unit_weights,
                                static_cast<int>(spn));
       ComputeImbalance(record.metrics, &record.imbalance_cv, &record.imbalance_ratio);
       regime.records.push_back(std::move(record));
@@ -216,11 +217,11 @@ int Main(int argc, char** argv) {
   // The bit-identity regression: with every weight at 1.0, the weighted
   // policy must make exactly the decisions the unweighted one does.
   const ClusterSimMetrics equal_weights =
-      run_sim("wextlard", unit_weights, static_cast<int>(moderate_spn));
-  const RunRecord* moderate_ext = regimes[0].Find("extlard");
-  const RunRecord* moderate_wext = regimes[0].Find("wextlard");
-  const RunRecord* saturated_ext = regimes[1].Find("extlard");
-  const RunRecord* saturated_wext = regimes[1].Find("wextlard");
+      run_sim(Policy::kWeightedExtendedLard, unit_weights, static_cast<int>(moderate_spn));
+  const RunRecord* moderate_ext = regimes[0].Find(Policy::kExtendedLard);
+  const RunRecord* moderate_wext = regimes[0].Find(Policy::kWeightedExtendedLard);
+  const RunRecord* saturated_ext = regimes[1].Find(Policy::kExtendedLard);
+  const RunRecord* saturated_wext = regimes[1].Find(Policy::kWeightedExtendedLard);
   const bool identical_under_equal_weights =
       moderate_ext != nullptr &&
       SameDecisions(equal_weights.dispatcher, moderate_ext->metrics.dispatcher);
@@ -241,7 +242,7 @@ int Main(int argc, char** argv) {
           << "\",\"sessions_per_node\":" << regime.sessions_per_node << ",\"policies\":[";
       for (size_t i = 0; i < regime.records.size(); ++i) {
         const RunRecord& record = regime.records[i];
-        out << (i == 0 ? "" : ",") << "{\"policy\":\"" << record.run.policy_name
+        out << (i == 0 ? "" : ",") << "{\"policy\":\"" << PolicyKey(record.run.policy)
             << "\",\"weighted\":" << (record.run.weighted ? "true" : "false")
             << ",\"throughput_rps\":" << record.metrics.throughput_rps
             << ",\"cache_hit_rate\":" << record.metrics.cache_hit_rate

@@ -22,6 +22,7 @@
 #include <string>
 #include <thread>
 
+#include "src/core/policy.h"
 #include "src/net/socket.h"
 #include "src/proto/cluster.h"
 #include "src/proto/load_generator.h"

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   int64_t listen_port = 0;
   int64_t admin_port = 0;
   double disk_scale = 0.05;
-  std::string policy = "extlard";  // any PolicyRegistry name
+  std::string policy = "extlard";  // a policy key
   std::string mechanism = "beforward";  // beforward | single | multi | relay
   bool http10 = false;
   bool serve = false;
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   flags.AddInt("admin-port", &admin_port, "admin API port (0 = ephemeral)");
   flags.AddDouble("disk-scale", &disk_scale, "simulated-disk time scale (1.0 = 28.5 ms seeks)");
   flags.AddString("policy", &policy,
-                  "routing policy (" + lard::PolicyRegistry::Global().NamesCsv() + ")");
+                  "routing policy (" + lard::PolicyKeysCsv() + ")");
   flags.AddString("mechanism", &mechanism, "beforward | single | multi | relay");
   flags.AddBool("http10", &http10, "drive with one connection per request");
   flags.AddBool("serve", &serve, "keep the cluster running for manual curl");
@@ -62,12 +62,11 @@ int main(int argc, char** argv) {
   lard::ClusterConfig config;
   config.num_nodes = static_cast<int>(nodes);
   config.num_frontends = static_cast<int>(frontends);
-  if (!lard::PolicyRegistry::Global().Contains(policy)) {
-    std::fprintf(stderr, "unknown policy '%s' (registered: %s)\n", policy.c_str(),
-                 lard::PolicyRegistry::Global().NamesCsv().c_str());
+  if (!lard::ParsePolicyName(policy, &config.policy)) {
+    std::fprintf(stderr, "unknown policy '%s' (known: %s)\n", policy.c_str(),
+                 lard::PolicyKeysCsv().c_str());
     return 1;
   }
-  config.policy_name = policy;
   config.mechanism = mechanism == "single"  ? lard::Mechanism::kSingleHandoff
                      : mechanism == "relay" ? lard::Mechanism::kRelayingFrontEnd
                      : mechanism == "multi" ? lard::Mechanism::kMultipleHandoff

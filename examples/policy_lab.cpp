@@ -11,17 +11,19 @@
 #include <cstdio>
 #include <vector>
 
+#include "src/core/policy.h"
 #include "src/sim/cluster_sim.h"
 #include "src/trace/synthetic.h"
 #include "src/trace/trace_stats.h"
 #include "src/util/flags.h"
+#include "src/util/logging.h"
 #include "src/util/table.h"
 
 namespace {
 
 struct Combo {
   const char* label;
-  const char* policy;  // PolicyRegistry name
+  const char* policy;  // policy key
   lard::Mechanism mechanism;
   bool http10;
   bool weighted;  // node weights track the true speeds (--skew)
@@ -99,7 +101,7 @@ int main(int argc, char** argv) {
   for (const Combo& combo : combos) {
     lard::ClusterSimConfig config;
     config.num_nodes = static_cast<int>(nodes);
-    config.policy_name = combo.policy;
+    LARD_CHECK(lard::ParsePolicyName(combo.policy, &config.policy)) << combo.policy;
     config.mechanism = combo.mechanism;
     config.http10 = combo.http10;
     config.backend_cache_bytes = static_cast<uint64_t>(cache_mb) * 1024 * 1024;

@@ -22,54 +22,6 @@ const char* MechanismName(Mechanism mechanism) {
   return "?";
 }
 
-namespace {
-
-// The one authoritative enum <-> key <-> display mapping for the built-ins
-// (the registry in src/core/policy.cc instantiates the same keys).
-struct PolicyNameEntry {
-  Policy policy;
-  const char* key;
-  const char* display;
-};
-
-constexpr PolicyNameEntry kPolicyNames[] = {
-    {Policy::kWrr, "wrr", "WRR"},
-    {Policy::kLard, "lard", "LARD"},
-    {Policy::kExtendedLard, "extlard", "extLARD"},
-    {Policy::kWeightedExtendedLard, "wextlard", "wextLARD"},
-    {Policy::kLardReplication, "lardr", "LARD/R"},
-};
-
-}  // namespace
-
-const char* PolicyName(Policy policy) {
-  for (const PolicyNameEntry& entry : kPolicyNames) {
-    if (entry.policy == policy) {
-      return entry.display;
-    }
-  }
-  return "?";
-}
-
-const char* PolicyKey(Policy policy) {
-  for (const PolicyNameEntry& entry : kPolicyNames) {
-    if (entry.policy == policy) {
-      return entry.key;
-    }
-  }
-  return "?";
-}
-
-bool ParsePolicyName(const std::string& name, Policy* policy) {
-  for (const PolicyNameEntry& entry : kPolicyNames) {
-    if (name == entry.key) {
-      *policy = entry.policy;
-      return true;
-    }
-  }
-  return false;
-}
-
 const char* NodeStateName(NodeState state) {
   switch (state) {
     case NodeState::kActive:

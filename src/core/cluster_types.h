@@ -38,11 +38,9 @@ enum class Mechanism {
 };
 
 // Section 2.2 / 4's distribution policies, plus this repo's extensions for
-// heterogeneous and replicated clusters. The enum is convenient shorthand for
-// the built-ins; the authoritative, extensible surface is the string-keyed
-// PolicyRegistry in src/core/policy.h — configs carry an optional
-// `policy_name` that overrides the enum, and POST /policy accepts any
-// registered name.
+// heterogeneous and replicated clusters. The enum value is a policy's only
+// identity; its key, display name and traits are its row of the policy
+// table (src/core/policy.h).
 enum class Policy {
   kWrr,           // weighted round-robin: pure load balancing, content-blind
   kLard,          // basic LARD (Fig. 4 cost metrics) at connection granularity
@@ -55,16 +53,6 @@ enum class Policy {
 };
 
 const char* MechanismName(Mechanism mechanism);
-const char* PolicyName(Policy policy);
-
-// The PolicyRegistry key for a built-in ("wrr" | "lard" | "extlard" |
-// "wextlard" | "lardr").
-const char* PolicyKey(Policy policy);
-
-// Parses the registry keys used on command lines and the admin API; returns
-// false on anything else (including registered plugin policies that have no
-// enum value — resolve those through the PolicyRegistry directly).
-bool ParsePolicyName(const std::string& name, Policy* policy);
 
 // Lifecycle of a back-end node in the control plane. Node ids are stable:
 // a removed node's id is never reused, so a NodeId seen in logs, metrics or

@@ -15,13 +15,7 @@ Dispatcher::Dispatcher(const DispatcherConfig& config, const TargetCatalog* cata
   LARD_CHECK(config_.num_nodes >= 0);
   LARD_CHECK(catalog_ != nullptr);
   LARD_CHECK(stats_ != nullptr);
-  const std::string initial_policy =
-      config_.policy_name.empty() ? PolicyKey(config_.policy) : config_.policy_name;
-  policy_ = PolicyRegistry::Global().Create(initial_policy);
-  LARD_CHECK(policy_ != nullptr) << "unknown routing policy '" << initial_policy
-                                 << "' (registered: "
-                                 << PolicyRegistry::Global().NamesCsv() << ")";
-  (void)ParsePolicyName(initial_policy, &config_.policy);  // keep the enum in sync for built-ins
+  policy_ = PolicyTableRow(config_.policy).make();
   for (int i = 0; i < config_.num_nodes; ++i) {
     const double weight = static_cast<size_t>(i) < config_.node_weights.size()
                               ? config_.node_weights[static_cast<size_t>(i)]
@@ -34,8 +28,9 @@ Dispatcher::Dispatcher(const DispatcherConfig& config, const TargetCatalog* cata
 }
 
 DispatcherView Dispatcher::View() const {
-  return DispatcherView(&load_, &weights_, &states_, &vcaches_, stats_, &config_.params,
-                        config_.mechanism, config_.remote_loads);
+  return DispatcherView(&load_, PolicyTableRow(config_.policy).weighted ? &weights_ : nullptr,
+                        &states_, &vcaches_, stats_, &config_.params, config_.mechanism,
+                        config_.remote_loads);
 }
 
 NodeId Dispatcher::AddNode(double weight) {
@@ -127,7 +122,7 @@ NodeId Dispatcher::ReassignConnection(ConnId conn, const std::vector<TargetId>& 
   const DispatcherView view = View();
   const NodeId new_node = affinity != kInvalidTarget
                               ? policy_->PickFirstNode(view, policy_state_, affinity)
-                              : policy_->PickLoadBalanced(view, policy_state_);
+                              : WrrPick(view, policy_state_);
   if (new_node == kInvalidNode) {
     return kInvalidNode;
   }
@@ -169,23 +164,19 @@ void Dispatcher::NoteRemoteFetch(NodeId node, TargetId target) {
 }
 
 void Dispatcher::SetPolicy(Policy policy) {
-  LARD_CHECK(SetPolicyByName(PolicyKey(policy)));
+  if (policy == config_.policy) {
+    return;
+  }
+  policy_ = PolicyTableRow(policy).make();
+  config_.policy = policy;
 }
 
 bool Dispatcher::SetPolicyByName(const std::string& name) {
-  if (name == policy_->name()) {
-    return true;  // idempotent: keep stateful policies' accumulated state
-                  // (e.g. LARD/R replica sets) on a re-post of the same name
-  }
-  std::unique_ptr<RoutingPolicy> fresh = PolicyRegistry::Global().Create(name);
-  if (fresh == nullptr) {
+  Policy policy;
+  if (!ParsePolicyName(name, &policy)) {
     return false;
   }
-  policy_ = std::move(fresh);
-  // Keep the enum shorthand coherent for built-ins; plugin policies leave it
-  // at its last value (policy() is the authoritative answer either way).
-  (void)ParsePolicyName(name, &config_.policy);
-  config_.policy_name = name;
+  SetPolicy(policy);
   return true;
 }
 
@@ -261,13 +252,13 @@ std::vector<Assignment> Dispatcher::OnBatch(ConnId conn, const std::vector<Targe
       // modeling.
       if (config_.mechanism == Mechanism::kRelayingFrontEnd) {
         assignment.action = AssignmentAction::kRelay;
-        assignment.node = policy_->PickLoadBalanced(View(), policy_state_);
+        assignment.node = WrrPick(View(), policy_state_);
         ++counters_.relays;
         AddLoad(assignment.node, fraction);
         conn_state.remote_nodes.push_back(assignment.node);
       } else if (conn_state.handling == kInvalidNode) {
         assignment.action = AssignmentAction::kHandoff;
-        assignment.node = policy_->PickLoadBalanced(View(), policy_state_);
+        assignment.node = WrrPick(View(), policy_state_);
         SetHandling(conn_state, assignment.node);
         ++counters_.handoffs;
       } else {
@@ -281,7 +272,7 @@ std::vector<Assignment> Dispatcher::OnBatch(ConnId conn, const std::vector<Targe
     if (config_.mechanism == Mechanism::kRelayingFrontEnd) {
       // No handoff ever: the FE relays each request to a per-request choice.
       assignment.action = AssignmentAction::kRelay;
-      assignment.node = policy_->PickPerRequest(View(), policy_state_, target);
+      assignment.node = policy_->PickFirstNode(View(), policy_state_, target);
       assignment.served_from_cache = Cached(assignment.node, target);
       ++counters_.relays;
       AddLoad(assignment.node, fraction);
@@ -299,7 +290,7 @@ std::vector<Assignment> Dispatcher::OnBatch(ConnId conn, const std::vector<Targe
       // connection is pinned to its handling node.
       SubsequentDecision decision;
       decision.node = conn_state.handling;
-      if (policy_->per_request_distribution() &&
+      if (PolicyTableRow(config_.policy).per_request &&
           MechanismAllowsPerRequestDistribution(config_.mechanism)) {
         decision = policy_->DecideSubsequent(View(), policy_state_, conn_state.handling, target);
       }

@@ -3,8 +3,8 @@
 // prototype (src/proto) so that simulated and measured policy behaviour is
 // the same code. *Which node* serves a request is delegated to a pluggable
 // RoutingPolicy (src/core/policy.h — WRR, LARD, extended LARD, weighted
-// extended LARD, LARD/R, or any registered plugin); the dispatcher owns all
-// state the policies decide over and applies their decisions' side effects.
+// extended LARD or LARD/R); the dispatcher owns all state the policies
+// decide over and applies their decisions' side effects.
 //
 // The dispatcher never touches sockets or simulated hardware; it consumes
 // connection-lifecycle events and emits Assignments. It maintains:
@@ -54,10 +54,6 @@ namespace lard {
 
 struct DispatcherConfig {
   Policy policy = Policy::kExtendedLard;
-  // When non-empty, resolved through the PolicyRegistry and overriding
-  // `policy` — the way to select a registered plugin policy that has no enum
-  // value. Unknown names abort at construction (configs are code).
-  std::string policy_name;
   Mechanism mechanism = Mechanism::kBackEndForwarding;
   LardParams params;
   int num_nodes = 1;  // initial membership: nodes [0, num_nodes) start active
@@ -174,15 +170,15 @@ class Dispatcher {
 
   // Runtime policy switch (admin POST /policy). Existing connections keep
   // their handling nodes and the round-robin cursor persists; only future
-  // decisions use the new policy. The enum overload is shorthand for the
-  // built-ins; SetPolicyByName accepts any registered name and returns false
-  // (policy unchanged) on an unknown one.
+  // decisions use the new policy. Switching to the current policy is a no-op,
+  // so stateful policies keep their state (e.g. LARD/R's replica sets).
+  // SetPolicyByName parses a key and returns false (policy unchanged) on an
+  // unknown one.
   void SetPolicy(Policy policy);
   bool SetPolicyByName(const std::string& name);
 
   // --- introspection (tests, metrics, admin API) ---
-  // The active routing policy (its name() is the canonical registry key).
-  const RoutingPolicy& policy() const { return *policy_; }
+  Policy policy() const { return config_.policy; }
   // Total node slots ever allocated (including drained/dead ids).
   int num_node_slots() const { return static_cast<int>(states_.size()); }
   // Monotone counter of membership mutations (AddNode/DrainNode/RemoveNode).
@@ -223,7 +219,8 @@ class Dispatcher {
     double remote_fraction = 0.0;      // the 1/N each of them carries
   };
 
-  // The read-only window the active RoutingPolicy decides over.
+  // The read-only window the active RoutingPolicy decides over: the real
+  // capacity weights for a weighted policy, unit weights otherwise.
   DispatcherView View() const;
   // Applies a policy's SubsequentDecision: maps it to a serve-local /
   // forward / migrate assignment per the mechanism and performs the load

@@ -1,24 +1,15 @@
 #include "src/core/policy.h"
 
 #include <algorithm>
+#include <iterator>
 #include <unordered_map>
 
 #include "src/core/cost_metrics.h"
 #include "src/util/logging.h"
 
 namespace lard {
-namespace {
 
-// The load a pick compares: raw connection units, or units per capacity
-// weight. With every weight at 1.0 the division is exact and the two modes
-// produce bit-identical decisions.
-inline double PickLoad(const DispatcherView& view, NodeId node, bool weighted) {
-  return weighted ? view.NormalizedLoad(node) : view.Load(node);
-}
-
-}  // namespace
-
-NodeId WrrPick(const DispatcherView& view, PolicyState& state, bool weighted) {
+NodeId WrrPick(const DispatcherView& view, PolicyState& state) {
   // Weighted round-robin with load feedback: choose the least-loaded
   // assignable node, breaking ties in round-robin order so an idle cluster
   // still rotates. (With capacity weights, "least loaded" means least load
@@ -29,9 +20,9 @@ NodeId WrrPick(const DispatcherView& view, PolicyState& state, bool weighted) {
   const size_t n = static_cast<size_t>(view.num_node_slots());
   for (size_t k = 0; k < n; ++k) {
     const NodeId node = static_cast<NodeId>((state.rr_cursor + k) % n);
-    if (view.Assignable(node) && PickLoad(view, node, weighted) < best_load) {
+    if (view.Assignable(node) && view.NormalizedLoad(node) < best_load) {
       best = node;
-      best_load = PickLoad(view, node, weighted);
+      best_load = view.NormalizedLoad(node);
     }
   }
   LARD_CHECK(best != kInvalidNode) << "no assignable node (all drained or dead)";
@@ -39,7 +30,7 @@ NodeId WrrPick(const DispatcherView& view, PolicyState& state, bool weighted) {
   return best;
 }
 
-NodeId LardPick(const DispatcherView& view, PolicyState& state, TargetId target, bool weighted) {
+NodeId LardPick(const DispatcherView& view, PolicyState& state, TargetId target) {
   // Basic LARD in its Fig. 4 cost form: evaluate every assignable node,
   // assign to the minimum aggregate cost. Ties prefer a node that caches the
   // target, then the lower load. Remaining full ties (e.g. a cold target on
@@ -56,12 +47,12 @@ NodeId LardPick(const DispatcherView& view, PolicyState& state, TargetId target,
       continue;
     }
     const bool cached = view.Cached(node, target);
-    const double cost = AggregateCost(PickLoad(view, node, weighted), cached, view.params());
+    const double cost = AggregateCost(view.NormalizedLoad(node), cached, view.params());
     const bool better =
         best == kInvalidNode || cost < best_cost ||
         (cost == best_cost && (cached && !best_cached)) ||
         (cost == best_cost && cached == best_cached &&
-         PickLoad(view, node, weighted) < PickLoad(view, best, weighted));
+         view.NormalizedLoad(node) < view.NormalizedLoad(best));
     if (better) {
       best = node;
       best_cost = cost;
@@ -71,8 +62,7 @@ NodeId LardPick(const DispatcherView& view, PolicyState& state, TargetId target,
   LARD_CHECK(best != kInvalidNode) << "no assignable node (all drained or dead)";
   if (best_cost == kInfiniteCost) {
     for (NodeId node = 0; node < view.num_node_slots(); ++node) {
-      if (view.Assignable(node) &&
-          PickLoad(view, node, weighted) < PickLoad(view, best, weighted)) {
+      if (view.Assignable(node) && view.NormalizedLoad(node) < view.NormalizedLoad(best)) {
         best = node;
       }
     }
@@ -83,8 +73,7 @@ NodeId LardPick(const DispatcherView& view, PolicyState& state, TargetId target,
   return best;
 }
 
-SubsequentDecision ExtLardDecide(const DispatcherView& view, NodeId handling, TargetId target,
-                                 bool weighted) {
+SubsequentDecision ExtLardDecide(const DispatcherView& view, NodeId handling, TargetId target) {
   // Extended LARD, Section 4.2.
   SubsequentDecision decision;
   decision.node = handling;
@@ -102,7 +91,7 @@ SubsequentDecision ExtLardDecide(const DispatcherView& view, NodeId handling, Ta
   // node that currently caches the target (forwards are new work — draining
   // and dead nodes take none); pick the minimum aggregate cost.
   NodeId best = handling;
-  double best_cost = AggregateCost(PickLoad(view, handling, weighted),
+  double best_cost = AggregateCost(view.NormalizedLoad(handling),
                                    /*target_cached_at_node=*/false, view.params());
   bool any_remote_candidate = false;
   for (NodeId node = 0; node < view.num_node_slots(); ++node) {
@@ -110,10 +99,10 @@ SubsequentDecision ExtLardDecide(const DispatcherView& view, NodeId handling, Ta
       continue;
     }
     any_remote_candidate = true;
-    const double cost = AggregateCost(PickLoad(view, node, weighted),
+    const double cost = AggregateCost(view.NormalizedLoad(node),
                                       /*target_cached_at_node=*/true, view.params());
     if (cost < best_cost ||
-        (cost == best_cost && PickLoad(view, node, weighted) < PickLoad(view, best, weighted))) {
+        (cost == best_cost && view.NormalizedLoad(node) < view.NormalizedLoad(best))) {
       best = node;
       best_cost = cost;
     }
@@ -130,8 +119,7 @@ SubsequentDecision ExtLardDecide(const DispatcherView& view, NodeId handling, Ta
     for (NodeId node = 0; node < view.num_node_slots(); ++node) {
       const bool candidate =
           node == handling || (view.Assignable(node) && view.Cached(node, target));
-      if (candidate &&
-          PickLoad(view, node, weighted) < PickLoad(view, best, weighted)) {
+      if (candidate && view.NormalizedLoad(node) < view.NormalizedLoad(best)) {
         best = node;
       }
     }
@@ -150,10 +138,6 @@ SubsequentDecision ExtLardDecide(const DispatcherView& view, NodeId handling, Ta
   return decision;
 }
 
-NodeId RoutingPolicy::PickLoadBalanced(const DispatcherView& view, PolicyState& state) {
-  return WrrPick(view, state, /*weighted=*/false);
-}
-
 SubsequentDecision RoutingPolicy::DecideSubsequent(const DispatcherView&, PolicyState&,
                                                    NodeId handling, TargetId) {
   SubsequentDecision decision;
@@ -167,56 +151,33 @@ namespace {
 
 class WrrPolicy final : public RoutingPolicy {
  public:
-  const char* name() const override { return "wrr"; }
-  const char* display_name() const override { return "WRR"; }
   NodeId PickFirstNode(const DispatcherView& view, PolicyState& state, TargetId) override {
-    return WrrPick(view, state, /*weighted=*/false);
+    return WrrPick(view, state);
   }
 };
 
 class LardPolicy final : public RoutingPolicy {
  public:
-  const char* name() const override { return "lard"; }
-  const char* display_name() const override { return "LARD"; }
   NodeId PickFirstNode(const DispatcherView& view, PolicyState& state, TargetId target) override {
-    return LardPick(view, state, target, /*weighted=*/false);
+    return LardPick(view, state, target);
   }
 };
 
+// Extended LARD. Its weighted row ("wextlard", for heterogeneous clusters)
+// is the same class over the real capacity weights: every load comparison —
+// the Fig. 4 cost metrics, the busy-disk forwarding choice, the WRR fallback
+// for catalog misses — then uses load normalized by weight, so a 2x-speed
+// node absorbs 2x the connections before it looks equally busy. With all
+// weights at 1.0 the two rows decide identically (regression-checked in
+// tests/policy_test.cc).
 class ExtendedLardPolicy final : public RoutingPolicy {
  public:
-  const char* name() const override { return "extlard"; }
-  const char* display_name() const override { return "extLARD"; }
-  bool per_request_distribution() const override { return true; }
   NodeId PickFirstNode(const DispatcherView& view, PolicyState& state, TargetId target) override {
-    return LardPick(view, state, target, /*weighted=*/false);
+    return LardPick(view, state, target);
   }
   SubsequentDecision DecideSubsequent(const DispatcherView& view, PolicyState&, NodeId handling,
                                       TargetId target) override {
-    return ExtLardDecide(view, handling, target, /*weighted=*/false);
-  }
-};
-
-// Extended LARD for heterogeneous clusters: every load comparison — the WRR
-// fallback, the Fig. 4 cost metrics, the busy-disk forwarding choice — uses
-// load normalized by the node's capacity weight, so a 2x-speed node absorbs
-// 2x the connections before the balancing cost treats it as equally busy.
-// With all weights at 1.0 this is decision-for-decision identical to
-// "extlard" (regression-checked in tests/policy_test.cc).
-class WeightedExtendedLardPolicy final : public RoutingPolicy {
- public:
-  const char* name() const override { return "wextlard"; }
-  const char* display_name() const override { return "wextLARD"; }
-  bool per_request_distribution() const override { return true; }
-  NodeId PickFirstNode(const DispatcherView& view, PolicyState& state, TargetId target) override {
-    return LardPick(view, state, target, /*weighted=*/true);
-  }
-  NodeId PickLoadBalanced(const DispatcherView& view, PolicyState& state) override {
-    return WrrPick(view, state, /*weighted=*/true);
-  }
-  SubsequentDecision DecideSubsequent(const DispatcherView& view, PolicyState&, NodeId handling,
-                                      TargetId target) override {
-    return ExtLardDecide(view, handling, target, /*weighted=*/true);
+    return ExtLardDecide(view, handling, target);
   }
 };
 
@@ -233,10 +194,6 @@ class WeightedExtendedLardPolicy final : public RoutingPolicy {
 // every replica (they all cache the target).
 class LardReplicationPolicy final : public RoutingPolicy {
  public:
-  const char* name() const override { return "lardr"; }
-  const char* display_name() const override { return "LARD/R"; }
-  bool per_request_distribution() const override { return true; }
-
   NodeId PickFirstNode(const DispatcherView& view, PolicyState& state, TargetId target) override {
     ReplicaSet& set = sets_[target];
     // Members that drained or died take no new work; forget them.
@@ -248,7 +205,7 @@ class LardReplicationPolicy final : public RoutingPolicy {
                     set.nodes.end());
     if (set.nodes.empty()) {
       // First placement: the plain LARD cost pick seeds the set.
-      const NodeId node = LardPick(view, state, target, /*weighted=*/false);
+      const NodeId node = LardPick(view, state, target);
       set.nodes.push_back(node);
       set.picks_since_change = 0;
       return node;
@@ -312,7 +269,7 @@ class LardReplicationPolicy final : public RoutingPolicy {
 
   SubsequentDecision DecideSubsequent(const DispatcherView& view, PolicyState&, NodeId handling,
                                       TargetId target) override {
-    return ExtLardDecide(view, handling, target, /*weighted=*/false);
+    return ExtLardDecide(view, handling, target);
   }
 
  private:
@@ -323,57 +280,60 @@ class LardReplicationPolicy final : public RoutingPolicy {
   std::unordered_map<TargetId, ReplicaSet> sets_;
 };
 
+template <typename T>
+std::unique_ptr<RoutingPolicy> Make() {
+  return std::make_unique<T>();
+}
+
+// The policy table, in enum order (PolicyTableRow indexes it).
+constexpr PolicyRow kPolicyTable[] = {
+    {Policy::kWrr, "wrr", "WRR", false, false, &Make<WrrPolicy>},
+    {Policy::kLard, "lard", "LARD", false, false, &Make<LardPolicy>},
+    {Policy::kExtendedLard, "extlard", "extLARD", true, false, &Make<ExtendedLardPolicy>},
+    {Policy::kWeightedExtendedLard, "wextlard", "wextLARD", true, true,
+     &Make<ExtendedLardPolicy>},
+    {Policy::kLardReplication, "lardr", "LARD/R", true, false, &Make<LardReplicationPolicy>},
+};
+
+constexpr bool TableFollowsEnumOrder() {
+  for (size_t i = 0; i < std::size(kPolicyTable); ++i) {
+    if (static_cast<size_t>(kPolicyTable[i].policy) != i) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(TableFollowsEnumOrder(), "kPolicyTable rows must follow the Policy enum");
+
 }  // namespace
 
-PolicyRegistry::PolicyRegistry() {
-  factories_["wrr"] = []() { return std::make_unique<WrrPolicy>(); };
-  factories_["lard"] = []() { return std::make_unique<LardPolicy>(); };
-  factories_["extlard"] = []() { return std::make_unique<ExtendedLardPolicy>(); };
-  factories_["wextlard"] = []() { return std::make_unique<WeightedExtendedLardPolicy>(); };
-  factories_["lardr"] = []() { return std::make_unique<LardReplicationPolicy>(); };
+const PolicyRow& PolicyTableRow(Policy policy) {
+  const size_t index = static_cast<size_t>(policy);
+  LARD_CHECK(index < std::size(kPolicyTable)) << "no table row for policy " << index;
+  return kPolicyTable[index];
 }
 
-PolicyRegistry& PolicyRegistry::Global() {
-  static PolicyRegistry* registry = new PolicyRegistry();
-  return *registry;
-}
+const char* PolicyKey(Policy policy) { return PolicyTableRow(policy).key; }
 
-void PolicyRegistry::Register(const std::string& name, Factory factory) {
-  LARD_CHECK(!name.empty());
-  MutexLock lock(&mutex_);
-  LARD_CHECK(factories_.find(name) == factories_.end())
-      << "routing policy '" << name << "' is already registered";
-  factories_[name] = std::move(factory);
-}
+const char* PolicyName(Policy policy) { return PolicyTableRow(policy).display; }
 
-std::unique_ptr<RoutingPolicy> PolicyRegistry::Create(const std::string& name) const {
-  MutexLock lock(&mutex_);
-  auto it = factories_.find(name);
-  return it == factories_.end() ? nullptr : it->second();
-}
-
-bool PolicyRegistry::Contains(const std::string& name) const {
-  MutexLock lock(&mutex_);
-  return factories_.find(name) != factories_.end();
-}
-
-std::vector<std::string> PolicyRegistry::Names() const {
-  MutexLock lock(&mutex_);
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) {
-    names.push_back(name);
+bool ParsePolicyName(const std::string& name, Policy* policy) {
+  for (const PolicyRow& row : kPolicyTable) {
+    if (name == row.key) {
+      *policy = row.policy;
+      return true;
+    }
   }
-  return names;  // std::map iteration is already sorted
+  return false;
 }
 
-std::string PolicyRegistry::NamesCsv() const {
+std::string PolicyKeysCsv() {
   std::string csv;
-  for (const std::string& name : Names()) {
+  for (const PolicyRow& row : kPolicyTable) {
     if (!csv.empty()) {
       csv += ", ";
     }
-    csv += name;
+    csv += row.key;
   }
   return csv;
 }

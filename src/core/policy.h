@@ -1,9 +1,6 @@
-// The pluggable routing-policy API. The paper's policies (WRR, LARD,
-// extended LARD) used to be welded into the Dispatcher as an enum plus
-// private pick methods; they are now RoutingPolicy implementations behind a
-// string-keyed PolicyRegistry, so new strategies — weighted placement for
-// heterogeneous node speeds, replicated hot-target sets — are ~100-line
-// plugins instead of dispatcher rewrites.
+// The routing-policy API. The paper's policies (WRR, LARD, extended LARD)
+// and this repo's extensions (weighted extended LARD, LARD/R) are
+// RoutingPolicy implementations the Dispatcher decides through.
 //
 // Division of labour:
 //   * The Dispatcher owns all *state mutation*: load accounting, virtual
@@ -16,16 +13,16 @@
 //     rotation continuity survives runtime policy switches exactly as it did
 //     when the cursor was a dispatcher member.
 //
-// Built-in registry names: "wrr", "lard", "extlard", "wextlard", "lardr".
-// To add a policy: subclass RoutingPolicy, register a factory under a new
-// name (PolicyRegistry::Global().Register(...)), and it is immediately
-// selectable via DispatcherConfig::policy_name, Dispatcher::SetPolicyByName
-// and the admin API's POST /policy. See docs/ADMIN_API.md for a walkthrough.
+// A policy's only identity is its Policy enum value (src/core/cluster_types.h).
+// Everything else about it — its key ("wrr", "lard", "extlard", "wextlard",
+// "lardr"), its display name, whether it places per request, whether it
+// decides over capacity weights and how to construct it — is one row of the
+// policy table in policy.cc. Strings are parsed only at the edges (command
+// lines, POST /policy). To add a policy: an enum value, a RoutingPolicy
+// subclass and a table row; see docs/ADMIN_API.md.
 #ifndef SRC_CORE_POLICY_H_
 #define SRC_CORE_POLICY_H_
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,8 +31,6 @@
 #include "src/core/lard_params.h"
 #include "src/core/lru_cache.h"
 #include "src/trace/trace.h"
-#include "src/util/mutex.h"
-#include "src/util/thread_annotations.h"
 
 namespace lard {
 
@@ -47,7 +42,9 @@ namespace lard {
 // dispatchers have gossiped for each node; Load() then answers local +
 // remote so every policy transparently decides over the (approximate)
 // *global* load without knowing the mesh exists. `remote` may be null
-// (single front-end: the overlay is zero).
+// (single front-end: the overlay is zero). `weights` null is the unit-weight
+// view the dispatcher hands unweighted policies: every node weighs 1.0, so
+// NormalizedLoad is the raw load bit for bit (x / 1.0 == x in IEEE-754).
 class DispatcherView {
  public:
   DispatcherView(const std::vector<double>* loads, const std::vector<double>* weights,
@@ -79,7 +76,9 @@ class DispatcherView {
     return remote_ == nullptr ? 0.0 : remote_->RemoteLoad(node);
   }
   // Capacity weight (1.0 = baseline machine; 2.0 = twice as fast).
-  double Weight(NodeId node) const { return (*weights_)[static_cast<size_t>(node)]; }
+  double Weight(NodeId node) const {
+    return weights_ == nullptr ? 1.0 : (*weights_)[static_cast<size_t>(node)];
+  }
   // Load per unit of capacity — what weighted policies compare and what the
   // admin API reports for heterogeneous clusters.
   double NormalizedLoad(NodeId node) const { return Load(node) / Weight(node); }
@@ -124,85 +123,67 @@ class RoutingPolicy {
  public:
   virtual ~RoutingPolicy() = default;
 
-  // Canonical registry key ("wrr", "extlard", ...). The admin API echoes
-  // this; SetPolicyByName round-trips it.
-  virtual const char* name() const = 0;
-  // Human-facing spelling for tables and /nodes ("WRR", "extLARD", ...).
-  virtual const char* display_name() const { return name(); }
-  // Whether the policy wants to place individual requests of a persistent
-  // connection (subject to the mechanism also allowing it). Connection-
-  // granularity policies return false and every subsequent request is pinned
-  // to the handling node.
-  virtual bool per_request_distribution() const { return false; }
-
-  // Placement of the first request of a connection: the handoff decision.
-  // `target` is always valid (catalog misses go through PickLoadBalanced).
+  // Placement of the first request of a connection: the handoff decision
+  // (and, under the relaying front-end, every request's placement). `target`
+  // is always valid (catalog misses get a plain WrrPick).
   virtual NodeId PickFirstNode(const DispatcherView& view, PolicyState& state,
                                TargetId target) = 0;
 
-  // Pure load-balance pick for requests outside the catalog (soon-to-404
-  // paths carry no locality signal). Default: unweighted WRR.
-  virtual NodeId PickLoadBalanced(const DispatcherView& view, PolicyState& state);
-
-  // Per-request placement under the relaying front-end (no handoff exists, so
-  // every request is placed independently). Default: same as a first pick.
-  virtual NodeId PickPerRequest(const DispatcherView& view, PolicyState& state, TargetId target) {
-    return PickFirstNode(view, state, target);
-  }
-
   // Subsequent request on a connection handled by `handling`; called only
-  // when per_request_distribution() and the mechanism both allow it.
-  // Default: stay on the handling node.
+  // when the policy's table row places per request and the mechanism allows
+  // it. Default: stay on the handling node.
   virtual SubsequentDecision DecideSubsequent(const DispatcherView& view, PolicyState& state,
                                               NodeId handling, TargetId target);
 };
 
-// --- Reusable pick primitives (building blocks for plugins) ---
-// `weighted` selects which load the comparisons use: raw load units, or load
-// normalized by the node's capacity weight. With all weights at 1.0 the two
-// are bit-identical.
+// --- Reusable pick primitives (building blocks for policies) ---
+// Every load comparison uses NormalizedLoad: load per unit of capacity over
+// a weighted view, the raw load over the unit-weight view.
 
 // Least-loaded assignable node, ties broken in round-robin order from the
 // shared cursor (an idle cluster still rotates). Aborts when no node is
 // assignable — callers gate on active membership.
-NodeId WrrPick(const DispatcherView& view, PolicyState& state, bool weighted);
+NodeId WrrPick(const DispatcherView& view, PolicyState& state);
 
 // Basic LARD in its Fig. 4 cost form: minimum aggregate cost over assignable
 // nodes; ties prefer a caching node, then lower load, then round-robin.
-NodeId LardPick(const DispatcherView& view, PolicyState& state, TargetId target, bool weighted);
+NodeId LardPick(const DispatcherView& view, PolicyState& state, TargetId target);
 
 // Extended LARD's Section 4.2 per-request logic: serve locally when cached or
 // the local disk is idle; otherwise weigh the handling node against every
 // assignable node caching the target by aggregate cost.
-SubsequentDecision ExtLardDecide(const DispatcherView& view, NodeId handling, TargetId target,
-                                 bool weighted);
+SubsequentDecision ExtLardDecide(const DispatcherView& view, NodeId handling, TargetId target);
 
-// --- Registry ---
+// --- The policy table ---
 
-// String-keyed factory table. Built-ins self-register on first access;
-// plugins may Register() additional names at startup. Thread-safe.
-class PolicyRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<RoutingPolicy>()>;
-
-  static PolicyRegistry& Global();
-
-  // Registers `factory` under `name`; aborts on a duplicate name (policies
-  // are identities, silently replacing one is a bug).
-  void Register(const std::string& name, Factory factory);
-  // nullptr when `name` is not registered.
-  std::unique_ptr<RoutingPolicy> Create(const std::string& name) const;
-  bool Contains(const std::string& name) const;
-  // Sorted registry keys.
-  std::vector<std::string> Names() const;
-  // "extlard, lard, lardr, wextlard, wrr" — for error messages.
-  std::string NamesCsv() const;
-
- private:
-  PolicyRegistry();
-  mutable Mutex mutex_;
-  std::map<std::string, Factory> factories_ LARD_GUARDED_BY(mutex_);
+// One row per Policy value.
+struct PolicyRow {
+  Policy policy;
+  // Command lines, POST /policy and /nodes' "policy_key".
+  const char* key;
+  // Tables and /nodes' "policy" ("WRR", "extLARD", ...).
+  const char* display;
+  // Places individual requests of a persistent connection (when the
+  // mechanism also allows it); false pins every subsequent request to the
+  // handling node.
+  bool per_request;
+  // Decides over the nodes' capacity weights; false hands the policy the
+  // unit-weight view.
+  bool weighted;
+  std::unique_ptr<RoutingPolicy> (*make)();
 };
+
+const PolicyRow& PolicyTableRow(Policy policy);
+
+// The row's key and display name.
+const char* PolicyKey(Policy policy);
+const char* PolicyName(Policy policy);
+
+// Parses a key (exact, case-sensitive); false on anything else.
+bool ParsePolicyName(const std::string& name, Policy* policy);
+
+// "wrr, lard, extlard, wextlard, lardr" — for flag help and error messages.
+std::string PolicyKeysCsv();
 
 }  // namespace lard
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <future>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -129,7 +130,8 @@ std::string QueryParam(const std::map<std::string, std::string>& params, const c
 }
 
 // Strict non-negative integer parse (the /slowlog body, the /timeseries
-// window). The whole trimmed string must be one base-10 integer.
+// window, the /nodes/<id>/<verb> id). The whole trimmed string must be one
+// base-10 integer.
 bool ParseNonNegativeInt(const std::string& text, int64_t* value) {
   const std::string trimmed = Trim(text);
   if (trimmed.empty()) {
@@ -277,8 +279,6 @@ Status Cluster::StartBackend(NodeId node_id, std::vector<UniqueFd>* fe_ends) {
 
 std::unique_ptr<Cluster::FeReplica> Cluster::NewReplica(FrontEndConfig fe_config) {
   fe_config.gossip_interval_ms = config_.gossip_interval_ms;
-  fe_config.policy = config_.policy;
-  fe_config.policy_name = config_.policy_name;
   fe_config.mechanism = config_.mechanism;
   fe_config.params = config_.params;
   fe_config.virtual_cache_bytes = config_.backend_cache_bytes;
@@ -362,6 +362,7 @@ Status Cluster::Start() {
     // Only replica 0 gets the configured port; the rest pick free ports
     // (ports() exposes the whole tier for client spraying).
     fe_config.listen_port = fe == 0 ? config_.listen_port : 0;
+    fe_config.policy = config_.policy;
     fe_config.idle_timeout_ms = config_.idle_timeout_ms;
     std::unique_ptr<FeReplica> replica = NewReplica(fe_config);
     std::vector<UniqueFd> controls;
@@ -466,12 +467,12 @@ void Cluster::RegisterAdminRoutes() {
     if (slash == std::string::npos) {
       return AdminResponse::Error(400, "expected /nodes/<id>/<verb>");
     }
-    NodeId node = kInvalidNode;
-    try {
-      node = static_cast<NodeId>(std::stol(tail.substr(0, slash)));
-    } catch (...) {
+    int64_t id = 0;
+    if (!ParseNonNegativeInt(tail.substr(0, slash), &id) ||
+        id > std::numeric_limits<NodeId>::max()) {
       return AdminResponse::Error(400, "bad node id");
     }
+    const NodeId node = static_cast<NodeId>(id);
     const std::string verb = tail.substr(slash + 1);
     bool ok = false;
     if (verb == "drain") {
@@ -628,8 +629,7 @@ void Cluster::RegisterAdminRoutes() {
     // Trim so `curl -d "wrr"` and a trailing newline both work.
     const std::string name = Trim(request.body);
     if (!Fe(0)->SetPolicyByName(name)) {
-      return AdminResponse::Error(
-          400, "unknown policy; registered: " + PolicyRegistry::Global().NamesCsv());
+      return AdminResponse::Error(400, "unknown policy; known: " + PolicyKeysCsv());
     }
     // The whole tier switches (replica 0 already validated the name).
     // Fire-and-forget: blocking this loop on a peer loop could deadlock
@@ -646,10 +646,10 @@ void Cluster::RegisterAdminRoutes() {
         }
       });
     }
-    // Echo the *canonical registered name* (never the raw request body: it is
+    // Echo the *canonical policy key* (never the raw request body: it is
     // attacker-controlled and must not be spliced into the JSON reply).
-    return AdminResponse::Json(
-        "{\"policy\":\"" + std::string(Fe(0)->dispatcher().policy().name()) + "\"}");
+    return AdminResponse::Json("{\"policy\":\"" + std::string(PolicyKey(Fe(0)->policy())) +
+                               "\"}");
   });
 }
 
@@ -900,8 +900,10 @@ int Cluster::AddFrontEnd() {
     fe_config.fe_id = id;
     fe_config.num_frontends = id + 1;
     fe_config.num_nodes = 0;  // nodes join below, one AddNode per live slot
-    // A replica added after a runtime POST /idletimeout joins with the
-    // tier's current deadline, not the boot-time one.
+    // A replica added after a runtime POST /idletimeout or POST /policy
+    // joins with the tier's current deadline and policy, not the boot-time
+    // ones.
+    fe_config.policy = Fe(0)->policy();
     fe_config.idle_timeout_ms = Fe(0)->idle_timeout_ms();
     std::unique_ptr<FeReplica> replica = NewReplica(fe_config);
     FrontEnd* fe = replica->frontend.get();

@@ -55,8 +55,6 @@ struct ClusterConfig {
   int fe_loops = 0;
   int64_t gossip_interval_ms = 50;
   Policy policy = Policy::kExtendedLard;
-  // Non-empty: PolicyRegistry name overriding `policy` (plugin policies).
-  std::string policy_name;
   // Capacity weight per initial node (padded with 1.0); weighted policies
   // normalize load by weight. Weights describe relative back-end speed —
   // the prototype's processes are really homogeneous, so this mostly

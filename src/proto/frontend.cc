@@ -182,7 +182,6 @@ FrontEnd::FrontEnd(const FrontEndConfig& config, EventLoopGroup* loops,
 
   DispatcherConfig dispatch_config;
   dispatch_config.policy = config_.policy;
-  dispatch_config.policy_name = config_.policy_name;
   dispatch_config.mechanism = config_.mechanism;
   dispatch_config.params = config_.params;
   dispatch_config.num_nodes = config_.num_nodes;
@@ -270,35 +269,17 @@ Status FrontEnd::Start(std::vector<UniqueFd> control_fds) {
   } else {
     // One SO_REUSEPORT listener per shard: the kernel spreads accepts across
     // the loops with no cross-thread wakeups or fd passing.
-    bool reuseport_ok = true;
     auto first = ListenTcpReusePort(config_.listen_port, &bound_port);
-    if (first.ok()) {
-      shards_[0]->listener = std::move(first.value());
-      for (size_t k = 1; k < shards_.size(); ++k) {
-        auto next = ListenTcpReusePort(bound_port, nullptr);
-        if (!next.ok()) {
-          reuseport_ok = false;
-          break;
-        }
-        shards_[k]->listener = std::move(next.value());
-      }
-    } else {
-      reuseport_ok = false;
+    if (!first.ok()) {
+      return first.status();
     }
-    if (!reuseport_ok) {
-      // Portable fallback: a single loop-0 listener, accepted fds handed to
-      // the shards round-robin (one posted task per connection).
-      for (auto& shard : shards_) {
-        shard->listener = UniqueFd();
+    shards_[0]->listener = std::move(first.value());
+    for (size_t k = 1; k < shards_.size(); ++k) {
+      auto next = ListenTcpReusePort(bound_port, nullptr);
+      if (!next.ok()) {
+        return next.status();
       }
-      LARD_LOG(WARNING) << "front-end " << config_.fe_id
-                        << ": SO_REUSEPORT unavailable, falling back to fd-handoff accept";
-      auto listener = ListenTcp(config_.listen_port, &bound_port);
-      if (!listener.ok()) {
-        return listener.status();
-      }
-      shards_[0]->listener = std::move(listener.value());
-      fd_handoff_accept_ = true;
+      shards_[k]->listener = std::move(next.value());
     }
   }
   port_ = bound_port;
@@ -308,9 +289,6 @@ Status FrontEnd::Start(std::vector<UniqueFd> control_fds) {
   }
   for (auto& shard_ptr : shards_) {
     LoopShard* shard = shard_ptr.get();
-    if (!shard->listener.valid()) {
-      continue;
-    }
     LARD_CHECK_OK(SetNonBlocking(shard->listener.get(), true));
     // No loop runs yet, so every shard's listener registers from here and
     // accepts from its loop's first iteration.
@@ -916,18 +894,20 @@ void FrontEnd::BurnNodeSlot() {
   metric_active_nodes_->Set(dispatcher_->active_node_count());
 }
 
-void FrontEnd::SetPolicy(Policy policy) {
-  LARD_CHECK(SetPolicyByName(PolicyKey(policy)));
-}
-
 bool FrontEnd::SetPolicyByName(const std::string& name) {
-  MutexLock lock(&state_mutex_);
-  if (!dispatcher_->SetPolicyByName(name)) {
+  Policy policy;
+  if (!ParsePolicyName(name, &policy)) {
     return false;
   }
-  (void)ParsePolicyName(name, &config_.policy);
-  LARD_LOG(INFO) << "front-end: policy switched to " << dispatcher_->policy().display_name();
+  MutexLock lock(&state_mutex_);
+  dispatcher_->SetPolicy(policy);
+  LARD_LOG(INFO) << "front-end: policy switched to " << PolicyName(policy);
   return true;
+}
+
+Policy FrontEnd::policy() const {
+  MutexLock lock(&state_mutex_);
+  return dispatcher_->policy();
 }
 
 DispatcherCounters FrontEnd::DispatcherCountersSnapshot(size_t* open_connections) const {
@@ -954,8 +934,8 @@ std::string FrontEnd::DescribeNodesJson() const {
   MutexLock lock(&state_mutex_);
   const int64_t now = NowMs();
   std::ostringstream out;
-  out << "{\"policy\":\"" << dispatcher_->policy().display_name() << "\",\"policy_key\":\""
-      << dispatcher_->policy().name() << "\",\"mechanism\":\""
+  out << "{\"policy\":\"" << PolicyName(dispatcher_->policy()) << "\",\"policy_key\":\""
+      << PolicyKey(dispatcher_->policy()) << "\",\"mechanism\":\""
       << MechanismName(config_.mechanism) << "\",\"active_nodes\":"
       << dispatcher_->active_node_count()
       << ",\"replay_enabled\":" << (ReplayEligible() ? "true" : "false")
@@ -1014,20 +994,6 @@ void FrontEnd::OnAccept(LoopShard* shard, uint32_t) {
   shard->loop->AssertInLoopThread();
   const int error = AcceptAll(shard->listener.get(), [this, shard](UniqueFd client) {
     (void)SetTcpNoDelay(client.get());
-    if (fd_handoff_accept_) {
-      // Fallback accept path (loop 0 only): round-robin the fresh fd across
-      // the shards; the owning loop adopts it and pins every callback there.
-      LoopShard* target = shards_[next_accept_shard_++ % shards_.size()].get();
-      if (target == shard) {
-        AdoptClientFd(shard, std::move(client));
-      } else {
-        auto boxed = std::make_shared<UniqueFd>(std::move(client));
-        target->loop->Post(alive_.Guard([this, target, boxed]() {
-          AdoptClientFd(target, std::move(*boxed));
-        }));
-      }
-      return;
-    }
     AdoptClientFd(shard, std::move(client));
   });
   if (error != 0) {
@@ -1037,9 +1003,6 @@ void FrontEnd::OnAccept(LoopShard* shard, uint32_t) {
 
 void FrontEnd::AdoptClientFd(LoopShard* shard, UniqueFd fd) {
   shard->loop->AssertInLoopThread();
-  if (!fd.valid()) {
-    return;  // fallback post raced a shutdown; nothing to adopt
-  }
   bool shed = false;
   {
     MutexLock lock(&state_mutex_);
@@ -1193,10 +1156,10 @@ void FrontEnd::HandoffFlow(FeConn* conn, std::vector<HttpRequest> requests) {
       const int64_t policy_start_us = traced ? TraceNowUs() : 0;
       const std::vector<Assignment> assignments = dispatcher_->OnBatch(conn->id, targets);
       if (traced) {
-        const std::string policy_key = dispatcher_->policy().name();
         RecordSpan(tracer_, conn->shard->trace_ring, conn->id, 2, SpanKind::kPolicy,
                    assignments.empty() ? -1 : assignments[0].node, policy_start_us,
-                   TraceNowUs() - policy_start_us, "policy=%s loads=%s", policy_key.c_str(),
+                   TraceNowUs() - policy_start_us, "policy=%s loads=%s",
+                   PolicyKey(dispatcher_->policy()),
                    dispatcher_->DescribeLoads().c_str());
       }
       RecordFetchHints(targets, assignments);
@@ -1954,10 +1917,9 @@ void FrontEnd::HandleConsult(NodeId node, const ConsultMsg& msg) {
   const std::vector<TargetId> targets = PathsToTargets(msg.paths);
   const std::vector<Assignment> assignments = dispatcher_->OnBatch(msg.conn_id, targets);
   if (traced) {
-    const std::string policy_key = dispatcher_->policy().name();
     RecordSpan(tracer_, trace_ring_, msg.conn_id, 4, SpanKind::kConsult, node, consult_start_us,
                TraceNowUs() - consult_start_us, "reqs=%zu policy=%s loads=%s", msg.paths.size(),
-               policy_key.c_str(), dispatcher_->DescribeLoads().c_str());
+               PolicyKey(dispatcher_->policy()), dispatcher_->DescribeLoads().c_str());
   }
   RecordFetchHints(targets, assignments);
   AssignmentsMsg reply;

@@ -90,8 +90,6 @@ struct FrontEndConfig {
   // Mesh sync period (only meaningful with num_frontends > 1).
   int64_t gossip_interval_ms = 50;
   Policy policy = Policy::kExtendedLard;
-  // Non-empty: PolicyRegistry name overriding `policy` (plugin policies).
-  std::string policy_name;
   // Capacity weight per initial node (padded with 1.0); weighted policies
   // normalize load by weight.
   std::vector<double> node_weights;
@@ -218,10 +216,11 @@ class FrontEnd {
   // Invoked on the loop-0 thread after a node's removal completes (control
   // session torn down) — the harness stops the node's thread here.
   void set_on_node_removed(std::function<void(NodeId)> cb) { on_node_removed_ = std::move(cb); }
-  // Runtime policy switch (future decisions only). The name overload accepts
-  // any PolicyRegistry name and returns false on an unknown one.
-  void SetPolicy(Policy policy) LARD_EXCLUDES(state_mutex_);
+  // Runtime policy switch (future decisions only): parses a policy key and
+  // returns false on an unknown one.
   bool SetPolicyByName(const std::string& name) LARD_EXCLUDES(state_mutex_);
+  // The policy the dispatcher currently decides with.
+  Policy policy() const LARD_EXCLUDES(state_mutex_);
   // Membership + health snapshot as the admin API's JSON body.
   std::string DescribeNodesJson() const LARD_EXCLUDES(state_mutex_);
   // Burns one dispatcher node-id slot (add + immediate remove) so a
@@ -441,7 +440,7 @@ class FrontEnd {
   // Connection-granularity policies/mechanisms never consult per request.
   // Callers hold state_mutex_ (reads the dispatcher's policy).
   bool AutonomousHandoffs() const LARD_REQUIRES(state_mutex_) {
-    return !(dispatcher_->policy().per_request_distribution() &&
+    return !(PolicyTableRow(dispatcher_->policy()).per_request &&
              (config_.mechanism == Mechanism::kBackEndForwarding ||
               config_.mechanism == Mechanism::kMultipleHandoff));
   }
@@ -520,10 +519,6 @@ class FrontEnd {
 
   // Reactor shards (size = loops_->size()); shard 0 runs on loop 0.
   std::vector<std::unique_ptr<LoopShard>> shards_;
-  // Fallback accept path (SO_REUSEPORT unavailable): the single loop-0
-  // listener round-robins accepted fds across shards.
-  bool fd_handoff_accept_ = false;
-  size_t next_accept_shard_ = 0;  // loop-0 confined
 
   // Conns with dispatcher state.
   std::set<ConnId> live_in_dispatcher_ LARD_GUARDED_BY(state_mutex_);

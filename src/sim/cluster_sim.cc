@@ -154,7 +154,6 @@ ClusterSim::ClusterSim(const ClusterSimConfig& config, const Trace* trace) : con
   for (int fe = 0; fe < frontends; ++fe) {
     DispatcherConfig dispatch_config;
     dispatch_config.policy = config_.policy;
-    dispatch_config.policy_name = config_.policy_name;
     dispatch_config.mechanism = config_.mechanism;
     dispatch_config.params = config_.lard_params;
     dispatch_config.num_nodes = config_.num_nodes;

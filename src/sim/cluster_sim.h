@@ -56,8 +56,6 @@ struct MembershipEvent {
 struct ClusterSimConfig {
   int num_nodes = 4;
   Policy policy = Policy::kExtendedLard;
-  // Non-empty: PolicyRegistry name overriding `policy` (plugin policies).
-  std::string policy_name;
   // Heterogeneous clusters. `node_speeds[i]` scales node i's real hardware:
   // CPU and disk service times divide by it (2.0 = twice as fast).
   // `node_weights[i]` is what the *dispatcher believes* about node i's

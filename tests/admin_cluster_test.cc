@@ -217,7 +217,7 @@ TEST(AdminClusterTest, PolicySwitchAtRuntime) {
   Cluster cluster(BaseConfig(2), &trace.catalog());
   ASSERT_TRUE(cluster.Start().ok());
 
-  // The reply carries the *canonical registered name*, never the raw body
+  // The reply carries the *canonical policy key*, never the raw body
   // (which used to be echoed unescaped into the JSON).
   const std::string switched = AdminHttp(cluster.admin_port(), "POST", "/policy", "wrr\n");
   EXPECT_EQ(switched.substr(0, 3), "200");
@@ -226,7 +226,7 @@ TEST(AdminClusterTest, PolicySwitchAtRuntime) {
   EXPECT_NE(nodes.find("\"policy\":\"WRR\""), std::string::npos) << nodes;
   EXPECT_NE(nodes.find("\"policy_key\":\"wrr\""), std::string::npos) << nodes;
 
-  // Unknown names are rejected with the registered list; the injection body
+  // Unknown names are rejected with the list of keys; the injection body
   // must not leak back into the reply.
   const std::string rejected =
       AdminHttp(cluster.admin_port(), "POST", "/policy", "bogus\"}{\"x\":\"y");
@@ -235,7 +235,7 @@ TEST(AdminClusterTest, PolicySwitchAtRuntime) {
   EXPECT_NE(rejected.find("extlard"), std::string::npos) << rejected;
   EXPECT_NE(rejected.find("wextlard"), std::string::npos) << rejected;
 
-  // The new policies are selectable at runtime by registry name.
+  // The new policies are selectable at runtime by key.
   const std::string weighted = AdminHttp(cluster.admin_port(), "POST", "/policy", "wextlard");
   EXPECT_EQ(weighted.substr(0, 3), "200");
   EXPECT_NE(weighted.find("{\"policy\":\"wextlard\"}"), std::string::npos) << weighted;
@@ -245,6 +245,42 @@ TEST(AdminClusterTest, PolicySwitchAtRuntime) {
   load.num_clients = 6;
   const LoadResult result = RunLoad(load, trace);
   EXPECT_EQ(result.responses_ok, trace.total_requests());
+  cluster.Stop();
+}
+
+// A front end added at runtime routes with the tier's current policy, not
+// the one the cluster booted with.
+TEST(AdminClusterTest, AddedFrontEndJoinsWithTheCurrentPolicy) {
+  const Trace trace = TestTrace(33, 50);
+  Cluster cluster(BaseConfig(2), &trace.catalog());
+  ASSERT_TRUE(cluster.Start().ok());
+  const std::string switched = AdminHttp(cluster.admin_port(), "POST", "/policy", "wrr");
+  ASSERT_EQ(switched.substr(0, 3), "200") << switched;
+
+  ASSERT_EQ(cluster.AddFrontEnd(), 1);
+  std::string nodes;
+  cluster.InspectReplica(1, [&](const FrontEnd& frontend) {
+    nodes = frontend.DescribeNodesJson();
+  });
+  EXPECT_NE(nodes.find("\"policy_key\":\"wrr\""), std::string::npos) << nodes;
+  cluster.Stop();
+}
+
+// The node id of POST /nodes/<id>/<verb> is parsed strictly: trailing junk
+// and ids past NodeId's range are rejected, never truncated onto a real node.
+TEST(AdminClusterTest, NodeVerbRejectsMalformedIds) {
+  const Trace trace = TestTrace(34, 50);
+  Cluster cluster(BaseConfig(2), &trace.catalog());
+  ASSERT_TRUE(cluster.Start().ok());
+  for (const char* path : {"/nodes/4294967297/kill", "/nodes/1x/drain"}) {
+    const std::string reply = AdminHttp(cluster.admin_port(), "POST", path);
+    EXPECT_EQ(reply.substr(0, 3), "400") << path << ": " << reply;
+  }
+  NodeState state = NodeState::kDead;
+  cluster.InspectReplica(0, [&](const FrontEnd& frontend) {
+    state = frontend.dispatcher().node_state(1);
+  });
+  EXPECT_EQ(state, NodeState::kActive);
   cluster.Stop();
 }
 

@@ -1,5 +1,5 @@
-// Tests for the pluggable routing-policy API (src/core/policy.h): the
-// registry, the weighted/unweighted bit-identity regression, weighted
+// Tests for the routing-policy API (src/core/policy.h): the policy table,
+// the weighted/unweighted bit-identity regression, weighted
 // steering on heterogeneous weights, LARD/R replica sets, and runtime policy
 // switching mid-workload.
 #include <gtest/gtest.h>
@@ -34,35 +34,45 @@ class FakeDiskStats : public BackendStatsProvider {
   std::vector<int> queues_;
 };
 
-// --- Registry ---
+// --- The policy table ---
 
-TEST(PolicyRegistryTest, BuiltinsAreRegistered) {
-  const std::vector<std::string> names = PolicyRegistry::Global().Names();
-  for (const char* expected : {"wrr", "lard", "extlard", "wextlard", "lardr"}) {
-    EXPECT_TRUE(PolicyRegistry::Global().Contains(expected)) << expected;
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end()) << expected;
-  }
-  const std::string csv = PolicyRegistry::Global().NamesCsv();
-  EXPECT_NE(csv.find("extlard"), std::string::npos) << csv;
-}
-
-TEST(PolicyRegistryTest, CreateRoundTripsNamesAndRejectsUnknown) {
-  for (const std::string& name : PolicyRegistry::Global().Names()) {
-    std::unique_ptr<RoutingPolicy> policy = PolicyRegistry::Global().Create(name);
-    ASSERT_NE(policy, nullptr) << name;
-    EXPECT_EQ(policy->name(), name);
-  }
-  EXPECT_EQ(PolicyRegistry::Global().Create("no-such-policy"), nullptr);
-  EXPECT_FALSE(PolicyRegistry::Global().Contains("no-such-policy"));
-}
-
-TEST(PolicyRegistryTest, EnumKeysResolve) {
-  for (const Policy policy : {Policy::kWrr, Policy::kLard, Policy::kExtendedLard,
-                              Policy::kWeightedExtendedLard, Policy::kLardReplication}) {
-    EXPECT_TRUE(PolicyRegistry::Global().Contains(PolicyKey(policy))) << PolicyKey(policy);
+TEST(PolicyTableTest, EveryPolicyHasOneConsistentRow) {
+  struct Expected {
+    Policy policy;
+    bool per_request;
+    bool weighted;
+  };
+  const Expected expected[] = {
+      {Policy::kWrr, false, false},
+      {Policy::kLard, false, false},
+      {Policy::kExtendedLard, true, false},
+      {Policy::kWeightedExtendedLard, true, true},
+      {Policy::kLardReplication, true, false},
+  };
+  std::set<std::string> keys;
+  std::set<std::string> displays;
+  for (const Expected& want : expected) {
+    const PolicyRow& row = PolicyTableRow(want.policy);
+    EXPECT_EQ(row.policy, want.policy);
+    EXPECT_STREQ(PolicyKey(want.policy), row.key);
+    EXPECT_STREQ(PolicyName(want.policy), row.display);
+    // key -> enum -> key round-trips.
     Policy parsed;
-    ASSERT_TRUE(ParsePolicyName(PolicyKey(policy), &parsed));
-    EXPECT_EQ(parsed, policy);
+    ASSERT_TRUE(ParsePolicyName(row.key, &parsed)) << row.key;
+    EXPECT_EQ(parsed, want.policy);
+    EXPECT_EQ(row.per_request, want.per_request) << row.key;
+    EXPECT_EQ(row.weighted, want.weighted) << row.key;
+    EXPECT_NE(row.make(), nullptr) << row.key;
+    EXPECT_TRUE(keys.insert(row.key).second) << "duplicate key " << row.key;
+    EXPECT_TRUE(displays.insert(row.display).second) << "duplicate display " << row.display;
+    EXPECT_NE(PolicyKeysCsv().find(row.key), std::string::npos) << row.key;
+  }
+  // Unknown, empty and wrong-case names are rejected and leave the output
+  // untouched.
+  for (const char* bad : {"no-such-policy", "", "WRR", "extLARD", "LARD/R", " wrr"}) {
+    Policy parsed = Policy::kLard;
+    EXPECT_FALSE(ParsePolicyName(bad, &parsed)) << "'" << bad << "'";
+    EXPECT_EQ(parsed, Policy::kLard);
   }
 }
 
@@ -167,12 +177,12 @@ TEST(WeightedPolicyTest, EqualWeightsAreBitIdenticalToExtLard) {
   const int nodes = 4;
   // Small caches relative to the footprint so eviction and forwarding happen.
   DispatcherConfig unweighted;
-  unweighted.policy_name = "extlard";
+  unweighted.policy = Policy::kExtendedLard;
   unweighted.mechanism = Mechanism::kBackEndForwarding;
   unweighted.virtual_cache_bytes = 2ull * 1024 * 1024;
 
   DispatcherConfig weighted = unweighted;
-  weighted.policy_name = "wextlard";
+  weighted.policy = Policy::kWeightedExtendedLard;
   weighted.node_weights = std::vector<double>(nodes, 1.0);
 
   const std::vector<std::string> a = DecisionTrace(unweighted, trace, nodes);
@@ -187,17 +197,6 @@ TEST(WeightedPolicyTest, EqualWeightsAreBitIdenticalToExtLard) {
   EXPECT_EQ(DecisionTrace(unweighted, trace, nodes), DecisionTrace(weighted, trace, nodes));
 }
 
-// The enum and the registry name select the same implementation.
-TEST(WeightedPolicyTest, EnumAndNameConfigsAgree) {
-  const Trace trace = RegressionTrace();
-  DispatcherConfig by_enum;
-  by_enum.policy = Policy::kExtendedLard;
-  by_enum.virtual_cache_bytes = 2ull * 1024 * 1024;
-  DispatcherConfig by_name = by_enum;
-  by_name.policy_name = "extlard";
-  EXPECT_EQ(DecisionTrace(by_enum, trace, 3), DecisionTrace(by_name, trace, 3));
-}
-
 // --- Weighted steering ---
 
 TEST(WeightedPolicyTest, WeightsSteerPlacementTowardCapacity) {
@@ -206,7 +205,7 @@ TEST(WeightedPolicyTest, WeightsSteerPlacementTowardCapacity) {
   TargetCatalog catalog;
   FakeDiskStats stats(2);
   DispatcherConfig config;
-  config.policy_name = "wextlard";
+  config.policy = Policy::kWeightedExtendedLard;
   config.mechanism = Mechanism::kBackEndForwarding;
   config.num_nodes = 2;
   config.node_weights = {3.0, 1.0};
@@ -235,7 +234,7 @@ TEST(WeightedPolicyTest, AddNodeCarriesWeightThroughMembership) {
   TargetCatalog catalog;
   FakeDiskStats stats(1);
   DispatcherConfig config;
-  config.policy_name = "wextlard";
+  config.policy = Policy::kWeightedExtendedLard;
   config.num_nodes = 1;
   Dispatcher dispatcher(config, &catalog, &stats);
   const NodeId heavy = dispatcher.AddNode(4.0);
@@ -264,7 +263,7 @@ TEST(LardReplicationTest, HotTargetSplitsAcrossReplicaSet) {
   params.l_overload = 8.0;  // T_high = 4
   params.miss_cost = 4.0;
   DispatcherConfig config;
-  config.policy_name = "lardr";
+  config.policy = Policy::kLardReplication;
   config.mechanism = Mechanism::kBackEndForwarding;
   config.num_nodes = 3;
   config.params = params;
@@ -289,7 +288,7 @@ TEST(LardReplicationTest, ColdTargetsStayUnreplicated) {
   TargetCatalog catalog;
   FakeDiskStats stats(3);
   DispatcherConfig config;
-  config.policy_name = "lardr";
+  config.policy = Policy::kLardReplication;
   config.num_nodes = 3;
   Dispatcher dispatcher(config, &catalog, &stats);
 
@@ -315,7 +314,7 @@ TEST(PolicySwitchTest, SwitchMidWorkloadConservesLoadAndConnections) {
   TargetCatalog catalog;
   FakeDiskStats stats(3);
   DispatcherConfig config;
-  config.policy_name = "extlard";
+  config.policy = Policy::kExtendedLard;
   config.mechanism = Mechanism::kBackEndForwarding;
   config.num_nodes = 3;
   Dispatcher dispatcher(config, &catalog, &stats);
@@ -337,7 +336,7 @@ TEST(PolicySwitchTest, SwitchMidWorkloadConservesLoadAndConnections) {
   }
 
   ASSERT_TRUE(dispatcher.SetPolicyByName("wrr"));
-  EXPECT_STREQ(dispatcher.policy().name(), "wrr");
+  EXPECT_EQ(dispatcher.policy(), Policy::kWrr);
 
   // Existing connections keep their handling nodes; loads are conserved.
   double total_after = 0.0;
@@ -357,10 +356,12 @@ TEST(PolicySwitchTest, SwitchMidWorkloadConservesLoadAndConnections) {
     EXPECT_EQ(assignments[0].node, handling[static_cast<size_t>(conn - 1)]);
   }
 
-  // Every registered policy round-trips through the dispatcher by name...
-  for (const std::string& name : PolicyRegistry::Global().Names()) {
+  // Every policy round-trips through the dispatcher by key...
+  for (const Policy policy : {Policy::kWrr, Policy::kLard, Policy::kExtendedLard,
+                              Policy::kWeightedExtendedLard, Policy::kLardReplication}) {
+    const std::string name = PolicyKey(policy);
     ASSERT_TRUE(dispatcher.SetPolicyByName(name)) << name;
-    EXPECT_EQ(dispatcher.policy().name(), name);
+    EXPECT_EQ(dispatcher.policy(), policy);
     double total = 0.0;
     for (NodeId node = 0; node < 3; ++node) {
       total += dispatcher.NodeLoad(node);
@@ -368,9 +369,9 @@ TEST(PolicySwitchTest, SwitchMidWorkloadConservesLoadAndConnections) {
     EXPECT_DOUBLE_EQ(total, total_before) << "load leaked switching to " << name;
   }
   // ...and an unknown name is rejected without touching the active policy.
-  const std::string active = dispatcher.policy().name();
+  const Policy active = dispatcher.policy();
   EXPECT_FALSE(dispatcher.SetPolicyByName("bogus"));
-  EXPECT_EQ(dispatcher.policy().name(), active);
+  EXPECT_EQ(dispatcher.policy(), active);
 
   // The workload continues cleanly after all the switching.
   for (ConnId conn = 1; conn <= 12; ++conn) {
