@@ -15,7 +15,6 @@
 
 #include "src/trace/clf.h"
 #include "src/trace/session_builder.h"
-#include "src/trace/trace_io.h"
 #include "src/trace/synthetic.h"
 #include "src/trace/trace_stats.h"
 #include "src/util/flags.h"
@@ -48,12 +47,10 @@ void PrintStats(const lard::Trace& trace, const char* title) {
 int main(int argc, char** argv) {
   lard::FlagSet flags("trace_inspect");
   std::string log_path;
-  std::string save_path;
   int64_t sessions = 5000;
   int64_t gap_s = 60;
   double batch_window_s = 1.0;
   flags.AddString("log", &log_path, "parse this CLF access log instead of synthesizing");
-  flags.AddString("save", &save_path, "also archive the workload as a binary trace file");
   flags.AddInt("sessions", &sessions, "synthetic sessions (no --log)");
   flags.AddInt("gap-s", &gap_s, "connection idle gap for session reconstruction (s)");
   flags.AddDouble("batch-window-s", &batch_window_s, "pipelining batch window (s)");
@@ -75,10 +72,6 @@ int main(int argc, char** argv) {
                 skipped);
     const lard::Trace trace = lard::BuildSessions(records, builder);
     PrintStats(trace, "reconstructed P-HTTP workload");
-    if (!save_path.empty()) {
-      const lard::Status status = lard::WriteTraceFile(trace, save_path);
-      std::printf("\narchived to %s: %s\n", save_path.c_str(), status.ToString().c_str());
-    }
     return 0;
   }
 
@@ -89,10 +82,6 @@ int main(int argc, char** argv) {
   workload.num_sessions = sessions;
   const lard::Trace original = lard::GenerateSyntheticTrace(workload);
   PrintStats(original, "synthetic workload (ground truth sessions)");
-  if (!save_path.empty()) {
-    const lard::Status status = lard::WriteTraceFile(original, save_path);
-    std::printf("\narchived to %s: %s\n", save_path.c_str(), status.ToString().c_str());
-  }
 
   // Flatten to an access log, as a web server would have recorded it.
   std::stringstream log;

@@ -63,14 +63,4 @@ const char* AssignmentActionName(AssignmentAction action) {
   return "?";
 }
 
-std::string Assignment::ToString() const {
-  std::string out = AssignmentActionName(action);
-  out += "->node";
-  out += std::to_string(node);
-  if (!cache_after_miss) {
-    out += " (no-cache)";
-  }
-  return out;
-}
-
 }  // namespace lard

@@ -102,8 +102,6 @@ struct Assignment {
   // simulator has a single cache model shared by policy and service); the
   // prototype ignores it and consults the back-end's real cache.
   bool served_from_cache = false;
-
-  std::string ToString() const;
 };
 
 // Narrow view of back-end state the dispatcher is allowed to see. In the

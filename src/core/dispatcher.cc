@@ -10,8 +10,7 @@ namespace lard {
 Dispatcher::Dispatcher(const DispatcherConfig& config, const TargetCatalog* catalog,
                        const BackendStatsProvider* stats)
     : config_(config), catalog_(catalog), stats_(stats) {
-  // 0 initial nodes is legal: a front-end joining an established tier at
-  // runtime starts empty and registers every slot via AddNode/BurnNodeSlot.
+  // 0 initial nodes is legal: members can all join later via AddNode.
   LARD_CHECK(config_.num_nodes >= 0);
   LARD_CHECK(catalog_ != nullptr);
   LARD_CHECK(stats_ != nullptr);
@@ -169,15 +168,6 @@ void Dispatcher::SetPolicy(Policy policy) {
   }
   policy_ = PolicyTableRow(policy).make();
   config_.policy = policy;
-}
-
-bool Dispatcher::SetPolicyByName(const std::string& name) {
-  Policy policy;
-  if (!ParsePolicyName(name, &policy)) {
-    return false;
-  }
-  SetPolicy(policy);
-  return true;
 }
 
 int Dispatcher::active_node_count() const {

@@ -172,10 +172,7 @@ class Dispatcher {
   // their handling nodes and the round-robin cursor persists; only future
   // decisions use the new policy. Switching to the current policy is a no-op,
   // so stateful policies keep their state (e.g. LARD/R's replica sets).
-  // SetPolicyByName parses a key and returns false (policy unchanged) on an
-  // unknown one.
   void SetPolicy(Policy policy);
-  bool SetPolicyByName(const std::string& name);
 
   // --- introspection (tests, metrics, admin API) ---
   Policy policy() const { return config_.policy; }

@@ -135,13 +135,6 @@ void LruCache::Remove(size_t pos) {
   --entry_count_;
 }
 
-void LruCache::Erase(TargetId id) {
-  const size_t pos = FindPos(id);
-  if (pos != kNoPos) {
-    Remove(pos);
-  }
-}
-
 void LruCache::Clear() {
   slots_ = std::vector<Slot>();
   index_ = std::vector<uint32_t>();

@@ -43,9 +43,6 @@ class LruCache {
   // Returns true when the object is resident afterwards.
   bool Insert(TargetId id, uint64_t size_bytes, std::vector<TargetId>* evicted = nullptr);
 
-  // Removes `id` if present.
-  void Erase(TargetId id);
-
   // Drops every entry and releases the storage (node removal evicts the
   // whole virtual cache).
   void Clear();

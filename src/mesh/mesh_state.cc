@@ -90,14 +90,6 @@ std::vector<MeshStateTable::PeerInfo> MeshStateTable::Peers() const {
   return out;
 }
 
-uint64_t MeshStateTable::max_peer_epoch() const {
-  uint64_t max_epoch = 0;
-  for (const auto& [fe_id, peer] : peers_) {
-    max_epoch = std::max(max_epoch, peer.epoch);
-  }
-  return max_epoch;
-}
-
 int64_t MeshStateTable::OldestPeerAgeUs(int64_t now_us) const {
   int64_t oldest = 0;
   for (const auto& [fe_id, peer] : peers_) {

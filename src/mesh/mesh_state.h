@@ -65,8 +65,6 @@ class MeshStateTable final : public RemoteLoadProvider {
   uint64_t stale_drops() const { return stale_drops_; }
   // Monotone-epoch violations observed. The invariant is that this stays 0.
   uint64_t epoch_regressions() const { return epoch_regressions_; }
-  // Highest membership epoch any peer has reported (0 when alone).
-  uint64_t max_peer_epoch() const;
   // Age of the most out-of-date peer's last delta — the mesh's gossip lag.
   // 0 when there are no peers.
   int64_t OldestPeerAgeUs(int64_t now_us) const;

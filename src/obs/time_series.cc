@@ -64,12 +64,6 @@ int TimeSeriesStore::AddSeries(const std::string& name) {
   return idx;
 }
 
-int TimeSeriesStore::FindSeries(const std::string& name) const {
-  MutexLock lock(&mutex_);
-  const auto it = index_.find(name);
-  return it == index_.end() ? -1 : it->second;
-}
-
 void TimeSeriesStore::Append(int64_t t_ms, const std::vector<std::pair<int, double>>& values) {
   MutexLock lock(&mutex_);
   const size_t cap = static_cast<size_t>(config_.capacity);

@@ -47,8 +47,6 @@ class TimeSeriesStore {
   // added after samples were recorded reads NaN ("no data") for the older
   // rows.
   int AddSeries(const std::string& name) LARD_EXCLUDES(mutex_);
-  // Index of an existing series, -1 when absent. Never allocates.
-  int FindSeries(const std::string& name) const LARD_EXCLUDES(mutex_);
 
   // Records one sampling tick: every series gets NaN for this slot, then the
   // (index, value) pairs overwrite their series. Out-of-range indices are

@@ -131,7 +131,7 @@ FramedChannel* BackendServer::FeChannel(int fe) {
 void BackendServer::OnFrontEndLost(int fe) {
   LARD_LOG(WARNING) << "backend " << config_.node_id << ": control session to front-end " << fe
                     << " lost";
-  // FE leave: its consults will never be answered, so its connections flip
+  // Front end gone: its consults will never be answered, so its connections flip
   // to autonomous local service. Directives pair with requests positionally,
   // so the unanswerable in-flight consult's paths get local directives
   // first (those requests are older), then the unconsulted backlog.

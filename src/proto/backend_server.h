@@ -122,14 +122,14 @@ class BackendServer {
   // a listen failure is returned with nothing attached.
   Status Start(UniqueFd control_fd);
 
-  // Loop thread (or before the loop runs). Attaches (or replaces) the
-  // control session of front-end
-  // `fe_id` — the replicated-FE tier's join path. Every client connection
+  // Loop thread (or before the loop runs). Attaches the control session of
+  // front-end `fe_id` of the replicated-FE tier. Every client connection
   // remembers which front-end handed it off, and its consults, idle/close
   // notifications and handbacks travel that front-end's session; node-status
   // frames broadcast to every attached front-end. When a session
-  // dies (FE leave/crash), that front-end's connections degrade to
-  // autonomous local service instead of wedging on unanswerable consults.
+  // dies (the front end crashed or stopped), that front-end's connections
+  // degrade to autonomous local service instead of wedging on unanswerable
+  // consults.
   void AttachFrontEnd(int fe_id, UniqueFd control_fd);
 
   // Loop thread (or before the loop runs). Connects lateral clients;

@@ -194,7 +194,6 @@ struct Cluster::Node {
   std::unique_ptr<BackendServer> server;
   std::thread thread;
   uint16_t lateral_port = 0;
-  double weight = 1.0;   // capacity weight it joined with (for late FE joins)
   bool stopped = false;  // loop stopped (removed or killed)
 };
 
@@ -223,20 +222,10 @@ Cluster::Cluster(const ClusterConfig& config, const TargetCatalog* catalog)
 Cluster::~Cluster() { Stop(); }
 
 Status Cluster::StartBackend(NodeId node_id, std::vector<UniqueFd>* fe_ends) {
-  // One control-session socketpair per *live* front-end replica. During
-  // Start() the FE tier doesn't exist yet, so the configured count applies;
-  // on later joins the tier may have grown (AddFrontEnd) or have holes
-  // (RemoveFrontEnd) — removed slots get no pair (invalid fds).
-  const size_t fe_count =
-      fes_.empty() ? static_cast<size_t>(config_.num_frontends) : fes_.size();
+  // One control-session socketpair per front-end replica.
   std::vector<UniqueFd> be_ends;
   fe_ends->clear();
-  for (size_t fe = 0; fe < fe_count; ++fe) {
-    if (!fes_.empty() && fes_[fe]->frontend == nullptr) {
-      fe_ends->emplace_back();
-      be_ends.emplace_back();
-      continue;
-    }
+  for (int fe = 0; fe < config_.num_frontends; ++fe) {
     auto pair = UnixPair();
     if (!pair.ok()) {
       return pair.status();
@@ -264,9 +253,7 @@ Status Cluster::StartBackend(NodeId node_id, std::vector<UniqueFd>* fe_ends) {
     return status;
   }
   for (size_t fe = 1; fe < be_ends.size(); ++fe) {
-    if (be_ends[fe].valid()) {
-      node->server->AttachFrontEnd(static_cast<int>(fe), std::move(be_ends[fe]));
-    }
+    node->server->AttachFrontEnd(static_cast<int>(fe), std::move(be_ends[fe]));
   }
   if (config_.profile_loops) {
     node->loop->EnableProfiling(&metrics_, "be" + std::to_string(node_id));
@@ -329,12 +316,6 @@ Status Cluster::Start() {
       if (!status.ok()) {
         return status;
       }
-    }
-
-    // Remember each node's capacity weight so front-ends joining later
-    // (AddFrontEnd) register the same weights the tier started with.
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      nodes_[i]->weight = i < config_.node_weights.size() ? config_.node_weights[i] : 1.0;
     }
 
     // Lateral mesh.
@@ -434,13 +415,8 @@ void Cluster::RegisterAdminRoutes() {
     std::ostringstream out;
     out << "{\"frontends\":" << fes_.size()
         << ",\"gossip_interval_ms\":" << config_.gossip_interval_ms << ",\"fes\":[";
-    bool first = true;
     for (size_t fe = 0; fe < fes_.size(); ++fe) {
-      if (Fe(fe) == nullptr) {
-        continue;  // removed replica
-      }
-      out << (first ? "" : ",") << Fe(fe)->DescribeMeshJson();
-      first = false;
+      out << (fe == 0 ? "" : ",") << Fe(fe)->DescribeMeshJson();
     }
     out << "]}";
     return AdminResponse::Json(out.str());
@@ -530,9 +506,6 @@ void Cluster::RegisterAdminRoutes() {
     out << "{\"interval_ms\":" << config_.telemetry_interval_ms << ",\"components\":{";
     bool first = true;
     for (size_t fe = 0; fe < fes_.size(); ++fe) {
-      if (Fe(fe) == nullptr) {
-        continue;  // removed replica
-      }
       const std::string fragment =
           Fe(fe)->DescribeTimeSeriesJson(metric, component, window_ms, fe == 0);
       if (fragment.empty()) {
@@ -551,17 +524,12 @@ void Cluster::RegisterAdminRoutes() {
     // telemetry into its view), plus every replica's detailed snapshot.
     HealthStatus worst = HealthStatus::kOk;
     std::ostringstream fes;
-    bool first = true;
     for (size_t fe = 0; fe < fes_.size(); ++fe) {
-      if (Fe(fe) == nullptr) {
-        continue;
-      }
       const HealthStatus status = Fe(fe)->health_status();
       if (static_cast<int>(status) > static_cast<int>(worst)) {
         worst = status;
       }
-      fes << (first ? "" : ",") << Fe(fe)->DescribeHealthJson();
-      first = false;
+      fes << (fe == 0 ? "" : ",") << Fe(fe)->DescribeHealthJson();
     }
     std::ostringstream out;
     out << "{\"status\":\"" << HealthStatusName(worst)
@@ -596,19 +564,13 @@ void Cluster::RegisterAdminRoutes() {
           400, "body must be empty, a millisecond count, or {\"idle_timeout_ms\":N}");
     }
     Fe(0)->set_idle_timeout_ms(timeout_ms);
-    // The whole tier switches; the setter is one relaxed atomic store, but
-    // routing through each replica's loop keeps the removed-replica check
-    // race-free (the /policy fan-out pattern).
+    // The whole tier switches, each replica on its own loop (the /policy
+    // fan-out pattern).
     for (size_t fe = 1; fe < fes_.size(); ++fe) {
-      if (Fe(fe) == nullptr) {
-        continue;
-      }
       // lard-lint: allow(liveness-guard) Stop() joins every FE loop before ~Cluster,
       // so a posted task can never outlive `this`.
       FeLoop(fe)->Post([this, fe, timeout_ms]() {
-        if (FrontEnd* frontend = FeFromReplicaLoop(fe)) {
-          frontend->set_idle_timeout_ms(timeout_ms);
-        }
+        FeFromReplicaLoop(fe)->set_idle_timeout_ms(timeout_ms);
       });
     }
     LARD_LOG(WARNING) << "admin: front-end idle timeout set to " << timeout_ms << "ms";
@@ -635,16 +597,9 @@ void Cluster::RegisterAdminRoutes() {
     // Fire-and-forget: blocking this loop on a peer loop could deadlock
     // with a racing Stop(), and nothing here needs the replicas' results.
     for (size_t fe = 1; fe < fes_.size(); ++fe) {
-      if (Fe(fe) == nullptr) {
-        continue;
-      }
       // lard-lint: allow(liveness-guard) Stop() joins every FE loop before ~Cluster,
       // so a posted task can never outlive `this`.
-      FeLoop(fe)->Post([this, fe, name]() {
-        if (FrontEnd* frontend = FeFromReplicaLoop(fe)) {
-          (void)frontend->SetPolicyByName(name);
-        }
-      });
+      FeLoop(fe)->Post([this, fe, name]() { (void)FeFromReplicaLoop(fe)->SetPolicyByName(name); });
     }
     // Echo the *canonical policy key* (never the raw request body: it is
     // attacker-controlled and must not be spliced into the JSON reply).
@@ -665,9 +620,6 @@ void Cluster::BridgeDispatcherMetrics() {
   DispatcherCounters counters;
   size_t open_connections = 0;
   for (size_t fe = 0; fe < fes_.size(); ++fe) {
-    if (Fe(fe) == nullptr) {
-      continue;  // removed replica: its loops are stopped, counters gone
-    }
     size_t open = 0;
     const DispatcherCounters part = Fe(fe)->DispatcherCountersSnapshot(&open);
     counters.requests += part.requests;
@@ -723,7 +675,6 @@ NodeId Cluster::AddNode(double weight) {
         return;
       }
       fresh = nodes_.back().get();
-      fresh->weight = weight;
 
       // Lateral mesh: the new node learns every live peer before its thread
       // starts; every live peer learns the new node on its own loop.
@@ -753,18 +704,12 @@ NodeId Cluster::AddNode(double weight) {
     const NodeId assigned = Fe(0)->AddNode(std::move(fe_ends[0]), lateral_port, weight);
     LARD_CHECK(assigned == fresh_id);
     for (size_t fe = 1; fe < fes_.size(); ++fe) {
-      if (Fe(fe) == nullptr) {
-        continue;  // removed replica: StartBackend left its fd slot empty
-      }
       auto fd = std::make_shared<UniqueFd>(std::move(fe_ends[fe]));
       // lard-lint: allow(liveness-guard) Stop() joins every FE loop before ~Cluster,
       // so a posted task can never outlive `this`.
       FeLoop(fe)->Post([this, fe, fd, fresh_id, weight, lateral_port]() {
-        FrontEnd* frontend = FeFromReplicaLoop(fe);
-        if (frontend == nullptr) {
-          return;  // replica removed while the post was in flight
-        }
-        const NodeId replica_assigned = frontend->AddNode(std::move(*fd), lateral_port, weight);
+        const NodeId replica_assigned =
+            FeFromReplicaLoop(fe)->AddNode(std::move(*fd), lateral_port, weight);
         LARD_CHECK(replica_assigned == fresh_id) << "front-end replicas diverged on a join";
       });
     }
@@ -781,16 +726,9 @@ bool Cluster::DrainNode(NodeId node) {
     // caller's answer is replica 0's, and a blocking wait here could
     // deadlock with a racing Stop().
     for (size_t fe = 1; fe < fes_.size(); ++fe) {
-      if (Fe(fe) == nullptr) {
-        continue;
-      }
       // lard-lint: allow(liveness-guard) Stop() joins every FE loop before ~Cluster,
       // so a posted task can never outlive `this`.
-      FeLoop(fe)->Post([this, fe, node]() {
-        if (FrontEnd* frontend = FeFromReplicaLoop(fe)) {
-          (void)frontend->DrainNode(node);
-        }
-      });
+      FeLoop(fe)->Post([this, fe, node]() { (void)FeFromReplicaLoop(fe)->DrainNode(node); });
     }
   });
   return ok;
@@ -823,7 +761,7 @@ void Cluster::OnNodeRemoved(NodeId node) {
     return;
   }
   const int acks = ++removal_acks_[node];
-  if (acks < LiveFeCountLocked()) {
+  if (acks < static_cast<int>(fes_.size())) {
     return;
   }
   StopNodeLocked(node, /*destroy_server=*/true);
@@ -834,16 +772,6 @@ FrontEnd* Cluster::FeFromReplicaLoop(size_t fe) const {
   return Fe(fe);
 }
 
-int Cluster::LiveFeCountLocked() const {
-  int live = 0;
-  for (const auto& replica : fes_) {
-    if (replica->frontend != nullptr) {
-      ++live;
-    }
-  }
-  return live;
-}
-
 bool Cluster::RemoveNode(NodeId node) {
   bool ok = false;
   // Teardown of the node's thread happens via OnNodeRemoved once every
@@ -851,16 +779,9 @@ bool Cluster::RemoveNode(NodeId node) {
   RunOnLoop(FeLoop(0), [this, node, &ok]() {
     ok = Fe(0)->RemoveNode(node);
     for (size_t fe = 1; fe < fes_.size(); ++fe) {
-      if (Fe(fe) == nullptr) {
-        continue;
-      }
       // lard-lint: allow(liveness-guard) Stop() joins every FE loop before ~Cluster,
       // so a posted task can never outlive `this`.
-      FeLoop(fe)->Post([this, fe, node]() {
-        if (FrontEnd* frontend = FeFromReplicaLoop(fe)) {
-          (void)frontend->RemoveNode(node);
-        }
-      });
+      FeLoop(fe)->Post([this, fe, node]() { (void)FeFromReplicaLoop(fe)->RemoveNode(node); });
     }
   });
   return ok;
@@ -884,154 +805,6 @@ bool Cluster::KillNode(NodeId node) {
   return ok;
 }
 
-int Cluster::AddFrontEnd() {
-  // Serialized on replica 0's loop like the other membership verbs: fes_
-  // mutations happen on that thread (and under nodes_mutex_), so readers on
-  // the admin/control plane never race the push_back.
-  int fe_id = -1;
-  RunOnLoop(FeLoop(0), [this, &fe_id]() {
-    // The replica is wired before its loops start. nodes_mutex_ is held only
-    // to install it and attach the back-end side of its control sessions:
-    // FrontEnd methods take the replica's state_mutex_, which its loops hold
-    // when they call back into OnNodeRemoved (lock order state_mutex_ ->
-    // nodes_mutex_).
-    const int id = static_cast<int>(fes_.size());  // we are on replica 0's loop: safe
-    FrontEndConfig fe_config;
-    fe_config.fe_id = id;
-    fe_config.num_frontends = id + 1;
-    fe_config.num_nodes = 0;  // nodes join below, one AddNode per live slot
-    // A replica added after a runtime POST /idletimeout or POST /policy
-    // joins with the tier's current deadline and policy, not the boot-time
-    // ones.
-    fe_config.policy = Fe(0)->policy();
-    fe_config.idle_timeout_ms = Fe(0)->idle_timeout_ms();
-    std::unique_ptr<FeReplica> replica = NewReplica(fe_config);
-    FrontEnd* fe = replica->frontend.get();
-    EventLoopGroup* loops = replica->loops.get();
-    if (!fe->Start({}).ok()) {
-      return;
-    }
-
-    // One control session per live node, attached on the node's own loop
-    // (back-end loops never take nodes_mutex_, so waiting on them under it
-    // cannot deadlock, and the lock keeps StopNodeLocked from racing us).
-    // An invalid control fd marks a dead slot.
-    struct Slot {
-      UniqueFd control;
-      uint16_t lateral_port = 0;
-      double weight = 1.0;
-    };
-    std::vector<Slot> slots;
-    {
-      MutexLock lock(&nodes_mutex_);
-      if (!started_ || stopped_) {
-        return;
-      }
-      fes_.push_back(std::move(replica));
-      for (const auto& node_ptr : nodes_) {
-        Node* node = node_ptr.get();
-        Slot slot;
-        slot.lateral_port = node->lateral_port;
-        slot.weight = node->weight;
-        if (!node->stopped && node->server != nullptr) {
-          auto pair = UnixPair();
-          if (pair.ok()) {
-            slot.control = std::move(pair.value().first);
-            auto be_end = std::make_shared<UniqueFd>(std::move(pair.value().second));
-            RunOnLoop(node->loop.get(), [node, id, be_end]() {
-              node->server->AttachFrontEnd(id, std::move(*be_end));
-            });
-          }
-        }
-        slots.push_back(std::move(slot));
-      }
-    }
-
-    // Node slots register in id order: dead slots burn an id so every
-    // replica agrees on the numbering.
-    for (size_t n = 0; n < slots.size(); ++n) {
-      if (!slots[n].control.valid()) {
-        fe->BurnNodeSlot();
-        continue;
-      }
-      const NodeId assigned =
-          fe->AddNode(std::move(slots[n].control), slots[n].lateral_port, slots[n].weight);
-      LARD_CHECK(assigned == static_cast<NodeId>(n)) << "joining front-end diverged";
-    }
-
-    // Gossip mesh: pairwise channels to every surviving replica — but only
-    // when the tier was born replicated. A tier started with one front-end
-    // has no mesh on replica 0 (MeshEnabled is fixed at construction), so a
-    // late joiner there runs meshless: correct, just without remote-load
-    // sharing. Documented limitation of runtime join.
-    if (config_.num_frontends > 1) {
-      for (size_t peer = 0; peer < static_cast<size_t>(id); ++peer) {
-        FrontEnd* peer_fe = Fe(peer);  // we are on replica 0's loop: safe
-        if (peer_fe == nullptr) {
-          continue;  // removed replica
-        }
-        auto pair = UnixPair();
-        if (!pair.ok()) {
-          continue;
-        }
-        fe->AttachPeer(static_cast<uint32_t>(peer), std::move(pair.value().first));
-        auto end_peer = std::make_shared<UniqueFd>(std::move(pair.value().second));
-        // Fire-and-forget (peer 0 == this loop: Post defers, which is fine).
-        FeLoop(peer)->Post([peer_fe, id, end_peer]() {
-          peer_fe->AttachPeer(static_cast<uint32_t>(id), std::move(*end_peer));
-        });
-      }
-    }
-    loops->Start();
-    LARD_LOG(WARNING) << "cluster: front-end " << id << " joined (" << loops->size()
-                      << " loop(s))";
-    fe_id = id;
-  });
-  return fe_id;
-}
-
-bool Cluster::RemoveFrontEnd(int fe) {
-  if (fe <= 0) {
-    return false;  // replica 0 hosts the admin plane and anchors membership
-  }
-  EventLoopGroup* loops = nullptr;
-  {
-    MutexLock lock(&nodes_mutex_);
-    if (!started_ || stopped_ || static_cast<size_t>(fe) >= fes_.size() ||
-        fes_[static_cast<size_t>(fe)]->frontend == nullptr) {
-      return false;
-    }
-    loops = fes_[static_cast<size_t>(fe)]->loops.get();
-  }
-  // Join the replica's loop threads without holding nodes_mutex_ — they may
-  // be blocked acquiring it inside OnNodeRemoved.
-  loops->Stop();
-  // Destroy the front-end on replica 0's loop and under nodes_mutex_ (the
-  // fes_ mutation rule), so control-plane readers see either the live
-  // replica or nullptr, never a half-destroyed one. The destructor closes
-  // the control sessions (back-ends see EOF and degrade) and the gossip
-  // channels (peers drop us from their mesh).
-  RunOnLoop(FeLoop(0), [this, fe]() {
-    std::unique_ptr<FrontEnd> dead;
-    {
-      MutexLock lock(&nodes_mutex_);
-      dead = std::move(fes_[static_cast<size_t>(fe)]->frontend);
-    }
-    dead.reset();
-    // A node removal in flight may now hold every surviving replica's ack.
-    MutexLock lock(&nodes_mutex_);
-    const int live = LiveFeCountLocked();
-    for (const auto& entry : removal_acks_) {
-      if (entry.second >= live && entry.first >= 0 &&
-          static_cast<size_t>(entry.first) < nodes_.size()) {
-        StopNodeLocked(entry.first, /*destroy_server=*/true);
-      }
-    }
-  });
-  LARD_LOG(WARNING) << "cluster: front-end " << fe << " removed";
-  return true;
-}
-
 void Cluster::Stop() {
   {
     // stopped_ is read under nodes_mutex_ by OnNodeRemoved on the front-end
@@ -1043,11 +816,9 @@ void Cluster::Stop() {
     }
     stopped_ = true;
   }
-  // Snapshot the loop groups under the lock (fes_ may have grown via
-  // AddFrontEnd since Start), then signal + join outside it — the loop
-  // threads may be blocked acquiring nodes_mutex_ inside OnNodeRemoved.
-  // stopped_ is already published, so no new replica can appear after the
-  // snapshot.
+  // Snapshot the loop groups under the lock, then signal + join outside it
+  // — the loop threads may be blocked acquiring nodes_mutex_ inside
+  // OnNodeRemoved.
   std::vector<EventLoopGroup*> groups;
   {
     MutexLock lock(&nodes_mutex_);
@@ -1082,8 +853,7 @@ void Cluster::Stop() {
 
 uint16_t Cluster::port() const {
   // Same lock discipline as ports()/frontend(): tests call this from their
-  // own thread while AddFrontEnd may be reallocating fes_ on replica 0's
-  // loop (the annotation pass caught the old unlocked read).
+  // own thread, and Start() publishes fes_ under nodes_mutex_.
   MutexLock lock(&nodes_mutex_);
   LARD_CHECK(!fes_.empty());
   return Fe(0)->port();
@@ -1094,8 +864,7 @@ std::vector<uint16_t> Cluster::ports() const {
   std::vector<uint16_t> out;
   out.reserve(fes_.size());
   for (size_t fe = 0; fe < fes_.size(); ++fe) {
-    // Removed replicas keep their slot (stable ids) but report port 0.
-    out.push_back(Fe(fe) != nullptr ? Fe(fe)->port() : 0);
+    out.push_back(Fe(fe)->port());
   }
   return out;
 }
@@ -1109,22 +878,14 @@ void Cluster::InspectReplica(int fe, const std::function<void(const FrontEnd&)>&
     MutexLock lock(&nodes_mutex_);
     LARD_CHECK(fe >= 0 && static_cast<size_t>(fe) < fes_.size());
     target = Fe(static_cast<size_t>(fe));
-    LARD_CHECK(target != nullptr) << "replica " << fe << " was removed";
     loop = FeLoop(static_cast<size_t>(fe));
   }
   RunOnLoop(loop, [target, &fn]() { fn(*target); });
 }
 
-int Cluster::num_frontends() const {
-  // Same lock discipline as ports()/frontend(): AddFrontEnd grows fes_.
-  MutexLock lock(&nodes_mutex_);
-  return static_cast<int>(fes_.size());
-}
-
 const FrontEnd& Cluster::frontend(int fe) const {
   MutexLock lock(&nodes_mutex_);
   LARD_CHECK(fe >= 0 && static_cast<size_t>(fe) < fes_.size());
-  LARD_CHECK(Fe(static_cast<size_t>(fe)) != nullptr) << "replica " << fe << " was removed";
   return *Fe(static_cast<size_t>(fe));
 }
 
@@ -1135,7 +896,7 @@ uint16_t Cluster::admin_port() const {
 
 ClusterSnapshot Cluster::Snapshot() const {
   // Every view is bound through the registry, whose instruments outlive
-  // the components: a removed node or replica keeps its counts.
+  // the components: a removed node keeps its counts.
   ClusterSnapshot snapshot;
   MutexLock lock(&nodes_mutex_);
   for (NodeId node = 0; node < static_cast<NodeId>(nodes_.size()); ++node) {

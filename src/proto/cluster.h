@@ -174,23 +174,9 @@ class Cluster {
   // missed heartbeats and auto-remove it.
   bool KillNode(NodeId node);
 
-  // Runtime front-end join: spins up a new FE replica (its own
-  // EventLoopGroup of fe_loops reactors, ephemeral listen port — see
-  // ports()), attaches a control session to every live back-end and joins
-  // the gossip mesh. Returns the new replica's id, or -1 if the cluster is
-  // stopped. Serialized on replica 0's loop, like the other membership verbs.
-  int AddFrontEnd();
-  // Runtime front-end leave: stops and joins replica `fe`'s loops, then
-  // destroys the front-end — back-ends see control EOF and degrade the
-  // session; mesh peers see gossip EOF and drop the peer. The replica slot
-  // stays (frontend == nullptr) so ids remain stable. Replica 0 hosts the
-  // admin plane and cannot be removed. Returns false if `fe` is invalid,
-  // already removed, or 0.
-  bool RemoveFrontEnd(int fe);
-
   // Runs `fn` on replica `fe`'s control-plane loop (loop 0) and waits for
   // it — the thread-safe way for tests/tools to inspect a replica's
-  // dispatcher state from outside. `fe` must not have been removed.
+  // dispatcher state from outside.
   void InspectReplica(int fe, const std::function<void(const FrontEnd&)>& fn) const;
 
   // Front-end 0's client port (the only one with a single-FE tier).
@@ -202,7 +188,6 @@ class Cluster {
   const ContentStore& store() const { return store_; }
   const FrontEnd& frontend() const { return frontend(0); }
   const FrontEnd& frontend(int fe) const;
-  int num_frontends() const;
   MetricsRegistry* metrics() { return &metrics_; }
   Tracer* tracer() { return tracer_.get(); }
 
@@ -210,13 +195,12 @@ class Cluster {
   struct Node;
   // One front-end replica: a group of fe_loops reactors (each on its own
   // thread, owned/joined by the group) + the server. Declaration order
-  // matters: the loops must outlive the front-end. After RemoveFrontEnd the
-  // slot persists with frontend == nullptr and the loops stopped.
+  // matters: the loops must outlive the front-end. The tier is fixed at
+  // boot: num_frontends replicas, none added or removed while running.
   //
-  // Mutation rule: fes_ (and each slot's frontend pointer) is only mutated
-  // on replica 0's loop thread *and* under nodes_mutex_ — or by Start(),
-  // under the lock, before any loop thread exists. Readers on replica 0's
-  // loop need no lock; readers on any other thread take nodes_mutex_.
+  // Mutation rule: fes_ is written once, by Start(), under nodes_mutex_ and
+  // before any loop thread exists. Readers on replica 0's loop need no lock;
+  // readers on any other thread take nodes_mutex_.
   struct FeReplica {
     std::unique_ptr<EventLoopGroup> loops;
     std::unique_ptr<FrontEnd> frontend;
@@ -225,14 +209,11 @@ class Cluster {
   // Replica `fe`'s control-plane loop (loop 0 of its group).
   EventLoop* FeLoop(size_t fe) const { return fes_[fe]->loops->loop(0); }
   FrontEnd* Fe(size_t fe) const { return fes_[fe]->frontend.get(); }
-  // Fe(fe) for fan-out closures running on replica fe's own loop: an
-  // unlocked fes_ read there would race AddFrontEnd's push_back (replica 0's
-  // loop may be reallocating the vector). The returned pointer outlives the
-  // closure — a replica is only destroyed after its loops are joined.
+  // Fe(fe) for fan-out closures running on replica fe's own loop, read
+  // under nodes_mutex_ like every fes_ read off replica 0's loop. The
+  // returned pointer outlives the closure — a replica is only destroyed
+  // after its loops are joined.
   FrontEnd* FeFromReplicaLoop(size_t fe) const LARD_EXCLUDES(nodes_mutex_);
-  // Front-ends still present (frontend != nullptr). Caller holds
-  // nodes_mutex_ (or runs on replica 0's loop).
-  int LiveFeCountLocked() const LARD_REQUIRES(nodes_mutex_);
 
   // Creates one back-end and wires it on its not yet running loop (server
   // started, control sessions attached); the caller spawns the loop thread.
@@ -259,9 +240,9 @@ class Cluster {
   ProcessMetrics process_metrics_{&metrics_};
   std::unique_ptr<Tracer> tracer_;
 
-  // fes_ follows the hybrid discipline documented on FeReplica (mutations on
-  // replica 0's loop AND under nodes_mutex_; replica-0-loop readers
-  // lock-free), which a single GUARDED_BY cannot express — the lock-free
+  // fes_ follows the hybrid discipline documented on FeReplica (written by
+  // Start() under nodes_mutex_; replica-0-loop readers lock-free), which a
+  // single GUARDED_BY cannot express — the lock-free
   // reads are legal and annotating them away with lock acquisitions would
   // deadlock replica-0-loop closures that run while Start()/AddNode() hold
   // nodes_mutex_. The runtime check is FeFromReplicaLoop + the loop-thread
@@ -272,7 +253,7 @@ class Cluster {
   mutable Mutex nodes_mutex_;
   std::vector<std::unique_ptr<Node>> nodes_ LARD_GUARDED_BY(nodes_mutex_);
   // Per-node count of front-ends that completed the node's removal; teardown
-  // happens once every *live* front-end acked.
+  // happens once every front-end acked.
   std::unordered_map<NodeId, int> removal_acks_ LARD_GUARDED_BY(nodes_mutex_);
   bool started_ LARD_GUARDED_BY(nodes_mutex_) = false;
   bool stopped_ LARD_GUARDED_BY(nodes_mutex_) = false;

@@ -64,10 +64,6 @@ BodyParts ContentStore::ExpectedParts(const std::string& path, uint64_t size_byt
   return parts;
 }
 
-std::string ContentStore::ExpectedBody(const std::string& path, uint64_t size_bytes) {
-  return ExpectedParts(path, size_bytes).Materialize();
-}
-
 BodyParts ContentStore::PartsFor(TargetId target) const {
   const Target& entry = catalog_->Get(target);
   return ExpectedParts(entry.path, entry.size_bytes);

@@ -70,10 +70,7 @@ class ContentStore {
   // The same bytes as BodyFor, as prefix + slab views (nothing built).
   BodyParts PartsFor(TargetId target) const;
 
-  // The body a client should expect for a path of the given size — used for
-  // end-to-end verification without a catalog round-trip.
-  static std::string ExpectedBody(const std::string& path, uint64_t size_bytes);
-  // The one definition of a body's bytes; ExpectedBody materializes it.
+  // The one definition of a body's bytes for a path of the given size.
   static BodyParts ExpectedParts(const std::string& path, uint64_t size_bytes);
 
   // Resolves a path to a target id; kInvalidTarget when absent (-> 404).

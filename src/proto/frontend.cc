@@ -882,18 +882,6 @@ void FrontEnd::MaybeFinalizeRetire(NodeId node) {
   RemoveNodeInternal(node, "retired");
 }
 
-void FrontEnd::BurnNodeSlot() {
-  MutexLock lock(&state_mutex_);
-  const NodeId node = dispatcher_->AddNode(1.0);
-  std::vector<ConnId> orphans;
-  (void)dispatcher_->RemoveNode(node, &orphans);
-  LARD_CHECK(orphans.empty());
-  if (static_cast<size_t>(node) >= nodes_.size()) {
-    nodes_.resize(static_cast<size_t>(node) + 1);  // keep id indexing aligned
-  }
-  metric_active_nodes_->Set(dispatcher_->active_node_count());
-}
-
 bool FrontEnd::SetPolicyByName(const std::string& name) {
   Policy policy;
   if (!ParsePolicyName(name, &policy)) {
@@ -1112,16 +1100,6 @@ RequestDirective FrontEnd::DirectiveFor(const std::string& path,
 
 void FrontEnd::HandoffFlow(FeConn* conn, std::vector<HttpRequest> requests) {
   conn->shard->loop->AssertInLoopThread();
-  // Defensive: a first batch with zero complete requests (slow or garbage
-  // client) must get a 400 and a close, never reach the dispatcher's
-  // non-empty-batch invariants and abort the whole front-end.
-  if (requests.empty()) {
-    conn->conn->Write("HTTP/1.0 400 Bad Request\r\nContent-Length: 0\r\n\r\n");
-    conn->conn->CloseAfterFlush();
-    DestroyConn(conn);
-    return;
-  }
-
   // The first batch: every complete request that arrived before we decided.
   std::vector<std::string> paths;
   paths.reserve(requests.size());
@@ -1492,14 +1470,6 @@ void FrontEnd::OnIdleDeadline(LoopShard* shard, ConnId id) {
   // can see the EOF (the FeConn itself is erased on a posted task).
   DestroyConn(conn);
   conn->conn->CloseAfterFlush();
-}
-
-void FrontEnd::RunOnLoop0(std::function<void()> fn) {
-  if (loop_->IsInLoopThread()) {
-    fn();
-  } else {
-    loop_->Post(std::move(fn));
-  }
 }
 
 void FrontEnd::OnControlMessage(NodeId node, uint8_t type, std::string payload, UniqueFd fd) {

@@ -223,10 +223,6 @@ class FrontEnd {
   Policy policy() const LARD_EXCLUDES(state_mutex_);
   // Membership + health snapshot as the admin API's JSON body.
   std::string DescribeNodesJson() const LARD_EXCLUDES(state_mutex_);
-  // Burns one dispatcher node-id slot (add + immediate remove) so a
-  // front-end joining an established cluster keeps its node ids aligned with
-  // the tier across slots whose nodes already died.
-  void BurnNodeSlot() LARD_EXCLUDES(state_mutex_);
 
   // --- the front-end mesh (replicated tier) ---
 
@@ -396,6 +392,7 @@ class FrontEnd {
   // The deadline fired with no intervening activity: close + reap.
   void OnIdleDeadline(LoopShard* shard, ConnId id);
 
+  // `requests` is never empty: OnClientData returns on an empty batch.
   void HandoffFlow(FeConn* conn, std::vector<HttpRequest> requests);
   // Loop 0. Re-checks the target's control session (the shard's dispatcher
   // pick can race a node death), journals the retained dup, and ships the
@@ -471,9 +468,6 @@ class FrontEnd {
   void TelemetryTick() LARD_EXCLUDES(state_mutex_, telemetry_mutex_, health_json_mutex_);
   // The mirror store for back-end `node` (created on first telemetry row).
   TimeSeriesStore* NodeTelemetry(NodeId node) LARD_EXCLUDES(telemetry_mutex_);
-  // Runs `fn` on loop 0: inline when already there (the fe_loops=1 fast
-  // path and every control-plane caller), posted otherwise.
-  void RunOnLoop0(std::function<void()> fn);
 
   // Mesh internals (loop 0; locked helpers note their caller's lock).
   bool MeshEnabled() const { return mesh_ != nullptr; }

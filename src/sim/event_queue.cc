@@ -27,19 +27,4 @@ uint64_t EventQueue::RunUntilEmpty() {
   return count;
 }
 
-uint64_t EventQueue::RunUntil(SimTimeUs deadline_us, bool advance_clock) {
-  uint64_t count = 0;
-  while (!heap_.empty() && heap_.top().when_us <= deadline_us) {
-    Event event = heap_.top();
-    heap_.pop();
-    now_us_ = event.when_us;
-    event.fn();
-    ++count;
-  }
-  if (advance_clock && now_us_ < deadline_us) {
-    now_us_ = deadline_us;
-  }
-  return count;
-}
-
 }  // namespace lard

@@ -23,9 +23,6 @@ class EventQueue {
 
   // Runs events until the queue drains. Returns the number of events run.
   uint64_t RunUntilEmpty();
-  // Runs events with time <= `deadline_us`. The clock ends at the last event
-  // run (or is advanced to the deadline when `advance_clock` is true).
-  uint64_t RunUntil(SimTimeUs deadline_us, bool advance_clock = false);
 
   SimTimeUs now_us() const { return now_us_; }
   bool empty() const { return heap_.empty(); }

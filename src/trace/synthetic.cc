@@ -108,13 +108,4 @@ Trace GenerateSyntheticTrace(const SyntheticTraceConfig& config) {
   return trace;
 }
 
-SyntheticTraceConfig SmallTraceConfig(uint64_t seed) {
-  SyntheticTraceConfig config;
-  config.seed = seed;
-  config.num_pages = 400;
-  config.num_sessions = 4000;
-  config.num_clients = 64;
-  return config;
-}
-
 }  // namespace lard

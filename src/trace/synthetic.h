@@ -63,10 +63,6 @@ struct SyntheticTraceConfig {
 // Builds the workload. Target paths look like "/page1234/obj7.dat".
 Trace GenerateSyntheticTrace(const SyntheticTraceConfig& config);
 
-// Convenience: a small config for unit tests and the quickstart example
-// (about 2k targets / 60 MB footprint / 4k sessions).
-SyntheticTraceConfig SmallTraceConfig(uint64_t seed = 42);
-
 }  // namespace lard
 
 #endif  // SRC_TRACE_SYNTHETIC_H_

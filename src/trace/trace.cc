@@ -51,23 +51,6 @@ size_t Trace::total_requests() const {
   return n;
 }
 
-uint64_t Trace::total_response_bytes() const {
-  uint64_t total = 0;
-  for (const auto& session : sessions_) {
-    for (const auto& batch : session.batches) {
-      for (const TargetId id : batch.targets) {
-        total += catalog_.Get(id).size_bytes;
-      }
-    }
-  }
-  return total;
-}
-
-double Trace::mean_response_bytes() const {
-  const size_t n = total_requests();
-  return n == 0 ? 0.0 : static_cast<double>(total_response_bytes()) / static_cast<double>(n);
-}
-
 double Trace::mean_requests_per_session() const {
   return sessions_.empty()
              ? 0.0

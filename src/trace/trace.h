@@ -97,8 +97,6 @@ class Trace {
   const std::vector<TraceSession>& sessions() const { return sessions_; }
 
   size_t total_requests() const;
-  uint64_t total_response_bytes() const;
-  double mean_response_bytes() const;
   double mean_requests_per_session() const;
 
   // Re-expresses the workload as HTTP/1.0: one connection per request, same

@@ -86,11 +86,6 @@ void MetricHistogram::Observe(double value) {
   }
 }
 
-double MetricHistogram::mean() const {
-  const uint64_t n = count();
-  return n == 0 ? 0.0 : sum() / static_cast<double>(n);
-}
-
 double MetricHistogram::BucketUpperBound(int index) {
   const int octave = index / kSubBuckets;
   const int sub = index % kSubBuckets;

@@ -67,7 +67,6 @@ class MetricHistogram {
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
-  double mean() const;
   // p in [0, 100]; returns the upper bound of the smallest bucket prefix
   // covering p% of the samples. 0 when empty.
   double Percentile(double p) const;

@@ -1,7 +1,6 @@
 #include "src/util/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 namespace lard {
@@ -11,16 +10,9 @@ void StreamingStats::Add(double x) {
   sum_ += x;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
 }
-
-double StreamingStats::variance() const {
-  return count_ > 0 ? m2_ / static_cast<double>(count_) : 0.0;
-}
-
-double StreamingStats::stddev() const { return std::sqrt(variance()); }
 
 void StreamingStats::Merge(const StreamingStats& other) {
   if (other.count_ == 0) {
@@ -30,10 +22,7 @@ void StreamingStats::Merge(const StreamingStats& other) {
     *this = other;
     return;
   }
-  const double delta = other.mean_ - mean_;
   const int64_t n = count_ + other.count_;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                         static_cast<double>(other.count_) / static_cast<double>(n);
   mean_ = (mean_ * static_cast<double>(count_) + other.mean_ * static_cast<double>(other.count_)) /
           static_cast<double>(n);
   count_ = n;
@@ -105,21 +94,6 @@ std::string LogHistogram::ToString() const {
     out += line;
   }
   return out;
-}
-
-uint64_t LogHistogram::ApproxQuantile(double q) const {
-  if (total_ == 0) {
-    return 0;
-  }
-  const uint64_t want = static_cast<uint64_t>(q * static_cast<double>(total_));
-  uint64_t seen = 0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i];
-    if (seen >= want) {
-      return 1ULL << (i + 1);
-    }
-  }
-  return 1ULL << 63;
 }
 
 }  // namespace lard

@@ -10,16 +10,13 @@
 
 namespace lard {
 
-// Count / mean / variance / min / max without storing samples
-// (Welford's online algorithm).
+// Count / mean / min / max without storing samples (Welford's running mean).
 class StreamingStats {
  public:
   void Add(double x);
 
   int64_t count() const { return count_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }
-  double variance() const;  // population variance
-  double stddev() const;
   double min() const { return count_ > 0 ? min_ : 0.0; }
   double max() const { return count_ > 0 ? max_ : 0.0; }
   double sum() const { return sum_; }
@@ -30,7 +27,6 @@ class StreamingStats {
  private:
   int64_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
@@ -63,9 +59,6 @@ class LogHistogram {
   uint64_t total_count() const { return total_; }
   // Renders "  [4096,8192): ###### 1234" style lines.
   std::string ToString() const;
-  // Upper bound of the smallest prefix of buckets covering fraction `q` of
-  // the samples (approximate quantile).
-  uint64_t ApproxQuantile(double q) const;
 
  private:
   std::vector<uint64_t> buckets_ = std::vector<uint64_t>(64, 0);

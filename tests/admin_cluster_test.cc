@@ -234,6 +234,8 @@ TEST(AdminClusterTest, PolicySwitchAtRuntime) {
   EXPECT_EQ(rejected.find("bogus"), std::string::npos) << rejected;
   EXPECT_NE(rejected.find("extlard"), std::string::npos) << rejected;
   EXPECT_NE(rejected.find("wextlard"), std::string::npos) << rejected;
+  const std::string unchanged = AdminHttp(cluster.admin_port(), "GET", "/nodes");
+  EXPECT_NE(unchanged.find("\"policy_key\":\"wrr\""), std::string::npos) << unchanged;
 
   // The new policies are selectable at runtime by key.
   const std::string weighted = AdminHttp(cluster.admin_port(), "POST", "/policy", "wextlard");
@@ -245,24 +247,6 @@ TEST(AdminClusterTest, PolicySwitchAtRuntime) {
   load.num_clients = 6;
   const LoadResult result = RunLoad(load, trace);
   EXPECT_EQ(result.responses_ok, trace.total_requests());
-  cluster.Stop();
-}
-
-// A front end added at runtime routes with the tier's current policy, not
-// the one the cluster booted with.
-TEST(AdminClusterTest, AddedFrontEndJoinsWithTheCurrentPolicy) {
-  const Trace trace = TestTrace(33, 50);
-  Cluster cluster(BaseConfig(2), &trace.catalog());
-  ASSERT_TRUE(cluster.Start().ok());
-  const std::string switched = AdminHttp(cluster.admin_port(), "POST", "/policy", "wrr");
-  ASSERT_EQ(switched.substr(0, 3), "200") << switched;
-
-  ASSERT_EQ(cluster.AddFrontEnd(), 1);
-  std::string nodes;
-  cluster.InspectReplica(1, [&](const FrontEnd& frontend) {
-    nodes = frontend.DescribeNodesJson();
-  });
-  EXPECT_NE(nodes.find("\"policy_key\":\"wrr\""), std::string::npos) << nodes;
   cluster.Stop();
 }
 

@@ -55,19 +55,6 @@ TEST(EventQueueTest, ScheduleAfterRounds) {
   EXPECT_EQ(queue.now_us(), 1);
 }
 
-TEST(EventQueueTest, RunUntilStopsAtDeadline) {
-  EventQueue queue;
-  int fired = 0;
-  queue.ScheduleAt(10, [&]() { ++fired; });
-  queue.ScheduleAt(20, [&]() { ++fired; });
-  queue.ScheduleAt(30, [&]() { ++fired; });
-  EXPECT_EQ(queue.RunUntil(20), 2u);
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(queue.pending(), 1u);
-  queue.RunUntil(25, /*advance_clock=*/true);
-  EXPECT_EQ(queue.now_us(), 25);
-}
-
 TEST(FifoServerTest, SerializesWork) {
   EventQueue queue;
   FifoServer server(&queue);

@@ -84,15 +84,6 @@ TEST(LruCacheTest, MultipleEvictionsForLargeInsert) {
   EXPECT_EQ(cache.entry_count(), 1u);
 }
 
-TEST(LruCacheTest, Erase) {
-  LruCache cache(100);
-  cache.Insert(1, 60);
-  cache.Erase(1);
-  EXPECT_FALSE(cache.Contains(1));
-  EXPECT_EQ(cache.used_bytes(), 0u);
-  cache.Erase(1);  // idempotent
-}
-
 TEST(LruCacheTest, ZeroSizeEntries) {
   LruCache cache(10);
   EXPECT_TRUE(cache.Insert(1, 0));
@@ -133,15 +124,9 @@ TEST_P(LruPropertyTest, InvariantsHoldUnderRandomOps) {
       case 1:
         cache.Touch(id);
         break;
-      case 2: {
-        auto it = resident.find(id);
-        if (it != resident.end()) {
-          accounted -= it->second;
-          resident.erase(it);
-        }
-        cache.Erase(id);
+      case 2:
+        ASSERT_EQ(cache.Contains(id), resident.count(id) != 0);
         break;
-      }
     }
     ASSERT_LE(cache.used_bytes(), capacity);
     ASSERT_EQ(cache.entry_count(), resident.size());
@@ -187,15 +172,6 @@ class ReferenceLru {
     index_.emplace(id, entries_.begin());
     used_bytes_ += size_bytes;
     return true;
-  }
-
-  void Erase(TargetId id) {
-    auto it = index_.find(id);
-    if (it != index_.end()) {
-      used_bytes_ -= it->second->size_bytes;
-      entries_.erase(it->second);
-      index_.erase(it);
-    }
   }
 
   void Clear() {
@@ -245,11 +221,8 @@ void ExpectMatchesReference(uint64_t capacity, uint64_t max_size, const std::vec
       ASSERT_EQ(evicted, reference_evicted) << "op " << op;
     } else if (roll < 70) {
       ASSERT_EQ(cache.Touch(id), reference.Touch(id)) << "op " << op;
-    } else if (roll < 85) {
-      ASSERT_EQ(cache.Contains(id), reference.Contains(id)) << "op " << op;
     } else {
-      cache.Erase(id);
-      reference.Erase(id);
+      ASSERT_EQ(cache.Contains(id), reference.Contains(id)) << "op " << op;
     }
     ASSERT_EQ(cache.Contains(id), reference.Contains(id)) << "op " << op;
     ASSERT_EQ(cache.used_bytes(), reference.used_bytes()) << "op " << op;

@@ -17,6 +17,16 @@
 namespace lard {
 namespace {
 
+// One decision as text, e.g. "forward->node2 (no-cache)".
+std::string Describe(const Assignment& assignment) {
+  std::string out = AssignmentActionName(assignment.action);
+  out += "->node" + std::to_string(assignment.node);
+  if (!assignment.cache_after_miss) {
+    out += " (no-cache)";
+  }
+  return out;
+}
+
 class FakeDiskStats : public BackendStatsProvider {
  public:
   explicit FakeDiskStats(int num_nodes) : queues_(static_cast<size_t>(num_nodes), 0) {}
@@ -138,7 +148,7 @@ std::vector<std::string> DecisionTrace(const DispatcherConfig& base_config, cons
       const TraceBatch& batch = slot.session->batches[slot.next_batch++];
       const std::vector<Assignment> assignments = dispatcher.OnBatch(slot.conn, batch.targets);
       for (const Assignment& assignment : assignments) {
-        decisions.push_back(assignment.ToString() +
+        decisions.push_back(Describe(assignment) +
                             (assignment.served_from_cache ? "+hit" : "+miss"));
       }
       if (slot.next_batch >= slot.session->batches.size()) {
@@ -335,7 +345,7 @@ TEST(PolicySwitchTest, SwitchMidWorkloadConservesLoadAndConnections) {
     total_before += dispatcher.NodeLoad(node);
   }
 
-  ASSERT_TRUE(dispatcher.SetPolicyByName("wrr"));
+  dispatcher.SetPolicy(Policy::kWrr);
   EXPECT_EQ(dispatcher.policy(), Policy::kWrr);
 
   // Existing connections keep their handling nodes; loads are conserved.
@@ -360,7 +370,9 @@ TEST(PolicySwitchTest, SwitchMidWorkloadConservesLoadAndConnections) {
   for (const Policy policy : {Policy::kWrr, Policy::kLard, Policy::kExtendedLard,
                               Policy::kWeightedExtendedLard, Policy::kLardReplication}) {
     const std::string name = PolicyKey(policy);
-    ASSERT_TRUE(dispatcher.SetPolicyByName(name)) << name;
+    Policy parsed = Policy::kWrr;
+    ASSERT_TRUE(ParsePolicyName(name, &parsed)) << name;
+    dispatcher.SetPolicy(parsed);
     EXPECT_EQ(dispatcher.policy(), policy);
     double total = 0.0;
     for (NodeId node = 0; node < 3; ++node) {
@@ -368,10 +380,9 @@ TEST(PolicySwitchTest, SwitchMidWorkloadConservesLoadAndConnections) {
     }
     EXPECT_DOUBLE_EQ(total, total_before) << "load leaked switching to " << name;
   }
-  // ...and an unknown name is rejected without touching the active policy.
-  const Policy active = dispatcher.policy();
-  EXPECT_FALSE(dispatcher.SetPolicyByName("bogus"));
-  EXPECT_EQ(dispatcher.policy(), active);
+  // ...and an unknown name does not parse.
+  Policy unknown = Policy::kWrr;
+  EXPECT_FALSE(ParsePolicyName("bogus", &unknown));
 
   // The workload continues cleanly after all the switching.
   for (ConnId conn = 1; conn <= 12; ++conn) {

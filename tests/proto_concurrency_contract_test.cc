@@ -28,6 +28,12 @@
 namespace lard {
 namespace {
 
+// The body a client should see for a document: the store's one definition
+// of a body's bytes, materialized.
+std::string ExpectedBody(const std::string& path, uint64_t size_bytes) {
+  return ContentStore::ExpectedParts(path, size_bytes).Materialize();
+}
+
 Trace SmallTrace() {
   SyntheticTraceConfig config;
   config.seed = 7;
@@ -118,7 +124,7 @@ TEST(ConcurrencyContractTest, ClusterStartWiresEveryLoopBeforeRun) {
     const std::string reply = GetFirstDocument(cluster.port(), trace.catalog());
     EXPECT_NE(reply.substr(0, reply.find("\r\n")).find(" 200 "), std::string::npos)
         << "fe_loops=" << fe_loops << ": " << reply.substr(0, 200);
-    const std::string body = ContentStore::ExpectedBody(doc.path, doc.size_bytes);
+    const std::string body = ExpectedBody(doc.path, doc.size_bytes);
     ASSERT_GE(reply.size(), body.size());
     EXPECT_EQ(reply.substr(reply.size() - body.size()), body) << "fe_loops=" << fe_loops;
     EXPECT_EQ(cluster.frontend().pinning_violations(), 0u) << "fe_loops=" << fe_loops;
@@ -138,41 +144,6 @@ TEST(ConcurrencyContractTest, StartStopCyclesLeakNothing) {
   }
   EXPECT_EQ(ReadProcessStats().open_fds, fds);
   EXPECT_EQ(ThreadCount(), threads);
-}
-
-// Cluster::port()/ports()/num_frontends()/frontend() used to read fes_
-// without nodes_mutex_, racing AddFrontEnd()'s reallocation of the vector.
-// Hammer the accessors from reader threads while two replicas join.
-TEST(ConcurrencyContractTest, ClusterAccessorsAreSafeDuringFrontEndJoin) {
-  const Trace trace = SmallTrace();
-  Cluster cluster(SmallConfig(), &trace.catalog());
-  ASSERT_TRUE(cluster.Start().ok());
-
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> readers;
-  for (int i = 0; i < 3; ++i) {
-    readers.emplace_back([&cluster, &stop]() {
-      while (!stop.load(std::memory_order_relaxed)) {
-        EXPECT_NE(cluster.port(), 0);
-        EXPECT_GE(cluster.ports().size(), 1u);
-        EXPECT_GE(cluster.num_frontends(), 1);
-        std::this_thread::yield();
-      }
-    });
-  }
-
-  const int first = cluster.AddFrontEnd();
-  const int second = cluster.AddFrontEnd();
-  stop.store(true, std::memory_order_relaxed);
-  for (auto& reader : readers) {
-    reader.join();
-  }
-
-  EXPECT_EQ(first, 1);
-  EXPECT_EQ(second, 2);
-  EXPECT_EQ(cluster.num_frontends(), 3);
-  EXPECT_EQ(cluster.ports().size(), 3u);
-  cluster.Stop();
 }
 
 // A DiskGate destroyed with a completion timer still pending must drop the

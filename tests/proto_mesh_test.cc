@@ -211,85 +211,6 @@ TEST(ProtoMeshTest, MembershipOperationsFanOutToEveryReplica) {
   cluster.Stop();
 }
 
-TEST(ProtoMeshTest, RuntimeFrontEndJoinAndLeave) {
-  const Trace trace = TestTrace(200);
-  Cluster cluster(MeshConfig(2, 2), &trace.catalog());
-  ASSERT_TRUE(cluster.Start().ok());
-
-  // A weighted node added before the join: the late FE must learn the
-  // original weight, not default it.
-  const NodeId weighted = cluster.AddNode(2.0);
-
-  // Join: a third replica comes up at runtime with its own port and a
-  // control session to every live back-end.
-  const int joined = cluster.AddFrontEnd();
-  ASSERT_EQ(joined, 2);
-  std::vector<uint16_t> ports = cluster.ports();
-  ASSERT_EQ(ports.size(), 3u);
-  EXPECT_NE(ports[2], 0);
-
-  // The replica is wired before its loops start, so its dispatcher holds the
-  // tier's membership (ids + weights) the moment AddFrontEnd returns.
-  int slots = 0;
-  double weight = 0.0;
-  cluster.InspectReplica(joined, [&](const FrontEnd& frontend) {
-    slots = frontend.dispatcher().num_node_slots();
-    weight = frontend.dispatcher().NodeWeight(weighted);
-  });
-  EXPECT_EQ(slots, 3);
-  EXPECT_DOUBLE_EQ(weight, 2.0);
-
-  // The joined replica serves traffic addressed directly to it, and the
-  // added node takes its share.
-  LoadGeneratorConfig load;
-  load.ports = {ports[2]};
-  load.num_clients = 4;
-  const LoadResult via_joined = RunLoad(load, trace);
-  EXPECT_EQ(via_joined.responses_ok, trace.total_requests());
-  EXPECT_EQ(via_joined.transport_errors, 0u);
-  EXPECT_GT(cluster.frontend(joined).counters().connections_accepted.load(), 0u);
-  EXPECT_GT(cluster.Snapshot().requests_per_node[static_cast<size_t>(weighted)], 0u);
-  for (int fe = 0; fe <= joined; ++fe) {
-    EXPECT_EQ(cluster.frontend(fe).pinning_violations(), 0u) << "fe=" << fe;
-  }
-
-  // Leave: replica 0 (the control plane) is protected; the joined replica
-  // goes away exactly once and its port slot zeroes out.
-  EXPECT_FALSE(cluster.RemoveFrontEnd(0));
-  EXPECT_TRUE(cluster.RemoveFrontEnd(joined));
-  EXPECT_FALSE(cluster.RemoveFrontEnd(joined));
-  ports = cluster.ports();
-  ASSERT_EQ(ports.size(), 3u);
-  EXPECT_EQ(ports[2], 0);
-
-  // Membership verbs still work across the now-holey tier: the removal ack
-  // threshold must count live replicas, or this RemoveNode would hang
-  // waiting for an ack from the departed FE.
-  ASSERT_TRUE(cluster.RemoveNode(weighted));
-  const auto gone_everywhere = [&]() {
-    for (int fe = 0; fe < 2; ++fe) {
-      NodeState state = NodeState::kActive;
-      cluster.InspectReplica(
-          fe, [&](const FrontEnd& frontend) { state = frontend.dispatcher().node_state(weighted); });
-      if (state != NodeState::kDead) {
-        return false;
-      }
-    }
-    return true;
-  };
-  for (int attempt = 0; attempt < 100 && !gone_everywhere(); ++attempt) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_TRUE(gone_everywhere());
-
-  // The surviving replicas keep serving.
-  load.ports = {ports[0], ports[1]};
-  const LoadResult after = RunLoad(load, trace);
-  EXPECT_EQ(after.responses_ok, trace.total_requests());
-  EXPECT_EQ(after.transport_errors, 0u);
-  cluster.Stop();
-}
-
 TEST(ProtoMeshTest, DrainUnderLoadMigratesInsteadOfResetting) {
   const Trace trace = TestTrace(800);
   Cluster cluster(MeshConfig(3, 2), &trace.catalog());

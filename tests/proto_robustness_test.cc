@@ -2,15 +2,19 @@
 // disconnects, idle-timeout sweeping, pipelined bursts, relaying mode under
 // concurrency, and keep-alive semantics over real sockets.
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <future>
 #include <thread>
 
 #include "src/http/response_parser.h"
 #include "src/net/socket.h"
+#include "src/obs/process_stats.h"
 #include "src/proto/cluster.h"
 #include "src/proto/load_generator.h"
 #include "src/trace/synthetic.h"
@@ -88,9 +92,8 @@ TEST(ProtoRobustnessTest, GarbageRequestGets400) {
 TEST(ProtoRobustnessTest, PartialFirstBatchNeverCrashesTheFrontEnd) {
   // Regression: a first batch that parses to zero complete requests (a slow
   // or garbage client trickling bytes) must never reach the dispatcher's
-  // non-empty-batch invariants and abort the front-end — the degenerate
-  // batch gets a 400/close (or simply waits for more bytes) while the
-  // cluster keeps serving everyone else.
+  // non-empty-batch invariants and abort the front-end — the front end waits
+  // for more bytes while the cluster keeps serving everyone else.
   const Trace trace = SmallTrace();
   Cluster cluster(FastCluster(2), &trace.catalog());
   ASSERT_TRUE(cluster.Start().ok());
@@ -201,6 +204,67 @@ TEST(ProtoRobustnessTest, Http10ConnectionClosesAfterResponse) {
   EXPECT_EQ(responses[0].version, HttpVersion::kHttp10);
   ASSERT_NE(responses[0].headers.Find("Connection"), nullptr);
   EXPECT_EQ(*responses[0].headers.Find("Connection"), "close");
+  cluster.Stop();
+}
+
+// With every back end dead, a new client is shed at the door
+// (FrontEnd::AdoptClientFd): the exact 503 bytes, then EOF, one
+// rejected_no_backend count, and no descriptor left open.
+TEST(ProtoRobustnessTest, NoBackendLeftShedsAtTheDoor) {
+  const Trace trace = SmallTrace();
+  ClusterConfig config = FastCluster(2);
+  config.heartbeat_timeout_ms = 200;
+  // One accepting loop: each loop keeps a spare descriptor (AcceptAll) that
+  // it opens on its first accept, and the count below must not see one.
+  config.fe_loops = 1;
+  Cluster cluster(config, &trace.catalog());
+  ASSERT_TRUE(cluster.Start().ok());
+  for (NodeId node = 0; node < 2; ++node) {
+    ASSERT_TRUE(cluster.KillNode(node));
+  }
+  const auto all_dead = [&]() {
+    bool dead = true;
+    cluster.InspectReplica(0, [&](const FrontEnd& frontend) {
+      for (NodeId node = 0; node < 2; ++node) {
+        dead = dead && frontend.dispatcher().node_state(node) == NodeState::kDead;
+      }
+    });
+    return dead;
+  };
+  for (int attempt = 0; attempt < 300 && !all_dead(); ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(all_dead());
+
+  // The first client opens the loop's spare descriptor; the count starts
+  // from the second.
+  double fds = 0.0;
+  for (int client_index = 0; client_index < 2; ++client_index) {
+    if (client_index == 1) {
+      fds = ReadProcessStats().open_fds;
+    }
+    const uint64_t rejected = cluster.frontend().counters().rejected_no_backend.load();
+    auto fd = ConnectTcp(cluster.port());
+    ASSERT_TRUE(fd.ok());
+    const int client = fd.value().get();
+    // The reply goes out on accept, before any byte is read. Wait for it and
+    // the close before sending: a GET still unread when the front end closes
+    // the socket would turn its FIN into a RST.
+    pollfd ready{client, POLLRDHUP, 0};
+    ASSERT_EQ(::poll(&ready, 1, 5000), 1);
+    const std::string request = "GET " + trace.catalog().Get(0).path + " HTTP/1.1\r\n\r\n";
+    ASSERT_GT(::send(client, request.data(), request.size(), MSG_NOSIGNAL), 0);
+    std::string reply;
+    char buf[256];
+    ssize_t n;
+    while ((n = ::recv(client, buf, sizeof(buf), 0)) > 0) {
+      reply.append(buf, static_cast<size_t>(n));
+    }
+    EXPECT_EQ(n, 0) << "no EOF after the reply: " << std::strerror(errno);
+    EXPECT_EQ(reply, "HTTP/1.0 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n");
+    EXPECT_EQ(cluster.frontend().counters().rejected_no_backend.load(), rejected + 1);
+  }
+  EXPECT_EQ(ReadProcessStats().open_fds, fds);
   cluster.Stop();
 }
 

@@ -37,6 +37,12 @@
 namespace lard {
 namespace {
 
+// The body a client should see for a document: the store's one definition
+// of a body's bytes, materialized.
+std::string ExpectedBody(const std::string& path, uint64_t size_bytes) {
+  return ContentStore::ExpectedParts(path, size_bytes).Materialize();
+}
+
 void SetRecvTimeout(int fd, int seconds) {
   timeval tv{};
   tv.tv_sec = seconds;
@@ -59,7 +65,7 @@ std::string ExpectedWire(NodeId server, const std::string& path, uint64_t size, 
   return "HTTP/1.1 200 OK\r\nServer: lard-be" + std::to_string(server) +
          "\r\nContent-Type: application/octet-stream\r\n" +
          (close ? "Connection: close\r\n" : "") + "Content-Length: " + std::to_string(size) +
-         "\r\n\r\n" + ContentStore::ExpectedBody(path, size);
+         "\r\n\r\n" + ExpectedBody(path, size);
 }
 
 std::string Get(const std::string& path, bool close) {
@@ -412,7 +418,7 @@ class FakePeer {
 std::string PeerReplyPrefix(const std::string& path, uint64_t size, uint64_t length,
                             size_t body_bytes) {
   return "HTTP/1.1 200 OK\r\nContent-Length: " + std::to_string(length) + "\r\n\r\n" +
-         ContentStore::ExpectedBody(path, size).substr(0, body_bytes);
+         ExpectedBody(path, size).substr(0, body_bytes);
 }
 
 TEST_F(BackendPairTest, RelayCutMidBodyIsFinishedLocally) {
@@ -458,7 +464,7 @@ TEST_F(BackendPairTest, RelayCutWithAForeignLengthClosesTheClient) {
   EXPECT_LE(wire.size(), head.size() + kSent);
   EXPECT_EQ(wire.substr(0, head.size()), head);
   EXPECT_EQ(wire.substr(head.size()),
-            ContentStore::ExpectedBody(kBig, kBigSize).substr(0, wire.size() - head.size()));
+            ExpectedBody(kBig, kBigSize).substr(0, wire.size() - head.size()));
   for (int i = 0; i < 500 && !ConnClosedReported(id); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
@@ -712,7 +718,7 @@ TEST(ProtoServePathTest, HundredThousandPipelinedRequestsComplete) {
     requests += Get(path, i + 1 == kRequests);
   }
   std::thread sender = SendAll(fd.value().get(), std::move(requests));
-  const std::string body = ContentStore::ExpectedBody(path, 64);
+  const std::string body = ExpectedBody(path, 64);
   ResponseStream stream(fd.value().get());
   int ok = 0;
   while (ok < kRequests && stream.Next200(body)) {
@@ -740,7 +746,7 @@ TEST(ProtoServePathTest, PipelinedMegabyteBodiesKeepMemoryFlat) {
   ASSERT_TRUE(fd.ok());
   SetRecvTimeout(fd.value().get(), 60);
 
-  const std::string body = ContentStore::ExpectedBody(path, kSize);
+  const std::string body = ExpectedBody(path, kSize);
   const uint64_t peak_before_kb = PeakRssKb();
   std::string requests;
   for (int i = 0; i < kRequests; ++i) {
@@ -779,8 +785,8 @@ TEST_F(BackendPairTest, PeerPipelineAnswersInRequestOrder) {
   std::thread sender = SendAll(peer.get(), Get(kSmall, false) + Get(kBig, false) +
                                                Get(kSmall, false) + Get(missing, false) +
                                                Get(kBig, false));
-  const std::string small = ContentStore::ExpectedBody(kSmall, kSmallSize);
-  const std::string big = ContentStore::ExpectedBody(kBig, kBigSize);
+  const std::string small = ExpectedBody(kSmall, kSmallSize);
+  const std::string big = ExpectedBody(kBig, kBigSize);
   ResponseStream stream(peer.get());
   EXPECT_TRUE(stream.Next(200, small));
   EXPECT_TRUE(stream.Next(200, big));
@@ -810,9 +816,9 @@ TEST_F(BackendPairTest, HundredThousandPipelinedPeerRequestsComplete) {
     requests += Get(kTiny, false);
   }
   std::thread sender = SendAll(peer.get(), std::move(requests));
-  const std::string body = ContentStore::ExpectedBody(kTiny, kTinySize);
+  const std::string body = ExpectedBody(kTiny, kTinySize);
   ResponseStream stream(peer.get());
-  EXPECT_TRUE(stream.Next200(ContentStore::ExpectedBody(kHuge, kHugeSize)));
+  EXPECT_TRUE(stream.Next200(ExpectedBody(kHuge, kHugeSize)));
   int ok = 0;
   while (ok < kRequests && stream.Next200(body)) {
     ++ok;
@@ -827,7 +833,7 @@ TEST_F(BackendPairShortDeadlineTest, QuietPeerConnectionOutlivesIdleSweeps) {
   // The idle sweep reaps quiet client connections after 100 ms. A peer's
   // connection is shared by all its fetches, so it is never reaped.
   UniqueFd peer = ConnectPeer(1);
-  const std::string body = ContentStore::ExpectedBody(kSmall, kSmallSize);
+  const std::string body = ExpectedBody(kSmall, kSmallSize);
   ResponseStream stream(peer.get());
   std::thread first = SendAll(peer.get(), Get(kSmall, false));
   first.join();
@@ -843,7 +849,7 @@ TEST_F(BackendPairTest, NodeStatusCountsClientConnectionsOnly) {
   // One keep-alive client connection and one peer connection are open on
   // node 1; its status frame reports one open connection.
   UniqueFd client = Handoff(1, {}, Get(kSmall, false));
-  const std::string body = ContentStore::ExpectedBody(kSmall, kSmallSize);
+  const std::string body = ExpectedBody(kSmall, kSmallSize);
   ResponseStream client_stream(client.get());
   ASSERT_TRUE(client_stream.Next200(body));
   UniqueFd peer = ConnectPeer(1);
@@ -859,7 +865,7 @@ TEST_F(BackendPairTest, MalformedPeerRequestGetsA400AndAClose) {
   // way it ends a client's: a 400, then a close. Another peer connection
   // to the same node is still served.
   UniqueFd healthy = ConnectPeer(1);
-  const std::string body = ContentStore::ExpectedBody(kSmall, kSmallSize);
+  const std::string body = ExpectedBody(kSmall, kSmallSize);
   ResponseStream healthy_stream(healthy.get());
   std::thread first = SendAll(healthy.get(), Get(kSmall, false));
   first.join();

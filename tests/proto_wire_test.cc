@@ -10,6 +10,12 @@
 namespace lard {
 namespace {
 
+// The body a client should see for a document: the store's one definition
+// of a body's bytes, materialized.
+std::string ExpectedBody(const std::string& path, uint64_t size_bytes) {
+  return ContentStore::ExpectedParts(path, size_bytes).Materialize();
+}
+
 // --- WireWriter / WireReader ---
 
 TEST(WireTest, ScalarsRoundTrip) {
@@ -462,23 +468,23 @@ TEST(ContentStoreTest, BodyMatchesExpectedHelper) {
   ContentStore store(&catalog);
   const std::string body = store.BodyFor(id);
   EXPECT_EQ(body.size(), 4096u);
-  EXPECT_EQ(body, ContentStore::ExpectedBody("/page1/index.html", 4096));
+  EXPECT_EQ(body, ExpectedBody("/page1/index.html", 4096));
   // Header prefix embeds path and size.
   EXPECT_EQ(body.rfind("/page1/index.html#4096#", 0), 0u);
 }
 
 TEST(ContentStoreTest, DifferentPathsDifferentBodies) {
-  EXPECT_NE(ContentStore::ExpectedBody("/a", 256), ContentStore::ExpectedBody("/b", 256));
+  EXPECT_NE(ExpectedBody("/a", 256), ExpectedBody("/b", 256));
 }
 
 TEST(ContentStoreTest, TinyBodyTruncatesHeader) {
-  const std::string body = ContentStore::ExpectedBody("/long/path/name.html", 4);
+  const std::string body = ExpectedBody("/long/path/name.html", 4);
   EXPECT_EQ(body.size(), 4u);
   EXPECT_EQ(body, "/lon");
 }
 
 TEST(ContentStoreTest, ZeroSizeBody) {
-  EXPECT_TRUE(ContentStore::ExpectedBody("/x", 0).empty());
+  EXPECT_TRUE(ExpectedBody("/x", 0).empty());
 }
 
 // The body definition written out byte by byte, independent of the slab:
@@ -536,7 +542,7 @@ TEST(ContentStoreTest, SlabViewsMatchTheReferenceAtEverySize) {
     const BodyParts parts = ContentStore::ExpectedParts(path, size);
     EXPECT_EQ(parts.size(), size);
     EXPECT_EQ(JoinParts(parts), reference) << "size " << size;
-    EXPECT_EQ(ContentStore::ExpectedBody(path, size), reference) << "size " << size;
+    EXPECT_EQ(ExpectedBody(path, size), reference) << "size " << size;
   }
 }
 

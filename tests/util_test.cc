@@ -111,12 +111,17 @@ TEST(RngTest, GeometricMeanConverges) {
 
 TEST(RngTest, GaussianMoments) {
   Rng rng(13);
-  StreamingStats stats;
-  for (int i = 0; i < 200000; ++i) {
-    stats.Add(rng.NextGaussian());
+  const int n = 200000;
+  double sum = 0.0;
+  double sum_squares = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double x = rng.NextGaussian();
+    sum += x;
+    sum_squares += x * x;
   }
-  EXPECT_NEAR(stats.mean(), 0.0, 0.02);
-  EXPECT_NEAR(stats.stddev(), 1.0, 0.02);
+  const double mean = sum / n;
+  EXPECT_NEAR(mean, 0.0, 0.02);
+  EXPECT_NEAR(std::sqrt(sum_squares / n - mean * mean), 1.0, 0.02);
 }
 
 TEST(RngTest, ParetoRespectsScale) {
@@ -163,7 +168,6 @@ TEST(StreamingStatsTest, BasicMoments) {
   EXPECT_DOUBLE_EQ(stats.min(), 1.0);
   EXPECT_DOUBLE_EQ(stats.max(), 4.0);
   EXPECT_DOUBLE_EQ(stats.sum(), 10.0);
-  EXPECT_NEAR(stats.variance(), 1.25, 1e-12);
 }
 
 TEST(StreamingStatsTest, MergeMatchesSequential) {
@@ -177,7 +181,6 @@ TEST(StreamingStatsTest, MergeMatchesSequential) {
   left.Merge(right);
   EXPECT_EQ(left.count(), all.count());
   EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
   EXPECT_DOUBLE_EQ(left.min(), all.min());
   EXPECT_DOUBLE_EQ(left.max(), all.max());
 }
@@ -186,7 +189,6 @@ TEST(StreamingStatsTest, EmptyIsZero) {
   StreamingStats stats;
   EXPECT_EQ(stats.count(), 0);
   EXPECT_EQ(stats.mean(), 0.0);
-  EXPECT_EQ(stats.variance(), 0.0);
 }
 
 TEST(PercentileTest, ExactQuartiles) {
@@ -209,14 +211,13 @@ TEST(PercentileTest, AddAfterQueryResorts) {
   EXPECT_DOUBLE_EQ(tracker.Percentile(100), 3.0);
 }
 
-TEST(LogHistogramTest, BucketsAndQuantiles) {
+TEST(LogHistogramTest, CountsAndRenders) {
   LogHistogram histogram;
   for (int i = 0; i < 100; ++i) {
     histogram.Add(1000);  // bucket [512, 1024)
   }
   histogram.Add(1 << 20);
   EXPECT_EQ(histogram.total_count(), 101u);
-  EXPECT_LE(histogram.ApproxQuantile(0.5), 1024u);
   EXPECT_FALSE(histogram.ToString().empty());
 }
 
