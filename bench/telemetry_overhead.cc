@@ -20,6 +20,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -40,7 +41,11 @@ int64_t SteadyNowMs() {
 }
 
 struct ModeResult {
+  ModeResult(std::string name, int64_t interval_ms)
+      : mode(std::move(name)), telemetry_interval_ms(interval_ms) {}
+
   std::string mode;
+  int64_t telemetry_interval_ms;
   double best_rps = 0.0;
   std::vector<double> runs_rps;
   uint64_t fe_samples = 0;  // FE TimeSeriesStore rows across the runs
@@ -49,43 +54,39 @@ struct ModeResult {
   uint64_t transport_errors = 0;
 };
 
-ModeResult RunMode(const std::string& mode, const Trace& trace, int64_t nodes, int64_t clients,
-                   int64_t repeat, int64_t telemetry_interval_ms) {
-  ModeResult result;
-  result.mode = mode;
-  for (int64_t rep = 0; rep < repeat; ++rep) {
-    ClusterConfig config;
-    config.num_nodes = static_cast<int>(nodes);
-    config.policy = Policy::kExtendedLard;
-    config.mechanism = Mechanism::kBackEndForwarding;
-    // Mostly-cached regime: the overhead under test is per-request CPU
-    // (latency histogram observes, sampler reads), so keep the disk out.
-    config.backend_cache_bytes = 64ull * 1024 * 1024;
-    config.disk_time_scale = 0.02;
-    config.telemetry_interval_ms = telemetry_interval_ms;
-    Cluster cluster(config, &trace.catalog());
-    Status status = cluster.Start();
-    LARD_CHECK(status.ok()) << status.ToString();
+// One run of `result`'s mode against a fresh cluster, folded into its
+// best-of-N and totals.
+void RunOnce(const Trace& trace, int64_t nodes, int64_t clients, ModeResult* result) {
+  ClusterConfig config;
+  config.num_nodes = static_cast<int>(nodes);
+  config.policy = Policy::kExtendedLard;
+  config.mechanism = Mechanism::kBackEndForwarding;
+  // Mostly-cached regime: the overhead under test is per-request CPU
+  // (latency histogram observes, sampler reads), so keep the disk out.
+  config.backend_cache_bytes = 64ull * 1024 * 1024;
+  config.disk_time_scale = 0.02;
+  config.telemetry_interval_ms = result->telemetry_interval_ms;
+  Cluster cluster(config, &trace.catalog());
+  Status status = cluster.Start();
+  LARD_CHECK(status.ok()) << status.ToString();
 
-    LoadGeneratorConfig load;
-    load.port = cluster.port();
-    load.num_clients = static_cast<int>(clients);
-    const LoadResult run = RunLoad(load, trace);
-    result.runs_rps.push_back(run.throughput_rps);
-    result.best_rps = std::max(result.best_rps, run.throughput_rps);
-    result.responses_ok += run.responses_ok;
-    result.responses_bad += run.responses_bad;
-    result.transport_errors += run.transport_errors;
-    if (telemetry_interval_ms > 0) {
-      cluster.InspectReplica(0, [&result](const FrontEnd& fe) {
-        if (fe.telemetry() != nullptr) {
-          result.fe_samples += fe.telemetry()->num_samples();
-        }
-      });
-    }
-    cluster.Stop();
+  LoadGeneratorConfig load;
+  load.port = cluster.port();
+  load.num_clients = static_cast<int>(clients);
+  const LoadResult run = RunLoad(load, trace);
+  result->runs_rps.push_back(run.throughput_rps);
+  result->best_rps = std::max(result->best_rps, run.throughput_rps);
+  result->responses_ok += run.responses_ok;
+  result->responses_bad += run.responses_bad;
+  result->transport_errors += run.transport_errors;
+  if (result->telemetry_interval_ms > 0) {
+    cluster.InspectReplica(0, [result](const FrontEnd& fe) {
+      if (fe.telemetry() != nullptr) {
+        result->fe_samples += fe.telemetry()->num_samples();
+      }
+    });
   }
-  return result;
+  cluster.Stop();
 }
 
 // --- watchdog detection scenario ---
@@ -272,8 +273,14 @@ int main(int argc, char** argv) {
   const Trace trace = GenerateSyntheticTrace(PaperScaleTraceConfig(sessions));
 
   // --- overhead phase ---
-  const ModeResult off = RunMode("off", trace, nodes, clients, repeat, 0);
-  const ModeResult on = RunMode("on", trace, nodes, clients, repeat, interval_ms);
+  // Each repetition runs every mode once, in turn, so drift on the host
+  // spreads over both modes instead of landing on one.
+  ModeResult off{"off", 0};
+  ModeResult on{"on", interval_ms};
+  for (int64_t rep = 0; rep < repeat; ++rep) {
+    RunOnce(trace, nodes, clients, &off);
+    RunOnce(trace, nodes, clients, &on);
+  }
   const double on_ratio = off.best_rps > 0.0 ? on.best_rps / off.best_rps : 0.0;
   std::printf("throughput (best of %lld): telemetry-off %.0f rps, telemetry-on %.0f rps "
               "(%.3fx), fe samples %llu\n",

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -30,7 +31,12 @@ namespace lard {
 namespace {
 
 struct ModeResult {
+  ModeResult(std::string name, bool tracing, uint32_t every)
+      : mode(std::move(name)), tracing_enabled(tracing), sample_every(every) {}
+
   std::string mode;
+  bool tracing_enabled;
+  uint32_t sample_every;
   double best_rps = 0.0;
   std::vector<double> runs_rps;
   uint64_t spans_recorded = 0;
@@ -56,54 +62,49 @@ double RecordNsPerOp(bool enabled, uint32_t sample_every, uint64_t trace_id, int
   return static_cast<double>(elapsed_us) * 1000.0 / static_cast<double>(iters);
 }
 
-ModeResult RunMode(const std::string& mode, const Trace& trace, int64_t nodes, int64_t clients,
-                   int64_t repeat, bool tracing_enabled, uint32_t sample_every,
-                   const std::string& chrome_out) {
-  ModeResult result;
-  result.mode = mode;
-  for (int64_t rep = 0; rep < repeat; ++rep) {
-    ClusterConfig config;
-    config.num_nodes = static_cast<int>(nodes);
-    config.policy = Policy::kExtendedLard;
-    config.mechanism = Mechanism::kBackEndForwarding;
-    // Mostly-cached regime: the overhead under test is per-request CPU, so
-    // keep the disk (and its noise) out of the critical path.
-    config.backend_cache_bytes = 64ull * 1024 * 1024;
-    config.disk_time_scale = 0.02;
-    config.tracing_enabled = tracing_enabled;
-    config.trace_sample_every = sample_every;
-    Cluster cluster(config, &trace.catalog());
-    Status status = cluster.Start();
-    LARD_CHECK(status.ok()) << status.ToString();
+// One run of `result`'s mode against a fresh cluster, folded into its
+// best-of-N and totals. A non-empty `chrome_out` receives the run's spans.
+void RunOnce(const Trace& trace, int64_t nodes, int64_t clients, const std::string& chrome_out,
+             ModeResult* result) {
+  ClusterConfig config;
+  config.num_nodes = static_cast<int>(nodes);
+  config.policy = Policy::kExtendedLard;
+  config.mechanism = Mechanism::kBackEndForwarding;
+  // Mostly-cached regime: the overhead under test is per-request CPU, so
+  // keep the disk (and its noise) out of the critical path.
+  config.backend_cache_bytes = 64ull * 1024 * 1024;
+  config.disk_time_scale = 0.02;
+  config.tracing_enabled = result->tracing_enabled;
+  config.trace_sample_every = result->sample_every;
+  Cluster cluster(config, &trace.catalog());
+  Status status = cluster.Start();
+  LARD_CHECK(status.ok()) << status.ToString();
 
-    LoadGeneratorConfig load;
-    load.port = cluster.port();
-    load.num_clients = static_cast<int>(clients);
-    const LoadResult run = RunLoad(load, trace);
-    result.runs_rps.push_back(run.throughput_rps);
-    result.best_rps = std::max(result.best_rps, run.throughput_rps);
-    result.responses_ok += run.responses_ok;
-    result.responses_bad += run.responses_bad;
-    result.transport_errors += run.transport_errors;
-    if (tracing_enabled) {
-      // Ring() is find-or-create, so probing by name is safe even if a
-      // component never recorded (recorded() is just 0 then).
-      for (int node = 0; node < static_cast<int>(nodes); ++node) {
-        result.spans_recorded +=
-            cluster.tracer()->Ring("be" + std::to_string(node))->recorded();
-      }
-      result.spans_recorded += cluster.tracer()->Ring("fe0")->recorded();
+  LoadGeneratorConfig load;
+  load.port = cluster.port();
+  load.num_clients = static_cast<int>(clients);
+  const LoadResult run = RunLoad(load, trace);
+  result->runs_rps.push_back(run.throughput_rps);
+  result->best_rps = std::max(result->best_rps, run.throughput_rps);
+  result->responses_ok += run.responses_ok;
+  result->responses_bad += run.responses_bad;
+  result->transport_errors += run.transport_errors;
+  if (result->tracing_enabled) {
+    // Ring() is find-or-create, so probing by name is safe even if a
+    // component never recorded (recorded() is just 0 then).
+    for (int node = 0; node < static_cast<int>(nodes); ++node) {
+      result->spans_recorded +=
+          cluster.tracer()->Ring("be" + std::to_string(node))->recorded();
     }
-    // The artifact trace comes from the last full-tracing run, drained
-    // before teardown exactly as GET /trace?format=chrome would.
-    if (!chrome_out.empty() && rep == repeat - 1) {
-      std::ofstream file(chrome_out);
-      file << cluster.tracer()->RenderChrome() << "\n";
-      std::printf("wrote %s\n", chrome_out.c_str());
-    }
-    cluster.Stop();
+    result->spans_recorded += cluster.tracer()->Ring("fe0")->recorded();
   }
-  return result;
+  // Drained before teardown exactly as GET /trace?format=chrome would.
+  if (!chrome_out.empty()) {
+    std::ofstream file(chrome_out);
+    file << cluster.tracer()->RenderChrome() << "\n";
+    std::printf("wrote %s\n", chrome_out.c_str());
+  }
+  cluster.Stop();
 }
 
 }  // namespace
@@ -150,12 +151,17 @@ int main(int argc, char** argv) {
               ns_disabled, ns_unsampled, ns_sampled);
 
   // --- end-to-end modes ---
-  const ModeResult untraced =
-      RunMode("untraced", trace, nodes, clients, repeat, false, 16, "");
-  const ModeResult sampled =
-      RunMode("sampled", trace, nodes, clients, repeat, true, 16, "");
-  const ModeResult full =
-      RunMode("full", trace, nodes, clients, repeat, true, 1, chrome_out);
+  // Each repetition runs every mode once, in turn, so drift on the host
+  // spreads over all modes instead of landing on one.
+  ModeResult untraced{"untraced", false, 16};
+  ModeResult sampled{"sampled", true, 16};
+  ModeResult full{"full", true, 1};
+  // The artifact trace comes from the last full-tracing run.
+  for (int64_t rep = 0; rep < repeat; ++rep) {
+    RunOnce(trace, nodes, clients, "", &untraced);
+    RunOnce(trace, nodes, clients, "", &sampled);
+    RunOnce(trace, nodes, clients, rep == repeat - 1 ? chrome_out : "", &full);
+  }
 
   const double sampled_ratio =
       untraced.best_rps > 0.0 ? sampled.best_rps / untraced.best_rps : 0.0;

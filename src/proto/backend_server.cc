@@ -46,18 +46,18 @@ BackendCounters::BackendCounters(MetricsRegistry* registry, NodeId node)
       idle_closes(NodeCell(registry, "lard_backend_idle_closes_total", node)),
       heartbeats(NodeCell(registry, "lard_backend_heartbeats_total", node)) {}
 
-BackendServer::BackendServer(const BackendConfig& config, EventLoop* loop,
-                             const ContentStore* store)
-    : config_(WithRegistry(config, &own_metrics_)), loop_(loop), store_(store),
-      cache_(config.cache_bytes), counters_(config_.metrics, config_.node_id),
-      metric_open_conns_(config_.metrics->Gauge(
-          MetricsRegistry::WithNode("lard_backend_open_connections", config_.node_id))) {
+BackendServer::BackendServer(const ClusterConfig& config, NodeId node_id, EventLoop* loop,
+                             const ContentStore* store, MetricsRegistry* metrics, Tracer* tracer)
+    : metrics_(WithRegistry(metrics, &own_metrics_)), config_(config), node_id_(node_id),
+      loop_(loop), store_(store), cache_(config.backend_cache_bytes),
+      counters_(metrics_, node_id_), tracer_(tracer),
+      metric_open_conns_(
+          metrics_->Gauge(MetricsRegistry::WithNode("lard_backend_open_connections", node_id_))) {
   LARD_CHECK(loop_ != nullptr);
   LARD_CHECK(store_ != nullptr);
-  LARD_CHECK(config_.node_id >= 0 && config_.node_id < config_.num_nodes);
-  tracer_ = config_.tracer;
+  LARD_CHECK(node_id_ >= 0);
   if (tracer_ != nullptr) {
-    trace_ring_ = tracer_->Ring("be" + std::to_string(config_.node_id));
+    trace_ring_ = tracer_->Ring("be" + std::to_string(node_id_));
   }
 }
 
@@ -80,13 +80,13 @@ Status BackendServer::Start(UniqueFd control_fd) {
     return listener.status();
   }
   lateral_listener_ = std::move(listener.value());
-  disk_ = std::make_unique<DiskGate>(loop_, config_.disk_costs, config_.disk_time_scale);
+  disk_ = std::make_unique<DiskGate>(loop_, DiskCostModel{}, config_.disk_time_scale);
 
   if (config_.telemetry_interval_ms > 0) {
     // The per-request latency histogram is gated on telemetry so a
     // telemetry-off cluster pays nothing for it.
-    request_us_ = config_.metrics->Histogram(
-        MetricsRegistry::WithNode("lard_backend_request_us", config_.node_id));
+    request_us_ =
+        metrics_->Histogram(MetricsRegistry::WithNode("lard_backend_request_us", node_id_));
     loop_->ScheduleAfterMs(config_.telemetry_interval_ms,
                            alive_.Guard([this]() { TelemetryTick(); }));
   }
@@ -129,7 +129,7 @@ FramedChannel* BackendServer::FeChannel(int fe) {
 }
 
 void BackendServer::OnFrontEndLost(int fe) {
-  LARD_LOG(WARNING) << "backend " << config_.node_id << ": control session to front-end " << fe
+  LARD_LOG(WARNING) << "backend " << node_id_ << ": control session to front-end " << fe
                     << " lost";
   // Front end gone: its consults will never be answered, so its connections flip
   // to autonomous local service. Directives pair with requests positionally,
@@ -243,10 +243,10 @@ void BackendServer::TelemetryTick() {
 }
 
 void BackendServer::ConnectPeers(const std::vector<uint16_t>& ports) {
-  LARD_CHECK(ports.size() >= static_cast<size_t>(config_.num_nodes));
+  LARD_CHECK(ports.size() > static_cast<size_t>(node_id_));
   peers_.clear();
   for (size_t node = 0; node < ports.size(); ++node) {
-    if (static_cast<NodeId>(node) == config_.node_id) {
+    if (static_cast<NodeId>(node) == node_id_) {
       peers_.push_back(nullptr);
     } else {
       peers_.push_back(
@@ -260,7 +260,7 @@ void BackendServer::AddPeer(NodeId node, uint16_t port) {
   if (static_cast<size_t>(node) >= peers_.size()) {
     peers_.resize(static_cast<size_t>(node) + 1);
   }
-  if (node != config_.node_id) {
+  if (node != node_id_) {
     peers_[static_cast<size_t>(node)] =
         std::make_unique<LateralClient>(loop_, port, config_.lateral_timeout_ms);
   }
@@ -275,7 +275,7 @@ void BackendServer::OnControlMessage(int fe, uint8_t type, std::string payload, 
     case ControlMsg::kHandoff: {
       HandoffMsg msg;
       if (!DecodeHandoff(payload, &msg) || !fd.valid()) {
-        LARD_LOG(ERROR) << "backend " << config_.node_id << ": bad handoff message";
+        LARD_LOG(ERROR) << "backend " << node_id_ << ": bad handoff message";
         return;
       }
       AdoptConnection(fe, std::move(msg), std::move(fd));
@@ -284,7 +284,7 @@ void BackendServer::OnControlMessage(int fe, uint8_t type, std::string payload, 
     case ControlMsg::kReplay: {
       ReplayMsg msg;
       if (!DecodeReplay(payload, &msg) || !fd.valid()) {
-        LARD_LOG(ERROR) << "backend " << config_.node_id << ": bad replay message";
+        LARD_LOG(ERROR) << "backend " << node_id_ << ": bad replay message";
         return;
       }
       AdoptReplay(fe, std::move(msg), std::move(fd));
@@ -293,7 +293,7 @@ void BackendServer::OnControlMessage(int fe, uint8_t type, std::string payload, 
     case ControlMsg::kFeHello: {
       uint32_t announced = 0;
       if (!DecodeU32(payload, &announced) || announced != static_cast<uint32_t>(fe)) {
-        LARD_LOG(ERROR) << "backend " << config_.node_id << ": front-end hello mismatch ("
+        LARD_LOG(ERROR) << "backend " << node_id_ << ": front-end hello mismatch ("
                         << announced << " on session " << fe << ")";
       }
       return;
@@ -301,7 +301,7 @@ void BackendServer::OnControlMessage(int fe, uint8_t type, std::string payload, 
     case ControlMsg::kAssignments: {
       AssignmentsMsg msg;
       if (!DecodeAssignments(payload, &msg)) {
-        LARD_LOG(ERROR) << "backend " << config_.node_id << ": bad assignments message";
+        LARD_LOG(ERROR) << "backend " << node_id_ << ": bad assignments message";
         return;
       }
       OnAssignments(msg);
@@ -311,7 +311,7 @@ void BackendServer::OnControlMessage(int fe, uint8_t type, std::string payload, 
       uint32_t flags = 0;
       (void)DecodeU32(payload, &flags);  // reserved; drain regardless
       draining_ = true;
-      LARD_LOG(INFO) << "backend " << config_.node_id
+      LARD_LOG(INFO) << "backend " << node_id_
                      << ": draining — giving connections back to the front-end";
       // Sweep every connection: the quiescent ones hand back now, the busy
       // ones when their in-flight batch drains (ProcessNext's idle branch).
@@ -329,7 +329,7 @@ void BackendServer::OnControlMessage(int fe, uint8_t type, std::string payload, 
       return;
     }
     default:
-      LARD_LOG(ERROR) << "backend " << config_.node_id << ": unexpected control message type "
+      LARD_LOG(ERROR) << "backend " << node_id_ << ": unexpected control message type "
                       << static_cast<int>(type);
   }
 }
@@ -342,7 +342,7 @@ BackendServer::ClientConn* BackendServer::AdoptCommon(int fe, ConnId conn_id, bo
     // Two front-ends minting from one id space (or a replayed handoff)
     // would corrupt the table; refuse the adoption and reset the client
     // (fd RAII-closes) instead of undefined behaviour.
-    LARD_LOG(ERROR) << "backend " << config_.node_id << ": duplicate handoff for connection "
+    LARD_LOG(ERROR) << "backend " << node_id_ << ": duplicate handoff for connection "
                     << conn_id << " from front-end " << fe;
     return nullptr;
   }
@@ -395,7 +395,7 @@ BackendServer::ClientConn* BackendServer::AdoptCommon(int fe, ConnId conn_id, bo
   }
   if (raw->traced) {
     RecordSpan(tracer_, trace_ring_, conn_id, raw->trace_seq++, SpanKind::kAdopt,
-               config_.node_id, TraceNowUs(), 0, "fe=%d dirs=%zu autonomous=%d", fe,
+               node_id_, TraceNowUs(), 0, "fe=%d dirs=%zu autonomous=%d", fe,
                raw->directives.size(), autonomous ? 1 : 0);
   }
   conns_.emplace(raw->id, std::move(conn));
@@ -433,11 +433,11 @@ void BackendServer::AdoptReplay(int fe, ReplayMsg msg, UniqueFd fd) {
   raw->splice_pending = msg.splice_offset > 0;
   if (raw->traced) {
     RecordSpan(tracer_, trace_ring_, raw->id, raw->trace_seq++, SpanKind::kReplay,
-               config_.node_id, TraceNowUs(), 0, "origin=%d splice=%llu", msg.origin_node,
+               node_id_, TraceNowUs(), 0, "origin=%d splice=%llu", msg.origin_node,
                static_cast<unsigned long long>(msg.splice_offset));
   }
   counters_.replays_adopted.fetch_add(1, std::memory_order_relaxed);
-  LARD_LOG(INFO) << "backend " << config_.node_id << ": adopted crash-replay connection "
+  LARD_LOG(INFO) << "backend " << node_id_ << ": adopted crash-replay connection "
                  << msg.conn_id << " (" << raw->directives.size() << " requests, splice offset "
                  << msg.splice_offset << ")";
   if (!msg.replay_input.empty()) {
@@ -458,7 +458,7 @@ void BackendServer::OnLateralAccept(uint32_t) {
                 std::move(fd));
   });
   if (error != 0) {
-    LARD_LOG(ERROR) << "backend " << config_.node_id << ": lateral accept: "
+    LARD_LOG(ERROR) << "backend " << node_id_ << ": lateral accept: "
                     << std::strerror(error);
   }
 }
@@ -625,7 +625,7 @@ bool BackendServer::StartNextRequest(ClientConn* conn) {
   NodeId peer = kInvalidNode;
   std::string untagged;
   if (directive.action == DirectiveAction::kLateral &&
-      ParseTaggedPath(directive.path, &peer, &untagged) && peer != config_.node_id &&
+      ParseTaggedPath(directive.path, &peer, &untagged) && peer != node_id_ &&
       HasPeer(peer)) {
     LARD_CHECK(untagged == request.path)
         << "directive/request mismatch: " << untagged << " vs " << request.path;
@@ -638,7 +638,7 @@ bool BackendServer::StartNextRequest(ClientConn* conn) {
 
 void BackendServer::StartHandback(ClientConn* conn) {
   const RequestDirective& head = conn->directives.front();
-  if (head.node == config_.node_id || !HasPeer(head.node) || conn->conn == nullptr ||
+  if (head.node == node_id_ || !HasPeer(head.node) || conn->conn == nullptr ||
       !conn->conn->open()) {
     // Degenerate migration (bad target or dying socket): serve locally.
     conn->directives.front().action = DirectiveAction::kLocal;
@@ -778,7 +778,7 @@ void BackendServer::ServeLocal(ClientConn* conn, const HttpRequest& request,
     ClientConn* conn = it->second.get();
     if (conn->traced) {
       RecordSpan(tracer_, trace_ring_, id, conn->trace_seq++, SpanKind::kDiskWait,
-                 config_.node_id, disk_start_us, TraceNowUs() - disk_start_us, "queued=%d %s",
+                 node_id_, disk_start_us, TraceNowUs() - disk_start_us, "queued=%d %s",
                  queued_behind, request.path.c_str());
     }
     if (cache_after_miss) {
@@ -847,14 +847,14 @@ void BackendServer::EndRelay(const Relay& relay, bool ok) {
   const bool finish_locally = target != kInvalidTarget && store_->SizeOf(target) == relay.length;
   if (conn->traced) {
     RecordSpan(tracer_, trace_ring_, conn->id, conn->trace_seq++, SpanKind::kLateral,
-               config_.node_id, relay.start_us, TraceNowUs() - relay.start_us,
+               node_id_, relay.start_us, TraceNowUs() - relay.start_us,
                "peer=%d status=%d%s", relay.peer, relay.status,
                ok ? "" : (!relay.head_seen || finish_locally ? " fallback=local" : " cut"));
   }
   if (!relay.head_seen) {
     // Peer unreachable: degrade to a local serve so the client still gets
     // its document (the paper's NFS path would block instead).
-    LARD_LOG(WARNING) << "backend " << config_.node_id
+    LARD_LOG(WARNING) << "backend " << node_id_
                       << ": lateral fetch failed, serving locally: " << request.path;
     RequestDirective fallback;
     fallback.path = request.path;
@@ -869,7 +869,7 @@ void BackendServer::EndRelay(const Relay& relay, bool ok) {
     return;
   }
   if (finish_locally) {
-    LARD_LOG(WARNING) << "backend " << config_.node_id << ": lateral relay cut after "
+    LARD_LOG(WARNING) << "backend " << node_id_ << ": lateral relay cut after "
                       << relay.relayed << " of " << relay.length
                       << " body bytes, finishing locally: " << request.path;
     // The head and the relayed bytes are already queued or sent: skip that
@@ -881,7 +881,7 @@ void BackendServer::EndRelay(const Relay& relay, bool ok) {
   }
   // Nothing local can finish these bytes: a short response followed by the
   // next one would desynchronize the client, so close it.
-  LARD_LOG(ERROR) << "backend " << config_.node_id << ": lateral relay of " << request.path
+  LARD_LOG(ERROR) << "backend " << node_id_ << ": lateral relay of " << request.path
                   << " cut after " << relay.relayed << " of " << relay.length
                   << " body bytes, closing the client";
   CloseClient(conn, /*notify_frontend=*/true);
@@ -902,7 +902,7 @@ std::optional<uint64_t> BackendServer::BeginResponse(ClientConn* conn, const Htt
   // node was sending, so it carries the *origin* node's Server token.
   const NodeId identity =
       conn->splice_pending && conn->splice_origin != kInvalidNode ? conn->splice_origin
-                                                                  : config_.node_id;
+                                                                  : node_id_;
   response.headers.Add("Server", "lard-be" + std::to_string(identity));
   response.headers.Add("Content-Type", "application/octet-stream");
   if (!KeepsAlive(request, status)) {
@@ -920,7 +920,7 @@ std::optional<uint64_t> BackendServer::BeginResponse(ClientConn* conn, const Htt
       // The recorded delivered-prefix exceeds the regenerated response: the
       // streams cannot be reconciled (content changed?). Closing is the only
       // honest option — never emit overlapping or short bytes.
-      LARD_LOG(ERROR) << "backend " << config_.node_id << ": replay splice offset "
+      LARD_LOG(ERROR) << "backend " << node_id_ << ": replay splice offset "
                       << conn->splice_remaining << " >= regenerated response size "
                       << wire_bytes << " on connection " << conn->id << ", closing";
       CloseClient(conn, /*notify_frontend=*/true);
@@ -955,10 +955,10 @@ void BackendServer::EndResponse(ClientConn* conn, const HttpRequest& request, in
     }
     if (conn->traced) {
       RecordSpan(tracer_, trace_ring_, conn->id, conn->trace_seq++, SpanKind::kServe,
-                 config_.node_id, conn->serve_start_us, total_us, "status=%d cache=%c %s",
+                 node_id_, conn->serve_start_us, total_us, "status=%d cache=%c %s",
                  status, conn->serve_cache, request.path.c_str());
       RecordSpan(tracer_, trace_ring_, conn->id, conn->trace_seq++, SpanKind::kFlush,
-                 config_.node_id, now_us, 0, "bytes=%llu pending=%zu",
+                 node_id_, now_us, 0, "bytes=%llu pending=%zu",
                  static_cast<unsigned long long>(wire_bytes), conn->conn->pending_write_bytes());
     }
     if (tracer_ != nullptr && tracer_->slow_threshold_us() > 0 &&
@@ -969,7 +969,7 @@ void BackendServer::EndResponse(ClientConn* conn, const HttpRequest& request, in
       slow.trace_id = conn->id;
       slow.seq = conn->trace_seq;
       slow.kind = SpanKind::kServe;
-      slow.node = config_.node_id;
+      slow.node = node_id_;
       slow.start_us = conn->serve_start_us;
       slow.duration_us = total_us;
       std::snprintf(slow.detail, sizeof(slow.detail), "status=%d cache=%c %s", status,

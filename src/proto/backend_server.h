@@ -42,6 +42,7 @@
 #include "src/net/event_loop.h"
 #include "src/net/framed_channel.h"
 #include "src/obs/samplers.h"
+#include "src/proto/cluster_config.h"
 #include "src/proto/content_store.h"
 #include "src/proto/control_protocol.h"
 #include "src/proto/disk_gate.h"
@@ -52,34 +53,6 @@
 #include "src/util/tracing.h"
 
 namespace lard {
-
-struct BackendConfig {
-  NodeId node_id = 0;
-  int num_nodes = 1;
-  uint64_t cache_bytes = 32ull * 1024 * 1024;
-  DiskCostModel disk_costs;
-  double disk_time_scale = 1.0;
-  // Close a client connection after this much inactivity (the paper's
-  // "configurable interval, typically 15 seconds"). <= 0 disables.
-  int64_t idle_close_ms = 15000;
-  // Per-fetch deadline on lateral (peer) fetches: a killed peer's listener
-  // keeps accepting silently until its process dies, and an unbounded wait
-  // would wedge the client connection being served. <= 0 disables.
-  int64_t lateral_timeout_ms = 2000;
-  // Shared registry; per-node counts are kept under lard_backend_*{node="k"}.
-  // When null the back end keeps them in a registry of its own.
-  MetricsRegistry* metrics = nullptr;
-  // Telemetry sampling period: each tick samples one row of windowed values
-  // (request rate, hit ratio, latency quantiles, lateral rate, loop health)
-  // and ships it to every attached front-end inside a node-status frame.
-  // <= 0 disables telemetry entirely (no rows, no per-request latency
-  // timing); the status frames flow regardless.
-  int64_t telemetry_interval_ms = 0;
-  // Optional request tracer: adopt/serve/disk/lateral/flush spans go into
-  // the "be<node_id>" ring. The sampling verdict depends only on the conn
-  // id, so FE and BE record the same connections.
-  Tracer* tracer = nullptr;
-};
 
 // A read view of one node's counts. The fields are references to the
 // node's instruments in its registry, so the back end updates them in place
@@ -109,9 +82,17 @@ struct BackendCounters {
 
 class BackendServer {
  public:
-  // `loop` and `store` must outlive the server. Construct and Start() on the
-  // owner's thread before the loop runs, or on the loop thread.
-  BackendServer(const BackendConfig& config, EventLoop* loop, const ContentStore* store);
+  // Back-end `node_id` of the cluster `config` describes. `loop` and `store`
+  // must outlive the server. Construct and Start() on the owner's thread
+  // before the loop runs, or on the loop thread. `metrics` is the shared
+  // registry, where per-node counts are kept under lard_backend_*{node="k"};
+  // when null the back end keeps them in a registry of its own. `tracer`,
+  // when set, records adopt/serve/disk/lateral/flush spans into the
+  // "be<node_id>" ring; the sampling verdict depends only on the conn id, so
+  // FE and BE record the same connections.
+  BackendServer(const ClusterConfig& config, NodeId node_id, EventLoop* loop,
+                const ContentStore* store, MetricsRegistry* metrics = nullptr,
+                Tracer* tracer = nullptr);
   ~BackendServer();
 
   BackendServer(const BackendServer&) = delete;
@@ -324,17 +305,19 @@ class BackendServer {
   int64_t NowMs() const;
 
   // A lateral route to `node` exists. The mesh (peers_) grows as nodes join,
-  // so this — not the join-time num_nodes — is the membership bound.
+  // so this is the membership bound.
   bool HasPeer(NodeId node) const {
     return node >= 0 && static_cast<size_t>(node) < peers_.size() &&
            peers_[static_cast<size_t>(node)] != nullptr;
   }
 
-  // The registry the back end keeps its counts in when config.metrics is
-  // null; config_.metrics then points here. Declared first: config_ is
-  // initialized from it.
+  // The registry the back end keeps its counts in when none is shared;
+  // metrics_ then points here. Declared first: metrics_ is initialized from
+  // it.
   std::unique_ptr<MetricsRegistry> own_metrics_;
-  BackendConfig config_;
+  MetricsRegistry* metrics_;
+  const ClusterConfig config_;
+  const NodeId node_id_;
   EventLoop* loop_;
   const ContentStore* store_;
   // Guards deferred callbacks (posted erases, the housekeeping timer), which
@@ -357,7 +340,7 @@ class BackendServer {
 
   BackendCounters counters_;
 
-  Tracer* tracer_ = nullptr;
+  Tracer* const tracer_;
   TraceRing* trace_ring_ = nullptr;
 
   MetricGauge* metric_open_conns_ = nullptr;

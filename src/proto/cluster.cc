@@ -215,7 +215,6 @@ Cluster::Cluster(const ClusterConfig& config, const TargetCatalog* catalog)
   tracer_config.enabled = config_.tracing_enabled;
   tracer_config.sample_every = config_.trace_sample_every;
   tracer_config.ring_capacity = config_.trace_ring_capacity;
-  tracer_config.slow_threshold_us = config_.slow_request_threshold_us;
   tracer_ = std::make_unique<Tracer>(tracer_config);
 }
 
@@ -236,18 +235,8 @@ Status Cluster::StartBackend(NodeId node_id, std::vector<UniqueFd>* fe_ends) {
 
   auto node = std::make_unique<Node>();
   node->loop = std::make_unique<EventLoop>();
-  BackendConfig backend_config;
-  backend_config.node_id = node_id;
-  backend_config.num_nodes = node_id + 1;
-  backend_config.cache_bytes = config_.backend_cache_bytes;
-  backend_config.disk_costs = config_.disk_costs;
-  backend_config.disk_time_scale = config_.disk_time_scale;
-  backend_config.idle_close_ms = config_.idle_close_ms;
-  backend_config.lateral_timeout_ms = config_.lateral_timeout_ms;
-  backend_config.telemetry_interval_ms = config_.telemetry_interval_ms;
-  backend_config.metrics = &metrics_;
-  backend_config.tracer = tracer_.get();
-  node->server = std::make_unique<BackendServer>(backend_config, node->loop.get(), &store_);
+  node->server = std::make_unique<BackendServer>(config_, node_id, node->loop.get(), &store_,
+                                                 &metrics_, tracer_.get());
   Status status = node->server->Start(std::move(be_ends[0]));
   if (!status.ok()) {
     return status;
@@ -255,43 +244,25 @@ Status Cluster::StartBackend(NodeId node_id, std::vector<UniqueFd>* fe_ends) {
   for (size_t fe = 1; fe < be_ends.size(); ++fe) {
     node->server->AttachFrontEnd(static_cast<int>(fe), std::move(be_ends[fe]));
   }
-  if (config_.profile_loops) {
-    node->loop->EnableProfiling(&metrics_, "be" + std::to_string(node_id));
-  }
+  node->loop->EnableProfiling(&metrics_, "be" + std::to_string(node_id));
   node->lateral_port = node->server->lateral_port();
   LARD_CHECK(static_cast<size_t>(node_id) == nodes_.size());
   nodes_.push_back(std::move(node));
   return Status::Ok();
 }
 
-std::unique_ptr<Cluster::FeReplica> Cluster::NewReplica(FrontEndConfig fe_config) {
-  fe_config.gossip_interval_ms = config_.gossip_interval_ms;
-  fe_config.mechanism = config_.mechanism;
-  fe_config.params = config_.params;
-  fe_config.virtual_cache_bytes = config_.backend_cache_bytes;
-  fe_config.heartbeat_timeout_ms = config_.heartbeat_timeout_ms;
-  fe_config.retire_grace_ms = config_.retire_grace_ms;
-  fe_config.lateral_timeout_ms = config_.lateral_timeout_ms;
-  fe_config.replay_enabled = config_.replay_enabled;
-  fe_config.replay_journal = config_.replay_journal;
-  fe_config.idempotent_methods = config_.idempotent_methods;
-  fe_config.metrics = &metrics_;
-  fe_config.tracer = tracer_.get();
-  fe_config.telemetry_interval_ms = config_.telemetry_interval_ms;
-  fe_config.slo_rules = config_.slo_rules;
+std::unique_ptr<Cluster::FeReplica> Cluster::NewReplica(int fe) {
   auto replica = std::make_unique<FeReplica>();
   replica->loops = std::make_unique<EventLoopGroup>(config_.fe_loops);
-  replica->frontend =
-      std::make_unique<FrontEnd>(fe_config, replica->loops.get(), &store_.catalog());
+  replica->frontend = std::make_unique<FrontEnd>(config_, fe, replica->loops.get(),
+                                                 &store_.catalog(), &metrics_, tracer_.get());
   // Node teardown follows the front-ends' removal decisions (which may be
   // deferred past a graceful retire), not the admin call — and waits for
   // every replica to let go.
   replica->frontend->set_on_node_removed([this](NodeId node) { OnNodeRemoved(node); });
-  if (config_.profile_loops) {
-    // Per-loop twins: "fe<k>" for loop 0 (historic label), "fe<k>.<n>"
-    // for the extra reactors.
-    replica->loops->EnableProfiling(&metrics_, "fe" + std::to_string(fe_config.fe_id));
-  }
+  // Per-loop twins: "fe<k>" for loop 0 (historic label), "fe<k>.<n>" for
+  // the extra reactors.
+  replica->loops->EnableProfiling(&metrics_, "fe" + std::to_string(fe));
   return replica;
 }
 
@@ -335,17 +306,7 @@ Status Cluster::Start() {
   // state_mutex_ -> nodes_mutex_).
   std::vector<std::unique_ptr<FeReplica>> replicas;
   for (int fe = 0; fe < config_.num_frontends; ++fe) {
-    FrontEndConfig fe_config;
-    fe_config.fe_id = fe;
-    fe_config.num_frontends = config_.num_frontends;
-    fe_config.num_nodes = config_.num_nodes;
-    fe_config.node_weights = config_.node_weights;
-    // Only replica 0 gets the configured port; the rest pick free ports
-    // (ports() exposes the whole tier for client spraying).
-    fe_config.listen_port = fe == 0 ? config_.listen_port : 0;
-    fe_config.policy = config_.policy;
-    fe_config.idle_timeout_ms = config_.idle_timeout_ms;
-    std::unique_ptr<FeReplica> replica = NewReplica(fe_config);
+    std::unique_ptr<FeReplica> replica = NewReplica(fe);
     std::vector<UniqueFd> controls;
     controls.reserve(static_cast<size_t>(config_.num_nodes));
     for (auto& ends : fe_ends) {
@@ -378,13 +339,11 @@ Status Cluster::Start() {
   // Admin plane, on front-end 0's loop (handlers run where that dispatcher
   // lives; mesh introspection reads the other replicas' thread-safe
   // snapshots).
-  if (config_.enable_admin) {
-    admin_ = std::make_unique<AdminServer>(FeLoop(0), &metrics_);
-    RegisterAdminRoutes();
-    Status status = admin_->Start(config_.admin_port);
-    if (!status.ok()) {
-      return status;
-    }
+  admin_ = std::make_unique<AdminServer>(FeLoop(0), &metrics_);
+  RegisterAdminRoutes();
+  Status status = admin_->Start(config_.admin_port);
+  if (!status.ok()) {
+    return status;
   }
 
   for (auto& node : nodes_) {
@@ -890,7 +849,7 @@ const FrontEnd& Cluster::frontend(int fe) const {
 }
 
 uint16_t Cluster::admin_port() const {
-  LARD_CHECK(admin_ != nullptr) << "admin server disabled";
+  LARD_CHECK(admin_ != nullptr) << "admin_port() before Start()";
   return admin_->port();
 }
 

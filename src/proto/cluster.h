@@ -23,13 +23,11 @@
 #include "src/admin/admin_server.h"
 #include "src/core/cluster_types.h"
 #include "src/net/event_loop_group.h"
-#include "src/core/lard_params.h"
 #include "src/obs/process_stats.h"
-#include "src/obs/slo_watchdog.h"
 #include "src/proto/backend_server.h"
+#include "src/proto/cluster_config.h"
 #include "src/proto/content_store.h"
 #include "src/proto/frontend.h"
-#include "src/sim/cost_model.h"
 #include "src/trace/trace.h"
 #include "src/util/metrics.h"
 #include "src/util/mutex.h"
@@ -38,81 +36,6 @@
 #include "src/util/tracing.h"
 
 namespace lard {
-
-struct ClusterConfig {
-  int num_nodes = 2;
-  // Replicated front-end tier: N front-ends, each on its own loop thread
-  // with its own listen port (see ports()), its own control session to every
-  // back-end, and a pairwise gossip mesh keeping the dispatchers'
-  // load/vcache views approximately consistent. 1 = the classic single-FE
-  // harness.
-  int num_frontends = 1;
-  // Reactor-per-core front ends: event loops per FE process. Loop 0 carries
-  // the control plane (back-end control sessions, gossip, admin); client
-  // connections shard across all loops via per-loop SO_REUSEPORT listeners.
-  // 0 = auto: the LARD_FE_LOOPS environment variable when set, else 1 (the
-  // classic single-loop front-end, bit-compatible with the old harness).
-  int fe_loops = 0;
-  int64_t gossip_interval_ms = 50;
-  Policy policy = Policy::kExtendedLard;
-  // Capacity weight per initial node (padded with 1.0); weighted policies
-  // normalize load by weight. Weights describe relative back-end speed —
-  // the prototype's processes are really homogeneous, so this mostly
-  // exercises the decision plumbing (the simulator models true speed skew).
-  std::vector<double> node_weights;
-  Mechanism mechanism = Mechanism::kBackEndForwarding;
-  LardParams params;
-  uint64_t backend_cache_bytes = 32ull * 1024 * 1024;
-  DiskCostModel disk_costs;
-  // 1.0 = paper-faithful disk latencies; tests compress (e.g. 0.02).
-  double disk_time_scale = 1.0;
-  int64_t idle_close_ms = 15000;
-  // Front-end keep-alive deadline: a shard-owned client connection (accepted
-  // but not yet handed off, or relayed) with no bytes in either direction for
-  // this long is reaped by its shard loop's idle timer. Runtime-tunable via
-  // POST /idletimeout; <= 0 disables. The back-end companion for adopted
-  // connections is idle_close_ms above.
-  int64_t idle_timeout_ms = 30000;
-  // Lateral/relay fetch deadline (wedge guard against silently dead peers).
-  int64_t lateral_timeout_ms = 2000;
-  uint16_t listen_port = 0;  // 0 = ephemeral
-  // Control plane.
-  bool enable_admin = true;
-  uint16_t admin_port = 0;  // 0 = ephemeral (see admin_port() after Start)
-  // Back-ends send a status frame every 100 ms; one silent this long is
-  // declared dead. <= 0 disables liveness detection.
-  int64_t heartbeat_timeout_ms = 1500;
-  // Graceful removal: how long a live admin-removed node gets to give its
-  // connections back before the hard removal. <= 0 removes immediately.
-  int64_t retire_grace_ms = 1000;
-  // Crash-transparent request replay (see FrontEndConfig::replay_enabled):
-  // journaled idempotent requests of a *killed* node's connections are
-  // replayed onto survivors over the retained client sockets.
-  bool replay_enabled = true;
-  ReplayJournalConfig replay_journal;
-  std::vector<std::string> idempotent_methods = {"GET", "HEAD"};
-  // Request tracing (src/util/tracing.h): every component records sampled
-  // per-request spans into fixed-size rings, drained via GET /trace
-  // (?format=chrome for about:tracing / Perfetto).
-  bool tracing_enabled = true;
-  uint32_t trace_sample_every = 16;  // 1 = trace every connection
-  size_t trace_ring_capacity = 2048;
-  // Requests slower than this are logged with their span tree (0 disables).
-  int64_t slow_request_threshold_us = 0;
-  // Publish event-loop health (lard_loop_*{loop="fe0"/"be1"/...} histograms:
-  // tick duration, callback runtime, wakeup-to-run latency, queue depth).
-  bool profile_loops = true;
-  // Telemetry pipeline (src/obs/): every component samples rates, window
-  // quantiles and gauges at this period into a fixed-size TimeSeriesStore
-  // (back-ends ship each row in a status frame to the front-ends, which
-  // mirror it), and the FE SLO watchdog evaluates its rules at the same
-  // cadence. <= 0 disables the pipeline (GET /timeseries and
-  // /cluster/health go empty).
-  int64_t telemetry_interval_ms = 1000;
-  // Front-end watchdog rules; empty = the built-in defaults (back-end p99
-  // latency, replay storms, giveups, loop wakeup delay, load skew).
-  std::vector<SloRule> slo_rules;
-};
 
 // Snapshot of the whole cluster's counters.
 struct ClusterSnapshot {
@@ -221,10 +144,8 @@ class Cluster {
   // holds nodes_mutex_.
   Status StartBackend(NodeId node_id, std::vector<UniqueFd>* fe_ends)
       LARD_REQUIRES(nodes_mutex_);
-  // Builds a front-end replica whose loops are not started yet: `fe_config`
-  // carries the per-replica fields (id, tier size, initial nodes, port, idle
-  // timeout); the tier-wide ones are filled in from config_.
-  std::unique_ptr<FeReplica> NewReplica(FrontEndConfig fe_config);
+  // Builds front-end replica `fe`, whose loops are not started yet.
+  std::unique_ptr<FeReplica> NewReplica(int fe);
   void StopNodeLocked(NodeId node, bool destroy_server) LARD_REQUIRES(nodes_mutex_);
   // Runs on a front-end loop when that replica finishes removing a node
   // (admin remove, retire completion, heartbeat timeout or control EOF).

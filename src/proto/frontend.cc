@@ -50,7 +50,7 @@ constexpr const char* kFeSeriesNames[] = {
     "open_fds",   "idle_close_rate", "conns_fe_owned", "conns_handed_off",
 };
 
-// Built-in watchdog rules (FrontEndConfig::slo_rules empty). Ceilings are
+// Built-in watchdog rules (ClusterConfig::slo_rules empty). Ceilings are
 // prototype-scale: they catch order-of-magnitude regressions (a saturated
 // back-end, a stalled loop, a replay storm), not production SLOs.
 std::vector<SloRule> DefaultSloRules() {
@@ -82,6 +82,27 @@ std::vector<SloRule> DefaultSloRules() {
   rules.push_back(rule);
   return rules;
 }
+
+// Answers a client socket the front end is letting go of with an empty-bodied
+// `status` and a FIN, then discards what the client already sent: a socket
+// closed with unread bytes sends a RST, which can reach the client ahead of
+// the reply or turn the reply's EOF into ECONNRESET. Best-effort, one pass,
+// no waiting; the caller closes (or shuts down) the fd afterwards.
+void ShedSocket(int fd, int status) {
+  const std::string reply = "HTTP/1.0 " + std::to_string(status) + " " + ReasonPhrase(status) +
+                            "\r\nContent-Length: 0\r\n\r\n";
+  (void)!::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+  (void)::shutdown(fd, SHUT_WR);
+  char discard[4096];
+  // lard-lint: allow(blocking-call) MSG_DONTWAIT: this recv returns EAGAIN
+  // instead of blocking the loop.
+  while (::recv(fd, discard, sizeof(discard), MSG_DONTWAIT) > 0) {
+  }
+}
+
+// Methods whose requests may be replayed after a crash (the journal's
+// idempotency policy).
+bool IsIdempotent(const std::string& method) { return method == "GET" || method == "HEAD"; }
 
 std::atomic<uint64_t>& FeCell(MetricsRegistry* registry, const char* name, int fe) {
   return registry->Counter(MetricsRegistry::WithFe(name, fe))->cell();
@@ -127,11 +148,11 @@ class FrontEnd::DiskTable final : public BackendStatsProvider {
   std::vector<int> queue_lengths_;
 };
 
-FrontEnd::FrontEnd(const FrontEndConfig& config, EventLoopGroup* loops,
-                   const TargetCatalog* catalog)
-    : config_(WithRegistry(config, &own_metrics_)), loops_(loops), loop_(nullptr),
-      catalog_(catalog), journal_(config.replay_journal),
-      counters_(config_.metrics, config_.fe_id) {
+FrontEnd::FrontEnd(const ClusterConfig& config, int fe_id, EventLoopGroup* loops,
+                   const TargetCatalog* catalog, MetricsRegistry* metrics, Tracer* tracer)
+    : metrics_(WithRegistry(metrics, &own_metrics_)), config_(config), fe_id_(fe_id),
+      loops_(loops), loop_(nullptr), catalog_(catalog), journal_(ReplayJournalConfig{}),
+      tracer_(tracer), counters_(metrics_, fe_id_) {
   LARD_CHECK(loops_ != nullptr);
   idle_timeout_ms_.store(config_.idle_timeout_ms, std::memory_order_relaxed);
   loop_ = loops_->loop(0);
@@ -142,23 +163,20 @@ FrontEnd::FrontEnd(const FrontEndConfig& config, EventLoopGroup* loops,
              config_.mechanism == Mechanism::kRelayingFrontEnd)
       << "prototype supports single/multiple handoff, BE forwarding and relaying";
   disk_table_ = std::make_unique<DiskTable>(config_.num_nodes);
-  LARD_CHECK(config_.num_frontends > 0 && config_.fe_id >= 0 &&
-             config_.fe_id < config_.num_frontends);
+  LARD_CHECK(config_.num_frontends > 0 && fe_id_ >= 0 && fe_id_ < config_.num_frontends);
   if (config_.num_frontends > 1) {
-    mesh_ = std::make_unique<MeshStateTable>(static_cast<uint32_t>(config_.fe_id));
-    const int fe = config_.fe_id;
-    metric_mesh_epoch_ = config_.metrics->Gauge(MetricsRegistry::WithFe("lard_mesh_epoch", fe));
+    mesh_ = std::make_unique<MeshStateTable>(static_cast<uint32_t>(fe_id_));
+    metric_mesh_epoch_ = metrics_->Gauge(MetricsRegistry::WithFe("lard_mesh_epoch", fe_id_));
     metric_mesh_lag_ms_ =
-        config_.metrics->Gauge(MetricsRegistry::WithFe("lard_mesh_gossip_lag_ms", fe));
-    metric_mesh_peers_ = config_.metrics->Gauge(MetricsRegistry::WithFe("lard_mesh_peers", fe));
+        metrics_->Gauge(MetricsRegistry::WithFe("lard_mesh_gossip_lag_ms", fe_id_));
+    metric_mesh_peers_ = metrics_->Gauge(MetricsRegistry::WithFe("lard_mesh_peers", fe_id_));
     metric_mesh_divergence_ =
-        config_.metrics->Gauge(MetricsRegistry::WithFe("lard_mesh_divergence", fe));
+        metrics_->Gauge(MetricsRegistry::WithFe("lard_mesh_divergence", fe_id_));
   }
 
   // Trace ids are connection ids; the per-shard id blocks below also make
   // every trace id cluster-unique with no extra plumbing.
-  tracer_ = config_.tracer;
-
+  //
   // One shard per loop. Connection ids are a shared namespace at the
   // back-ends (their client tables and every control message key on them),
   // so each replica mints from its own 48-bit block — and within a replica
@@ -169,12 +187,11 @@ FrontEnd::FrontEnd(const FrontEndConfig& config, EventLoopGroup* loops,
     auto shard = std::make_unique<LoopShard>();
     shard->loop = loops_->loop(k);
     shard->index = k;
-    shard->next_conn_id = (static_cast<ConnId>(config_.fe_id) << 48) |
-                          (static_cast<ConnId>(k) << 40);
+    shard->next_conn_id = (static_cast<ConnId>(fe_id_) << 48) | (static_cast<ConnId>(k) << 40);
     if (tracer_ != nullptr) {
       shard->trace_ring = tracer_->Ring(
-          k == 0 ? "fe" + std::to_string(config_.fe_id)
-                 : "fe" + std::to_string(config_.fe_id) + "." + std::to_string(k));
+              k == 0 ? "fe" + std::to_string(fe_id_)
+                 : "fe" + std::to_string(fe_id_) + "." + std::to_string(k));
     }
     shards_.push_back(std::move(shard));
   }
@@ -186,15 +203,15 @@ FrontEnd::FrontEnd(const FrontEndConfig& config, EventLoopGroup* loops,
   dispatch_config.params = config_.params;
   dispatch_config.num_nodes = config_.num_nodes;
   dispatch_config.node_weights = config_.node_weights;
-  dispatch_config.virtual_cache_bytes = config_.virtual_cache_bytes;
+  dispatch_config.virtual_cache_bytes = config_.backend_cache_bytes;
   // Gauges and the lard_node_load family describe the cluster once; in a
   // replicated tier only replica 0 publishes them.
-  dispatch_config.metrics = config_.fe_id == 0 ? config_.metrics : nullptr;
+  dispatch_config.metrics = fe_id_ == 0 ? metrics_ : nullptr;
   dispatch_config.remote_loads = mesh_.get();
   dispatcher_ = std::make_unique<Dispatcher>(dispatch_config, catalog_, disk_table_.get());
 
   metric_active_nodes_ =
-      config_.metrics->Gauge(MetricsRegistry::WithFe("lard_cluster_active_nodes", config_.fe_id));
+      metrics_->Gauge(MetricsRegistry::WithFe("lard_cluster_active_nodes", fe_id_));
   metric_active_nodes_->Set(config_.num_nodes);
 
   if (config_.telemetry_interval_ms > 0) {
@@ -204,11 +221,10 @@ FrontEnd::FrontEnd(const FrontEndConfig& config, EventLoopGroup* loops,
     for (const char* name : kFeSeriesNames) {
       telemetry_->AddSeries(name);  // AddSeries order == FeSeries indices
     }
-    process_metrics_ = std::make_unique<ProcessMetrics>(config_.metrics);
+    process_metrics_ = std::make_unique<ProcessMetrics>(metrics_);
     std::vector<SloRule> rules =
         config_.slo_rules.empty() ? DefaultSloRules() : config_.slo_rules;
-    watchdog_ = std::make_unique<SloWatchdog>("fe" + std::to_string(config_.fe_id),
-                                              std::move(rules));
+    watchdog_ = std::make_unique<SloWatchdog>("fe" + std::to_string(fe_id_), std::move(rules));
   }
 }
 
@@ -250,18 +266,20 @@ void FrontEnd::AttachControl(NodeId node, UniqueFd control_fd) {
   // Identify this replica to the back-end (a single-FE tier is replica 0 of
   // a 1-replica tier; the hello is harmless and keeps one code path).
   link.control->Send(static_cast<uint8_t>(ControlMsg::kFeHello),
-                     EncodeU32(static_cast<uint32_t>(config_.fe_id)));
+                     EncodeU32(static_cast<uint32_t>(fe_id_)));
   link.handoff_counter =
-      config_.metrics->Counter(MetricsRegistry::WithNode("lard_fe_handoffs_total", node));
+      metrics_->Counter(MetricsRegistry::WithNode("lard_fe_handoffs_total", node));
 }
 
 Status FrontEnd::Start(std::vector<UniqueFd> control_fds) {
   LARD_CHECK(control_fds.size() == static_cast<size_t>(config_.num_nodes));
   // Listeners first: a busy port fails Start() before anything is attached.
+  // Only replica 0 binds the configured port; the rest pick free ones.
+  const uint16_t listen_port = fe_id_ == 0 ? config_.listen_port : 0;
   uint16_t bound_port = 0;
   if (shards_.size() == 1) {
     // One loop: the historic single listener, no SO_REUSEPORT involved.
-    auto listener = ListenTcp(config_.listen_port, &bound_port);
+    auto listener = ListenTcp(listen_port, &bound_port);
     if (!listener.ok()) {
       return listener.status();
     }
@@ -269,7 +287,7 @@ Status FrontEnd::Start(std::vector<UniqueFd> control_fds) {
   } else {
     // One SO_REUSEPORT listener per shard: the kernel spreads accepts across
     // the loops with no cross-thread wakeups or fd passing.
-    auto first = ListenTcpReusePort(config_.listen_port, &bound_port);
+    auto first = ListenTcpReusePort(listen_port, &bound_port);
     if (!first.ok()) {
       return first.status();
     }
@@ -320,7 +338,7 @@ Status FrontEnd::Start(std::vector<UniqueFd> control_fds) {
 
 void FrontEnd::AttachPeer(uint32_t peer_fe_id, UniqueFd gossip_fd) {
   LARD_CHECK(MeshEnabled()) << "AttachPeer on a single-front-end tier";
-  LARD_CHECK(peer_fe_id != static_cast<uint32_t>(config_.fe_id));
+  LARD_CHECK(peer_fe_id != static_cast<uint32_t>(fe_id_));
   LARD_CHECK_OK(SetNonBlocking(gossip_fd.get(), true));
   auto channel = std::make_unique<FramedChannel>(loop_, std::move(gossip_fd));
   channel->set_on_message([this, peer_fe_id](uint8_t type, std::string payload, UniqueFd) {
@@ -335,7 +353,7 @@ void FrontEnd::AttachPeer(uint32_t peer_fe_id, UniqueFd gossip_fd) {
     }));
   });
   channel->Start();
-  channel->Send(kGossipHelloFrameType, EncodeU32(static_cast<uint32_t>(config_.fe_id)));
+  channel->Send(kGossipHelloFrameType, EncodeU32(static_cast<uint32_t>(fe_id_)));
   fe_peers_[peer_fe_id] = std::move(channel);
 }
 
@@ -343,19 +361,19 @@ void FrontEnd::OnPeerMessage(uint32_t peer, uint8_t type, std::string payload) {
   if (type == kGossipHelloFrameType) {
     uint32_t announced = 0;
     if (!DecodeU32(payload, &announced) || announced != peer) {
-      LARD_LOG(ERROR) << "front-end " << config_.fe_id << ": peer hello mismatch (" << announced
+      LARD_LOG(ERROR) << "front-end " << fe_id_ << ": peer hello mismatch (" << announced
                       << " on channel " << peer << ")";
     }
     return;
   }
   if (type != kGossipFrameType) {
-    LARD_LOG(ERROR) << "front-end " << config_.fe_id << ": unexpected mesh frame type "
+    LARD_LOG(ERROR) << "front-end " << fe_id_ << ": unexpected mesh frame type "
                     << static_cast<int>(type) << " from peer " << peer;
     return;
   }
   GossipDelta delta;
   if (!DecodeGossipDelta(payload, &delta) || delta.fe_id != peer) {
-    LARD_LOG(ERROR) << "front-end " << config_.fe_id << ": bad gossip delta from peer " << peer;
+    LARD_LOG(ERROR) << "front-end " << fe_id_ << ": bad gossip delta from peer " << peer;
     return;
   }
   MutexLock lock(&state_mutex_);
@@ -382,7 +400,7 @@ void FrontEnd::OnPeerClosed(uint32_t peer) {
     fe_peers_.erase(it);
     loop_->Post([dead]() {});
   }
-  LARD_LOG(WARNING) << "front-end " << config_.fe_id << ": mesh peer " << peer << " left";
+  LARD_LOG(WARNING) << "front-end " << fe_id_ << ": mesh peer " << peer << " left";
 }
 
 void FrontEnd::RecordFetchHints(const std::vector<TargetId>& targets,
@@ -414,7 +432,7 @@ void FrontEnd::GossipTick() {
     hints.push_back(HintFromKey(key));
   }
   pending_hints_.clear();
-  const GossipDelta delta = BuildGossipDelta(static_cast<uint32_t>(config_.fe_id),
+  const GossipDelta delta = BuildGossipDelta(static_cast<uint32_t>(fe_id_),
                                              ++gossip_seq_, *dispatcher_, std::move(hints));
   const std::string encoded = EncodeGossipDelta(delta);
   // Snapshot the channels: a failing Send invokes on_close synchronously,
@@ -433,8 +451,8 @@ void FrontEnd::GossipTick() {
   }
   // Gossip rounds are component-scoped (no client connection), so they carry
   // a synthetic per-replica trace id and bypass sampling.
-  RecordSpanUnsampled(tracer_, trace_ring_, static_cast<uint64_t>(config_.fe_id) << 48, 0,
-                      SpanKind::kGossip, static_cast<int32_t>(config_.fe_id), tick_start_us,
+  RecordSpanUnsampled(tracer_, trace_ring_, static_cast<uint64_t>(fe_id_) << 48, 0,
+                      SpanKind::kGossip, static_cast<int32_t>(fe_id_), tick_start_us,
                       TraceNowUs() - tick_start_us, "seq=%llu hints=%zu peers=%zu",
                       static_cast<unsigned long long>(gossip_seq_), hint_count,
                       fe_peers_.size());
@@ -446,7 +464,7 @@ void FrontEnd::GossipTick() {
 void FrontEnd::UpdateMeshSnapshot() {
   const int64_t now_us = NowMs() * 1000;
   std::ostringstream out;
-  out << "{\"fe_id\":" << config_.fe_id << ",\"port\":" << port()
+  out << "{\"fe_id\":" << fe_id_ << ",\"port\":" << port()
       << ",\"membership_epoch\":" << dispatcher_->membership_epoch()
       << ",\"gossip_seq\":" << gossip_seq_ << ",\"deltas_sent\":"
       << counters_.gossip_sent.load(std::memory_order_relaxed)
@@ -474,7 +492,7 @@ void FrontEnd::UpdateMeshSnapshot() {
 
 std::string FrontEnd::DescribeMeshJson() const {
   if (mesh_ == nullptr) {
-    return "{\"fe_id\":" + std::to_string(config_.fe_id) + ",\"port\":" + std::to_string(port()) +
+    return "{\"fe_id\":" + std::to_string(fe_id_) + ",\"port\":" + std::to_string(port()) +
            ",\"mesh\":false}";
   }
   MutexLock lock(&mesh_json_mutex_);
@@ -616,7 +634,7 @@ void FrontEnd::TelemetryTick() {
   // Refresh the health snapshot (the DescribeMeshJson pattern: rendered on
   // loop 0, swapped under its own mutex for the admin thread).
   std::ostringstream out;
-  out << "{\"fe_id\":" << config_.fe_id << ",\"status\":\"" << HealthStatusName(status)
+  out << "{\"fe_id\":" << fe_id_ << ",\"status\":\"" << HealthStatusName(status)
       << "\",\"transitions\":" << watchdog_->transitions() << ",\"pressure\":"
       << watchdog_->overload().pressure.load(std::memory_order_relaxed)
       << ",\"interval_ms\":" << interval << ",\"active_nodes\":" << active
@@ -631,7 +649,7 @@ void FrontEnd::TelemetryTick() {
     }
     out << "}";
   };
-  emit_latest("fe" + std::to_string(config_.fe_id), *telemetry_);
+  emit_latest("fe" + std::to_string(fe_id_), *telemetry_);
   {
     MutexLock lock(&telemetry_mutex_);
     for (const auto& [node, store] : node_telemetry_) {
@@ -668,7 +686,7 @@ std::string FrontEnd::DescribeTimeSeriesJson(const std::string& metric,
                                              bool include_nodes) const {
   std::ostringstream out;
   bool first = true;
-  const std::string self_name = "fe" + std::to_string(config_.fe_id);
+  const std::string self_name = "fe" + std::to_string(fe_id_);
   if (telemetry_ != nullptr && (component.empty() || component == self_name)) {
     out << "\"" << self_name << "\":" << telemetry_->RenderJson(metric, window_ms);
     first = false;
@@ -997,9 +1015,8 @@ void FrontEnd::AdoptClientFd(LoopShard* shard, UniqueFd fd) {
     shed = dispatcher_->active_node_count() == 0;
   }
   if (shed) {
-    // Every back-end drained or dead: shed load at the door. The write is
-    // best-effort on a fresh socket (buffer empty, nothing to flush).
-    (void)!::send(fd.get(), kUnavailableReply, sizeof(kUnavailableReply) - 1, MSG_NOSIGNAL);
+    // Every back-end drained or dead: shed load at the door.
+    ShedSocket(fd.get(), 503);
     counters_.rejected_no_backend.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -1035,7 +1052,7 @@ void FrontEnd::AdoptClientFd(LoopShard* shard, UniqueFd fd) {
   });
   raw->conn->Start();
   RecordSpan(tracer_, shard->trace_ring, raw->id, 0, SpanKind::kAccept,
-             static_cast<int32_t>(config_.fe_id), TraceNowUs(), 0, "fd=%d", raw_fd);
+             static_cast<int32_t>(fe_id_), TraceNowUs(), 0, "fd=%d", raw_fd);
   shard->conns.emplace(raw->id, std::move(conn));
   conns_fe_owned_.fetch_add(1, std::memory_order_relaxed);
   ArmIdleTimer(raw);
@@ -1112,7 +1129,7 @@ void FrontEnd::HandoffFlow(FeConn* conn, std::vector<HttpRequest> requests) {
   const bool traced = tracer_ != nullptr && tracer_->Sampled(conn->id);
   if (traced) {
     RecordSpan(tracer_, conn->shard->trace_ring, conn->id, 1, SpanKind::kParse,
-               static_cast<int32_t>(config_.fe_id), TraceNowUs(), 0, "reqs=%zu bytes=%zu",
+               static_cast<int32_t>(fe_id_), TraceNowUs(), 0, "reqs=%zu bytes=%zu",
                requests.size(), conn->raw_bytes.size());
   }
 
@@ -1238,8 +1255,7 @@ void FrontEnd::CompleteHandoff(PendingHandoff pending) {
       }
     }
     if (pending.client_fd.valid()) {
-      (void)!::send(pending.client_fd.get(), kUnavailableReply, sizeof(kUnavailableReply) - 1,
-                    MSG_NOSIGNAL);
+      ShedSocket(pending.client_fd.get(), 503);
     }
     counters_.rejected_no_backend.fetch_add(1, std::memory_order_relaxed);
     return;  // fds RAII-close
@@ -1464,7 +1480,7 @@ void FrontEnd::OnIdleDeadline(LoopShard* shard, ConnId id) {
   }
   counters_.idle_closes.fetch_add(1, std::memory_order_relaxed);
   RecordSpan(tracer_, shard->trace_ring, id, 8, SpanKind::kClose,
-             static_cast<int32_t>(config_.fe_id), TraceNowUs(), 0, "idle after=%lldms",
+             static_cast<int32_t>(fe_id_), TraceNowUs(), 0, "idle after=%lldms",
              static_cast<long long>(idle_for));
   // Reap first, so the connection is accounted closed before its client
   // can see the EOF (the FeConn itself is erased on a posted task).
@@ -1685,7 +1701,7 @@ void FrontEnd::RehandoffConnection(NodeId from_node, HandbackMsg msg, UniqueFd f
       dispatcher_->OnConnectionClose(msg.conn_id);
     }
     journal_.Drop(msg.conn_id);
-    (void)!::send(fd.get(), kUnavailableReply, sizeof(kUnavailableReply) - 1, MSG_NOSIGNAL);
+    ShedSocket(fd.get(), 503);
     counters_.rejected_no_backend.fetch_add(1, std::memory_order_relaxed);
     LARD_LOG(WARNING) << "front-end: no assignable node for given-back connection "
                       << msg.conn_id << ", shedding with 503";
@@ -1720,15 +1736,6 @@ void FrontEnd::RehandoffConnection(NodeId from_node, HandbackMsg msg, UniqueFd f
       MaybeFinalizeRetire(from_node);
     }));
   }
-}
-
-bool FrontEnd::IsIdempotent(const std::string& method) const {
-  for (const std::string& allowed : config_.idempotent_methods) {
-    if (method == allowed) {
-      return true;
-    }
-  }
-  return false;
 }
 
 void FrontEnd::RebuildJournalFromHandback(ConnId conn, const HandbackMsg& msg) {
@@ -1783,9 +1790,7 @@ void FrontEnd::TryReplayOrphan(ConnId conn, NodeId dead_node) {
     // already reached the client, injecting anything would corrupt the
     // stream mid-body; closing is the only honest signal then.
     if (!plan.mid_response && raw_fd >= 0) {
-      const std::string reply = "HTTP/1.0 " + std::to_string(status) + " " +
-                                ReasonPhrase(status) + "\r\nContent-Length: 0\r\n\r\n";
-      (void)!::send(raw_fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+      ShedSocket(raw_fd, status);
     }
     if (raw_fd >= 0) {
       // The dead node's fd copies keep the socket open (a crashed process

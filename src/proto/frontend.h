@@ -66,6 +66,7 @@
 #include "src/obs/samplers.h"
 #include "src/obs/slo_watchdog.h"
 #include "src/obs/time_series.h"
+#include "src/proto/cluster_config.h"
 #include "src/proto/control_protocol.h"
 #include "src/proto/lateral_client.h"
 #include "src/proto/replay_journal.h"
@@ -78,78 +79,6 @@
 #include "src/util/tracing.h"
 
 namespace lard {
-
-struct FrontEndConfig {
-  int num_nodes = 1;
-  // Replicated front-end tier (the mesh). fe_id names this replica;
-  // num_frontends > 1 arms the gossip machinery: the dispatcher decides over
-  // local + gossiped remote load and every control session announces the
-  // replica (kFeHello). Every count is labelled {fe="k"}.
-  int fe_id = 0;
-  int num_frontends = 1;
-  // Mesh sync period (only meaningful with num_frontends > 1).
-  int64_t gossip_interval_ms = 50;
-  Policy policy = Policy::kExtendedLard;
-  // Capacity weight per initial node (padded with 1.0); weighted policies
-  // normalize load by weight.
-  std::vector<double> node_weights;
-  // Supported in the prototype: kSingleHandoff, kBackEndForwarding,
-  // kMultipleHandoff (our extension: the paper's prototype never built it —
-  // we migrate connections via fd hand-back through the front-end) and
-  // kRelayingFrontEnd.
-  Mechanism mechanism = Mechanism::kBackEndForwarding;
-  LardParams params;
-  uint64_t virtual_cache_bytes = 32ull * 1024 * 1024;
-  uint16_t listen_port = 0;  // 0 = pick a free port
-  // Relay-mode back-end fetch deadline (see BackendConfig::lateral_timeout_ms).
-  int64_t lateral_timeout_ms = 2000;
-  // A back-end that sends no control frame for this long (status frames
-  // come every 100 ms) is declared dead and auto-removed. <= 0 disables liveness tracking (the
-  // control-session-EOF path still removes crashed nodes).
-  int64_t heartbeat_timeout_ms = 2000;
-  // Graceful removal: a live node being admin-removed first drains and gives
-  // its connections back (re-handoff); after this grace period whatever is
-  // left is hard-removed. <= 0 removes immediately (old drop semantics).
-  int64_t retire_grace_ms = 1000;
-  // Keep-alive bound for front-end-owned client connections: a connection
-  // with no bytes in or out for this long is closed and its shard state
-  // reaped (the P-HTTP idle reaper; the paper's back-ends use the companion
-  // BackendConfig::idle_close_ms for adopted connections). A read or write
-  // only stores a timestamp; the connection's one timer re-checks it when it
-  // fires, so a live connection costs one timer operation per deadline
-  // period. Runtime-tunable via POST /idletimeout. <= 0 disables.
-  int64_t idle_timeout_ms = 30000;
-  // Crash-transparent request replay: the front-end retains a dup of every
-  // handed-off client socket plus a bounded journal of unacknowledged
-  // requests, and when a back-end dies *without* handing its connections
-  // back (kill, missed heartbeats, control EOF) the orphans are re-handed
-  // off to survivors with the journaled idempotent tail replayed and the
-  // response stream spliced at the recorded offset. Only meaningful for the
-  // handoff mechanisms (relaying keeps connections at the front-end).
-  bool replay_enabled = true;
-  ReplayJournalConfig replay_journal;
-  // Methods whose requests may be replayed after a crash (the journal's
-  // idempotency policy). A non-idempotent request in the unacknowledged tail
-  // turns the crash into a clean 502/close for that client instead.
-  std::vector<std::string> idempotent_methods = {"GET", "HEAD"};
-  // Shared registry (lard_fe_*, lard_cluster_* instruments). When null the
-  // front end keeps its counts in a registry of its own.
-  MetricsRegistry* metrics = nullptr;
-  // Telemetry sampling period for this front-end's TimeSeriesStore (conn/
-  // handoff/replay rates, loop health, process gauges) and the SLO watchdog
-  // evaluation cadence. <= 0 disables the telemetry pipeline on this FE
-  // (back-end telemetry rows are still mirrored if they arrive).
-  int64_t telemetry_interval_ms = 0;
-  // Watchdog rules evaluated every telemetry tick. Empty = a built-in
-  // default set (back-end p99 latency, giveup/replay rates, loop wakeup
-  // delay, back-end load skew).
-  std::vector<SloRule> slo_rules;
-  // Optional request tracer: accept/parse/policy/handoff/replay spans are
-  // recorded into per-loop rings — "fe<fe_id>" for loop 0 (the historic name)
-  // and "fe<fe_id>.<k>" for shard loop k — sampled by trace id, so FE and
-  // back-end spans of one connection are kept or dropped together.
-  Tracer* tracer = nullptr;
-};
 
 // A read view of one replica's counts. The fields are references to the
 // replica's instruments in its registry, so the front end updates them in
@@ -178,11 +107,20 @@ struct FrontEndCounters {
 
 class FrontEnd {
  public:
-  // `catalog` maps request paths to targets (sizes) for the dispatcher's
-  // virtual caches; must outlive the front-end. `loops` is the reactor
-  // group this front-end runs on (loop 0 = control plane; all loops carry
-  // client connections); it must outlive the front-end too.
-  FrontEnd(const FrontEndConfig& config, EventLoopGroup* loops, const TargetCatalog* catalog);
+  // Replica `fe_id` of the tier `config` describes (only replica 0 binds
+  // config.listen_port). `catalog` maps request paths to targets (sizes) for
+  // the dispatcher's virtual caches; must outlive the front-end. `loops` is
+  // the reactor group this front-end runs on (loop 0 = control plane; all
+  // loops carry client connections); it must outlive the front-end too.
+  // `metrics` is the shared registry (lard_fe_*, lard_cluster_* instruments);
+  // when null the front end keeps its counts in a registry of its own.
+  // `tracer`, when set, records accept/parse/policy/handoff/replay spans into
+  // per-loop rings — "fe<fe_id>" for loop 0 and "fe<fe_id>.<k>" for shard
+  // loop k — sampled by trace id, so FE and back-end spans of one connection
+  // are kept or dropped together.
+  FrontEnd(const ClusterConfig& config, int fe_id, EventLoopGroup* loops,
+           const TargetCatalog* catalog, MetricsRegistry* metrics = nullptr,
+           Tracer* tracer = nullptr);
   ~FrontEnd();
 
   FrontEnd(const FrontEnd&) = delete;
@@ -422,7 +360,6 @@ class FrontEnd {
   bool ReplayEligible() const {
     return config_.replay_enabled && config_.mechanism != Mechanism::kRelayingFrontEnd;
   }
-  bool IsIdempotent(const std::string& method) const;
   // Restarts `conn`'s journal from the unserved requests a handback carries
   // (cooperative node change: drain giveback or migration relay).
   void RebuildJournalFromHandback(ConnId conn, const HandbackMsg& msg)
@@ -484,11 +421,13 @@ class FrontEnd {
   void GossipTick() LARD_EXCLUDES(state_mutex_);
   void UpdateMeshSnapshot() LARD_REQUIRES(state_mutex_) LARD_EXCLUDES(mesh_json_mutex_);
 
-  // The registry the front end keeps its counts in when config.metrics is
-  // null; config_.metrics then points here. Declared first: config_ is
-  // initialized from it.
+  // The registry the front end keeps its counts in when none is shared;
+  // metrics_ then points here. Declared first: metrics_ is initialized from
+  // it.
   std::unique_ptr<MetricsRegistry> own_metrics_;
-  FrontEndConfig config_;
+  MetricsRegistry* metrics_;
+  const ClusterConfig config_;
+  const int fe_id_;
   EventLoopGroup* loops_;
   EventLoop* loop_;  // loops_->loop(0): the control-plane loop
   const TargetCatalog* catalog_;
@@ -565,7 +504,7 @@ class FrontEnd {
   std::vector<std::pair<int, double>> telemetry_scratch_;
   int64_t telemetry_last_ms_ = 0;
 
-  Tracer* tracer_ = nullptr;
+  Tracer* const tracer_;
   TraceRing* trace_ring_ = nullptr;  // shard 0's ring; control-plane spans
 
   FrontEndCounters counters_;

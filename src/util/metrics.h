@@ -122,16 +122,15 @@ class MetricsRegistry {
   std::map<std::string, MetricHistogram> histograms_ LARD_GUARDED_BY(mutex_);
 };
 
-// `config` with its `metrics` pointing at a registry: the shared one it
-// names, else a private one created into *owned. A component keeps all its
-// counts in that one registry.
-template <typename Config>
-Config WithRegistry(Config config, std::unique_ptr<MetricsRegistry>* owned) {
-  if (config.metrics == nullptr) {
+// The registry a component keeps all its counts in: `shared` when set, else
+// a private one created into *owned.
+inline MetricsRegistry* WithRegistry(MetricsRegistry* shared,
+                                     std::unique_ptr<MetricsRegistry>* owned) {
+  if (shared == nullptr) {
     *owned = std::make_unique<MetricsRegistry>();
-    config.metrics = owned->get();
+    return owned->get();
   }
-  return config;
+  return shared;
 }
 
 }  // namespace lard

@@ -188,14 +188,15 @@ TEST(ProtoClusterTest, RelayingFrontEndClosesAClientWhoseRelayIsCutMidBody) {
     }
   });
 
-  FrontEndConfig config;
+  ClusterConfig config;
   config.num_nodes = 1;
   config.mechanism = Mechanism::kRelayingFrontEnd;
   config.heartbeat_timeout_ms = 0;  // the stand-in sends no status frames
+  config.telemetry_interval_ms = 0;
   EventLoopGroup loops(1);
   auto control = UnixPair();
   ASSERT_TRUE(control.ok());
-  FrontEnd frontend(config, &loops, &catalog);
+  FrontEnd frontend(config, 0, &loops, &catalog);
   std::vector<UniqueFd> controls;
   controls.push_back(std::move(control.value().first));
   ASSERT_TRUE(frontend.Start(std::move(controls)).ok());

@@ -3,7 +3,9 @@
 // concurrency, and keep-alive semantics over real sockets.
 #include <gtest/gtest.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -265,6 +267,79 @@ TEST(ProtoRobustnessTest, NoBackendLeftShedsAtTheDoor) {
     EXPECT_EQ(cluster.frontend().counters().rejected_no_backend.load(), rejected + 1);
   }
   EXPECT_EQ(ReadProcessStats().open_fds, fds);
+  cluster.Stop();
+}
+
+TEST(ProtoRobustnessTest, DoorShedDiscardsTheQueuedRequestBeforeClosing) {
+  // A client whose GET is already queued when the front end sheds it at the
+  // door must read the 503 and then EOF. A socket closed with that GET
+  // unread sends a RST, and the client reads ECONNRESET instead.
+  const Trace trace = SmallTrace();
+  ClusterConfig config = FastCluster(1);
+  config.heartbeat_timeout_ms = 200;
+  config.fe_loops = 1;  // the loop held below is the only accepting one
+  Cluster cluster(config, &trace.catalog());
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(cluster.KillNode(0));
+  const auto dead = [&]() {
+    bool is_dead = false;
+    cluster.InspectReplica(0, [&](const FrontEnd& frontend) {
+      is_dead = frontend.dispatcher().node_state(0) == NodeState::kDead;
+    });
+    return is_dead;
+  };
+  for (int attempt = 0; attempt < 300 && !dead(); ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(dead());
+
+  // Hold the front end's loop so the connection waits in the accept queue
+  // until its GET has arrived.
+  std::promise<void> holding;
+  std::promise<void> release;
+  std::thread holder([&]() {
+    cluster.InspectReplica(0, [&](const FrontEnd&) {
+      holding.set_value();
+      release.get_future().wait();
+    });
+  });
+  holding.get_future().wait();
+  auto fd = ConnectTcp(cluster.port());
+  bool queued = false;
+  if (fd.ok()) {
+    const int client = fd.value().get();
+    const std::string request = "GET " + trace.catalog().Get(0).path + " HTTP/1.1\r\n\r\n";
+    if (::send(client, request.data(), request.size(), MSG_NOSIGNAL) ==
+        static_cast<ssize_t>(request.size())) {
+      // Queued: the server's kernel has acknowledged every byte.
+      int unacked = -1;
+      for (int attempt = 0; attempt < 5000; ++attempt) {
+        if (::ioctl(client, TIOCOUTQ, &unacked) != 0 || unacked == 0) {
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      queued = unacked == 0;
+    }
+  }
+  release.set_value();
+  holder.join();
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(queued);
+
+  const int client = fd.value().get();
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  ASSERT_EQ(::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+  std::string reply;
+  char buf[256];
+  ssize_t n;
+  while ((n = ::recv(client, buf, sizeof(buf), 0)) > 0) {
+    reply.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(reply, "HTTP/1.0 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n");
+  EXPECT_EQ(n, 0) << "no EOF after the reply: " << std::strerror(errno);
+  EXPECT_EQ(cluster.frontend().counters().rejected_no_backend.load(), 1u);
   cluster.Stop();
 }
 

@@ -92,16 +92,16 @@ class BackendPairTest : public ::testing::Test {
     OnLoop([this]() {
       std::vector<uint16_t> ports;
       for (int node = 0; node < 2; ++node) {
-        BackendConfig config;
-        config.node_id = node;
+        ClusterConfig config;
         config.num_nodes = 2;
         config.disk_time_scale = 0.01;
         config.lateral_timeout_ms = lateral_timeout_ms_;
         config.idle_close_ms = idle_close_ms_;
+        config.telemetry_interval_ms = 0;
         auto pair = UnixPair();
         LARD_CHECK(pair.ok());
         LARD_CHECK_OK(SetNonBlocking(pair.value().second.get(), true));
-        nodes_.push_back(std::make_unique<BackendServer>(config, &loop_, store_.get()));
+        nodes_.push_back(std::make_unique<BackendServer>(config, node, &loop_, store_.get()));
         LARD_CHECK_OK(nodes_.back()->Start(std::move(pair.value().first)));
         // The front end's side of the session: only kConnClosed and the
         // latest node-status frame are kept.

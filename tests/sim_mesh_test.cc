@@ -63,7 +63,7 @@ TEST(SimMeshTest, TwoFrontEndsServeTheWholeTraceWithInvariantsIntact) {
   EXPECT_GT(metrics.per_fe_utilization[1], 0.0);
 }
 
-TEST(SimMeshTest, SingleFrontEndConfigMatchesLegacyBehaviour) {
+TEST(SimMeshTest, SingleFrontEndTierMatchesLegacyBehaviour) {
   const Trace trace = TestTrace(600);
   // num_frontends = 1 must not change anything relative to a config that
   // never heard of the mesh — same decisions, same totals, no gossip.

@@ -13,17 +13,28 @@ reach. `request_cost` is built the same way from bench/request_cost. Then:
   test set      those that survive in a test binary (tests/*.cc).
 
 A library function outside the shipped set is printed as "test-only" when a
-test still reaches it and "unreached" when nothing does. The audit fails
-when that set holds a name that is not listed in tools/test_only_symbols.txt,
-or when the list names a function that is no longer in the set (so the list
-never outlives what it excuses).
+test still reaches it and "unreached" when nothing does.
+
+A second pass covers header-only functions. An inline function or a template
+instance is a weak symbol (nm type W) that every object using it emits, so
+it is in no library; at -O0 nothing is inlined, and --gc-sections keeps it in
+exactly the binaries that reach it. A weak lard:: function that a test
+binary keeps and no shipped binary does is printed as "test-only (weak)".
+Its name drops template arguments, so a template member ships when any of
+its instances does. Default, copy and move constructors, copy and move
+assignments and destructors are left out: the compiler writes most of them,
+and they have no source line to delete.
+
+The audit fails when either set holds a name that is not listed in
+tools/test_only_symbols.txt, or when the list names a function that is in
+neither set (so the list never outlives what it excuses).
 
 The list is sorted, one demangled name per line, each followed by
 "  # <reason>". Blank lines and lines starting with '#' are ignored.
 
-What the audit cannot see: header-only (inline, template) functions, which
-are weak symbols, and code that a shipped binary links but only reaches
-behind a flag.
+What the audit cannot see: code that a shipped binary links but only
+reaches behind a flag, and a header-only function that no binary reaches at
+all (nothing emits it).
 
 The build goes to build-audit/ at the repository root (the parent of
 tools/).
@@ -35,6 +46,7 @@ Usage:
 import argparse
 import glob
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -84,6 +96,68 @@ def text_symbols(paths):
         if len(parts) == 3 and parts[1] in ("T", "t"):
             names.add(parts[2])
     return names
+
+
+# Operator names hold '<' and '>' that do not open or close a template
+# argument list.
+OPERATOR_RE = re.compile(r"operator(?:<=>|<<=|>>=|<<|>>|<=|>=|->\*|->|<|>)")
+
+
+def drop_template_args(name):
+    """`name` with every <...> template argument list removed."""
+    operators = OPERATOR_RE.findall(name)
+    masked = OPERATOR_RE.sub("operator@", name)
+    out = []
+    depth = 0
+    for char in masked:
+        if char == "<":
+            depth += 1
+        elif char == ">":
+            depth -= 1
+        elif depth == 0:
+            out.append(char)
+    result = "".join(out)
+    for operator in operators:
+        result = result.replace("operator@", operator, 1)
+    return result
+
+
+def special_member(name):
+    """A destructor, a default, copy or move constructor, or a copy or move
+    assignment."""
+    qualified, _, params = name.partition("(")
+    params = params.rsplit(")", 1)[0]
+    owner, _, member = qualified.rpartition("::")
+    if member.startswith("~"):
+        return True
+    copy_or_move = params in (owner + " const&", owner + "&&")
+    if member == owner.rpartition("::")[2]:
+        return params == "" or copy_or_move
+    return member == "operator=" and copy_or_move
+
+
+def weak_functions(paths):
+    """Template-free names of the weak lard:: functions defined in paths.
+
+    Only names in namespace lard count (mangled _ZN4lard / _ZNK4lard); the
+    std:: templates that src/ instantiates, and anything in an anonymous
+    namespace, are left out.
+    """
+    if not paths:
+        return set()
+    out = subprocess.run(["nm", "--defined-only"] + sorted(paths), check=True,
+                         capture_output=True, text=True).stdout
+    mangled = set()
+    for line in out.splitlines():
+        parts = line.split(" ", 2)
+        if (len(parts) == 3 and parts[1] == "W" and
+                parts[2].startswith(("_ZN4lard", "_ZNK4lard")) and
+                "_GLOBAL__N" not in parts[2]):
+            mangled.add(parts[2])
+    demangled = subprocess.run(["c++filt"], input="\n".join(sorted(mangled)), check=True,
+                               capture_output=True, text=True).stdout.splitlines()
+    names = {drop_template_args(name) for name in demangled}
+    return {name for name in names if not special_member(name)}
 
 
 def executables(directory):
@@ -139,14 +213,19 @@ def main():
     library_set = text_symbols(libraries)
     not_shipped = library_set - text_symbols(shipped)
     in_tests = text_symbols(tests)
+    weak_test_only = weak_functions(tests) - weak_functions(shipped)
     print(f"audit: {len(library_set)} library functions; {len(shipped)} shipped binaries, "
-          f"{len(tests)} tests; {len(not_shipped)} functions in no shipped binary")
+          f"{len(tests)} tests; {len(not_shipped)} functions in no shipped binary; "
+          f"{len(weak_test_only)} header-only functions in tests only")
     for name in sorted(not_shipped):
         print(("test-only  " if name in in_tests else "unreached  ") + name)
+    for name in sorted(weak_test_only):
+        print("test-only (weak)  " + name)
 
+    found = not_shipped | weak_test_only
     allowed = read_list(LIST)
-    new = sorted(not_shipped - set(allowed))
-    stale = sorted(set(allowed) - not_shipped)
+    new = sorted(found - set(allowed))
+    stale = sorted(set(allowed) - found)
     for name in new:
         print(f"audit: NEW function in no shipped binary: {name}", file=sys.stderr)
     for name in stale:
@@ -157,7 +236,7 @@ def main():
               "Delete the function, call it from a shipped path, move it into the test "
               "that uses it, or list it with a reason.", file=sys.stderr)
         return 1
-    print(f"audit: OK ({len(not_shipped)} functions, all listed)")
+    print(f"audit: OK ({len(found)} functions, all listed)")
     return 0
 
 
