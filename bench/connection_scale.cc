@@ -11,10 +11,10 @@
 //      FE-owned, and report user-space RSS per connection. Closing them all
 //      must drain the per-state gauges to exactly zero — a leak check, not
 //      an estimate.
-//   2. Idle reap: with the keep-alive deadline set at runtime through
-//      POST /idletimeout, a batch of idle connections must be reaped at
-//      deadline + epsilon. Reports the reap lateness (how far past the
-//      deadline the last connection closed).
+//   2. Idle reap: with the keep-alive deadline set at runtime through the
+//      idle_timeout_ms knob of POST /config, a batch of idle connections
+//      must be reaped at deadline + epsilon. Reports the reap lateness (how
+//      far past the deadline the last connection closed).
 //   3. Timer microcost: per-op arm and cancel cost of the event loop's
 //      timers with N live, through EventLoop::ScheduleAfterMs/CancelTimer.
 //   4. Open-loop tail: Poisson arrivals at a fixed offered rate (the
@@ -48,6 +48,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/admin/admin_client.h"
 #include "src/net/event_loop.h"
 #include "src/net/socket.h"
 #include "src/proto/cluster.h"
@@ -184,29 +185,6 @@ bool WaitForOpenConns(const Cluster& cluster, int64_t want, int64_t timeout_ms) 
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   return OpenConns(cluster) == want;
-}
-
-// Minimal admin client: POST `body` and return true on a 200.
-bool AdminPost(uint16_t admin_port, const std::string& path, const std::string& body) {
-  auto fd = ConnectTcp(admin_port);
-  if (!fd.ok()) {
-    return false;
-  }
-  std::ostringstream request;
-  request << "POST " << path << " HTTP/1.0\r\nContent-Length: " << body.size() << "\r\n\r\n"
-          << body;
-  const std::string wire = request.str();
-  if (::send(fd.value().get(), wire.data(), wire.size(), MSG_NOSIGNAL) !=
-      static_cast<ssize_t>(wire.size())) {
-    return false;
-  }
-  std::string reply;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd.value().get(), buf, sizeof(buf), 0)) > 0) {
-    reply.append(buf, static_cast<size_t>(n));
-  }
-  return reply.find(" 200 ") != std::string::npos;
 }
 
 struct SweepPoint {
@@ -383,10 +361,11 @@ int Main(int argc, char** argv) {
   // --- Phase 2: idle reap at a runtime-set deadline. ---
   const uint64_t idle_closes_before =
       cluster.frontend(0).counters().idle_closes.load(std::memory_order_relaxed);
-  bool reap_ok = AdminPost(cluster.admin_port(), "/idletimeout",
-                           "idle_timeout_ms=" + std::to_string(reap_timeout_ms));
+  bool reap_ok = AdminRequest(cluster.admin_port(), "POST", "/config",
+                              "idle_timeout_ms=" + std::to_string(reap_timeout_ms))
+                     .status == 200;
   if (!reap_ok) {
-    std::fprintf(stderr, "FAIL: POST /idletimeout rejected\n");
+    std::fprintf(stderr, "FAIL: POST /config idle_timeout_ms rejected\n");
     ++failures;
   }
   const size_t reap_n = static_cast<size_t>(std::min<int64_t>(reap_conns, conns));
@@ -442,8 +421,9 @@ int Main(int argc, char** argv) {
   // --- Phase 4: open-loop tail latency. ---
   // Restore a long deadline first so the reaper never races an active batch's
   // think gap (and the restore path itself gets exercised).
-  if (!AdminPost(cluster.admin_port(), "/idletimeout", "idle_timeout_ms=30000")) {
-    std::fprintf(stderr, "FAIL: POST /idletimeout restore rejected\n");
+  if (AdminRequest(cluster.admin_port(), "POST", "/config", "idle_timeout_ms=30000").status !=
+      200) {
+    std::fprintf(stderr, "FAIL: POST /config idle_timeout_ms restore rejected\n");
     ++failures;
   }
   LoadGeneratorConfig load;

@@ -1,29 +1,31 @@
 // Control-plane walkthrough on the real prototype cluster: starts a (default
 // 4-node) cluster with the admin server enabled, serves traffic with the
-// built-in load generator, and mid-run drives the membership through the
-// admin HTTP API alone:
+// built-in load generator, and mid-run drives the runtime knobs and the
+// membership through the admin HTTP API alone:
 //
-//   1. GET  /metrics            — per-node load/cache-hit/handoff counters
-//   2. POST /nodes/1/drain      — node 1 finishes its persistent connections
-//   3. POST /nodes/2/kill       — node 2 goes silent (simulated crash);
+//   1. GET  /                   — the registered routes
+//   2. GET  /config             — the runtime knobs
+//   3. POST /config             — sets idle_timeout_ms and slow_threshold_us
+//   4. GET  /metrics            — per-node load/cache-hit/handoff counters
+//   5. POST /nodes/1/drain      — node 1 finishes its persistent connections
+//   6. POST /nodes/2/kill       — node 2 goes silent (simulated crash);
 //                                 the front-end auto-removes it when its
 //                                 status frames stop
-//   4. POST /nodes/add          — a fresh node joins and takes load
-//   5. GET  /nodes, /metrics    — final membership + metrics
+//   7. POST /nodes/add          — a fresh node joins and takes load
+//   8. GET  /nodes, /metrics    — final membership + metrics
 //
-// Exits non-zero when no status frame arrived or the killed node was never
-// auto-removed, so a smoke run checks the liveness path end to end.
+// Exits non-zero when POST /config did not set both knobs, no status frame
+// arrived or the killed node was never auto-removed, so a smoke run checks
+// the knob table and the liveness path end to end.
 //
 //   ./build/examples/admin_demo
 //   ./build/examples/admin_demo --nodes 6 --sessions 3000
-#include <sys/socket.h>
-
 #include <cstdio>
 #include <string>
 #include <thread>
 
+#include "src/admin/admin_client.h"
 #include "src/core/policy.h"
-#include "src/net/socket.h"
 #include "src/proto/cluster.h"
 #include "src/proto/load_generator.h"
 #include "src/trace/synthetic.h"
@@ -32,31 +34,11 @@
 
 namespace {
 
-// Minimal blocking HTTP/1.0 client for the admin API (the demo's "curl").
-std::string AdminHttp(uint16_t port, const std::string& method, const std::string& path,
-                      const std::string& body = "") {
-  auto fd = lard::ConnectTcp(port);
-  if (!fd.ok()) {
-    return "<connect failed>";
-  }
-  std::string request = method + " " + path + " HTTP/1.0\r\nContent-Length: " +
-                        std::to_string(body.size()) + "\r\n\r\n" + body;
-  if (::send(fd.value().get(), request.data(), request.size(), MSG_NOSIGNAL) !=
-      static_cast<ssize_t>(request.size())) {
-    return "<send failed>";
-  }
-  std::string reply;
-  char buf[16384];
-  ssize_t n;
-  while ((n = ::recv(fd.value().get(), buf, sizeof(buf), 0)) > 0) {
-    reply.append(buf, static_cast<size_t>(n));
-  }
-  const size_t header_end = reply.find("\r\n\r\n");
-  return header_end == std::string::npos ? reply : reply.substr(header_end + 4);
-}
-
-void PrintSection(const char* title, const std::string& body) {
-  std::printf("\n=== %s ===\n%s\n", title, body.c_str());
+// Prints one admin call's reply (the first `limit` bytes of its body) under
+// `title`: the demo's "curl".
+void PrintSection(const char* title, const lard::AdminReply& reply,
+                  size_t limit = std::string::npos) {
+  std::printf("\n=== %s ===\n%d %s\n", title, reply.status, reply.body.substr(0, limit).c_str());
 }
 
 }  // namespace
@@ -122,25 +104,34 @@ int main(int argc, char** argv) {
     result = lard::RunLoad(load, trace);
   });
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  PrintSection("GET /metrics (mid-run excerpt)",
-               AdminHttp(admin, "GET", "/metrics").substr(0, 1200));
+  PrintSection("GET /", lard::AdminRequest(admin, "GET", "/"));
+  PrintSection("GET /config", lard::AdminRequest(admin, "GET", "/config"));
+  const lard::AdminReply set = lard::AdminRequest(admin, "POST", "/config",
+                                                  "idle_timeout_ms=20000&slow_threshold_us=500000");
+  PrintSection("POST /config idle_timeout_ms=20000&slow_threshold_us=500000", set);
+  const bool config_set = set.status == 200 &&
+                          set.body.find("\"idle_timeout_ms\":20000") != std::string::npos &&
+                          set.body.find("\"slow_threshold_us\":500000") != std::string::npos;
 
-  PrintSection("POST /nodes/1/drain", AdminHttp(admin, "POST", "/nodes/1/drain"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  PrintSection("GET /metrics (mid-run excerpt)", lard::AdminRequest(admin, "GET", "/metrics"),
+               1200);
+
+  PrintSection("POST /nodes/1/drain", lard::AdminRequest(admin, "POST", "/nodes/1/drain"));
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
   PrintSection("POST /nodes/2/kill (crash; status frames stop)",
-               AdminHttp(admin, "POST", "/nodes/2/kill"));
+               lard::AdminRequest(admin, "POST", "/nodes/2/kill"));
   // Wait past the heartbeat timeout so the front-end detects + auto-removes.
   std::this_thread::sleep_for(std::chrono::milliseconds(1200));
-  PrintSection("GET /nodes (after auto-removal)", AdminHttp(admin, "GET", "/nodes"));
+  PrintSection("GET /nodes (after auto-removal)", lard::AdminRequest(admin, "GET", "/nodes"));
 
-  PrintSection("POST /nodes/add", AdminHttp(admin, "POST", "/nodes/add"));
+  PrintSection("POST /nodes/add", lard::AdminRequest(admin, "POST", "/nodes/add"));
   load_thread.join();
 
-  PrintSection("GET /nodes (final)", AdminHttp(admin, "GET", "/nodes"));
+  PrintSection("GET /nodes (final)", lard::AdminRequest(admin, "GET", "/nodes"));
   PrintSection("GET /metrics?format=json (final excerpt)",
-               AdminHttp(admin, "GET", "/metrics?format=json").substr(0, 1200));
+               lard::AdminRequest(admin, "GET", "/metrics?format=json"), 1200);
 
   const lard::ClusterSnapshot snapshot = cluster.Snapshot();
   std::printf("\nload: %llu requests, ok %llu, bad %llu, transport errors %llu "
@@ -162,12 +153,14 @@ int main(int argc, char** argv) {
   }
   table.Print("per-node distribution");
   cluster.Stop();
-  // The walkthrough doubles as a liveness check: back-end status frames must
-  // have arrived, and the killed node must have been detected and removed.
-  if (snapshot.heartbeats == 0 || snapshot.auto_removals == 0) {
+  // The walkthrough doubles as a check: POST /config must have set both
+  // knobs, back-end status frames must have arrived, and the killed node
+  // must have been detected and removed.
+  if (!config_set || snapshot.heartbeats == 0 || snapshot.auto_removals == 0) {
     std::fprintf(stderr, "FAIL: %s\n",
-                 snapshot.heartbeats == 0 ? "no back-end status frame arrived"
-                                          : "the killed node was never auto-removed");
+                 !config_set                ? "POST /config did not set both knobs"
+                 : snapshot.heartbeats == 0 ? "no back-end status frame arrived"
+                                            : "the killed node was never auto-removed");
     return 1;
   }
   return 0;

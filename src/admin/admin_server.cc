@@ -17,26 +17,50 @@ int64_t NowUs() {
   return static_cast<int64_t>(ts.tv_sec) * 1000000 + ts.tv_nsec / 1000;
 }
 
-// "/metrics?format=json" -> {"/metrics", "format=json"}.
-std::pair<std::string, std::string> SplitQuery(const std::string& path) {
-  const size_t q = path.find('?');
-  if (q == std::string::npos) {
-    return {path, ""};
+}  // namespace
+
+AdminParams ParseAdminParams(std::string_view text) {
+  const size_t begin = text.find_first_not_of(" \t\r\n");
+  text = begin == std::string_view::npos
+             ? std::string_view()
+             : text.substr(begin, text.find_last_not_of(" \t\r\n") + 1 - begin);
+  AdminParams params;
+  while (!text.empty()) {
+    const size_t amp = text.find('&');
+    const std::string_view pair = text.substr(0, amp);
+    text = amp == std::string_view::npos ? std::string_view() : text.substr(amp + 1);
+    if (pair.empty()) {
+      continue;
+    }
+    const size_t equals = pair.find('=');
+    params[std::string(pair.substr(0, equals))] =
+        equals == std::string_view::npos ? std::string() : std::string(pair.substr(equals + 1));
   }
-  return {path.substr(0, q), path.substr(q + 1)};
+  return params;
 }
 
-}  // namespace
+std::string AdminParam(const AdminParams& params, const char* key) {
+  const auto it = params.find(key);
+  return it == params.end() ? std::string() : it->second;
+}
 
 AdminResponse AdminResponse::Error(int status, const std::string& message) {
   AdminResponse response;
   response.status = status;
   std::string escaped;
   for (const char c : message) {
+    const auto byte = static_cast<unsigned char>(c);
     if (c == '"' || c == '\\') {
       escaped.push_back('\\');
+      escaped.push_back(c);
+    } else if (byte < 0x20) {
+      static constexpr char kHex[] = "0123456789abcdef";
+      escaped += "\\u00";
+      escaped.push_back(kHex[byte >> 4]);
+      escaped.push_back(kHex[byte & 0xf]);
+    } else {
+      escaped.push_back(c);
     }
-    escaped.push_back(c);
   }
   response.body = "{\"error\":\"" + escaped + "\"}";
   return response;
@@ -48,6 +72,35 @@ AdminServer::AdminServer(EventLoop* loop, MetricsRegistry* metrics)
   if (metrics_ != nullptr) {
     latency_us_ = metrics_->Histogram("lard_admin_request_us");
   }
+  Route("GET", "/", [this](const AdminParams&, const std::string&) {
+    // Generated from the routing tables, so it lists exactly what is served.
+    AdminResponse index;
+    index.content_type = "text/plain";
+    index.body = "lard cluster admin API (docs/ADMIN_API.md describes each route)\n";
+    for (const auto& [key, handler] : exact_) {
+      index.body += key + "\n";
+    }
+    for (const auto& [prefix, handler] : prefixes_) {
+      index.body += prefix + "...\n";
+    }
+    return index;
+  });
+  Route("GET", "/metrics", [this](const AdminParams& params, const std::string&) {
+    if (metrics_ == nullptr) {
+      return AdminResponse::Error(404, "no metrics registry");
+    }
+    if (before_metrics_) {
+      before_metrics_();
+    }
+    AdminResponse response;
+    if (AdminParam(params, "format") == "json") {
+      response.body = metrics_->RenderJson();
+    } else {
+      response.content_type = "text/plain";
+      response.body = metrics_->RenderText();
+    }
+    return response;
+  });
 }
 
 AdminServer::~AdminServer() { alive_.Invalidate(); }
@@ -117,7 +170,6 @@ void AdminServer::OnData(AdminConn* conn, std::string_view data) {
   // requests are ignored.
   const int64_t start_us = NowUs();
   AdminResponse response = Dispatch(requests.front());
-  ++requests_served_;
   if (latency_us_ != nullptr) {
     latency_us_->Observe(static_cast<double>(NowUs() - start_us));
   }
@@ -125,53 +177,25 @@ void AdminServer::OnData(AdminConn* conn, std::string_view data) {
 }
 
 AdminResponse AdminServer::Dispatch(const HttpRequest& request) {
-  const auto [path, query] = SplitQuery(request.path);
+  const size_t q = request.path.find('?');
+  const std::string path = request.path.substr(0, q);
+  const AdminParams params =
+      request.method == "GET"
+          ? ParseAdminParams(q == std::string::npos ? std::string_view()
+                                                    : std::string_view(request.path).substr(q + 1))
+          : ParseAdminParams(request.body);
 
-  if (request.method == "GET" && path == "/") {
-    AdminResponse index;
-    index.content_type = "text/plain";
-    index.body =
-        "lard cluster admin API\n"
-        "  GET  /metrics            plaintext metrics (?format=json for JSON)\n"
-        "  GET  /nodes              membership + health snapshot\n"
-        "  POST /nodes/add          start a node and join it to the cluster\n"
-        "  POST /nodes/<id>/drain   stop new assignments to a node\n"
-        "  POST /nodes/<id>/remove  remove a node now\n"
-        "  POST /policy             switch policy (body: wrr | lard | extlard)\n"
-        "  GET  /timeseries         sampled series (?metric=&component=&window=<ms>)\n"
-        "  GET  /cluster/health     merged SLO watchdog verdict + freshest samples\n"
-        "  GET  /trace              recent request traces (?component=&format=chrome)\n"
-        "  POST /slowlog            set the slow-request log threshold (body: µs)\n";
-    return index;
-  }
-  if (request.method == "GET" && path == "/metrics") {
-    if (metrics_ == nullptr) {
-      return AdminResponse::Error(404, "no metrics registry");
-    }
-    if (before_metrics_) {
-      before_metrics_();
-    }
-    AdminResponse response;
-    if (query == "format=json") {
-      response.body = metrics_->RenderJson();
-    } else {
-      response.content_type = "text/plain";
-      response.body = metrics_->RenderText();
-    }
-    return response;
-  }
-
-  const std::string exact_key = request.method + " " + path;
-  auto it = exact_.find(exact_key);
+  const std::string key = request.method + " " + path;
+  auto it = exact_.find(key);
   if (it != exact_.end()) {
-    return it->second(request, "");
+    return it->second(params, "");
   }
-  for (const auto& [key, handler] : prefixes_) {
-    if (exact_key.rfind(key, 0) == 0) {
-      return handler(request, exact_key.substr(key.size()));
+  for (const auto& [prefix, handler] : prefixes_) {
+    if (key.rfind(prefix, 0) == 0) {
+      return handler(params, key.substr(prefix.size()));
     }
   }
-  return AdminResponse::Error(404, "no such endpoint: " + request.method + " " + path);
+  return AdminResponse::Error(404, "no such endpoint: " + key);
 }
 
 void AdminServer::WriteAndClose(AdminConn* conn, const HttpRequest& request,

@@ -4,12 +4,17 @@
 // connection plumbing — the admin plane rides the same stack it administers.
 //
 // Built-in endpoints:
-//   GET /            tiny index of routes
+//   GET /            the registered routes, one "METHOD path" per line
 //   GET /metrics     MetricsRegistry in plaintext exposition format
-//                    (?format=json for the JSON rendering)
-// Everything else (GET /nodes, POST /nodes/<id>/drain, POST /nodes/<id>/
-// remove, POST /nodes/add, POST /policy) is registered by the owner via
-// Route()/RoutePrefix(), so the server itself stays cluster-agnostic.
+//                    (format=json for the JSON rendering)
+// Everything else (GET /nodes, GET/POST /config, POST /nodes/add, POST
+// /nodes/<id>/<verb>, ...) is registered by the owner via Route()/
+// RoutePrefix(), so the server itself stays cluster-agnostic.
+// docs/ADMIN_API.md describes each route.
+//
+// Every route takes its parameters in one format, key=value pairs joined by
+// '&': the query string of a GET, the body of a POST. The server parses them
+// once and hands each handler the map (AdminParams), never the raw bytes.
 //
 // Handlers run on the server's loop thread — exactly what the membership
 // operations need, since the dispatcher is single-threaded on that loop.
@@ -20,8 +25,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -41,18 +48,30 @@ struct AdminResponse {
   std::string body;
 
   static AdminResponse Json(std::string body) { return {200, "application/json", std::move(body)}; }
+  // A JSON {"error": message}; `message` is escaped, so request bytes in it
+  // cannot break the body.
   static AdminResponse Error(int status, const std::string& message);
 };
 
+// A request's key=value parameters. A pair without '=' maps to ""; a repeated
+// key keeps its last value. No URL decoding: the values are plain
+// identifiers and numbers.
+using AdminParams = std::map<std::string, std::string>;
+// Splits "a=1&b=2" (surrounding whitespace trimmed, so a body ending in a
+// newline parses the same).
+AdminParams ParseAdminParams(std::string_view text);
+// params[key], or "" when absent.
+std::string AdminParam(const AdminParams& params, const char* key);
+
 // `tail` is the path remainder after a RoutePrefix match ("7/drain" for
 // prefix "/nodes/" and path "/nodes/7/drain"); empty for exact routes.
-using AdminHandler = std::function<AdminResponse(const HttpRequest& request,
+using AdminHandler = std::function<AdminResponse(const AdminParams& params,
                                                  const std::string& tail)>;
 
 class AdminServer {
  public:
   // `loop` must outlive the server; `metrics` may be null (then /metrics
-  // serves an empty registry rendering is skipped and returns 404).
+  // returns 404).
   AdminServer(EventLoop* loop, MetricsRegistry* metrics);
   ~AdminServer();
 
@@ -71,7 +90,6 @@ class AdminServer {
   Status Start(uint16_t port);
 
   uint16_t port() const { return port_; }
-  uint64_t requests_served() const { return requests_served_; }
 
  private:
   struct AdminConn {
@@ -95,14 +113,13 @@ class AdminServer {
   UniqueFd listener_;
   uint16_t port_ = 0;
 
-  std::unordered_map<std::string, AdminHandler> exact_;  // key = "METHOD path"
+  std::map<std::string, AdminHandler> exact_;  // key = "METHOD path"
   // Checked in registration order after exact routes miss.
   std::vector<std::pair<std::string, AdminHandler>> prefixes_;  // key = "METHOD prefix"
   std::function<void()> before_metrics_;
 
   std::unordered_map<uint64_t, std::unique_ptr<AdminConn>> conns_;
   uint64_t next_conn_id_ = 1;
-  uint64_t requests_served_ = 0;
   MetricHistogram* latency_us_ = nullptr;
 };
 

@@ -93,6 +93,26 @@ struct DispatcherCounters {
   // Subset of `reassignments` made because the previous handling node
   // *crashed* (failure replay), as opposed to cooperative drain givebacks.
   uint64_t failure_reassignments = 0;
+
+  // Field-wise sum: the simulator totals its front ends' dispatchers, the
+  // cluster's /metrics bridge its replicas'.
+  DispatcherCounters& operator+=(const DispatcherCounters& other) {
+    connections += other.connections;
+    requests += other.requests;
+    handoffs += other.handoffs;
+    local_serves += other.local_serves;
+    forwards += other.forwards;
+    migrations += other.migrations;
+    relays += other.relays;
+    served_without_caching += other.served_without_caching;
+    nodes_added += other.nodes_added;
+    nodes_drained += other.nodes_drained;
+    nodes_removed += other.nodes_removed;
+    orphaned_connections += other.orphaned_connections;
+    reassignments += other.reassignments;
+    failure_reassignments += other.failure_reassignments;
+    return *this;
+  }
 };
 
 class Dispatcher {
@@ -168,10 +188,11 @@ class Dispatcher {
   // replication. No load or counter side effects; dead nodes are ignored.
   void NoteRemoteFetch(NodeId node, TargetId target);
 
-  // Runtime policy switch (admin POST /policy). Existing connections keep
-  // their handling nodes and the round-robin cursor persists; only future
-  // decisions use the new policy. Switching to the current policy is a no-op,
-  // so stateful policies keep their state (e.g. LARD/R's replica sets).
+  // Runtime policy switch (the policy knob of admin POST /config). Existing
+  // connections keep their handling nodes and the round-robin cursor
+  // persists; only future decisions use the new policy. Switching to the
+  // current policy is a no-op, so stateful policies keep their state (e.g.
+  // LARD/R's replica sets).
   void SetPolicy(Policy policy);
 
   // --- introspection (tests, metrics, admin API) ---

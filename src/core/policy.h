@@ -18,8 +18,8 @@
 // "lardr"), its display name, whether it places per request, whether it
 // decides over capacity weights and how to construct it — is one row of the
 // policy table in policy.cc. Strings are parsed only at the edges (command
-// lines, POST /policy). To add a policy: an enum value, a RoutingPolicy
-// subclass and a table row; see docs/ADMIN_API.md.
+// lines, POST /config policy=<key>). To add a policy: an enum value, a
+// RoutingPolicy subclass and a table row; see docs/ADMIN_API.md.
 #ifndef SRC_CORE_POLICY_H_
 #define SRC_CORE_POLICY_H_
 
@@ -159,7 +159,7 @@ SubsequentDecision ExtLardDecide(const DispatcherView& view, NodeId handling, Ta
 // One row per Policy value.
 struct PolicyRow {
   Policy policy;
-  // Command lines, POST /policy and /nodes' "policy_key".
+  // Command lines, POST /config and /nodes' "policy_key".
   const char* key;
   // Tables and /nodes' "policy" ("WRR", "extLARD", ...).
   const char* display;

@@ -324,16 +324,12 @@ void Connection::FailAndClose() {
   }
 }
 
-Connection::Detached Connection::Detach() {
+UniqueFd Connection::Detach() {
   LARD_CHECK(open_);
   LARD_CHECK(pending_write_bytes() == 0) << "cannot hand off with unsent response bytes";
   open_ = false;
   loop_->Unregister(fd_.get());
-  Detached detached;
-  detached.fd = std::move(fd_);
-  detached.unconsumed_input = std::move(pushback_);
-  pushback_.clear();
-  return detached;
+  return std::move(fd_);
 }
 
 }  // namespace lard

@@ -4,10 +4,10 @@
 // on top of it.
 //
 // Detach() is the key facility for the prototype's TCP handoff: it atomically
-// pulls the socket out of the loop and returns the fd together with any bytes
-// already read but not yet consumed — exactly the state the paper's in-kernel
-// handoff transfers (connection endpoint + buffered client data, e.g. further
-// pipelined requests that arrived glued to the first one).
+// pulls the socket out of the loop and returns the fd — the connection
+// endpoint the paper's in-kernel handoff transfers. Bytes already read (e.g.
+// further pipelined requests that arrived glued to the first one) live in
+// the caller's parser, and the caller ships them with the fd.
 //
 // Output is a queue of segments: owned strings, or borrowed views of storage
 // that outlives the connection (the content store's static fill slab). It is
@@ -127,19 +127,9 @@ class Connection {
   // Immediate teardown; on_close is NOT invoked (caller-initiated).
   void Close();
 
-  struct Detached {
-    UniqueFd fd;
-    std::string unconsumed_input;
-  };
   // Unregisters and surrenders the socket. Only legal while open and with an
-  // empty write queue. `unconsumed_input` is whatever the *caller's* parser
-  // returned to us via PushBack plus anything unread — see PushBack().
-  Detached Detach();
-
-  // Returns bytes the caller read via on_data but did not consume, so a later
-  // Detach() ships them along with the fd. (The front-end pushes back the
-  // pipelined tail after parsing the first request.)
-  void PushBack(std::string_view data) { pushback_.append(data.data(), data.size()); }
+  // empty write queue.
+  UniqueFd Detach();
 
   bool open() const { return open_; }
   int fd() const { return fd_.get(); }
@@ -201,7 +191,6 @@ class Connection {
   size_t out_bytes_ = 0;   // queued bytes not yet sent
   uint64_t skip_next_ = 0;
   uint64_t bytes_flushed_ = 0;
-  std::string pushback_;
   std::deque<UniqueFd>* fd_sink_ = nullptr;
 };
 

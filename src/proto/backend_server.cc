@@ -730,9 +730,8 @@ void BackendServer::DoHandback(ConnId conn_id) {
     ProcessNext(conn);
     return;
   }
-  Connection::Detached detached = conn->conn->Detach();
   channel->SendWithFd(static_cast<uint8_t>(ControlMsg::kHandback), EncodeHandback(msg),
-                      std::move(detached.fd));
+                      conn->conn->Detach());
   (migrate ? counters_.handbacks : counters_.drain_handbacks)
       .fetch_add(1, std::memory_order_relaxed);
 

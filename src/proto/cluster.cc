@@ -1,10 +1,11 @@
 #include "src/proto/cluster.h"
 
-#include <cmath>
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <future>
+#include <iterator>
 #include <limits>
-#include <map>
 #include <sstream>
 
 #include "src/core/policy.h"
@@ -32,157 +33,33 @@ void RunOnLoop(EventLoop* loop, std::function<void()> fn) {
   future.wait();
 }
 
-std::string Trim(const std::string& text) {
-  const size_t begin = text.find_first_not_of(" \t\r\n");
-  if (begin == std::string::npos) {
-    return std::string();
-  }
-  return text.substr(begin, text.find_last_not_of(" \t\r\n") + 1 - begin);
-}
-
-// Strict number parse: the whole (trimmed) string must be one double that
-// passes the shared capacity-weight validator (positive and finite — the
-// same IsValidCapacityWeight the dispatcher CHECKs and the simulator's
-// membership events are screened by). Trailing garbage ("2,5", "2.5x") is
-// rejected, not silently truncated.
+// Strict number parse: the whole string must be one double that passes the
+// shared capacity-weight validator (positive and finite — the same
+// IsValidCapacityWeight the dispatcher CHECKs and the simulator's membership
+// events are screened by). Trailing garbage ("2,5", "2.5x") is rejected, not
+// silently truncated.
 bool ParsePositiveNumber(const std::string& text, double* value) {
-  const std::string trimmed = Trim(text);
-  if (trimmed.empty()) {
-    return false;
-  }
   char* parse_end = nullptr;
-  const double parsed = std::strtod(trimmed.c_str(), &parse_end);
-  if (parse_end != trimmed.c_str() + trimmed.size() || !IsValidCapacityWeight(parsed)) {
+  const double parsed = std::strtod(text.c_str(), &parse_end);
+  if (parse_end != text.c_str() + text.size() || !IsValidCapacityWeight(parsed)) {
     return false;
   }
   *value = parsed;
   return true;
 }
 
-// Parses the optional capacity weight of a POST /nodes/add body. Accepts an
-// empty body (weight 1.0), a bare number ("2.5"), a form pair ("weight=2.5")
-// or a tiny JSON object ({"weight":2.5}). Returns false on anything else or
-// a non-positive/non-finite weight.
-bool ParseWeightBody(const std::string& body, double* weight) {
-  *weight = 1.0;
-  const std::string trimmed = Trim(body);
-  if (trimmed.empty()) {
-    return true;  // empty body: default weight
-  }
-  if (trimmed.front() == '{') {
-    // {"weight": <number>} and nothing else.
-    if (trimmed.back() != '}') {
-      return false;
-    }
-    std::string inner = Trim(trimmed.substr(1, trimmed.size() - 2));
-    static constexpr char kKey[] = "\"weight\"";
-    if (inner.compare(0, sizeof(kKey) - 1, kKey) != 0) {
-      return false;
-    }
-    inner = Trim(inner.substr(sizeof(kKey) - 1));
-    if (inner.empty() || inner.front() != ':') {
-      return false;
-    }
-    return ParsePositiveNumber(inner.substr(1), weight);
-  }
-  const size_t equals = trimmed.find('=');
-  if (equals != std::string::npos) {
-    // weight=<number> and nothing else.
-    if (Trim(trimmed.substr(0, equals)) != "weight") {
-      return false;
-    }
-    return ParsePositiveNumber(trimmed.substr(equals + 1), weight);
-  }
-  return ParsePositiveNumber(trimmed, weight);
-}
-
-// key=value pairs of a request path's query string (the router matches on the
-// query-stripped path, so handlers re-split here). No URL decoding: the admin
-// API's parameter values are plain identifiers/numbers.
-std::map<std::string, std::string> ParseQuery(const std::string& path) {
-  std::map<std::string, std::string> params;
-  const size_t q = path.find('?');
-  if (q == std::string::npos) {
-    return params;
-  }
-  std::string query = path.substr(q + 1);
-  size_t begin = 0;
-  while (begin <= query.size()) {
-    size_t end = query.find('&', begin);
-    if (end == std::string::npos) {
-      end = query.size();
-    }
-    const std::string pair = query.substr(begin, end - begin);
-    const size_t equals = pair.find('=');
-    if (equals != std::string::npos) {
-      params[pair.substr(0, equals)] = pair.substr(equals + 1);
-    } else if (!pair.empty()) {
-      params[pair] = "";
-    }
-    begin = end + 1;
-  }
-  return params;
-}
-
-std::string QueryParam(const std::map<std::string, std::string>& params, const char* key) {
-  const auto it = params.find(key);
-  return it == params.end() ? std::string() : it->second;
-}
-
-// Strict non-negative integer parse (the /slowlog body, the /timeseries
-// window, the /nodes/<id>/<verb> id). The whole trimmed string must be one
-// base-10 integer.
+// Strict non-negative integer parse (the idle_timeout_ms and
+// slow_threshold_us knobs, the /timeseries window, the /nodes/<id>/<verb>
+// id). The whole string must be one base-10 integer.
 bool ParseNonNegativeInt(const std::string& text, int64_t* value) {
-  const std::string trimmed = Trim(text);
-  if (trimmed.empty()) {
-    return false;
-  }
   char* parse_end = nullptr;
   errno = 0;
-  const long long parsed = std::strtoll(trimmed.c_str(), &parse_end, 10);
-  if (errno != 0 || parse_end != trimmed.c_str() + trimmed.size() || parsed < 0) {
+  const long long parsed = std::strtoll(text.c_str(), &parse_end, 10);
+  if (text.empty() || errno != 0 || parse_end != text.c_str() + text.size() || parsed < 0) {
     return false;
   }
   *value = parsed;
   return true;
-}
-
-// Parses a single-knob POST body: empty (0 = disable), a bare integer,
-// "<key>=N" or {"<key>":N}. Shared by /slowlog (key threshold_us) and
-// /idletimeout (key idle_timeout_ms).
-bool ParseKeyedNonNegativeInt(const std::string& body, const std::string& key, int64_t* value) {
-  *value = 0;
-  std::string trimmed = Trim(body);
-  if (trimmed.empty()) {
-    return true;
-  }
-  if (trimmed.front() == '{') {
-    if (trimmed.back() != '}') {
-      return false;
-    }
-    std::string inner = Trim(trimmed.substr(1, trimmed.size() - 2));
-    const std::string quoted = "\"" + key + "\"";
-    if (inner.compare(0, quoted.size(), quoted) != 0) {
-      return false;
-    }
-    inner = Trim(inner.substr(quoted.size()));
-    if (inner.empty() || inner.front() != ':') {
-      return false;
-    }
-    return ParseNonNegativeInt(inner.substr(1), value);
-  }
-  const size_t equals = trimmed.find('=');
-  if (equals != std::string::npos) {
-    if (Trim(trimmed.substr(0, equals)) != key) {
-      return false;
-    }
-    return ParseNonNegativeInt(trimmed.substr(equals + 1), value);
-  }
-  return ParseNonNegativeInt(trimmed, value);
-}
-
-bool ParseSlowlogBody(const std::string& body, int64_t* threshold_us) {
-  return ParseKeyedNonNegativeInt(body, "threshold_us", threshold_us);
 }
 
 }  // namespace
@@ -355,6 +232,60 @@ Status Cluster::Start() {
   return Status::Ok();
 }
 
+// The runtime knobs of GET/POST /config, one row each. A value travels as an
+// int64_t (a Policy or LogSeverity as its enum value). policy and
+// idle_timeout_ms apply to every front-end replica; slow_threshold_us and
+// log_level are process-wide.
+const Cluster::RuntimeKnob Cluster::kRuntimeKnobs[] = {
+    {"policy",
+     [](const std::string& text, int64_t* value) {
+       Policy policy = Policy::kWrr;
+       if (!ParsePolicyName(text, &policy)) {
+         return false;
+       }
+       *value = static_cast<int64_t>(policy);
+       return true;
+     },
+     [](Cluster* cluster, int64_t value) {
+       cluster->OnEveryReplica([value](size_t, FrontEnd* frontend) {
+         frontend->SetPolicy(static_cast<Policy>(value));
+         return true;
+       });
+     },
+     [](const Cluster& cluster) {
+       return "\"" + std::string(PolicyKey(cluster.Fe(0)->policy())) + "\"";
+     },
+     [] { return "one of " + PolicyKeysCsv(); }},
+    {"idle_timeout_ms", ParseNonNegativeInt,
+     [](Cluster* cluster, int64_t value) {
+       // Applies at each connection's next arm or rearm; 0 stops reaping.
+       cluster->OnEveryReplica([value](size_t, FrontEnd* frontend) {
+         frontend->set_idle_timeout_ms(value);
+         return true;
+       });
+     },
+     [](const Cluster& cluster) { return std::to_string(cluster.Fe(0)->idle_timeout_ms()); },
+     [] { return std::string("milliseconds, 0 to stop reaping"); }},
+    {"slow_threshold_us", ParseNonNegativeInt,
+     // Handed-off connections latch their timing decision at adoption, so
+     // raising it from 0 applies to connections adopted after the change.
+     [](Cluster* cluster, int64_t value) { cluster->tracer_->set_slow_threshold_us(value); },
+     [](const Cluster& cluster) { return std::to_string(cluster.tracer_->slow_threshold_us()); },
+     [] { return std::string("microseconds, 0 to turn the slow log off"); }},
+    {"log_level",
+     [](const std::string& text, int64_t* value) {
+       LogSeverity level = LogSeverity::kInfo;
+       if (!ParseLogSeverity(text, &level)) {
+         return false;
+       }
+       *value = static_cast<int64_t>(level);
+       return true;
+     },
+     [](Cluster*, int64_t value) { SetMinLogSeverity(static_cast<LogSeverity>(value)); },
+     [](const Cluster&) { return "\"" + std::string(LogSeverityName(MinLogSeverity())) + "\""; },
+     [] { return std::string("one of debug, info, warning, error"); }},
+};
+
 void Cluster::RegisterAdminRoutes() {
   admin_->set_before_metrics([this]() {
     BridgeDispatcherMetrics();
@@ -363,11 +294,11 @@ void Cluster::RegisterAdminRoutes() {
     process_metrics_.Publish(ReadProcessStats());
   });
 
-  admin_->Route("GET", "/nodes", [this](const HttpRequest&, const std::string&) {
+  admin_->Route("GET", "/nodes", [this](const AdminParams&, const std::string&) {
     return AdminResponse::Json(Fe(0)->DescribeNodesJson());
   });
 
-  admin_->Route("GET", "/mesh", [this](const HttpRequest&, const std::string&) {
+  admin_->Route("GET", "/mesh", [this](const AdminParams&, const std::string&) {
     // Every replica's mesh view: epoch, gossip lag, per-peer state. The
     // snapshots are refreshed on each replica's gossip tick and read here
     // under their mutexes (the admin runs on replica 0's loop).
@@ -381,11 +312,13 @@ void Cluster::RegisterAdminRoutes() {
     return AdminResponse::Json(out.str());
   });
 
-  admin_->Route("POST", "/nodes/add", [this](const HttpRequest& request, const std::string&) {
+  admin_->Route("POST", "/nodes/add", [this](const AdminParams& params, const std::string&) {
+    // weight=N, a positive capacity weight; without it the node weighs 1.0.
     double weight = 1.0;
-    if (!ParseWeightBody(request.body, &weight)) {
-      return AdminResponse::Error(
-          400, "body must be empty or carry a positive weight (e.g. {\"weight\":2})");
+    const auto it = params.find("weight");
+    if (params.size() != (it == params.end() ? 0u : 1u) ||
+        (it != params.end() && !ParsePositiveNumber(it->second, &weight))) {
+      return AdminResponse::Error(400, "expected no parameter or weight=N with N positive");
     }
     const NodeId node = AddNode(weight);
     if (node == kInvalidNode) {
@@ -396,7 +329,7 @@ void Cluster::RegisterAdminRoutes() {
     return AdminResponse::Json(out.str());
   });
 
-  admin_->RoutePrefix("POST", "/nodes/", [this](const HttpRequest&, const std::string& tail) {
+  admin_->RoutePrefix("POST", "/nodes/", [this](const AdminParams&, const std::string& tail) {
     // tail: "<id>/drain" | "<id>/remove" | "<id>/kill".
     const size_t slash = tail.find('/');
     if (slash == std::string::npos) {
@@ -427,13 +360,11 @@ void Cluster::RegisterAdminRoutes() {
                                "\"}");
   });
 
-  admin_->Route("GET", "/trace", [this](const HttpRequest& request, const std::string&) {
-    // The router matched on the query-stripped path; re-split here for the
-    // format selector and the optional per-ring filter
-    // (?component=fe0|fe0.1|be2|sim).
-    const auto params = ParseQuery(request.path);
-    const std::string format = QueryParam(params, "format");
-    const std::string component = QueryParam(params, "component");
+  admin_->Route("GET", "/trace", [this](const AdminParams& params, const std::string&) {
+    // The format selector and the optional per-ring filter
+    // (component=fe0|fe0.1|be2|sim).
+    const std::string format = AdminParam(params, "format");
+    const std::string component = AdminParam(params, "component");
     if (!component.empty() && !tracer_->HasRing(component)) {
       return AdminResponse::Error(404, "unknown component: " + component);
     }
@@ -449,15 +380,14 @@ void Cluster::RegisterAdminRoutes() {
     return response;
   });
 
-  admin_->Route("GET", "/timeseries", [this](const HttpRequest& request, const std::string&) {
-    // ?metric=<substring>&component=<fe0|be1|...>&window=<ms>. Each FE
+  admin_->Route("GET", "/timeseries", [this](const AdminParams& params, const std::string&) {
+    // metric=<substring>&component=<fe0|be1|...>&window=<ms>. Each FE
     // replica contributes its own series; the back-end mirrors are rendered
     // from replica 0 only (every replica holds an equivalent copy).
-    const auto params = ParseQuery(request.path);
-    const std::string metric = QueryParam(params, "metric");
-    const std::string component = QueryParam(params, "component");
+    const std::string metric = AdminParam(params, "metric");
+    const std::string component = AdminParam(params, "component");
     int64_t window_ms = 0;
-    const std::string window = QueryParam(params, "window");
+    const std::string window = AdminParam(params, "window");
     if (!window.empty() && !ParseNonNegativeInt(window, &window_ms)) {
       return AdminResponse::Error(400, "bad window; expected milliseconds");
     }
@@ -477,7 +407,7 @@ void Cluster::RegisterAdminRoutes() {
     return AdminResponse::Json(out.str());
   });
 
-  admin_->Route("GET", "/cluster/health", [this](const HttpRequest&, const std::string&) {
+  admin_->Route("GET", "/cluster/health", [this](const AdminParams&, const std::string&) {
     // One merged verdict: the worst watchdog status across the FE replicas
     // (each of which already folds its own loops and the mirrored back-end
     // telemetry into its view), plus every replica's detailed snapshot.
@@ -497,74 +427,53 @@ void Cluster::RegisterAdminRoutes() {
     return AdminResponse::Json(out.str());
   });
 
-  admin_->Route("POST", "/slowlog", [this](const HttpRequest& request, const std::string&) {
-    // Runtime-tunable slow-request threshold (the POST /loglevel pattern: one
-    // relaxed atomic the request paths read per response). 0 disables.
-    // Note: handed-off connections latch their timing decision at adoption,
-    // so raising the threshold from 0 applies to connections adopted after
-    // the change (docs/ADMIN_API.md).
-    int64_t threshold_us = 0;
-    if (!ParseSlowlogBody(request.body, &threshold_us)) {
-      return AdminResponse::Error(
-          400, "body must be empty, a microsecond count, or {\"threshold_us\":N}");
-    }
-    tracer_->set_slow_threshold_us(threshold_us);
-    LARD_LOG(WARNING) << "admin: slow-request threshold set to " << threshold_us << "us";
-    return AdminResponse::Json("{\"slow_threshold_us\":" + std::to_string(threshold_us) + "}");
+  admin_->Route("GET", "/config", [this](const AdminParams&, const std::string&) {
+    return AdminResponse::Json(RenderConfig());
   });
 
-  admin_->Route("POST", "/idletimeout", [this](const HttpRequest& request, const std::string&) {
-    // Runtime-tunable front-end keep-alive deadline. Body: empty or 0 to
-    // disable reaping, a bare millisecond count, "idle_timeout_ms=N" or
-    // {"idle_timeout_ms":N}. Applies on each connection's next arm/rearm.
-    int64_t timeout_ms = 0;
-    if (!ParseKeyedNonNegativeInt(request.body, "idle_timeout_ms", &timeout_ms)) {
-      return AdminResponse::Error(
-          400, "body must be empty, a millisecond count, or {\"idle_timeout_ms\":N}");
+  admin_->Route("POST", "/config", [this](const AdminParams& params, const std::string&) {
+    // Every pair is validated before any is applied, so a batch with one bad
+    // pair changes nothing. Replies name the table's keys and render the
+    // getters, never the request's bytes.
+    std::vector<std::pair<const RuntimeKnob*, int64_t>> batch;
+    for (const auto& [key, text] : params) {
+      const RuntimeKnob* knob = std::find_if(
+          std::begin(kRuntimeKnobs), std::end(kRuntimeKnobs),
+          [&key = key](const RuntimeKnob& row) { return key == row.key; });
+      if (knob == std::end(kRuntimeKnobs)) {
+        return AdminResponse::Error(400, "unknown key; GET /config lists the keys");
+      }
+      int64_t value = 0;
+      if (!knob->parse(text, &value)) {
+        return AdminResponse::Error(400, std::string("bad ") + knob->key + "; expected " +
+                                             knob->expected());
+      }
+      batch.emplace_back(knob, value);
     }
-    Fe(0)->set_idle_timeout_ms(timeout_ms);
-    // The whole tier switches, each replica on its own loop (the /policy
-    // fan-out pattern).
-    for (size_t fe = 1; fe < fes_.size(); ++fe) {
-      // lard-lint: allow(liveness-guard) Stop() joins every FE loop before ~Cluster,
-      // so a posted task can never outlive `this`.
-      FeLoop(fe)->Post([this, fe, timeout_ms]() {
-        FeFromReplicaLoop(fe)->set_idle_timeout_ms(timeout_ms);
-      });
+    for (const auto& [knob, value] : batch) {
+      knob->apply(this, value);
+      LARD_LOG(WARNING) << "admin: " << knob->key << " set to " << knob->render(*this);
     }
-    LARD_LOG(WARNING) << "admin: front-end idle timeout set to " << timeout_ms << "ms";
-    return AdminResponse::Json("{\"idle_timeout_ms\":" + std::to_string(timeout_ms) + "}");
+    return AdminResponse::Json(RenderConfig());
   });
+}
 
-  admin_->Route("POST", "/loglevel", [](const HttpRequest& request, const std::string&) {
-    LogSeverity level = LogSeverity::kInfo;
-    if (!ParseLogSeverity(request.body, &level)) {
-      return AdminResponse::Error(400, "unknown level; use debug|info|warning|error");
-    }
-    SetMinLogSeverity(level);
-    LARD_LOG(WARNING) << "admin: log level set to " << LogSeverityName(level);
-    return AdminResponse::Json("{\"level\":\"" + std::string(LogSeverityName(level)) + "\"}");
-  });
+std::string Cluster::RenderConfig() const {
+  std::string out;
+  for (const RuntimeKnob& knob : kRuntimeKnobs) {
+    out += (out.empty() ? "{\"" : ",\"") + std::string(knob.key) + "\":" + knob.render(*this);
+  }
+  return out + "}";
+}
 
-  admin_->Route("POST", "/policy", [this](const HttpRequest& request, const std::string&) {
-    // Trim so `curl -d "wrr"` and a trailing newline both work.
-    const std::string name = Trim(request.body);
-    if (!Fe(0)->SetPolicyByName(name)) {
-      return AdminResponse::Error(400, "unknown policy; known: " + PolicyKeysCsv());
-    }
-    // The whole tier switches (replica 0 already validated the name).
-    // Fire-and-forget: blocking this loop on a peer loop could deadlock
-    // with a racing Stop(), and nothing here needs the replicas' results.
-    for (size_t fe = 1; fe < fes_.size(); ++fe) {
-      // lard-lint: allow(liveness-guard) Stop() joins every FE loop before ~Cluster,
-      // so a posted task can never outlive `this`.
-      FeLoop(fe)->Post([this, fe, name]() { (void)FeFromReplicaLoop(fe)->SetPolicyByName(name); });
-    }
-    // Echo the *canonical policy key* (never the raw request body: it is
-    // attacker-controlled and must not be spliced into the JSON reply).
-    return AdminResponse::Json("{\"policy\":\"" + std::string(PolicyKey(Fe(0)->policy())) +
-                               "\"}");
-  });
+bool Cluster::OnEveryReplica(const std::function<bool(size_t fe, FrontEnd*)>& action) {
+  const bool result = action(0, Fe(0));
+  for (size_t fe = 1; fe < fes_.size(); ++fe) {
+    // lard-lint: allow(liveness-guard) Stop() joins every FE loop before ~Cluster,
+    // so a posted task can never outlive `this`.
+    FeLoop(fe)->Post([this, fe, action]() { (void)action(fe, FeFromReplicaLoop(fe)); });
+  }
+  return result;
 }
 
 void Cluster::BridgeDispatcherMetrics() {
@@ -580,17 +489,7 @@ void Cluster::BridgeDispatcherMetrics() {
   size_t open_connections = 0;
   for (size_t fe = 0; fe < fes_.size(); ++fe) {
     size_t open = 0;
-    const DispatcherCounters part = Fe(fe)->DispatcherCountersSnapshot(&open);
-    counters.requests += part.requests;
-    counters.handoffs += part.handoffs;
-    counters.forwards += part.forwards;
-    counters.local_serves += part.local_serves;
-    counters.migrations += part.migrations;
-    counters.relays += part.relays;
-    counters.nodes_removed += part.nodes_removed;
-    counters.orphaned_connections += part.orphaned_connections;
-    counters.reassignments += part.reassignments;
-    counters.failure_reassignments += part.failure_reassignments;
+    counters += Fe(fe)->DispatcherCountersSnapshot(&open);
     open_connections += open;
   }
   metrics_.Gauge("lard_dispatcher_requests")->Set(static_cast<double>(counters.requests));
@@ -656,22 +555,15 @@ NodeId Cluster::AddNode(double weight) {
 
     // Every front-end replica registers the node — same id on all of them:
     // joins are serialized here, ids are never reused, and each replica's
-    // loop runs its membership posts in order. Replica 0 registers inline
-    // (we are on its loop); the rest are fire-and-forget like the other
-    // fan-outs (a blocking wait could deadlock with a racing Stop()).
-    const uint16_t lateral_port = fresh->lateral_port;
-    const NodeId assigned = Fe(0)->AddNode(std::move(fe_ends[0]), lateral_port, weight);
-    LARD_CHECK(assigned == fresh_id);
-    for (size_t fe = 1; fe < fes_.size(); ++fe) {
-      auto fd = std::make_shared<UniqueFd>(std::move(fe_ends[fe]));
-      // lard-lint: allow(liveness-guard) Stop() joins every FE loop before ~Cluster,
-      // so a posted task can never outlive `this`.
-      FeLoop(fe)->Post([this, fe, fd, fresh_id, weight, lateral_port]() {
-        const NodeId replica_assigned =
-            FeFromReplicaLoop(fe)->AddNode(std::move(*fd), lateral_port, weight);
-        LARD_CHECK(replica_assigned == fresh_id) << "front-end replicas diverged on a join";
-      });
-    }
+    // loop runs its membership posts in order. Each replica moves out its
+    // own control fd.
+    auto ends = std::make_shared<std::vector<UniqueFd>>(std::move(fe_ends));
+    OnEveryReplica([ends, fresh_id, weight, lateral_port = fresh->lateral_port](
+                       size_t fe, FrontEnd* frontend) {
+      const NodeId assigned = frontend->AddNode(std::move((*ends)[fe]), lateral_port, weight);
+      LARD_CHECK(assigned == fresh_id) << "front-end replicas diverged on a join";
+      return true;
+    });
     node_id = fresh_id;
   });
   return node_id;
@@ -680,15 +572,7 @@ NodeId Cluster::AddNode(double weight) {
 bool Cluster::DrainNode(NodeId node) {
   bool ok = false;
   RunOnLoop(FeLoop(0), [this, node, &ok]() {
-    ok = Fe(0)->DrainNode(node);
-    // Fire-and-forget to the other replicas (see the /policy fan-out): the
-    // caller's answer is replica 0's, and a blocking wait here could
-    // deadlock with a racing Stop().
-    for (size_t fe = 1; fe < fes_.size(); ++fe) {
-      // lard-lint: allow(liveness-guard) Stop() joins every FE loop before ~Cluster,
-      // so a posted task can never outlive `this`.
-      FeLoop(fe)->Post([this, fe, node]() { (void)FeFromReplicaLoop(fe)->DrainNode(node); });
-    }
+    ok = OnEveryReplica([node](size_t, FrontEnd* frontend) { return frontend->DrainNode(node); });
   });
   return ok;
 }
@@ -736,12 +620,7 @@ bool Cluster::RemoveNode(NodeId node) {
   // Teardown of the node's thread happens via OnNodeRemoved once every
   // front-end finishes its (possibly deferred, graceful) removal.
   RunOnLoop(FeLoop(0), [this, node, &ok]() {
-    ok = Fe(0)->RemoveNode(node);
-    for (size_t fe = 1; fe < fes_.size(); ++fe) {
-      // lard-lint: allow(liveness-guard) Stop() joins every FE loop before ~Cluster,
-      // so a posted task can never outlive `this`.
-      FeLoop(fe)->Post([this, fe, node]() { (void)FeFromReplicaLoop(fe)->RemoveNode(node); });
-    }
+    ok = OnEveryReplica([node](size_t, FrontEnd* frontend) { return frontend->RemoveNode(node); });
   });
   return ok;
 }

@@ -154,6 +154,27 @@ class Cluster {
   void RegisterAdminRoutes();
   void BridgeDispatcherMetrics();
 
+  // Runs `action` on every front-end replica: on replica 0 inline (the
+  // caller is on its loop) and posted to each other replica's loop,
+  // fire-and-forget, because a blocking wait on a peer loop could deadlock
+  // with a racing Stop(). Returns replica 0's answer.
+  bool OnEveryReplica(const std::function<bool(size_t fe, FrontEnd* frontend)>& action);
+
+  // One runtime knob of GET/POST /config. `parse` validates a value (false
+  // rejects it), `apply` sets a parsed one on replica 0's loop, `render`
+  // reads the current one as a JSON value and `expected` describes a valid
+  // one for the 400 reply.
+  struct RuntimeKnob {
+    const char* key;
+    bool (*parse)(const std::string& text, int64_t* value);
+    void (*apply)(Cluster* cluster, int64_t value);
+    std::string (*render)(const Cluster& cluster);
+    std::string (*expected)();
+  };
+  static const RuntimeKnob kRuntimeKnobs[4];
+  // {"<key>":<value>,...} over kRuntimeKnobs, from each row's getter.
+  std::string RenderConfig() const;
+
   ClusterConfig config_;
   ContentStore store_;
   // Mutable: Snapshot() binds counter views, which find-or-create.

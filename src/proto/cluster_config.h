@@ -59,7 +59,8 @@ struct ClusterConfig {
   // yet handed off, or relayed) with no bytes in either direction for this
   // long is reaped by its shard loop's idle timer. A read or write only
   // stores a timestamp; the connection's one timer re-checks it when it
-  // fires. Runtime-tunable via POST /idletimeout; <= 0 disables.
+  // fires. Runtime-tunable via POST /config idle_timeout_ms=N; <= 0
+  // disables.
   int64_t idle_timeout_ms = 30000;
   // Per-fetch deadline on lateral (peer) fetches and relay-mode back-end
   // fetches: a killed peer's listener keeps accepting silently until its
@@ -89,8 +90,8 @@ struct ClusterConfig {
   bool replay_enabled = true;
   // Request tracing (src/util/tracing.h): every component records sampled
   // per-request spans into fixed-size rings, drained via GET /trace
-  // (?format=chrome for about:tracing / Perfetto). The slow-request log
-  // starts off; POST /slowlog arms it at runtime.
+  // (format=chrome for about:tracing / Perfetto). The slow-request log
+  // starts off; POST /config slow_threshold_us=N arms it at runtime.
   bool tracing_enabled = true;
   uint32_t trace_sample_every = 16;  // 1 = trace every connection
   size_t trace_ring_capacity = 2048;

@@ -900,15 +900,10 @@ void FrontEnd::MaybeFinalizeRetire(NodeId node) {
   RemoveNodeInternal(node, "retired");
 }
 
-bool FrontEnd::SetPolicyByName(const std::string& name) {
-  Policy policy;
-  if (!ParsePolicyName(name, &policy)) {
-    return false;
-  }
+void FrontEnd::SetPolicy(Policy policy) {
   MutexLock lock(&state_mutex_);
   dispatcher_->SetPolicy(policy);
   LARD_LOG(INFO) << "front-end: policy switched to " << PolicyName(policy);
-  return true;
 }
 
 Policy FrontEnd::policy() const {
@@ -1015,9 +1010,10 @@ void FrontEnd::AdoptClientFd(LoopShard* shard, UniqueFd fd) {
     shed = dispatcher_->active_node_count() == 0;
   }
   if (shed) {
-    // Every back-end drained or dead: shed load at the door.
-    ShedSocket(fd.get(), 503);
+    // Every back-end drained or dead: shed load at the door. Counted first,
+    // so a client that has read the 503 and EOF sees the count.
     counters_.rejected_no_backend.fetch_add(1, std::memory_order_relaxed);
+    ShedSocket(fd.get(), 503);
     return;
   }
 
@@ -1194,7 +1190,7 @@ void FrontEnd::HandoffFlow(FeConn* conn, std::vector<HttpRequest> requests) {
   pending.trace_ring = conn->shard->trace_ring;
   pending.request_count = requests.size();
 
-  Connection::Detached detached = conn->conn->Detach();
+  UniqueFd client_fd = conn->conn->Detach();
   if (pending.msg.replay_protected) {
     // Retain a dup of the client socket: if the handling node later dies
     // without handing the connection back, this is the handle that lets a
@@ -1202,7 +1198,7 @@ void FrontEnd::HandoffFlow(FeConn* conn, std::vector<HttpRequest> requests) {
     // first entries are the batch we parsed here. The dup and the entry
     // construction happen here on the owning loop; the journal itself is
     // loop-0 state and is written in CompleteHandoff.
-    pending.retained_fd = UniqueFd(::fcntl(detached.fd.get(), F_DUPFD_CLOEXEC, 3));
+    pending.retained_fd = UniqueFd(::fcntl(client_fd.get(), F_DUPFD_CLOEXEC, 3));
     if (pending.retained_fd.valid()) {
       pending.journal_entries.reserve(requests.size());
       for (const HttpRequest& request : requests) {
@@ -1218,7 +1214,7 @@ void FrontEnd::HandoffFlow(FeConn* conn, std::vector<HttpRequest> requests) {
       pending.partial_tail = conn->parser.buffered();
     }
   }
-  pending.client_fd = std::move(detached.fd);
+  pending.client_fd = std::move(client_fd);
 
   // Dispatcher state for this connection now lives on; our socket plumbing
   // does not. (Deferred: we are inside this Connection's on_data callback.)
@@ -1254,10 +1250,10 @@ void FrontEnd::CompleteHandoff(PendingHandoff pending) {
         dispatcher_->OnConnectionClose(pending.msg.conn_id);
       }
     }
+    counters_.rejected_no_backend.fetch_add(1, std::memory_order_relaxed);
     if (pending.client_fd.valid()) {
       ShedSocket(pending.client_fd.get(), 503);
     }
-    counters_.rejected_no_backend.fetch_add(1, std::memory_order_relaxed);
     return;  // fds RAII-close
   }
 
@@ -1701,8 +1697,8 @@ void FrontEnd::RehandoffConnection(NodeId from_node, HandbackMsg msg, UniqueFd f
       dispatcher_->OnConnectionClose(msg.conn_id);
     }
     journal_.Drop(msg.conn_id);
-    ShedSocket(fd.get(), 503);
     counters_.rejected_no_backend.fetch_add(1, std::memory_order_relaxed);
+    ShedSocket(fd.get(), 503);
     LARD_LOG(WARNING) << "front-end: no assignable node for given-back connection "
                       << msg.conn_id << ", shedding with 503";
     return;  // fd RAII-closes

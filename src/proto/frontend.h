@@ -154,9 +154,8 @@ class FrontEnd {
   // Invoked on the loop-0 thread after a node's removal completes (control
   // session torn down) — the harness stops the node's thread here.
   void set_on_node_removed(std::function<void(NodeId)> cb) { on_node_removed_ = std::move(cb); }
-  // Runtime policy switch (future decisions only): parses a policy key and
-  // returns false on an unknown one.
-  bool SetPolicyByName(const std::string& name) LARD_EXCLUDES(state_mutex_);
+  // Runtime policy switch (future decisions only).
+  void SetPolicy(Policy policy) LARD_EXCLUDES(state_mutex_);
   // The policy the dispatcher currently decides with.
   Policy policy() const LARD_EXCLUDES(state_mutex_);
   // Membership + health snapshot as the admin API's JSON body.
@@ -197,9 +196,10 @@ class FrontEnd {
   uint16_t port() const { return port_; }
   const FrontEndCounters& counters() const { return counters_; }
 
-  // Runtime idle-deadline tuning (POST /idletimeout; thread-safe). New
-  // deadlines apply to the next arm/rearm of each connection's timer; <= 0
-  // stops reaping (already-armed timers fire once and no-op).
+  // Runtime idle-deadline tuning (the idle_timeout_ms knob of POST /config;
+  // thread-safe). New deadlines apply to the next arm/rearm of each
+  // connection's timer; <= 0 stops reaping (already-armed timers fire once
+  // and no-op).
   void set_idle_timeout_ms(int64_t ms) { idle_timeout_ms_.store(ms, std::memory_order_relaxed); }
   int64_t idle_timeout_ms() const { return idle_timeout_ms_.load(std::memory_order_relaxed); }
   // Per-state open-connection gauges (also telemetry series): connections

@@ -20,23 +20,6 @@ DiskCostModel ScaleDiskCosts(DiskCostModel costs, double speed) {
   return costs;
 }
 
-void AccumulateCounters(DispatcherCounters* total, const DispatcherCounters& part) {
-  total->connections += part.connections;
-  total->requests += part.requests;
-  total->handoffs += part.handoffs;
-  total->local_serves += part.local_serves;
-  total->forwards += part.forwards;
-  total->migrations += part.migrations;
-  total->relays += part.relays;
-  total->served_without_caching += part.served_without_caching;
-  total->nodes_added += part.nodes_added;
-  total->nodes_drained += part.nodes_drained;
-  total->nodes_removed += part.nodes_removed;
-  total->orphaned_connections += part.orphaned_connections;
-  total->reassignments += part.reassignments;
-  total->failure_reassignments += part.failure_reassignments;
-}
-
 }  // namespace
 
 // One back-end node: CPU and disk, optionally speed-skewed (heterogeneous
@@ -783,7 +766,7 @@ ClusterSimMetrics ClusterSim::Run() {
                                 : 0.0;
   metrics.mean_batch_latency_ms = batch_latency_us_.mean() / 1000.0;
   for (const auto& dispatcher : dispatchers_) {
-    AccumulateCounters(&metrics.dispatcher, dispatcher->counters());
+    metrics.dispatcher += dispatcher->counters();
   }
 
   uint64_t hits = 0;

@@ -17,7 +17,7 @@ enum class LogSeverity { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal
 // Messages below this severity are discarded. Default: kInfo, overridable at
 // process startup with the LARD_LOG_LEVEL environment variable
 // ("debug"/"info"/"warning"/"error") and at runtime on a live cluster via the
-// admin API (POST /loglevel).
+// admin API (POST /config log_level=<name>).
 void SetMinLogSeverity(LogSeverity severity);
 LogSeverity MinLogSeverity();
 

@@ -141,7 +141,7 @@ class Tracer {
   TraceRing* Ring(const std::string& name);
 
   bool enabled() const { return config_.enabled; }
-  // The slow-log threshold is runtime-tunable (POST /slowlog) the same way
+  // The slow-log threshold is runtime-tunable (POST /config) the same way
   // the log level is: a relaxed atomic read per request, no locks.
   int64_t slow_threshold_us() const { return slow_threshold_us_.load(std::memory_order_relaxed); }
   void set_slow_threshold_us(int64_t threshold_us) {

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/admin/admin_client.h"
 #include "src/net/socket.h"
 #include "src/proto/cluster.h"
 #include "src/util/logging.h"
@@ -41,36 +42,6 @@ ClusterConfig BaseConfig(int nodes) {
   return config;
 }
 
-// Blocking HTTP/1.0 request against the admin API; returns "<status> <body>".
-std::string AdminHttp(uint16_t port, const std::string& method, const std::string& path,
-                      const std::string& body = "") {
-  auto fd = ConnectTcp(port);
-  if (!fd.ok()) {
-    return "<connect failed>";
-  }
-  const std::string request = method + " " + path + " HTTP/1.0\r\nContent-Length: " +
-                              std::to_string(body.size()) + "\r\n\r\n" + body;
-  if (::send(fd.value().get(), request.data(), request.size(), MSG_NOSIGNAL) !=
-      static_cast<ssize_t>(request.size())) {
-    return "<send failed>";
-  }
-  std::string reply;
-  char buf[16384];
-  ssize_t n;
-  while ((n = ::recv(fd.value().get(), buf, sizeof(buf), 0)) > 0) {
-    reply.append(buf, static_cast<size_t>(n));
-  }
-  const size_t line_end = reply.find("\r\n");
-  const size_t header_end = reply.find("\r\n\r\n");
-  if (line_end == std::string::npos || header_end == std::string::npos) {
-    return reply;
-  }
-  // "HTTP/1.0 200 OK" -> "200", plus the body.
-  const std::string status_line = reply.substr(0, line_end);
-  const size_t space = status_line.find(' ');
-  return status_line.substr(space + 1, 3) + " " + reply.substr(header_end + 4);
-}
-
 TEST(AdminClusterTest, MetricsAndNodesEndpoints) {
   const Trace trace = TestTrace();
   Cluster cluster(BaseConfig(3), &trace.catalog());
@@ -82,33 +53,37 @@ TEST(AdminClusterTest, MetricsAndNodesEndpoints) {
   const LoadResult result = RunLoad(load, trace);
   EXPECT_EQ(result.responses_ok, trace.total_requests());
 
-  const std::string index = AdminHttp(cluster.admin_port(), "GET", "/");
-  EXPECT_NE(index.find("200"), std::string::npos);
-  EXPECT_NE(index.find("/metrics"), std::string::npos);
+  // The index is generated from the routing tables.
+  const AdminReply index = AdminRequest(cluster.admin_port(), "GET", "/");
+  EXPECT_EQ(index.status, 200);
+  for (const char* route : {"GET /metrics\n", "GET /config\n", "POST /config\n", "GET /mesh\n",
+                            "POST /nodes/add\n", "POST /nodes/"}) {
+    EXPECT_NE(index.body.find(route), std::string::npos) << route << " not in " << index.body;
+  }
 
-  const std::string metrics = AdminHttp(cluster.admin_port(), "GET", "/metrics");
-  ASSERT_EQ(metrics.substr(0, 3), "200");
+  const AdminReply metrics = AdminRequest(cluster.admin_port(), "GET", "/metrics");
+  ASSERT_EQ(metrics.status, 200);
   // Per-node counters from all three back-ends, front-end counters, and the
   // dispatcher bridge must all be present.
-  EXPECT_NE(metrics.find("lard_backend_requests_total{node=\"0\"}"), std::string::npos);
-  EXPECT_NE(metrics.find("lard_backend_cache_hits_total{node=\"2\"}"), std::string::npos);
-  EXPECT_NE(metrics.find("lard_fe_handoffs_total{node=\"1\"}"), std::string::npos);
-  EXPECT_NE(metrics.find("lard_node_load{node=\"0\"}"), std::string::npos);
-  EXPECT_NE(metrics.find("lard_cluster_active_nodes{fe=\"0\"} 3"), std::string::npos);
-  EXPECT_NE(metrics.find("lard_dispatcher_requests"), std::string::npos);
-  EXPECT_NE(metrics.find("lard_backend_heartbeats_total{node=\"0\"}"), std::string::npos);
+  EXPECT_NE(metrics.body.find("lard_backend_requests_total{node=\"0\"}"), std::string::npos);
+  EXPECT_NE(metrics.body.find("lard_backend_cache_hits_total{node=\"2\"}"), std::string::npos);
+  EXPECT_NE(metrics.body.find("lard_fe_handoffs_total{node=\"1\"}"), std::string::npos);
+  EXPECT_NE(metrics.body.find("lard_node_load{node=\"0\"}"), std::string::npos);
+  EXPECT_NE(metrics.body.find("lard_cluster_active_nodes{fe=\"0\"} 3"), std::string::npos);
+  EXPECT_NE(metrics.body.find("lard_dispatcher_requests"), std::string::npos);
+  EXPECT_NE(metrics.body.find("lard_backend_heartbeats_total{node=\"0\"}"), std::string::npos);
 
-  const std::string json = AdminHttp(cluster.admin_port(), "GET", "/metrics?format=json");
-  ASSERT_EQ(json.substr(0, 3), "200");
-  EXPECT_NE(json.find("\"counters\":{"), std::string::npos);
+  const AdminReply json = AdminRequest(cluster.admin_port(), "GET", "/metrics?format=json");
+  ASSERT_EQ(json.status, 200);
+  EXPECT_NE(json.body.find("\"counters\":{"), std::string::npos);
 
-  const std::string nodes = AdminHttp(cluster.admin_port(), "GET", "/nodes");
-  ASSERT_EQ(nodes.substr(0, 3), "200");
-  EXPECT_NE(nodes.find("\"active_nodes\":3"), std::string::npos);
-  EXPECT_NE(nodes.find("\"id\":2"), std::string::npos);
-  EXPECT_NE(nodes.find("\"state\":\"active\""), std::string::npos);
+  const AdminReply nodes = AdminRequest(cluster.admin_port(), "GET", "/nodes");
+  ASSERT_EQ(nodes.status, 200);
+  EXPECT_NE(nodes.body.find("\"active_nodes\":3"), std::string::npos);
+  EXPECT_NE(nodes.body.find("\"id\":2"), std::string::npos);
+  EXPECT_NE(nodes.body.find("\"state\":\"active\""), std::string::npos);
 
-  EXPECT_NE(AdminHttp(cluster.admin_port(), "GET", "/no/such").substr(0, 3), "200");
+  EXPECT_NE(AdminRequest(cluster.admin_port(), "GET", "/no/such").status, 200);
   cluster.Stop();
 }
 
@@ -127,8 +102,8 @@ TEST(AdminClusterTest, DrainNodeMidRunFinishesCleanly) {
     result = RunLoad(load, trace);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  const std::string drained = AdminHttp(cluster.admin_port(), "POST", "/nodes/1/drain");
-  EXPECT_EQ(drained.substr(0, 3), "200") << drained;
+  const AdminReply drained = AdminRequest(cluster.admin_port(), "POST", "/nodes/1/drain");
+  EXPECT_EQ(drained.status, 200) << drained.body;
   load_thread.join();
 
   // Every request still answered correctly: the draining node finished its
@@ -136,13 +111,13 @@ TEST(AdminClusterTest, DrainNodeMidRunFinishesCleanly) {
   EXPECT_EQ(result.responses_ok, trace.total_requests());
   EXPECT_EQ(result.transport_errors, 0u);
 
-  const std::string nodes = AdminHttp(cluster.admin_port(), "GET", "/nodes");
-  EXPECT_NE(nodes.find("\"state\":\"draining\""), std::string::npos);
-  EXPECT_NE(nodes.find("\"active_nodes\":2"), std::string::npos);
+  const AdminReply nodes = AdminRequest(cluster.admin_port(), "GET", "/nodes");
+  EXPECT_NE(nodes.body.find("\"state\":\"draining\""), std::string::npos);
+  EXPECT_NE(nodes.body.find("\"active_nodes\":2"), std::string::npos);
 
   // Draining twice is refused (409), as is draining a bogus id.
-  EXPECT_EQ(AdminHttp(cluster.admin_port(), "POST", "/nodes/1/drain").substr(0, 3), "409");
-  EXPECT_NE(AdminHttp(cluster.admin_port(), "POST", "/nodes/99/drain").substr(0, 3), "200");
+  EXPECT_EQ(AdminRequest(cluster.admin_port(), "POST", "/nodes/1/drain").status, 409);
+  EXPECT_NE(AdminRequest(cluster.admin_port(), "POST", "/nodes/99/drain").status, 200);
   cluster.Stop();
 }
 
@@ -172,8 +147,8 @@ TEST(AdminClusterTest, KilledBackendIsAutoRemovedByHeartbeats) {
   EXPECT_TRUE(removed) << "killed node was never auto-removed";
   load_thread.join();
 
-  const std::string nodes = AdminHttp(cluster.admin_port(), "GET", "/nodes");
-  EXPECT_NE(nodes.find("\"id\":2,\"state\":\"dead\""), std::string::npos) << nodes;
+  const AdminReply nodes = AdminRequest(cluster.admin_port(), "GET", "/nodes");
+  EXPECT_NE(nodes.body.find("\"id\":2,\"state\":\"dead\""), std::string::npos) << nodes.body;
 
   // The cluster kept serving: every request either succeeded or failed fast
   // on the killed node's sockets, and the survivors answered the rest.
@@ -195,9 +170,9 @@ TEST(AdminClusterTest, AddNodeJoinsAndTakesTraffic) {
   Cluster cluster(BaseConfig(2), &trace.catalog());
   ASSERT_TRUE(cluster.Start().ok());
 
-  const std::string added = AdminHttp(cluster.admin_port(), "POST", "/nodes/add");
-  ASSERT_EQ(added.substr(0, 3), "200") << added;
-  EXPECT_NE(added.find("\"id\":2"), std::string::npos);
+  const AdminReply added = AdminRequest(cluster.admin_port(), "POST", "/nodes/add");
+  ASSERT_EQ(added.status, 200) << added.body;
+  EXPECT_NE(added.body.find("\"id\":2"), std::string::npos);
 
   LoadGeneratorConfig load;
   load.port = cluster.port();
@@ -217,36 +192,91 @@ TEST(AdminClusterTest, PolicySwitchAtRuntime) {
   Cluster cluster(BaseConfig(2), &trace.catalog());
   ASSERT_TRUE(cluster.Start().ok());
 
-  // The reply carries the *canonical policy key*, never the raw body
-  // (which used to be echoed unescaped into the JSON).
-  const std::string switched = AdminHttp(cluster.admin_port(), "POST", "/policy", "wrr\n");
-  EXPECT_EQ(switched.substr(0, 3), "200");
-  EXPECT_NE(switched.find("{\"policy\":\"wrr\"}"), std::string::npos) << switched;
-  const std::string nodes = AdminHttp(cluster.admin_port(), "GET", "/nodes");
-  EXPECT_NE(nodes.find("\"policy\":\"WRR\""), std::string::npos) << nodes;
-  EXPECT_NE(nodes.find("\"policy_key\":\"wrr\""), std::string::npos) << nodes;
+  // The reply renders the table's getters, never the raw body.
+  const AdminReply switched =
+      AdminRequest(cluster.admin_port(), "POST", "/config", "policy=wrr\n");
+  EXPECT_EQ(switched.status, 200);
+  EXPECT_NE(switched.body.find("\"policy\":\"wrr\""), std::string::npos) << switched.body;
+  const AdminReply nodes = AdminRequest(cluster.admin_port(), "GET", "/nodes");
+  EXPECT_NE(nodes.body.find("\"policy\":\"WRR\""), std::string::npos) << nodes.body;
+  EXPECT_NE(nodes.body.find("\"policy_key\":\"wrr\""), std::string::npos) << nodes.body;
 
   // Unknown names are rejected with the list of keys; the injection body
   // must not leak back into the reply.
-  const std::string rejected =
-      AdminHttp(cluster.admin_port(), "POST", "/policy", "bogus\"}{\"x\":\"y");
-  EXPECT_EQ(rejected.substr(0, 3), "400");
-  EXPECT_EQ(rejected.find("bogus"), std::string::npos) << rejected;
-  EXPECT_NE(rejected.find("extlard"), std::string::npos) << rejected;
-  EXPECT_NE(rejected.find("wextlard"), std::string::npos) << rejected;
-  const std::string unchanged = AdminHttp(cluster.admin_port(), "GET", "/nodes");
-  EXPECT_NE(unchanged.find("\"policy_key\":\"wrr\""), std::string::npos) << unchanged;
+  const AdminReply rejected =
+      AdminRequest(cluster.admin_port(), "POST", "/config", "policy=bogus\"}{\"x\":\"y");
+  EXPECT_EQ(rejected.status, 400);
+  EXPECT_EQ(rejected.body.find("bogus"), std::string::npos) << rejected.body;
+  EXPECT_NE(rejected.body.find("extlard"), std::string::npos) << rejected.body;
+  EXPECT_NE(rejected.body.find("wextlard"), std::string::npos) << rejected.body;
+  const AdminReply unchanged = AdminRequest(cluster.admin_port(), "GET", "/config");
+  EXPECT_EQ(unchanged.status, 200);
+  EXPECT_NE(unchanged.body.find("\"policy\":\"wrr\""), std::string::npos) << unchanged.body;
 
   // The new policies are selectable at runtime by key.
-  const std::string weighted = AdminHttp(cluster.admin_port(), "POST", "/policy", "wextlard");
-  EXPECT_EQ(weighted.substr(0, 3), "200");
-  EXPECT_NE(weighted.find("{\"policy\":\"wextlard\"}"), std::string::npos) << weighted;
+  const AdminReply weighted =
+      AdminRequest(cluster.admin_port(), "POST", "/config", "policy=wextlard");
+  EXPECT_EQ(weighted.status, 200);
+  EXPECT_NE(weighted.body.find("\"policy\":\"wextlard\""), std::string::npos) << weighted.body;
+
+  // No per-knob route is served beside the table.
+  for (const char* path : {"/policy", "/loglevel", "/slowlog", "/idletimeout"}) {
+    EXPECT_EQ(AdminRequest(cluster.admin_port(), "POST", path, "0").status, 404) << path;
+  }
 
   LoadGeneratorConfig load;
   load.port = cluster.port();
   load.num_clients = 6;
   const LoadResult result = RunLoad(load, trace);
   EXPECT_EQ(result.responses_ok, trace.total_requests());
+  cluster.Stop();
+}
+
+// The tier-wide knobs reach every replica, and a batch with one bad value
+// changes no replica.
+TEST(AdminClusterTest, ConfigReachesEveryReplica) {
+  const Trace trace = TestTrace(35, 40);
+  ClusterConfig config = BaseConfig(2);
+  config.num_frontends = 2;
+  Cluster cluster(config, &trace.catalog());
+  ASSERT_TRUE(cluster.Start().ok());
+  const auto expect_replicas = [&](Policy policy, int64_t idle_timeout_ms) {
+    for (int fe = 0; fe < 2; ++fe) {
+      cluster.InspectReplica(fe, [&](const FrontEnd& frontend) {
+        EXPECT_EQ(frontend.policy(), policy) << "fe=" << fe;
+        EXPECT_EQ(frontend.idle_timeout_ms(), idle_timeout_ms) << "fe=" << fe;
+      });
+    }
+  };
+
+  const AdminReply set =
+      AdminRequest(cluster.admin_port(), "POST", "/config", "policy=wrr&idle_timeout_ms=250");
+  ASSERT_EQ(set.status, 200) << set.body;
+  EXPECT_NE(set.body.find("\"idle_timeout_ms\":250"), std::string::npos) << set.body;
+  // InspectReplica runs on each replica's loop after the posted apply.
+  expect_replicas(Policy::kWrr, 250);
+
+  // Every malformed pair gets a 400 that echoes none of it, and the batch
+  // leaves every knob as it was, even where a valid pair sorts first.
+  const std::string before = AdminRequest(cluster.admin_port(), "GET", "/config").body;
+  for (const char* body :
+       {"policy=lard&idle_timeout_ms=x", "idle_timeout_ms=300&slow_threshold_us=x",
+        "idle_timeout_ms=300&zz=1", "idle_timeout_ms=-5", "idle_timeout_ms=soon",
+        "idle_timeout_ms=", "idle_timeout_ms=5x", "slow_threshold_us=2,5",
+        "slow_threshold_us=2.5", "idle_timeout=300", "300", "{\"idle_timeout_ms\":300}",
+        "log_level=verbose", "policy=", "policy=WRR"}) {
+    const AdminReply reply = AdminRequest(cluster.admin_port(), "POST", "/config", body);
+    EXPECT_EQ(reply.status, 400) << body << ": " << reply.body;
+    EXPECT_EQ(reply.body.find(body), std::string::npos) << body << ": " << reply.body;
+    EXPECT_EQ(AdminRequest(cluster.admin_port(), "GET", "/config").body, before) << body;
+  }
+  expect_replicas(Policy::kWrr, 250);
+
+  // An empty POST changes nothing and renders the table like GET /config.
+  const AdminReply empty = AdminRequest(cluster.admin_port(), "POST", "/config");
+  EXPECT_EQ(empty.status, 200);
+  EXPECT_EQ(empty.body, AdminRequest(cluster.admin_port(), "GET", "/config").body);
+  expect_replicas(Policy::kWrr, 250);
   cluster.Stop();
 }
 
@@ -257,8 +287,16 @@ TEST(AdminClusterTest, NodeVerbRejectsMalformedIds) {
   Cluster cluster(BaseConfig(2), &trace.catalog());
   ASSERT_TRUE(cluster.Start().ok());
   for (const char* path : {"/nodes/4294967297/kill", "/nodes/1x/drain"}) {
-    const std::string reply = AdminHttp(cluster.admin_port(), "POST", path);
-    EXPECT_EQ(reply.substr(0, 3), "400") << path << ": " << reply;
+    const AdminReply reply = AdminRequest(cluster.admin_port(), "POST", path);
+    EXPECT_EQ(reply.status, 400) << path << ": " << reply.body;
+  }
+  // A raw control byte in the verb is escaped in the error, so the body
+  // stays valid JSON.
+  const AdminReply bad_verb = AdminRequest(cluster.admin_port(), "POST", "/nodes/1/\x01");
+  EXPECT_EQ(bad_verb.status, 400) << bad_verb.body;
+  EXPECT_NE(bad_verb.body.find("\\u0001"), std::string::npos) << bad_verb.body;
+  for (const char c : bad_verb.body) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "raw control byte in " << bad_verb.body;
   }
   NodeState state = NodeState::kDead;
   cluster.InspectReplica(0, [&](const FrontEnd& frontend) {
@@ -283,48 +321,49 @@ TEST(AdminClusterTest, TraceEndpointReturnsFullSpanTrees) {
 
   // The default JSON rendering groups spans per trace id and includes the
   // whole FE->BE life of a request.
-  const std::string traces = AdminHttp(cluster.admin_port(), "GET", "/trace");
-  ASSERT_EQ(traces.substr(0, 3), "200");
-  EXPECT_NE(traces.find("\"sample_every\":1"), std::string::npos);
-  EXPECT_NE(traces.find("\"trace_id\":"), std::string::npos);
+  const AdminReply traces = AdminRequest(cluster.admin_port(), "GET", "/trace");
+  ASSERT_EQ(traces.status, 200);
+  EXPECT_NE(traces.body.find("\"sample_every\":1"), std::string::npos);
+  EXPECT_NE(traces.body.find("\"trace_id\":"), std::string::npos);
   for (const char* kind : {"accept", "parse", "policy", "handoff", "adopt", "serve", "flush"}) {
-    EXPECT_NE(traces.find("\"kind\":\"" + std::string(kind) + "\""), std::string::npos)
+    EXPECT_NE(traces.body.find("\"kind\":\"" + std::string(kind) + "\""), std::string::npos)
         << "missing span kind " << kind;
   }
   // Per-component rings: front-end plus both back-ends.
-  EXPECT_NE(traces.find("\"name\":\"fe0\""), std::string::npos);
-  EXPECT_NE(traces.find("\"name\":\"be0\""), std::string::npos);
-  EXPECT_NE(traces.find("\"name\":\"be1\""), std::string::npos);
+  EXPECT_NE(traces.body.find("\"name\":\"fe0\""), std::string::npos);
+  EXPECT_NE(traces.body.find("\"name\":\"be0\""), std::string::npos);
+  EXPECT_NE(traces.body.find("\"name\":\"be1\""), std::string::npos);
   // The policy span carries the decision inputs.
-  EXPECT_NE(traces.find("policy=extlard"), std::string::npos) << traces.substr(0, 2000);
+  EXPECT_NE(traces.body.find("policy=extlard"), std::string::npos) << traces.body.substr(0, 2000);
 
   // Chrome trace-event format for about:tracing / Perfetto.
-  const std::string chrome = AdminHttp(cluster.admin_port(), "GET", "/trace?format=chrome");
-  ASSERT_EQ(chrome.substr(0, 3), "200");
-  EXPECT_NE(chrome.find("\"traceEvents\":["), std::string::npos);
-  EXPECT_NE(chrome.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(chrome.find("\"ph\":\"M\""), std::string::npos);
+  const AdminReply chrome = AdminRequest(cluster.admin_port(), "GET", "/trace?format=chrome");
+  ASSERT_EQ(chrome.status, 200);
+  EXPECT_NE(chrome.body.find("\"traceEvents\":["), std::string::npos);
+  EXPECT_NE(chrome.body.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(chrome.body.find("\"ph\":\"M\""), std::string::npos);
 
-  EXPECT_EQ(AdminHttp(cluster.admin_port(), "GET", "/trace?format=bogus").substr(0, 3), "400");
+  EXPECT_EQ(AdminRequest(cluster.admin_port(), "GET", "/trace?format=bogus").status, 400);
   cluster.Stop();
 }
 
-TEST(AdminClusterTest, LogLevelEndpointSwitchesSeverity) {
+TEST(AdminClusterTest, ConfigSwitchesLogLevel) {
   const Trace trace = TestTrace(51, 40);
   Cluster cluster(BaseConfig(2), &trace.catalog());
   ASSERT_TRUE(cluster.Start().ok());
   const LogSeverity before = MinLogSeverity();
 
-  const std::string raised = AdminHttp(cluster.admin_port(), "POST", "/loglevel", "error\n");
-  EXPECT_EQ(raised.substr(0, 3), "200") << raised;
-  EXPECT_NE(raised.find("{\"level\":\"error\"}"), std::string::npos) << raised;
+  const AdminReply raised =
+      AdminRequest(cluster.admin_port(), "POST", "/config", "log_level=error\n");
+  EXPECT_EQ(raised.status, 200) << raised.body;
+  EXPECT_NE(raised.body.find("\"log_level\":\"error\""), std::string::npos) << raised.body;
   EXPECT_EQ(MinLogSeverity(), LogSeverity::kError);
 
-  EXPECT_EQ(AdminHttp(cluster.admin_port(), "POST", "/loglevel", "verbose").substr(0, 3), "400");
+  EXPECT_EQ(AdminRequest(cluster.admin_port(), "POST", "/config", "log_level=verbose").status, 400);
   EXPECT_EQ(MinLogSeverity(), LogSeverity::kError) << "bad level must not change the setting";
 
-  const std::string lowered = AdminHttp(cluster.admin_port(), "POST", "/loglevel", "info");
-  EXPECT_EQ(lowered.substr(0, 3), "200");
+  const AdminReply lowered = AdminRequest(cluster.admin_port(), "POST", "/config", "log_level=info");
+  EXPECT_EQ(lowered.status, 200);
   EXPECT_EQ(MinLogSeverity(), LogSeverity::kInfo);
 
   SetMinLogSeverity(before);
@@ -337,30 +376,25 @@ TEST(AdminClusterTest, WeightedAddNodeAndNodesReport) {
   ASSERT_TRUE(cluster.Start().ok());
 
   // /nodes reports weight and normalized load for every node.
-  std::string nodes = AdminHttp(cluster.admin_port(), "GET", "/nodes");
-  EXPECT_NE(nodes.find("\"weight\":1"), std::string::npos) << nodes;
-  EXPECT_NE(nodes.find("\"normalized_load\":"), std::string::npos) << nodes;
+  AdminReply nodes = AdminRequest(cluster.admin_port(), "GET", "/nodes");
+  EXPECT_NE(nodes.body.find("\"weight\":1"), std::string::npos) << nodes.body;
+  EXPECT_NE(nodes.body.find("\"normalized_load\":"), std::string::npos) << nodes.body;
 
-  // /nodes/add accepts an optional weight in the body (JSON or bare number).
-  const std::string added =
-      AdminHttp(cluster.admin_port(), "POST", "/nodes/add", "{\"weight\":2.5}");
-  ASSERT_EQ(added.substr(0, 3), "200") << added;
-  EXPECT_NE(added.find("\"id\":2"), std::string::npos) << added;
-  EXPECT_NE(added.find("\"weight\":2.5"), std::string::npos) << added;
-  nodes = AdminHttp(cluster.admin_port(), "GET", "/nodes");
-  EXPECT_NE(nodes.find("\"weight\":2.5"), std::string::npos) << nodes;
+  // /nodes/add takes an optional weight=N.
+  const AdminReply added = AdminRequest(cluster.admin_port(), "POST", "/nodes/add", "weight=2.5");
+  ASSERT_EQ(added.status, 200) << added.body;
+  EXPECT_NE(added.body.find("\"id\":2"), std::string::npos) << added.body;
+  EXPECT_NE(added.body.find("\"weight\":2.5"), std::string::npos) << added.body;
+  nodes = AdminRequest(cluster.admin_port(), "GET", "/nodes");
+  EXPECT_NE(nodes.body.find("\"weight\":2.5"), std::string::npos) << nodes.body;
 
   // Garbage, non-positive, misspelled-key and trailing-garbage weights are
-  // all rejected before any node starts.
-  EXPECT_EQ(AdminHttp(cluster.admin_port(), "POST", "/nodes/add", "{\"weight\":-1}").substr(0, 3),
-            "400");
-  EXPECT_EQ(AdminHttp(cluster.admin_port(), "POST", "/nodes/add", "junk").substr(0, 3), "400");
-  EXPECT_EQ(
-      AdminHttp(cluster.admin_port(), "POST", "/nodes/add", "{\"minweight\":7}").substr(0, 3),
-      "400");
-  EXPECT_EQ(AdminHttp(cluster.admin_port(), "POST", "/nodes/add", "{\"weight\":2,5}").substr(0, 3),
-            "400");
-  EXPECT_EQ(AdminHttp(cluster.admin_port(), "POST", "/nodes/add", "2.5x").substr(0, 3), "400");
+  // all rejected before any node starts (the snapshot below counts 3 nodes).
+  for (const char* body : {"weight=-1", "weight=0", "weight=junk", "junk", "minweight=7",
+                           "weight=2&minweight=7", "weight=2,5", "weight=2.5x", "weight=inf",
+                           "2.5"}) {
+    EXPECT_EQ(AdminRequest(cluster.admin_port(), "POST", "/nodes/add", body).status, 400) << body;
+  }
 
   // The weighted node is a real member: it takes traffic.
   LoadGeneratorConfig load;
@@ -449,13 +483,13 @@ void ExpectCountsMatchJson(uint16_t admin_port, const std::vector<NamedCount>& c
   };
   for (int attempt = 0; attempt < 50; ++attempt) {
     const std::vector<uint64_t> before = read();
-    const std::string json = AdminHttp(admin_port, "GET", "/metrics?format=json");
+    const AdminReply json = AdminRequest(admin_port, "GET", "/metrics?format=json");
     if (read() != before) {
       continue;
     }
-    ASSERT_EQ(json.substr(0, 3), "200");
+    ASSERT_EQ(json.status, 200);
     for (size_t i = 0; i < counts.size(); ++i) {
-      EXPECT_EQ(JsonCounter(json, counts[i].name), static_cast<int64_t>(before[i]))
+      EXPECT_EQ(JsonCounter(json.body, counts[i].name), static_cast<int64_t>(before[i]))
           << counts[i].name;
     }
     return;
@@ -465,7 +499,7 @@ void ExpectCountsMatchJson(uint16_t admin_port, const std::vector<NamedCount>& c
 
 // No front-end count or gauge is rendered without its {fe="k"} label.
 void ExpectNoUnlabelledFeCounts(uint16_t admin_port) {
-  std::istringstream lines(AdminHttp(admin_port, "GET", "/metrics"));
+  std::istringstream lines(AdminRequest(admin_port, "GET", "/metrics").body);
   std::string line;
   while (std::getline(lines, line)) {
     const bool fe_count = line.rfind("lard_fe_", 0) == 0 ||
@@ -578,9 +612,9 @@ TEST(AdminClusterTest, CounterViewsAreTheRegistryPerReplica) {
   ExpectCountsMatchJson(cluster.admin_port(), counts);
   ExpectNoUnlabelledFeCounts(cluster.admin_port());
   // Each replica publishes the membership its own dispatcher sees.
-  const std::string metrics = AdminHttp(cluster.admin_port(), "GET", "/metrics");
-  EXPECT_NE(metrics.find("lard_cluster_active_nodes{fe=\"0\"} 2\n"), std::string::npos);
-  EXPECT_NE(metrics.find("lard_cluster_active_nodes{fe=\"1\"} 2\n"), std::string::npos);
+  const AdminReply metrics = AdminRequest(cluster.admin_port(), "GET", "/metrics");
+  EXPECT_NE(metrics.body.find("lard_cluster_active_nodes{fe=\"0\"} 2\n"), std::string::npos);
+  EXPECT_NE(metrics.body.find("lard_cluster_active_nodes{fe=\"1\"} 2\n"), std::string::npos);
   cluster.Stop();
 }
 

@@ -233,33 +233,28 @@ TEST_F(LoopFixture, ConnectionEchoes) {
   OnLoop([&]() { conn.reset(); });
 }
 
-TEST_F(LoopFixture, ConnectionDetachShipsUnconsumedBytes) {
+TEST_F(LoopFixture, ConnectionDetachKeepsTheLiveSocket) {
   auto pair = UnixPair();
   ASSERT_TRUE(pair.ok());
   ASSERT_TRUE(SetNonBlocking(pair.value().first.get(), true).ok());
   UniqueFd outside = std::move(pair.value().second);
 
   std::unique_ptr<Connection> conn;
-  std::promise<Connection::Detached> detached_promise;
+  std::promise<UniqueFd> detached_promise;
   OnLoop([&]() {
     conn = std::make_unique<Connection>(&loop_, std::move(pair.value().first));
-    conn->set_on_data([&](std::string_view data) {
-      // Consume the first 4 bytes, push back the rest, then detach.
-      conn->PushBack(data.substr(4));
-      detached_promise.set_value(conn->Detach());
-    });
+    conn->set_on_data([&](std::string_view) { detached_promise.set_value(conn->Detach()); });
     conn->Start();
   });
-  ASSERT_EQ(::send(outside.get(), "headTAIL", 8, 0), 8);
-  Connection::Detached detached = detached_promise.get_future().get();
-  EXPECT_EQ(detached.unconsumed_input, "TAIL");
-  ASSERT_TRUE(detached.fd.valid());
+  ASSERT_EQ(::send(outside.get(), "head", 4, 0), 4);
+  UniqueFd detached = detached_promise.get_future().get();
+  ASSERT_TRUE(detached.valid());
   // The detached fd is still the live socket: the peer can keep talking.
   ASSERT_EQ(::send(outside.get(), "more", 4, 0), 4);
   char buf[8] = {0};
   ssize_t n = -1;
   for (int attempt = 0; attempt < 100 && n <= 0; ++attempt) {
-    n = ::recv(detached.fd.get(), buf, sizeof(buf), MSG_DONTWAIT);
+    n = ::recv(detached.get(), buf, sizeof(buf), MSG_DONTWAIT);
     if (n <= 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }

@@ -318,7 +318,7 @@ TEST(LardReplicationTest, ColdTargetsStayUnreplicated) {
   }
 }
 
-// --- Runtime policy switching (admin POST /policy) ---
+// --- Runtime policy switching (the policy knob of admin POST /config) ---
 
 TEST(PolicySwitchTest, SwitchMidWorkloadConservesLoadAndConnections) {
   TargetCatalog catalog;

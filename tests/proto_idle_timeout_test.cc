@@ -1,7 +1,7 @@
 // End-to-end keep-alive deadline tests on the real prototype cluster: the
 // front-end's idle reaper, activity pushing the deadline out, the back-end
-// idle sweep's kConnClosed notification, and the POST /idletimeout runtime
-// knob. Real sockets throughout — an assertion that a connection "was
+// idle sweep's kConnClosed notification, and the idle_timeout_ms knob of
+// POST /config. Real sockets throughout — an assertion that a connection "was
 // reaped" means this process observed the FIN.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -10,6 +10,7 @@
 #include <string>
 #include <thread>
 
+#include "src/admin/admin_client.h"
 #include "src/net/socket.h"
 #include "src/proto/cluster.h"
 #include "src/trace/synthetic.h"
@@ -100,25 +101,6 @@ bool FetchOnce(int fd, const Trace& trace) {
     reply.append(buf, static_cast<size_t>(n));
   }
   return false;
-}
-
-std::string AdminPost(uint16_t port, const std::string& path, const std::string& body) {
-  auto fd = ConnectTcp(port);
-  if (!fd.ok()) {
-    return "<connect failed>";
-  }
-  const std::string request = "POST " + path + " HTTP/1.0\r\nContent-Length: " +
-                              std::to_string(body.size()) + "\r\n\r\n" + body;
-  if (!SendAll(fd.value().get(), request)) {
-    return "<send failed>";
-  }
-  std::string reply;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd.value().get(), buf, sizeof(buf), 0)) > 0) {
-    reply.append(buf, static_cast<size_t>(n));
-  }
-  return reply;
 }
 
 TEST(ProtoIdleTimeoutTest, FrontEndReapsIdleConnectionAtDeadline) {
@@ -221,11 +203,11 @@ TEST(ProtoIdleTimeoutTest, RuntimeKnobAppliesAtNextArm) {
   EXPECT_FALSE(WaitForEof(idle_before.value().get(), 700))
       << "reaped with the idle timeout disabled";
 
-  EXPECT_NE(AdminPost(cluster.admin_port(), "/idletimeout", "idle_timeout_ms=300")
-                .find(" 200 "),
-            std::string::npos);
-  EXPECT_NE(AdminPost(cluster.admin_port(), "/idletimeout", "not a number").find(" 400 "),
-            std::string::npos);
+  EXPECT_EQ(AdminRequest(cluster.admin_port(), "POST", "/config", "idle_timeout_ms=300").status,
+            200);
+  EXPECT_EQ(
+      AdminRequest(cluster.admin_port(), "POST", "/config", "idle_timeout_ms=not a number").status,
+      400);
 
   // A connection adopted after the change arms the new deadline...
   auto adopted_after = ConnectTcp(cluster.port());

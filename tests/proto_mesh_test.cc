@@ -3,13 +3,12 @@
 // pairwise gossip mesh, per-FE metrics labels, GET /mesh, and membership
 // operations fanned out across the replicas.
 #include <gtest/gtest.h>
-#include <sys/socket.h>
 
 #include <chrono>
 #include <string>
 #include <thread>
 
-#include "src/net/socket.h"
+#include "src/admin/admin_client.h"
 #include "src/proto/cluster.h"
 #include "src/proto/load_generator.h"
 #include "src/trace/synthetic.h"
@@ -39,35 +38,6 @@ ClusterConfig MeshConfig(int nodes, int frontends) {
   config.heartbeat_timeout_ms = 2000;
   config.retire_grace_ms = 2000;
   return config;
-}
-
-// Blocking HTTP/1.0 request against the admin API; returns "<status> <body>".
-std::string AdminHttp(uint16_t port, const std::string& method, const std::string& path,
-                      const std::string& body = "") {
-  auto fd = ConnectTcp(port);
-  if (!fd.ok()) {
-    return "<connect failed>";
-  }
-  const std::string request = method + " " + path + " HTTP/1.0\r\nContent-Length: " +
-                              std::to_string(body.size()) + "\r\n\r\n" + body;
-  if (::send(fd.value().get(), request.data(), request.size(), MSG_NOSIGNAL) !=
-      static_cast<ssize_t>(request.size())) {
-    return "<send failed>";
-  }
-  std::string reply;
-  char buf[16384];
-  ssize_t n;
-  while ((n = ::recv(fd.value().get(), buf, sizeof(buf), 0)) > 0) {
-    reply.append(buf, static_cast<size_t>(n));
-  }
-  const size_t line_end = reply.find("\r\n");
-  const size_t header_end = reply.find("\r\n\r\n");
-  if (line_end == std::string::npos || header_end == std::string::npos) {
-    return reply;
-  }
-  const std::string status_line = reply.substr(0, line_end);
-  const size_t space = status_line.find(' ');
-  return status_line.substr(space + 1, 3) + " " + reply.substr(header_end + 4);
 }
 
 TEST(ProtoMeshTest, TwoFrontEndsServeSprayedTrafficCorrectly) {
@@ -119,19 +89,19 @@ TEST(ProtoMeshTest, MeshEndpointAndPerFeMetricLabels) {
   // Let at least one gossip tick refresh the snapshots.
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
 
-  const std::string mesh = AdminHttp(cluster.admin_port(), "GET", "/mesh");
-  EXPECT_EQ(mesh.substr(0, 3), "200") << mesh;
-  EXPECT_NE(mesh.find("\"frontends\":2"), std::string::npos) << mesh;
-  EXPECT_NE(mesh.find("\"fe_id\":0"), std::string::npos) << mesh;
-  EXPECT_NE(mesh.find("\"fe_id\":1"), std::string::npos) << mesh;
-  EXPECT_NE(mesh.find("\"membership_epoch\""), std::string::npos) << mesh;
-  EXPECT_NE(mesh.find("\"gossip_lag_ms\""), std::string::npos) << mesh;
+  const AdminReply mesh = AdminRequest(cluster.admin_port(), "GET", "/mesh");
+  EXPECT_EQ(mesh.status, 200) << mesh.body;
+  EXPECT_NE(mesh.body.find("\"frontends\":2"), std::string::npos) << mesh.body;
+  EXPECT_NE(mesh.body.find("\"fe_id\":0"), std::string::npos) << mesh.body;
+  EXPECT_NE(mesh.body.find("\"fe_id\":1"), std::string::npos) << mesh.body;
+  EXPECT_NE(mesh.body.find("\"membership_epoch\""), std::string::npos) << mesh.body;
+  EXPECT_NE(mesh.body.find("\"gossip_lag_ms\""), std::string::npos) << mesh.body;
 
-  const std::string metrics = AdminHttp(cluster.admin_port(), "GET", "/metrics");
-  EXPECT_NE(metrics.find("lard_fe_connections_total{fe=\"0\"}"), std::string::npos);
-  EXPECT_NE(metrics.find("lard_fe_connections_total{fe=\"1\"}"), std::string::npos);
-  EXPECT_NE(metrics.find("lard_mesh_peers{fe=\"0\"}"), std::string::npos);
-  EXPECT_NE(metrics.find("lard_mesh_deltas_sent_total{fe=\"1\"}"), std::string::npos);
+  const AdminReply metrics = AdminRequest(cluster.admin_port(), "GET", "/metrics");
+  EXPECT_NE(metrics.body.find("lard_fe_connections_total{fe=\"0\"}"), std::string::npos);
+  EXPECT_NE(metrics.body.find("lard_fe_connections_total{fe=\"1\"}"), std::string::npos);
+  EXPECT_NE(metrics.body.find("lard_mesh_peers{fe=\"0\"}"), std::string::npos);
+  EXPECT_NE(metrics.body.find("lard_mesh_deltas_sent_total{fe=\"1\"}"), std::string::npos);
   cluster.Stop();
 }
 

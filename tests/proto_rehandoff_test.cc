@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/http/response_parser.h"
+#include "src/admin/admin_client.h"
 #include "src/net/socket.h"
 #include "src/proto/cluster.h"
 #include "src/proto/load_generator.h"
@@ -68,26 +69,6 @@ bool RoundTrip(int fd, const std::string& path, HttpResponse* response) {
   }
   *response = responses[0];
   return true;
-}
-
-// Blocking HTTP/1.0 request against the admin API; returns the whole reply.
-std::string AdminHttp(uint16_t port, const std::string& method, const std::string& path) {
-  auto fd = ConnectTcp(port);
-  if (!fd.ok()) {
-    return "<connect failed>";
-  }
-  const std::string request = method + " " + path + " HTTP/1.0\r\n\r\n";
-  if (::send(fd.value().get(), request.data(), request.size(), MSG_NOSIGNAL) !=
-      static_cast<ssize_t>(request.size())) {
-    return "<send failed>";
-  }
-  std::string reply;
-  char buf[16384];
-  ssize_t n;
-  while ((n = ::recv(fd.value().get(), buf, sizeof(buf), 0)) > 0) {
-    reply.append(buf, static_cast<size_t>(n));
-  }
-  return reply;
 }
 
 bool WaitFor(const std::function<bool()>& predicate, int64_t timeout_ms = 5000) {
@@ -233,9 +214,9 @@ TEST(ProtoRehandoffTest, GracefulRemoveMigratesThenRemoves) {
            cluster.Snapshot().rehandoffs >= 2;
   }));
   ASSERT_TRUE(WaitFor([&]() {
-    return AdminHttp(cluster.admin_port(), "GET", "/nodes")
-               .find("\"id\":1,\"state\":\"dead\"") != std::string::npos;
-  })) << AdminHttp(cluster.admin_port(), "GET", "/nodes");
+    return AdminRequest(cluster.admin_port(), "GET", "/nodes")
+               .body.find("\"id\":1,\"state\":\"dead\"") != std::string::npos;
+  })) << AdminRequest(cluster.admin_port(), "GET", "/nodes").body;
 
   // No client saw the removal.
   for (size_t i = 0; i < fds.size(); ++i) {
