@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "src/util/capacity.h"
 #include "src/util/logging.h"
 
 namespace lard {
@@ -226,7 +227,7 @@ std::vector<Assignment> Dispatcher::OnBatch(ConnId conn, const std::vector<Targe
   ReleaseBatchLoads(conn_state);
 
   std::vector<Assignment> assignments;
-  assignments.reserve(targets.size());
+  ReserveRounded(&assignments, targets.size());
   const double fraction = targets.empty() ? 0.0
                           : config_.params.fractional_batch_load
                               ? 1.0 / static_cast<double>(targets.size())

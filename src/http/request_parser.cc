@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <cstdlib>
 
+#include "src/util/capacity.h"
+
 namespace lard {
 namespace {
 
@@ -21,6 +23,12 @@ bool ParseRequestLine(std::string_view line, HttpRequest* request) {
   }
   if (line.find(' ', sp2 + 1) != std::string_view::npos) {
     return false;
+  }
+  // No control bytes: the method and target reach verb and content lookups.
+  for (const char c : line.substr(0, sp2)) {
+    if (static_cast<unsigned char>(c) < 0x20 || c == 0x7f) {
+      return false;
+    }
   }
   request->method = std::string(line.substr(0, sp1));
   request->path = std::string(line.substr(sp1 + 1, sp2 - sp1 - 1));
@@ -105,13 +113,20 @@ RequestParser::State RequestParser::Feed(std::string_view data, std::vector<Http
   if (error_) {
     return State::kError;
   }
-  buffer_.append(data.data(), data.size());
-  // Parse at an advancing offset and erase the consumed prefix once, so a
+  // With nothing buffered, `data` is parsed where it is and only an
+  // incomplete remainder is copied.
+  const bool in_place = buffer_.empty();
+  if (!in_place) {
+    ReserveRounded(&buffer_, buffer_.size() + data.size());
+    buffer_.append(data.data(), data.size());
+    data = buffer_;
+  }
+  // Parse at an advancing offset and drop the consumed prefix once, so a
   // read holding many pipelined requests costs linear time.
   size_t offset = 0;
   while (true) {
     HttpRequest request;
-    const size_t consumed = ParseOne(std::string_view(buffer_).substr(offset), &request);
+    const size_t consumed = ParseOne(data.substr(offset), &request);
     if (consumed == kParseError) {
       error_ = true;
       break;
@@ -122,7 +137,12 @@ RequestParser::State RequestParser::Feed(std::string_view data, std::vector<Http
     offset += consumed;
     out->push_back(std::move(request));
   }
-  buffer_.erase(0, offset);
+  if (in_place) {
+    ReserveRounded(&buffer_, data.size() - offset);
+    buffer_.assign(data.data() + offset, data.size() - offset);
+  } else {
+    buffer_.erase(0, offset);
+  }
   return error_ ? State::kError : State::kNeedMore;
 }
 

@@ -24,8 +24,9 @@ class RequestParser {
     kError,     // malformed input; connection should be failed with 400
   };
 
-  // Appends `data` to the internal buffer and extracts as many complete
-  // requests as possible into *out (appended). Returns kError on malformed
+  // Extracts as many complete requests as possible from the buffered bytes
+  // and `data` into *out (appended), and buffers the incomplete rest; with
+  // nothing buffered, `data` is parsed in place. Returns kError on malformed
   // input (parsing stops at the offending request).
   State Feed(std::string_view data, std::vector<HttpRequest>* out);
 

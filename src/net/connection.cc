@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "src/util/capacity.h"
 #include "src/util/logging.h"
 
 namespace lard {
@@ -117,6 +118,7 @@ bool Connection::JoinOwnedTail(std::string_view data) {
       out_.back().owned.size() >= kTailBytes) {
     return false;
   }
+  ReserveRounded(&out_.back().owned, out_.back().owned.size() + data.size());
   out_.back().owned.append(data);
   out_bytes_ += data.size();
   return true;
@@ -125,15 +127,11 @@ bool Connection::JoinOwnedTail(std::string_view data) {
 void Connection::Queue(std::string data) {
   LARD_CHECK(open_);
   data.erase(0, data.size() - TakeSkip(data).size());
-  Enqueue(std::move(data), UniqueFd());
-}
-
-void Connection::Enqueue(std::string data, UniqueFd fd) {
-  if (data.empty() || (!fd.valid() && JoinOwnedTail(data))) {
+  if (data.empty() || JoinOwnedTail(data)) {
     return;
   }
   out_bytes_ += data.size();
-  out_.push_back(Segment{std::move(data), {}, std::move(fd)});
+  out_.push_back(Segment{std::move(data), {}, UniqueFd()});
 }
 
 void Connection::QueueBorrowed(std::string_view data) {
@@ -155,27 +153,16 @@ void Connection::Flush() {
   }
 }
 
-void Connection::Write(std::string_view data) {
+void Connection::Write(std::string_view data, UniqueFd fd) {
   LARD_CHECK(open_);
   data = TakeSkip(data);
-  if (!SendQueued(&data)) {
+  if (!SendQueued(&data, &fd)) {
     return;
   }
-  if (!data.empty() && !JoinOwnedTail(data)) {
+  if (!data.empty() && (fd.valid() || !JoinOwnedTail(data))) {
     out_bytes_ += data.size();
-    out_.push_back(Segment{std::string(data), {}, UniqueFd()});
+    out_.push_back(Segment{std::string(data), {}, std::move(fd)});
   }
-  UpdateInterest();
-}
-
-void Connection::Write(std::string&& data, UniqueFd fd) {
-  LARD_CHECK(open_);
-  std::string_view rest = TakeSkip(data);
-  if (!SendQueued(&rest, &fd)) {
-    return;
-  }
-  data.erase(0, data.size() - rest.size());
-  Enqueue(std::move(data), std::move(fd));
   UpdateInterest();
 }
 

@@ -13,12 +13,13 @@
 // that outlives the connection (the content store's static fill slab). It is
 // sent with gather writes (sendmsg over up to kMaxIov segments), so a
 // response goes out as its small head plus views of the body, never copied
-// into one buffer. An owned segment may carry a file descriptor (unix-domain
-// sockets only): its SCM_RIGHTS control message rides on the sendmsg that
-// sends the segment's first byte, and is attached again on a retry after
-// EAGAIN. A gather write stops before any fd segment that is not at the head
-// of the queue, so one sendmsg carries at most one fd. The fd is closed once
-// its first byte is sent, or when the queue is cleared.
+// into one buffer; Write() copies only the bytes the socket refuses. An owned
+// segment may carry a file descriptor (unix-domain sockets only): its
+// SCM_RIGHTS control message rides on the sendmsg that sends the segment's
+// first byte, and is attached again on a retry after EAGAIN. A gather write
+// stops before any fd segment that is not at the head of the queue, so one
+// sendmsg carries at most one fd. The fd is closed once its first byte is
+// sent, or when the queue is cleared.
 //
 // Input is one read loop (recvmsg). File descriptors that arrive with the
 // bytes go to the fd sink, ahead of the bytes they came with; a connection
@@ -109,17 +110,14 @@ class Connection {
   void Flush();
 
   // Sends `data` after whatever is queued, in one gather write, and copies
-  // only what the socket refuses into an owned segment. The view need not
-  // outlive the call. Honours the SkipNext budget; like Flush() it never
-  // fires on_write_drained/on_write_progress, and unlike Flush() it tries
-  // the socket even while waiting for EPOLLOUT, since a refusal costs a copy.
-  void Write(std::string_view data);
-  // As Write(string_view), but what the socket refuses is moved into the
-  // queue, not copied, and `fd` (if valid) rides on the first byte of `data`.
+  // only what the socket refuses into an owned segment; `fd` (if valid)
+  // rides on the first byte of `data`. The view need not outlive the call.
+  // Honours the SkipNext budget; like Flush() it never fires
+  // on_write_drained/on_write_progress, and unlike Flush() it tries the
+  // socket even while waiting for EPOLLOUT, since a refusal costs a copy.
   // Trying the socket on every call keeps a control session's frames moving
   // while its loop is busy in a long callback elsewhere.
-  void Write(std::string&& data, UniqueFd fd = UniqueFd());
-  void Write(const char* data) { Write(std::string_view(data)); }
+  void Write(std::string_view data, UniqueFd fd = UniqueFd());
 
   // Closes once the write queue drains (used for HTTP/1.0-style responses).
   void CloseAfterFlush();
@@ -148,13 +146,10 @@ class Connection {
   // sent) with `*extra_fd` on its first byte, until the socket would block.
   // Returns false when the connection failed (and is closed).
   bool SendQueued(std::string_view* extra = nullptr, UniqueFd* extra_fd = nullptr);
-  // Queues `data` as a segment of its own, or joins it to the owned tail
-  // when it is small and carries no fd.
-  void Enqueue(std::string data, UniqueFd fd);
   // Trims the skip budget off the front of `data`; returns the bytes kept.
   std::string_view TakeSkip(std::string_view data);
-  // Appends `data` to the owned tail when it is small and the tail has
-  // room; returns false when it needs a segment of its own.
+  // Appends `data` to the owned tail (grown to a power of two) when it is
+  // small and the tail has room; returns false when it needs its own segment.
   bool JoinOwnedTail(std::string_view data);
   void UpdateInterest();
   void FailAndClose();

@@ -1,5 +1,6 @@
 #include "src/net/framed_channel.h"
 
+#include "src/util/capacity.h"
 #include "src/util/logging.h"
 
 namespace lard {
@@ -7,6 +8,7 @@ namespace {
 
 constexpr size_t kHeaderBytes = 8;
 constexpr char kFlagHasFd = 0x1;
+constexpr size_t kKeepFrameBytes = 64 * 1024;  // a larger frame buffer is released
 
 uint32_t GetU32(const char* p) {
   return static_cast<uint8_t>(p[0]) | (static_cast<uint32_t>(static_cast<uint8_t>(p[1])) << 8) |
@@ -33,10 +35,14 @@ void FramedChannel::SendWithFd(uint8_t type, std::string_view payload, UniqueFd 
       static_cast<char>(len),       static_cast<char>(len >> 8), static_cast<char>(len >> 16),
       static_cast<char>(len >> 24), static_cast<char>(type),     fd.valid() ? kFlagHasFd : '\0',
       0,                            0};
-  std::string frame;  // the frame's one allocation
-  frame.reserve(kHeaderBytes + payload.size());
-  frame.append(header, kHeaderBytes).append(payload);
-  conn_.Write(std::move(frame), std::move(fd));
+  // One reused buffer, so the fd rides on the header's first byte and a
+  // frame allocates only when it outgrows every earlier one.
+  ReserveRounded(&frame_, kHeaderBytes + payload.size());
+  frame_.assign(header, kHeaderBytes).append(payload);
+  conn_.Write(frame_, std::move(fd));
+  if (frame_.capacity() > kKeepFrameBytes) {
+    std::string().swap(frame_);  // one long handoff does not pin its size
+  }
 }
 
 void FramedChannel::OnData(std::string_view data) {
@@ -54,7 +60,7 @@ void FramedChannel::OnData(std::string_view data) {
     }
     const uint8_t type = static_cast<uint8_t>(in_buffer_[pos + 4]);
     const char flags = in_buffer_[pos + 5];
-    std::string payload = in_buffer_.substr(pos + kHeaderBytes, payload_len);
+    const std::string_view payload(in_buffer_.data() + pos + kHeaderBytes, payload_len);
     pos += kHeaderBytes + payload_len;
 
     UniqueFd fd;
@@ -68,7 +74,7 @@ void FramedChannel::OnData(std::string_view data) {
       received_fds_.pop_front();
     }
     if (on_message_) {
-      on_message_(type, std::move(payload), std::move(fd));
+      on_message_(type, payload, std::move(fd));
     }
   }
   in_buffer_.erase(0, pos);

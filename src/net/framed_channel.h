@@ -7,12 +7,13 @@
 //
 // It is a framing layer only: it owns a Connection, which does all of the
 // socket I/O (one read loop, one write queue, one hangup rule). Sending
-// encodes the header and writes the frame through the Connection, an
-// attached fd as the frame's fd segment. Receiving parses frames out of
-// on_data and pairs each flagged frame with the next fd from the
-// Connection's fd sink; fds that no frame claims are closed with the
-// channel. An oversized length or a flagged frame with no fd closes the
-// channel and fires on_close.
+// writes header and payload into one reused buffer and hands a view of it to
+// Connection::Write, which copies only what the socket refuses; an attached
+// fd rides on the frame's first byte. Receiving parses frames out of on_data,
+// hands each payload to on_message as a view into the input buffer and pairs
+// each flagged frame with the next fd from the Connection's fd sink; fds that
+// no frame claims are closed with the channel. An oversized length or a
+// flagged frame with no fd closes the channel and fires on_close.
 //
 // Wire format (little-endian):
 //   u32 payload_length | u8 type | u8 flags (bit0: fd attached) | u16 zero |
@@ -40,8 +41,9 @@ namespace lard {
 
 class FramedChannel {
  public:
-  // type, payload, fd (invalid unless the frame carried one).
-  using MessageCallback = std::function<void(uint8_t type, std::string payload, UniqueFd fd)>;
+  // type, payload (valid until the callback returns), fd (invalid unless the
+  // frame carried one).
+  using MessageCallback = std::function<void(uint8_t type, std::string_view payload, UniqueFd fd)>;
 
   // `fd` must be non-blocking. fd attachment requires a unix-domain socket.
   FramedChannel(EventLoop* loop, UniqueFd fd);
@@ -73,6 +75,7 @@ class FramedChannel {
   MessageCallback on_message_;
   std::function<void()> on_close_;
   std::string in_buffer_;
+  std::string frame_;  // reused by every send, so it keeps its capacity
 };
 
 }  // namespace lard

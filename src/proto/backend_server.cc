@@ -112,8 +112,8 @@ void BackendServer::AttachFrontEnd(int fe_id, UniqueFd control_fd) {
   }
   LARD_CHECK_OK(SetNonBlocking(control_fd.get(), true));
   auto channel = std::make_unique<FramedChannel>(loop_, std::move(control_fd));
-  channel->set_on_message([this, fe_id](uint8_t type, std::string payload, UniqueFd fd) {
-    OnControlMessage(fe_id, type, std::move(payload), std::move(fd));
+  channel->set_on_message([this, fe_id](uint8_t type, std::string_view payload, UniqueFd fd) {
+    OnControlMessage(fe_id, type, payload, std::move(fd));
   });
   channel->set_on_close([this, fe_id]() { OnFrontEndLost(fe_id); });
   channel->Start();
@@ -270,7 +270,7 @@ void BackendServer::AddPeer(NodeId node, uint16_t port) {
 // Control session
 // ---------------------------------------------------------------------------
 
-void BackendServer::OnControlMessage(int fe, uint8_t type, std::string payload, UniqueFd fd) {
+void BackendServer::OnControlMessage(int fe, uint8_t type, std::string_view payload, UniqueFd fd) {
   switch (static_cast<ControlMsg>(type)) {
     case ControlMsg::kHandoff: {
       HandoffMsg msg;
@@ -571,9 +571,10 @@ void BackendServer::MaybeConsult(ClientConn* conn) {
   msg.paths = std::move(conn->consult_backlog);
   msg.disk_queue_len = static_cast<uint32_t>(disk_->queue_length());
   conn->consult_backlog.clear();
-  conn->consult_inflight = msg.paths;  // recoverable if the FE dies mid-consult
+  const std::string payload = EncodeConsult(msg);
+  conn->consult_inflight = std::move(msg.paths);  // recoverable if the FE dies mid-consult
   conn->consult_outstanding = true;
-  channel->Send(static_cast<uint8_t>(ControlMsg::kConsult), EncodeConsult(msg));
+  channel->Send(static_cast<uint8_t>(ControlMsg::kConsult), payload);
 }
 
 void BackendServer::ProcessNext(ClientConn* conn) {

@@ -212,7 +212,7 @@ class BackendServer {
   };
 
   // Control sessions (one per front-end).
-  void OnControlMessage(int fe, uint8_t type, std::string payload, UniqueFd fd);
+  void OnControlMessage(int fe, uint8_t type, std::string_view payload, UniqueFd fd);
   void AdoptConnection(int fe, HandoffMsg msg, UniqueFd fd);
   // Crash replay (kReplay): adopt a connection whose previous node died,
   // re-serving the journaled tail and splicing the first response.

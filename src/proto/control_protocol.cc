@@ -1,5 +1,7 @@
 #include "src/proto/control_protocol.h"
 
+#include "src/util/capacity.h"
+
 namespace lard {
 namespace {
 
@@ -24,7 +26,7 @@ bool DecodeDirectives(WireReader* reader, std::vector<RequestDirective>* directi
     return false;
   }
   directives->clear();
-  directives->reserve(count);
+  ReserveRounded(directives, count);
   for (uint32_t i = 0; i < count; ++i) {
     RequestDirective directive;
     const uint8_t action = reader->U8();
@@ -214,7 +216,7 @@ bool DecodeConsult(std::string_view payload, ConsultMsg* msg) {
     return false;
   }
   msg->paths.clear();
-  msg->paths.reserve(count);
+  ReserveRounded(&msg->paths, count);
   for (uint32_t i = 0; i < count; ++i) {
     msg->paths.push_back(reader.Str());
   }

@@ -13,6 +13,7 @@
 #include "src/http/tagging.h"
 #include "src/net/socket.h"
 #include "src/obs/process_stats.h"
+#include "src/util/capacity.h"
 #include "src/util/logging.h"
 
 namespace lard {
@@ -250,8 +251,8 @@ void FrontEnd::AttachControl(NodeId node, UniqueFd control_fd) {
   link.control = std::make_unique<FramedChannel>(loop_, std::move(control_fd));
   link.last_heartbeat_ms = NowMs();
   link.heartbeat_seen = false;
-  link.control->set_on_message([this, node](uint8_t type, std::string payload, UniqueFd passed_fd) {
-    OnControlMessage(node, type, std::move(payload), std::move(passed_fd));
+  link.control->set_on_message([this, node](uint8_t type, std::string_view payload, UniqueFd fd) {
+    OnControlMessage(node, type, payload, std::move(fd));
   });
   // EOF/error means the back-end process died (or closed on us): remove it.
   // Deferred — we may be inside the channel's own event handler, and a Send
@@ -341,8 +342,8 @@ void FrontEnd::AttachPeer(uint32_t peer_fe_id, UniqueFd gossip_fd) {
   LARD_CHECK(peer_fe_id != static_cast<uint32_t>(fe_id_));
   LARD_CHECK_OK(SetNonBlocking(gossip_fd.get(), true));
   auto channel = std::make_unique<FramedChannel>(loop_, std::move(gossip_fd));
-  channel->set_on_message([this, peer_fe_id](uint8_t type, std::string payload, UniqueFd) {
-    OnPeerMessage(peer_fe_id, type, std::move(payload));
+  channel->set_on_message([this, peer_fe_id](uint8_t type, std::string_view payload, UniqueFd) {
+    OnPeerMessage(peer_fe_id, type, payload);
   });
   // Deferred: a failing Send inside GossipTick invokes on_close while
   // state_mutex_ is already held, so the handler must not lock inline.
@@ -357,7 +358,7 @@ void FrontEnd::AttachPeer(uint32_t peer_fe_id, UniqueFd gossip_fd) {
   fe_peers_[peer_fe_id] = std::move(channel);
 }
 
-void FrontEnd::OnPeerMessage(uint32_t peer, uint8_t type, std::string payload) {
+void FrontEnd::OnPeerMessage(uint32_t peer, uint8_t type, std::string_view payload) {
   if (type == kGossipHelloFrameType) {
     uint32_t announced = 0;
     if (!DecodeU32(payload, &announced) || announced != peer) {
@@ -1067,6 +1068,7 @@ void FrontEnd::OnClientData(FeConn* conn, std::string_view data) {
     return;
   }
   TouchIdleTimer(conn);
+  ReserveRounded(&conn->raw_bytes, conn->raw_bytes.size() + data.size());
   conn->raw_bytes.append(data.data(), data.size());
   std::vector<HttpRequest> requests;
   if (conn->parser.Feed(data, &requests) == RequestParser::State::kError) {
@@ -1087,7 +1089,7 @@ void FrontEnd::OnClientData(FeConn* conn, std::string_view data) {
 
 std::vector<TargetId> FrontEnd::PathsToTargets(const std::vector<std::string>& paths) const {
   std::vector<TargetId> targets;
-  targets.reserve(paths.size());
+  ReserveRounded(&targets, paths.size());
   for (const auto& path : paths) {
     targets.push_back(catalog_->Find(path));
   }
@@ -1484,7 +1486,7 @@ void FrontEnd::OnIdleDeadline(LoopShard* shard, ConnId id) {
   conn->conn->CloseAfterFlush();
 }
 
-void FrontEnd::OnControlMessage(NodeId node, uint8_t type, std::string payload, UniqueFd fd) {
+void FrontEnd::OnControlMessage(NodeId node, uint8_t type, std::string_view payload, UniqueFd fd) {
   loop_->AssertInLoopThread();  // nodes_, journal_, retire timers: loop 0
   MutexLock lock(&state_mutex_);
   NodeLink& link = nodes_[static_cast<size_t>(node)];
@@ -1895,7 +1897,7 @@ void FrontEnd::HandleConsult(NodeId node, const ConsultMsg& msg) {
   RecordFetchHints(targets, assignments);
   AssignmentsMsg reply;
   reply.conn_id = msg.conn_id;
-  reply.directives.reserve(assignments.size());
+  ReserveRounded(&reply.directives, assignments.size());
   for (size_t i = 0; i < assignments.size(); ++i) {
     reply.directives.push_back(DirectiveFor(msg.paths[i], assignments[i]));
   }

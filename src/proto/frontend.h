@@ -339,7 +339,7 @@ class FrontEnd {
   void RelayFlow(FeConn* conn, std::vector<HttpRequest> requests);
   void ProcessNextRelay(LoopShard* shard, ConnId id);
 
-  void OnControlMessage(NodeId node, uint8_t type, std::string payload, UniqueFd fd)
+  void OnControlMessage(NodeId node, uint8_t type, std::string_view payload, UniqueFd fd)
       LARD_EXCLUDES(state_mutex_);
   // Locked (state_mutex_) helpers — callers hold the lock.
   void HandleConsult(NodeId node, const ConsultMsg& msg) LARD_REQUIRES(state_mutex_);
@@ -413,7 +413,7 @@ class FrontEnd {
   void RecordFetchHints(const std::vector<TargetId>& targets,
                         const std::vector<Assignment>& assignments)
       LARD_REQUIRES(state_mutex_);
-  void OnPeerMessage(uint32_t peer, uint8_t type, std::string payload)
+  void OnPeerMessage(uint32_t peer, uint8_t type, std::string_view payload)
       LARD_EXCLUDES(state_mutex_);
   void OnPeerClosed(uint32_t peer) LARD_REQUIRES(state_mutex_);
   // One gossip tick: publish this replica's delta, refresh the /mesh

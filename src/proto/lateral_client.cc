@@ -43,7 +43,7 @@ void LateralClient::Fetch(const std::string& path, FetchHandler handler) {
     ArmDeadline(deadline);
   }
   std::string request = "GET " + path + " HTTP/1.1\r\nHost: lateral\r\n\r\n";
-  conn_->Write(std::move(request));
+  conn_->Write(request);
 }
 
 void LateralClient::ArmDeadline(std::chrono::steady_clock::time_point deadline) {

@@ -10,21 +10,16 @@
 #include <string>
 #include <string_view>
 
+#include "src/util/capacity.h"
+
 namespace lard {
 
+// The output grows to power-of-two capacities (see src/util/capacity.h).
 class WireWriter {
  public:
-  void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
+  void U8(uint8_t v) { Put(v, 1); }
+  void U32(uint32_t v) { Put(v, 4); }
+  void U64(uint64_t v) { Put(v, 8); }
   // IEEE-754 double carried through the U64 little-endian framing.
   void F64(double v) {
     uint64_t bits = 0;
@@ -33,6 +28,7 @@ class WireWriter {
   }
   void Str(std::string_view s) {
     U32(static_cast<uint32_t>(s.size()));
+    ReserveRounded(&out_, out_.size() + s.size());
     out_.append(s.data(), s.size());
   }
 
@@ -40,6 +36,14 @@ class WireWriter {
   std::string Take() { return std::move(out_); }
 
  private:
+  // Appends the low `n` bytes of `v`, little-endian.
+  void Put(uint64_t v, int n) {
+    ReserveRounded(&out_, out_.size() + static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  }
+
   std::string out_;
 };
 

@@ -211,6 +211,26 @@ TEST(RequestParserTest, RejectsMalformedRequestLine) {
   }
 }
 
+TEST(RequestParserTest, RejectsControlBytesInMethodOrTarget) {
+  for (const std::string& bad :
+       {std::string("POST /nodes/1/\x01 HTTP/1.1\r\n\r\n"),
+        std::string("GET /a\tb HTTP/1.1\r\n\r\n"), std::string("GET /a\x7f HTTP/1.1\r\n\r\n"),
+        std::string("GET /a\rb HTTP/1.1\r\n\r\n"), std::string("GET /\0 HTTP/1.1\r\n\r\n", 19),
+        std::string("G\x1bT / HTTP/1.1\r\n\r\n")}) {
+    RequestParser parser;
+    std::vector<HttpRequest> requests;
+    EXPECT_EQ(parser.Feed(bad, &requests), RequestParser::State::kError) << bad;
+    EXPECT_TRUE(requests.empty()) << bad;
+  }
+  // Bytes above 0x7f are not control bytes.
+  RequestParser parser;
+  std::vector<HttpRequest> requests;
+  EXPECT_EQ(parser.Feed("GET /caf\xc3\xa9 HTTP/1.1\r\n\r\n", &requests),
+            RequestParser::State::kNeedMore);
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_EQ(requests[0].path, "/caf\xc3\xa9");
+}
+
 TEST(RequestParserTest, RejectsBadHeaders) {
   RequestParser parser;
   std::vector<HttpRequest> requests;

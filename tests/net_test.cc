@@ -518,8 +518,8 @@ TEST_F(LoopFixture, FramedChannelRoundTrip) {
   OnLoop([&]() {
     a = std::make_unique<FramedChannel>(&loop_, std::move(pair.value().first));
     b = std::make_unique<FramedChannel>(&loop_, std::move(pair.value().second));
-    b->set_on_message([&](uint8_t type, std::string payload, UniqueFd) {
-      received.set_value({type, std::move(payload)});
+    b->set_on_message([&](uint8_t type, std::string_view payload, UniqueFd) {
+      received.set_value({type, std::string(payload)});
     });
     a->Start();
     b->Start();
@@ -551,7 +551,7 @@ TEST_F(LoopFixture, FramedChannelPassesFd) {
   OnLoop([&]() {
     a = std::make_unique<FramedChannel>(&loop_, std::move(pair.value().first));
     b = std::make_unique<FramedChannel>(&loop_, std::move(pair.value().second));
-    b->set_on_message([&](uint8_t, std::string, UniqueFd fd) {
+    b->set_on_message([&](uint8_t, std::string_view, UniqueFd fd) {
       received_fd.set_value(std::move(fd));
     });
     a->Start();
@@ -586,7 +586,7 @@ TEST_F(LoopFixture, FramedChannelInterleavesManyMessages) {
   OnLoop([&]() {
     a = std::make_unique<FramedChannel>(&loop_, std::move(pair.value().first));
     b = std::make_unique<FramedChannel>(&loop_, std::move(pair.value().second));
-    b->set_on_message([&](uint8_t, std::string payload, UniqueFd) {
+    b->set_on_message([&](uint8_t, std::string_view payload, UniqueFd) {
       const int expected = count.fetch_add(1);
       const std::string prefix = "msg" + std::to_string(expected) + ";";
       if (payload.rfind(prefix, 0) != 0) {
@@ -696,8 +696,8 @@ TEST_F(LoopFixture, FramedChannelDeliversFrameSplitOverManyReadsOnce) {
   std::promise<void> both_received;
   OnLoop([&]() {
     channel = std::make_unique<FramedChannel>(&loop_, std::move(pair.value().first));
-    channel->set_on_message([&](uint8_t type, std::string payload, UniqueFd) {
-      messages.emplace_back(type, std::move(payload));
+    channel->set_on_message([&](uint8_t type, std::string_view payload, UniqueFd) {
+      messages.emplace_back(type, std::string(payload));
       if (messages.size() == 2) {
         both_received.set_value();
       }
@@ -803,10 +803,10 @@ TEST_F(LoopFixture, FramedChannelBackloggedFramesKeepOrderAndFds) {
     OnLoop([&]() {
       a = std::make_unique<FramedChannel>(&loop_, std::move(pair.value().first));
       b = std::make_unique<FramedChannel>(&loop_, std::move(pair.value().second));
-      b->set_on_message([&](uint8_t type, std::string payload, UniqueFd fd) {
+      b->set_on_message([&](uint8_t type, std::string_view payload, UniqueFd fd) {
         EXPECT_EQ(type, 9);
         received[payloads.size()] = std::move(fd);
-        payloads.push_back(std::move(payload));
+        payloads.emplace_back(payload);
         if (payloads.size() == kFrames) {
           all_received.set_value();
         }
@@ -869,7 +869,7 @@ TEST_F(LoopFixture, FramedChannelOversizedLengthClosesOnce) {
     std::promise<void> closed;
     OnLoop([&]() {
       channel = std::make_unique<FramedChannel>(&loop_, std::move(pair.value().first));
-      channel->set_on_message([&](uint8_t, std::string, UniqueFd) { messages.fetch_add(1); });
+      channel->set_on_message([&](uint8_t, std::string_view, UniqueFd) { messages.fetch_add(1); });
       channel->set_on_close([&]() {
         if (closes.fetch_add(1) == 0) {
           closed.set_value();
@@ -908,7 +908,7 @@ TEST_F(LoopFixture, FramedChannelFrameMissingItsFdClosesOnce) {
     std::promise<void> closed;
     OnLoop([&]() {
       channel = std::make_unique<FramedChannel>(&loop_, std::move(pair.value().first));
-      channel->set_on_message([&](uint8_t, std::string, UniqueFd) { messages.fetch_add(1); });
+      channel->set_on_message([&](uint8_t, std::string_view, UniqueFd) { messages.fetch_add(1); });
       channel->set_on_close([&]() {
         if (closes.fetch_add(1) == 0) {
           closed.set_value();

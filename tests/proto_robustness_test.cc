@@ -239,11 +239,26 @@ TEST(ProtoRobustnessTest, NoBackendLeftShedsAtTheDoor) {
   ASSERT_TRUE(all_dead());
 
   // The first client opens the loop's spare descriptor; the count starts
-  // from the second.
+  // from the second. The front end closes a shed socket only after the
+  // shed's shutdown has sent its client EOF, so a count taken right after a
+  // client finished may still include it: the start count is read until two
+  // reads 50 ms apart agree, and the end count until it is back there.
+  const auto settled_fds = []() {
+    double last = ReadProcessStats().open_fds;
+    for (int i = 0; i < 100; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      const double now = ReadProcessStats().open_fds;
+      if (now == last) {
+        break;
+      }
+      last = now;
+    }
+    return last;
+  };
   double fds = 0.0;
   for (int client_index = 0; client_index < 2; ++client_index) {
     if (client_index == 1) {
-      fds = ReadProcessStats().open_fds;
+      fds = settled_fds();
     }
     const uint64_t rejected = cluster.frontend().counters().rejected_no_backend.load();
     auto fd = ConnectTcp(cluster.port());
@@ -265,6 +280,10 @@ TEST(ProtoRobustnessTest, NoBackendLeftShedsAtTheDoor) {
     EXPECT_EQ(n, 0) << "no EOF after the reply: " << std::strerror(errno);
     EXPECT_EQ(reply, "HTTP/1.0 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n");
     EXPECT_EQ(cluster.frontend().counters().rejected_no_backend.load(), rejected + 1);
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (ReadProcessStats().open_fds != fds && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(ReadProcessStats().open_fds, fds);
   cluster.Stop();

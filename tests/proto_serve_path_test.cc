@@ -106,7 +106,8 @@ class BackendPairTest : public ::testing::Test {
         // The front end's side of the session: only kConnClosed and the
         // latest node-status frame are kept.
         fes_.push_back(std::make_unique<FramedChannel>(&loop_, std::move(pair.value().second)));
-        fes_.back()->set_on_message([this, node](uint8_t type, std::string payload, UniqueFd) {
+        fes_.back()->set_on_message([this, node](uint8_t type, std::string_view payload,
+                                                 UniqueFd) {
           uint64_t id = 0;
           NodeStatusMsg status;
           if (static_cast<ControlMsg>(type) == ControlMsg::kConnClosed &&
