@@ -1,6 +1,25 @@
 #include "src/core/lru_cache.h"
 
+#include <algorithm>
+
 namespace lard {
+
+LruCache::LruCache(const LruCache& other)
+    : capacity_bytes_(other.capacity_bytes_),
+      used_bytes_(other.used_bytes_),
+      entry_count_(other.entry_count_),
+      slot_count_(other.slot_count_),
+      index_(other.index_),
+      shift_(other.shift_),
+      head_(other.head_),
+      tail_(other.tail_),
+      free_(other.free_) {
+  pages_.reserve(other.pages_.size());
+  for (const auto& page : other.pages_) {
+    pages_.push_back(std::make_unique<Slot[]>(kPageSlots));
+    std::copy_n(page.get(), kPageSlots, pages_.back().get());
+  }
+}
 
 size_t LruCache::FindPos(TargetId id) const {
   if (index_.empty()) {
@@ -12,7 +31,7 @@ size_t LruCache::FindPos(TargetId id) const {
     if (slot == kNone) {
       return kNoPos;
     }
-    if (slots_[slot].id == id) {
+    if (At(slot).id == id) {
       return pos;
     }
   }
@@ -20,7 +39,7 @@ size_t LruCache::FindPos(TargetId id) const {
 
 void LruCache::IndexInsert(uint32_t slot) {
   const size_t mask = index_.size() - 1;
-  size_t pos = Home(slots_[slot].id);
+  size_t pos = Home(At(slot).id);
   while (index_[pos] != kNone) {
     pos = (pos + 1) & mask;
   }
@@ -33,7 +52,7 @@ void LruCache::IndexErase(size_t pos) {
   for (size_t next = (hole + 1) & mask; index_[next] != kNone; next = (next + 1) & mask) {
     // The member at `next` may fill the hole only when the hole lies on its
     // probe run, i.e. its home is no nearer to `next` than the hole is.
-    const size_t home = Home(slots_[index_[next]].id);
+    const size_t home = Home(At(index_[next]).id);
     if (((next - home) & mask) >= ((next - hole) & mask)) {
       index_[hole] = index_[next];
       hole = next;
@@ -54,25 +73,25 @@ void LruCache::GrowIndex() {
 }
 
 void LruCache::Unlink(uint32_t slot) {
-  const Slot& entry = slots_[slot];
+  const Slot& entry = At(slot);
   if (entry.prev != kNone) {
-    slots_[entry.prev].next = entry.next;
+    At(entry.prev).next = entry.next;
   } else {
     head_ = entry.next;
   }
   if (entry.next != kNone) {
-    slots_[entry.next].prev = entry.prev;
+    At(entry.next).prev = entry.prev;
   } else {
     tail_ = entry.prev;
   }
 }
 
 void LruCache::PushFront(uint32_t slot) {
-  Slot& entry = slots_[slot];
+  Slot& entry = At(slot);
   entry.prev = kNone;
   entry.next = head_;
   if (head_ != kNone) {
-    slots_[head_].prev = slot;
+    At(head_).prev = slot;
   } else {
     tail_ = slot;
   }
@@ -85,10 +104,22 @@ bool LruCache::Touch(TargetId id) {
     return false;
   }
   const uint32_t slot = index_[pos];
-  if (slot != head_) {
-    Unlink(slot);
-    PushFront(slot);
+  if (slot == head_) {
+    return true;
   }
+  // Unlink and PushFront in one pass: an entry that is not the head has a
+  // predecessor, and the list has a head.
+  Slot& entry = At(slot);
+  At(entry.prev).next = entry.next;
+  if (entry.next != kNone) {
+    At(entry.next).prev = entry.prev;
+  } else {
+    tail_ = entry.prev;
+  }
+  At(head_).prev = slot;
+  entry.prev = kNone;
+  entry.next = head_;
+  head_ = slot;
   return true;
 }
 
@@ -96,11 +127,11 @@ bool LruCache::Insert(TargetId id, uint64_t size_bytes, std::vector<TargetId>* e
   if (Touch(id)) {
     return true;
   }
-  if (size_bytes > capacity_bytes_) {
+  if (size_bytes > capacity_bytes_ || size_bytes > kMaxObjectBytes) {
     return false;
   }
   while (used_bytes_ + size_bytes > capacity_bytes_ && tail_ != kNone) {
-    const TargetId victim = slots_[tail_].id;
+    const TargetId victim = At(tail_).id;
     if (evicted != nullptr) {
       evicted->push_back(victim);
     }
@@ -108,13 +139,16 @@ bool LruCache::Insert(TargetId id, uint64_t size_bytes, std::vector<TargetId>* e
   }
   uint32_t slot = free_;
   if (slot != kNone) {
-    free_ = slots_[slot].next;
+    free_ = At(slot).next;
   } else {
-    slot = static_cast<uint32_t>(slots_.size());
-    slots_.emplace_back();
+    slot = slot_count_++;
+    if ((slot >> kPageShift) == pages_.size()) {
+      pages_.push_back(std::make_unique<Slot[]>(kPageSlots));
+    }
   }
-  slots_[slot].size_bytes = size_bytes;
-  slots_[slot].id = id;
+  Slot& entry = At(slot);
+  entry.size_bytes = static_cast<uint32_t>(size_bytes);
+  entry.id = id;
   PushFront(slot);
   if ((entry_count_ + 1) * 2 > index_.size()) {
     GrowIndex();
@@ -129,14 +163,16 @@ void LruCache::Remove(size_t pos) {
   const uint32_t slot = index_[pos];
   IndexErase(pos);
   Unlink(slot);
-  used_bytes_ -= slots_[slot].size_bytes;
-  slots_[slot].next = free_;
+  Slot& entry = At(slot);
+  used_bytes_ -= entry.size_bytes;
+  entry.next = free_;
   free_ = slot;
   --entry_count_;
 }
 
 void LruCache::Clear() {
-  slots_ = std::vector<Slot>();
+  pages_ = std::vector<std::unique_ptr<Slot[]>>();
+  slot_count_ = 0;
   index_ = std::vector<uint32_t>();
   shift_ = 64;
   head_ = tail_ = free_ = kNone;

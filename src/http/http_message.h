@@ -19,7 +19,10 @@ const char* HttpVersionString(HttpVersion version);
 // order is visible on the wire, so a map is the wrong type).
 class HttpHeaders {
  public:
+  // The first Add into a list with no room reserves room for four headers.
   void Add(std::string name, std::string value);
+  // Room for exactly `count` headers, for a caller that knows the count.
+  void Reserve(size_t count) { entries_.reserve(count); }
   // Returns the first value of `name` (case-insensitive) or nullptr.
   const std::string* Find(const std::string& name) const;
   bool Has(const std::string& name) const { return Find(name) != nullptr; }

@@ -487,7 +487,7 @@ void BackendServer::OnClientData(ClientConn* conn, std::string_view data) {
     return;
   }
   conn->last_activity_ms = NowMs();
-  std::vector<HttpRequest> requests;
+  std::vector<HttpRequest>& requests = read_batch_;
   const RequestParser::State parse_state = conn->parser.Feed(data, &requests);
   if (conn->replay_protected &&
       (!conn->tail_ever_reported || conn->parser.buffered() != conn->tail_reported)) {
@@ -505,6 +505,7 @@ void BackendServer::OnClientData(ClientConn* conn, std::string_view data) {
     conn->tail_ever_reported = true;
   }
   if (parse_state == RequestParser::State::kError) {
+    requests.clear();
     HttpRequest bad;
     bad.version = HttpVersion::kHttp10;
     WriteResponse(conn, bad, 400, BodyParts::Owned("bad request\n"));
@@ -544,6 +545,7 @@ void BackendServer::OnClientData(ClientConn* conn, std::string_view data) {
     }
     conn->requests.push_back(std::move(request));
   }
+  requests.clear();
   MaybeConsult(conn);
   ProcessNext(conn);
 }

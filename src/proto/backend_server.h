@@ -335,6 +335,9 @@ class BackendServer {
   std::vector<std::unique_ptr<LateralClient>> peers_;  // index = NodeId
 
   std::unordered_map<ConnId, std::unique_ptr<ClientConn>> conns_;
+  // The requests parsed from one client read, cleared after each read so its
+  // capacity carries over to the next. Empty between reads.
+  std::vector<HttpRequest> read_batch_;
   ConnId next_peer_id_ = kPeerIdBit | 1;
   size_t peer_conns_ = 0;  // entries of conns_ that are peers'
 

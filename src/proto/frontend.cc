@@ -1070,8 +1070,9 @@ void FrontEnd::OnClientData(FeConn* conn, std::string_view data) {
   TouchIdleTimer(conn);
   ReserveRounded(&conn->raw_bytes, conn->raw_bytes.size() + data.size());
   conn->raw_bytes.append(data.data(), data.size());
-  std::vector<HttpRequest> requests;
+  std::vector<HttpRequest>& requests = conn->shard->read_batch;
   if (conn->parser.Feed(data, &requests) == RequestParser::State::kError) {
+    requests.clear();
     conn->conn->Write("HTTP/1.0 400 Bad Request\r\nContent-Length: 0\r\n\r\n");
     conn->conn->CloseAfterFlush();
     DestroyConn(conn);
@@ -1081,10 +1082,11 @@ void FrontEnd::OnClientData(FeConn* conn, std::string_view data) {
     return;
   }
   if (config_.mechanism == Mechanism::kRelayingFrontEnd) {
-    RelayFlow(conn, std::move(requests));
+    RelayFlow(conn, requests);
   } else {
-    HandoffFlow(conn, std::move(requests));
+    HandoffFlow(conn, requests);
   }
+  requests.clear();
 }
 
 std::vector<TargetId> FrontEnd::PathsToTargets(const std::vector<std::string>& paths) const {
@@ -1113,7 +1115,7 @@ RequestDirective FrontEnd::DirectiveFor(const std::string& path,
   return directive;
 }
 
-void FrontEnd::HandoffFlow(FeConn* conn, std::vector<HttpRequest> requests) {
+void FrontEnd::HandoffFlow(FeConn* conn, const std::vector<HttpRequest>& requests) {
   conn->shard->loop->AssertInLoopThread();
   // The first batch: every complete request that arrived before we decided.
   std::vector<std::string> paths;
@@ -1280,7 +1282,7 @@ void FrontEnd::CompleteHandoff(PendingHandoff pending) {
   link.handoff_counter->Increment();
 }
 
-void FrontEnd::RelayFlow(FeConn* conn, std::vector<HttpRequest> requests) {
+void FrontEnd::RelayFlow(FeConn* conn, std::vector<HttpRequest>& requests) {
   conn->shard->loop->AssertInLoopThread();
   bool shed = false;
   {

@@ -276,6 +276,9 @@ class FrontEnd {
     ConnId next_conn_id = 0;
     TraceRing* trace_ring = nullptr;  // "fe<k>" for shard 0, "fe<k>.<n>" else
     std::vector<std::unique_ptr<LateralClient>> relays;  // relaying mode
+    // The requests parsed from one read, cleared after each read so its
+    // capacity carries over to the next. Empty between reads.
+    std::vector<HttpRequest> read_batch;
   };
 
   // The loop-0-owned half of a shard-initiated handoff: journal bookkeeping
@@ -330,13 +333,15 @@ class FrontEnd {
   // The deadline fired with no intervening activity: close + reap.
   void OnIdleDeadline(LoopShard* shard, ConnId id);
 
-  // `requests` is never empty: OnClientData returns on an empty batch.
-  void HandoffFlow(FeConn* conn, std::vector<HttpRequest> requests);
+  // `requests` is the shard's read batch and never empty: OnClientData
+  // returns on an empty batch, and clears it after the flow returns.
+  void HandoffFlow(FeConn* conn, const std::vector<HttpRequest>& requests);
   // Loop 0. Re-checks the target's control session (the shard's dispatcher
   // pick can race a node death), journals the retained dup, and ships the
   // connection. Sheds with a raw 503 when the target died in flight.
   void CompleteHandoff(PendingHandoff pending);
-  void RelayFlow(FeConn* conn, std::vector<HttpRequest> requests);
+  // Moves the requests out of the shard's read batch into the relay queue.
+  void RelayFlow(FeConn* conn, std::vector<HttpRequest>& requests);
   void ProcessNextRelay(LoopShard* shard, ConnId id);
 
   void OnControlMessage(NodeId node, uint8_t type, std::string_view payload, UniqueFd fd)

@@ -84,6 +84,24 @@ TEST(LruCacheTest, MultipleEvictionsForLargeInsert) {
   EXPECT_EQ(cache.entry_count(), 1u);
 }
 
+// Sizes are stored in 32 bits: an object of 4 GiB or more is refused like
+// one larger than the capacity, and evicts nothing.
+TEST(LruCacheTest, FourGibObjectRefusedWithoutEvicting) {
+  LruCache cache(16ull << 30);
+  ASSERT_TRUE(cache.Insert(1, 100));
+  std::vector<TargetId> evicted;
+  EXPECT_FALSE(cache.Insert(2, 1ull << 32, &evicted));
+  EXPECT_TRUE(evicted.empty());
+  EXPECT_FALSE(cache.Contains(2));
+  EXPECT_TRUE(cache.Contains(1));
+  EXPECT_EQ(cache.used_bytes(), 100u);
+  EXPECT_EQ(cache.entry_count(), 1u);
+  // One byte less fits, and is accounted at its full size.
+  EXPECT_TRUE(cache.Insert(3, LruCache::kMaxObjectBytes, &evicted));
+  EXPECT_TRUE(evicted.empty());
+  EXPECT_EQ(cache.used_bytes(), 100u + LruCache::kMaxObjectBytes);
+}
+
 TEST(LruCacheTest, ZeroSizeEntries) {
   LruCache cache(10);
   EXPECT_TRUE(cache.Insert(1, 0));
@@ -158,7 +176,7 @@ class ReferenceLru {
     if (Touch(id)) {
       return true;
     }
-    if (size_bytes > capacity_bytes_) {
+    if (size_bytes > capacity_bytes_ || size_bytes > LruCache::kMaxObjectBytes) {
       return false;
     }
     while (used_bytes_ + size_bytes > capacity_bytes_ && !entries_.empty()) {
@@ -270,6 +288,76 @@ TEST_P(LruPropertyTest, MatchesReferenceAcrossIndexGrowth) {
                          capacity + 2, 2049);
   ExpectMatchesReference(capacity * 64, capacity / 32, SparseIds(8192, capacity), 200000, 100000,
                          capacity + 3, 2049);
+}
+
+// About a thousand entries resident: slots span four 256-slot pages, evictions
+// free slots on every page for later inserts to reuse, and each Clear()
+// releases the pages before the cache grows across them again.
+TEST_P(LruPropertyTest, MatchesReferenceAcrossPages) {
+  const uint64_t capacity = GetParam();
+  ExpectMatchesReference(capacity * 16, capacity / 32, DenseIds(2048), 200000, 40000, capacity + 4,
+                         513);
+  ExpectMatchesReference(capacity * 16, capacity / 32, SparseIds(2048, capacity + 5), 200000,
+                         40000, capacity + 6, 513);
+}
+
+// Fills `cache` and `reference` with the same `count` entries of 1-4 bytes in
+// a shuffled recency order.
+void FillBoth(LruCache* cache, ReferenceLru* reference, TargetId count, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<TargetId> evicted;
+  for (TargetId id = 0; id < count; ++id) {
+    const uint64_t size = rng.NextBelow(4) + 1;
+    cache->Insert(id, size, &evicted);
+    reference->Insert(id, size, &evicted);
+  }
+  for (int i = 0; i < 4 * static_cast<int>(count); ++i) {
+    const TargetId id = static_cast<TargetId>(rng.NextBelow(count));
+    cache->Touch(id);
+    reference->Touch(id);
+  }
+}
+
+// Every entry, in eviction order, by flushing a copy with one object the
+// size of the whole `capacity`.
+std::vector<TargetId> EvictionOrder(LruCache cache, ReferenceLru* reference, uint64_t capacity) {
+  std::vector<TargetId> order;
+  std::vector<TargetId> reference_order;
+  cache.Insert(kInvalidTarget - 1, capacity, &order);
+  reference->Insert(kInvalidTarget - 1, capacity, &reference_order);
+  EXPECT_EQ(order, reference_order);
+  return order;
+}
+
+// A copy owns its pages: whatever happens to the source afterwards, the copy
+// keeps the entries and the recency order it was copied with.
+TEST(LruCacheTest, CopyIsIndependentOfItsSource) {
+  const uint64_t capacity = 1 << 20;
+  LruCache source(capacity);
+  ReferenceLru reference(capacity);
+  FillBoth(&source, &reference, 700, 7);  // three pages
+  const LruCache copy = source;
+  ReferenceLru copy_reference = reference;
+
+  // Touch, evict, refill and finally clear the source.
+  Rng rng(8);
+  std::vector<TargetId> evicted;
+  for (int i = 0; i < 5000; ++i) {
+    const TargetId id = static_cast<TargetId>(rng.NextBelow(1400));
+    if (!source.Touch(id)) {
+      source.Insert(id, capacity / 600, &evicted);
+    }
+  }
+  ASSERT_FALSE(evicted.empty());
+  source.Clear();
+  ASSERT_EQ(source.entry_count(), 0u);
+
+  EXPECT_EQ(copy.entry_count(), copy_reference.entry_count());
+  EXPECT_EQ(copy.used_bytes(), copy_reference.used_bytes());
+  for (TargetId id = 0; id < 1400; ++id) {
+    ASSERT_EQ(copy.Contains(id), copy_reference.Contains(id)) << "id " << id;
+  }
+  EXPECT_EQ(EvictionOrder(copy, &copy_reference, capacity).size(), 700u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, LruPropertyTest, ::testing::Values(64, 1024, 65536));

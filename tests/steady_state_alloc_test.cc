@@ -1,8 +1,10 @@
 // Pins the allocation-free steady state of the loop threads' serve and
 // control paths: a control frame the socket takes is sent and received
-// without a heap allocation, and a new connection's first request is parsed
-// without copying it. The global operator new is replaced by one that counts
-// per thread, so this file is its own test binary.
+// without a heap allocation, a new connection's first request is parsed
+// without copying it, a message head allocates its header list once, and an
+// LRU cache that holds its working set allocates nothing. The global
+// operator new and delete are replaced by ones that count per thread, so this
+// file is its own test binary.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,25 +16,47 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/lru_cache.h"
+#include "src/http/http_message.h"
 #include "src/http/request_parser.h"
 #include "src/net/event_loop.h"
 #include "src/net/framed_channel.h"
 #include "src/net/socket.h"
+#include "src/util/rng.h"
 
 namespace {
 thread_local long t_allocations = 0;
+thread_local long t_allocated_bytes = 0;
+thread_local long t_frees = 0;
+thread_local long t_freed_bytes = 0;  // by sized deletes, which containers use
 }  // namespace
 
 void* operator new(size_t size) {
   ++t_allocations;
+  t_allocated_bytes += static_cast<long>(size);
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) {
     throw std::bad_alloc();
   }
   return p;
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+  if (p != nullptr) {
+    ++t_frees;
+  }
+  std::free(p);
+}
+void operator delete(void* p, size_t size) noexcept {
+  if (p != nullptr) {
+    ++t_frees;
+    t_freed_bytes += static_cast<long>(size);
+  }
+  std::free(p);
+}
+// The array forms too: a sanitizer runtime would otherwise serve them itself.
+void* operator new[](size_t size) { return operator new(size); }
+void operator delete[](void* p) noexcept { operator delete(p); }
+void operator delete[](void* p, size_t size) noexcept { operator delete(p, size); }
 
 namespace lard {
 namespace {
@@ -168,6 +192,99 @@ TEST(SteadyStateAllocTest, PipelinedBatchSplitAtEveryByteParsesTheSame) {
       EXPECT_EQ(Describe(requests, parser), expected) << "split at " << split << " and " << second;
     }
   }
+}
+
+// The first Add reserves room for four headers, so a head of two to four
+// headers grows its list once, not 1 -> 2 -> 4.
+TEST(SteadyStateAllocTest, HeadWithThreeHeadersAllocatesItsListOnce) {
+  HttpResponse response;
+  const long before = t_allocations;
+  response.headers.Add("Content-Type", "text/html");
+  response.headers.Add("Connection", "close");
+  response.headers.Add("Server", "lard");
+  EXPECT_EQ(t_allocations - before, 1);  // names and values fit inline
+}
+
+// A parsed request's list is sized to its header count in one allocation, so
+// the pipelined one-header requests a back end queues do not hold four
+// entries each, and a head of more than four headers does not regrow.
+TEST(SteadyStateAllocTest, ParsedHeadHoldsExactlyItsHeaders) {
+  std::vector<HttpRequest> requests;
+  requests.reserve(3);
+  RequestParser parser;
+  const long before = t_allocations;
+  ASSERT_EQ(parser.Feed("GET /a HTTP/1.1\r\nHost: h\r\n\r\n"
+                        "GET /b HTTP/1.1\r\nHost: h\r\n\r\n"
+                        "GET /c HTTP/1.1\r\nA: 1\r\nB: 2\r\nC: 3\r\nD: 4\r\nE: 5\r\n\r\n",
+                        &requests),
+            RequestParser::State::kNeedMore);
+  const long allocations = t_allocations - before;
+  ASSERT_EQ(requests.size(), 3u);
+  EXPECT_EQ(allocations, 3);
+  for (const HttpRequest& request : requests) {
+    EXPECT_EQ(request.headers.entries().capacity(), request.headers.size()) << request.path;
+  }
+}
+
+// Slot pages are 256 slots of 16 B.
+constexpr long kPageBytes = 4096;
+
+// Growing to 1,000 entries takes four slot pages, which stay where they are.
+// Besides them only the index (8 positions, doubling to 2,048) and the
+// four-entry page table (1 -> 2 -> 4 pointers of 8 B) allocate, and only
+// their outgrown blocks are freed.
+TEST(SteadyStateAllocTest, LruGrowthAllocatesPagesAndFreesNone) {
+  LruCache cache(1 << 20);
+  const long allocations = t_allocations;
+  const long allocated = t_allocated_bytes;
+  const long frees = t_frees;
+  const long freed = t_freed_bytes;
+  for (TargetId id = 0; id < 1000; ++id) {
+    ASSERT_TRUE(cache.Insert(id * 7919, 100));
+  }
+  // Read before any expectation, whose failure message would allocate.
+  const long grown_allocations = t_allocations - allocations;
+  const long grown_allocated = t_allocated_bytes - allocated;
+  const long grown_frees = t_frees - frees;
+  const long grown_freed = t_freed_bytes - freed;
+  ASSERT_EQ(cache.entry_count(), 1000u);
+  long index_bytes = 0;           // every index block allocated
+  long outgrown_index_bytes = 0;  // every one but the last
+  for (long positions = 8; positions <= 2048; positions *= 2) {
+    outgrown_index_bytes = index_bytes;
+    index_bytes += positions * 4;
+  }
+  const long table_bytes = 8 * (1 + 2 + 4);
+  EXPECT_EQ(grown_allocations, 4 + 9 + 3);
+  EXPECT_EQ(grown_allocated, 4 * kPageBytes + index_bytes + table_bytes);
+  EXPECT_EQ(grown_frees, 8 + 2);
+  EXPECT_EQ(grown_freed, outgrown_index_bytes + 8 * (1 + 2));
+}
+
+// Once a cache's pages and index have grown to its working set, hits, misses
+// and the evictions they cause allocate nothing.
+TEST(SteadyStateAllocTest, LruAtItsWorkingSetAllocatesNothing) {
+  LruCache cache(600 * 1000);  // about 600 of 2,000 objects of 500-1,499 B
+  Rng rng(3);
+  std::vector<TargetId> evicted;
+  evicted.reserve(64);
+  size_t evictions = 0;
+  const auto run = [&](int ops) {
+    for (int op = 0; op < ops; ++op) {
+      const TargetId id = static_cast<TargetId>(rng.NextBelow(2000));
+      if (!cache.Touch(id)) {
+        evicted.clear();
+        cache.Insert(id, 500 + id % 1000, &evicted);
+        evictions += evicted.size();
+      }
+    }
+  };
+  run(100000);  // warm-up: the resident count has peaked
+  evictions = 0;
+  const long before = t_allocations;
+  run(100000);
+  EXPECT_EQ(t_allocations - before, 0);
+  EXPECT_GT(evictions, 10000u);
 }
 
 }  // namespace
