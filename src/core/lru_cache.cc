@@ -104,22 +104,10 @@ bool LruCache::Touch(TargetId id) {
     return false;
   }
   const uint32_t slot = index_[pos];
-  if (slot == head_) {
-    return true;
+  if (slot != head_) {
+    Unlink(slot);
+    PushFront(slot);
   }
-  // Unlink and PushFront in one pass: an entry that is not the head has a
-  // predecessor, and the list has a head.
-  Slot& entry = At(slot);
-  At(entry.prev).next = entry.next;
-  if (entry.next != kNone) {
-    At(entry.next).prev = entry.prev;
-  } else {
-    tail_ = entry.prev;
-  }
-  At(head_).prev = slot;
-  entry.prev = kNone;
-  entry.next = head_;
-  head_ = slot;
   return true;
 }
 

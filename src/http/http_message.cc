@@ -22,9 +22,6 @@ bool HttpHeaders::NameEquals(const std::string& a, const std::string& b) {
 }
 
 void HttpHeaders::Add(std::string name, std::string value) {
-  if (entries_.capacity() == 0) {
-    entries_.reserve(4);  // a head of 2-4 headers allocates once, not 1 -> 2 -> 4
-  }
   entries_.emplace_back(std::move(name), std::move(value));
 }
 

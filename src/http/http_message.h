@@ -19,9 +19,9 @@ const char* HttpVersionString(HttpVersion version);
 // order is visible on the wire, so a map is the wrong type).
 class HttpHeaders {
  public:
-  // The first Add into a list with no room reserves room for four headers.
   void Add(std::string name, std::string value);
-  // Room for exactly `count` headers, for a caller that knows the count.
+  // Room for `count` headers, so a caller that knows the count grows the
+  // list once.
   void Reserve(size_t count) { entries_.reserve(count); }
   // Returns the first value of `name` (case-insensitive) or nullptr.
   const std::string* Find(const std::string& name) const;

@@ -74,17 +74,8 @@ size_t RequestParser::ParseOne(std::string_view input, HttpRequest* request) {
     return kParseError;
   }
 
-  // Header lines, counted first: a queued pipelined request keeps its list,
-  // so the list holds exactly its headers, not the four Add reserves.
+  // Header lines.
   size_t pos = line_end == std::string_view::npos ? head.size() : line_end + 2;
-  if (pos < head.size()) {
-    size_t lines = 1;
-    for (size_t at = head.find("\r\n", pos); at != std::string_view::npos;
-         at = head.find("\r\n", at + 2)) {
-      ++lines;
-    }
-    request->headers.Reserve(lines);
-  }
   while (pos < head.size()) {
     size_t eol = head.find("\r\n", pos);
     if (eol == std::string_view::npos) {

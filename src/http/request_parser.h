@@ -29,6 +29,9 @@ class RequestParser {
   // nothing buffered, `data` is parsed in place. Returns kError on malformed
   // input (parsing stops at the offending request).
   State Feed(std::string_view data, std::vector<HttpRequest>* out);
+  // A caller that reuses one `out` vector across reads releases it past this
+  // many requests (8 KB), so one long pipelined burst does not pin its size.
+  static constexpr size_t kKeepBatchRequests = 64;
 
   // Bytes buffered but not yet parsed into a complete request.
   size_t buffered_bytes() const { return buffer_.size(); }

@@ -336,7 +336,8 @@ class BackendServer {
 
   std::unordered_map<ConnId, std::unique_ptr<ClientConn>> conns_;
   // The requests parsed from one client read, cleared after each read so its
-  // capacity carries over to the next. Empty between reads.
+  // capacity (up to RequestParser::kKeepBatchRequests) carries over to the
+  // next. Empty between reads.
   std::vector<HttpRequest> read_batch_;
   ConnId next_peer_id_ = kPeerIdBit | 1;
   size_t peer_conns_ = 0;  // entries of conns_ that are peers'

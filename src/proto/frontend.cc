@@ -1072,7 +1072,7 @@ void FrontEnd::OnClientData(FeConn* conn, std::string_view data) {
   conn->raw_bytes.append(data.data(), data.size());
   std::vector<HttpRequest>& requests = conn->shard->read_batch;
   if (conn->parser.Feed(data, &requests) == RequestParser::State::kError) {
-    requests.clear();
+    ClearKeeping(&requests, RequestParser::kKeepBatchRequests);
     conn->conn->Write("HTTP/1.0 400 Bad Request\r\nContent-Length: 0\r\n\r\n");
     conn->conn->CloseAfterFlush();
     DestroyConn(conn);
@@ -1086,7 +1086,7 @@ void FrontEnd::OnClientData(FeConn* conn, std::string_view data) {
   } else {
     HandoffFlow(conn, requests);
   }
-  requests.clear();
+  ClearKeeping(&requests, RequestParser::kKeepBatchRequests);
 }
 
 std::vector<TargetId> FrontEnd::PathsToTargets(const std::vector<std::string>& paths) const {

@@ -277,7 +277,8 @@ class FrontEnd {
     TraceRing* trace_ring = nullptr;  // "fe<k>" for shard 0, "fe<k>.<n>" else
     std::vector<std::unique_ptr<LateralClient>> relays;  // relaying mode
     // The requests parsed from one read, cleared after each read so its
-    // capacity carries over to the next. Empty between reads.
+    // capacity (up to RequestParser::kKeepBatchRequests) carries over to the
+    // next. Empty between reads.
     std::vector<HttpRequest> read_batch;
   };
 

@@ -23,6 +23,16 @@ void ReserveRounded(Buffer* buffer, size_t n) {
   buffer->reserve(capacity);
 }
 
+// Empties `*buffer` for its next use and keeps its capacity, unless that is
+// above `keep` elements: one outsized burst does not pin its size.
+template <typename Buffer>
+void ClearKeeping(Buffer* buffer, size_t keep) {
+  buffer->clear();
+  if (buffer->capacity() > keep) {
+    Buffer().swap(*buffer);
+  }
+}
+
 }  // namespace lard
 
 #endif  // SRC_UTIL_CAPACITY_H_
