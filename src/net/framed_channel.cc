@@ -40,9 +40,7 @@ void FramedChannel::SendWithFd(uint8_t type, std::string_view payload, UniqueFd 
   ReserveRounded(&frame_, kHeaderBytes + payload.size());
   frame_.assign(header, kHeaderBytes).append(payload);
   conn_.Write(frame_, std::move(fd));
-  if (frame_.capacity() > kKeepFrameBytes) {
-    std::string().swap(frame_);  // one long handoff does not pin its size
-  }
+  ClearKeeping(&frame_, kKeepFrameBytes);  // one long handoff does not pin its size
 }
 
 void FramedChannel::OnData(std::string_view data) {

@@ -1,7 +1,8 @@
-// Capacity rounding for buffers whose length follows a request, a frame or a
+// Capacity rules for buffers whose length follows a request, a frame or a
 // batch. glibc's per-thread cache parks freed chunks by size class, so a
 // buffer allocated at each exact length leaves a chunk in every class it
-// touched; one grown to powers of two touches a handful.
+// touched; one grown to powers of two touches a handful. A buffer reused
+// across requests keeps its capacity only up to a bound.
 #ifndef SRC_UTIL_CAPACITY_H_
 #define SRC_UTIL_CAPACITY_H_
 
